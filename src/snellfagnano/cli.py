@@ -322,15 +322,7 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
 def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    grid = spec.get("grid", 64)
-    refine = spec.get("refine_iters", 200)
-    for name, v in (("grid", grid), ("refine_iters", refine)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise CliError(EXIT_INVALID, "%s must be a positive integer" % name)
-    try:
-        rep = minimize_inscribed(t, w, grid=grid, refine_iters=refine)
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    rep = minimize_inscribed(t, w)
     doc = _base_doc("minimize", spec, tols)
     doc["report"] = {
         "params": [rep.best.tA, rep.best.tB, rep.best.tC],
@@ -433,14 +425,11 @@ def run_spec(command: str, spec: Any,
             return HANDLERS[command](spec, tols)
         except CliError as e:
             err = (e.code, str(e))
-        except (coordinates.NoSuchPoint, coordinates.FZero) as e:
-            err = (EXIT_MISSING, str(e))
-        except (coordinates.IdealPoint, coordinates.OnSideLine) as e:
+        except (coordinates.NoSuchPoint, coordinates.FZero,
+                coordinates.IdealPoint, coordinates.OnSideLine) as e:
             err = (EXIT_MISSING, str(e))
         except (billiards.TotalInternalReflection, billiards.HitVertex) as e:
             err = (EXIT_DYNAMICS, str(e))
-        except (TriangleInequalityViolated, DegenerateTriangle) as e:
-            err = (EXIT_INVALID, str(e))
         except GeometryError as e:
             err = (EXIT_INVALID, str(e))
         except (KeyError, TypeError, ValueError) as e:

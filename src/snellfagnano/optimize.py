@@ -1,10 +1,21 @@
-"""Brute-force weighted-perimeter minimizer over inscribed triangles.
+"""Convex weighted-perimeter minimizer over inscribed triangles.
 
-Deliberately independent of the erected-triangle construction: a dense
-grid over the three side parameters followed by cyclic coordinate descent
-(golden-section per axis; the objective is convex in each parameter
-separately, being a sum of two point-to-moving-point distances).  Used as
-the oracle the geometric construction is checked against.
+Deliberately independent of the erected-triangle construction: it starts
+from the medial parameters (1/2, 1/2, 1/2) and never consults the
+construction.  Used as the oracle the geometric construction is checked
+against.
+
+With side vectors s_A = C - B, s_B = A - C, s_C = B - A, the chord opposite
+vertex A is pB - pC = (tB - 1) s_B - tC s_C, and cyclically for B and C.
+Each chord is affine in two of the side parameters, so the weighted
+perimeter is a sum of weighted Euclidean norms of affine maps: convex on
+the parameter cube, with every local minimum global.  The solver is a
+projected Newton method on the box [0, 1]^3 applied to the smoothed
+objective sum lam * sqrt(|r|^2 + eps^2), with eps lowered by continuation
+(the sum-of-norms setting of Andersen, Christiansen, Conn and Overton,
+SIAM J. Sci. Comput. 2000).  The true objective is not smooth where a
+chord has length zero, which inside the cube happens only at corner pairs
+such as tB = 1, tC = 0 (both feet at vertex A); the bounds pin those.
 """
 
 from __future__ import annotations
@@ -12,21 +23,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construction import Weights
-from .geometry import (InscribedTriangle, Triangle, dist,
-                       inscribed_from_params, signed_area)
+from .geometry import (InscribedTriangle, Triangle, inscribed_from_params,
+                       signed_area)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Smoothing radii in units of the diameter, one Newton stage each.  The
+# last one bounds the smoothing's cost bias; much below 1e-15 the
+# objective's changes drown in rounding.
+_EPS_STAGES = tuple(10.0 ** -k for k in range(1, 16, 2))
+# Predicted decrease below which a Newton step has vanished, in units of
+# largest weight times diameter: about the rounding level of the objective.
+_DECREMENT_TOL = 1e-15
+# Parameters this close to a bound are tried on it once the stages end.
+_SNAP_TOL = 1e-8
+_MAX_STEPS = 60          # Newton steps per stage
+_MAX_HALVINGS = 40       # backtracking halvings per step
+_ARMIJO = 1e-4           # sufficient-decrease fraction
 
 
 @dataclass(frozen=True)
 class MinimizeReport:
     """Best inscribed triangle found, with convergence diagnostics.
 
-    flatness is |area(best)| / area(reference); values below ~1e-3 indicate
-    the minimizer has collapsed onto a doubled segment.
+    iterations is the number of Newton steps over all continuation stages.
+    converged is true when the last stage stopped on a vanishing step, one
+    whose predicted decrease is below 1e-15 of largest weight times diameter;
+    stopping on the per-stage step cap, or on a step the line search cannot
+    make lower the objective, does not count.  flatness is
+    |area(best)| / area(reference); values below ~1e-3 indicate the
+    minimizer has collapsed onto a doubled segment.
     """
 
     best: InscribedTriangle
@@ -42,214 +67,167 @@ def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
     return w.lam_A * d1 + w.lam_B * d2 + w.lam_C * d3
 
 
-def _golden_1d(g, lo: float, hi: float, tol: float = 1e-13) -> float:
-    u1 = hi - _INVPHI * (hi - lo)
-    u2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = g(u1), g(u2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, u2, f2 = u2, u1, f1
-            u1 = hi - _INVPHI * (hi - lo)
-            f1 = g(u1)
-        else:
-            lo, u1, f1 = u1, u2, f2
-            u2 = lo + _INVPHI * (hi - lo)
-            f2 = g(u2)
-    return 0.5 * (lo + hi)
+def _chords(t: Triangle, w: Weights):
+    """Each chord as (lam, i, u, j, v) with r = (p[i] - 1) u + p[j] v.
 
-
-def _descend(f, start, refine_iters: int):
-    """Cyclic per-axis golden section with a Powell-style acceleration step.
-
-    Plain coordinate descent zigzags down narrow diagonal valleys with cost
-    improvements that vanish long before the minimum; the extra line search
-    along each sweep's net displacement collapses exactly that mode, after
-    which a stalling cost genuinely means a minimum.
+    Lengths are in units of the diameter and weights in units of the
+    largest one, so the smoothing radius and the tolerances need no
+    rescaling.
     """
-    params = list(start)
-    prev = f(params)
+    k = 1.0 / t.diameter
+    sides = ((t.vC - t.vB) * k, (t.vA - t.vC) * k, (t.vB - t.vA) * k)
+    top = max(w.triple)
+    return tuple((lam / top, (n + 1) % 3, sides[(n + 1) % 3],
+                  (n + 2) % 3, sides[(n + 2) % 3] * -1.0)
+                 for n, lam in enumerate(w.triple))
+
+
+def _smoothed(chords, p, eps2: float) -> float:
+    total = 0.0
+    for lam, i, (ux, uy), j, (vx, vy) in chords:
+        rx = (p[i] - 1.0) * ux + p[j] * vx
+        ry = (p[i] - 1.0) * uy + p[j] * vy
+        total += lam * math.sqrt(rx * rx + ry * ry + eps2)
+    return total
+
+
+def _derivatives(chords, p, eps2: float):
+    """Analytic gradient and Hessian of the smoothed objective.
+
+    The Hessian of sqrt(|r|^2 + eps^2) in r is (r_perp r_perp^T + eps^2 I)
+    / n^3, written through the cross products r x u so that it stays
+    positive semidefinite in floating point.
+    """
+    g = [0.0, 0.0, 0.0]
+    h = [[0.0] * 3 for _ in range(3)]
+    for lam, i, (ux, uy), j, (vx, vy) in chords:
+        rx = (p[i] - 1.0) * ux + p[j] * vx
+        ry = (p[i] - 1.0) * uy + p[j] * vy
+        n2 = rx * rx + ry * ry + eps2
+        a = lam / math.sqrt(n2)
+        g[i] += a * (rx * ux + ry * uy)
+        g[j] += a * (rx * vx + ry * vy)
+        k = a / n2
+        cu = rx * uy - ry * ux
+        cv = rx * vy - ry * vx
+        h[i][i] += k * (cu * cu + eps2 * (ux * ux + uy * uy))
+        h[j][j] += k * (cv * cv + eps2 * (vx * vx + vy * vy))
+        off = k * (cu * cv + eps2 * (ux * vx + uy * vy))
+        h[i][j] += off
+        h[j][i] += off
+    return g, h
+
+
+def _solve(m, rhs):
+    """Solve the small dense system m x = rhs by Gaussian elimination.
+
+    Returns None when a pivot vanishes.
+    """
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(m, rhs)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0.0:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c in range(col, n + 1):
+                a[r][c] -= f * a[col][c]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))) \
+            / a[r][r]
+    return x
+
+
+def _direction(p, g, h):
+    """Newton direction on the coordinates free to move.
+
+    A coordinate on a bound that the Newton step would push outward is
+    held there and the step is solved again without it; left in, the clip
+    would bend even the shortest step away from the solved direction.
+    Should a block solve fail, its coordinates take a diagonally scaled
+    gradient step.
+    A coordinate without curvature (its chords' weights underflow against
+    the largest one) has no gradient either, and does not move.
+    """
+    free = [i for i in range(3) if h[i][i] > 0.0]
+    while True:
+        d = [0.0, 0.0, 0.0]
+        x = _solve([[h[r][c] for c in free] for r in free],
+                   [-g[r] for r in free])
+        for i, v in zip(free, x or [-g[i] / h[i][i] for i in free]):
+            d[i] = v
+        held = [i for i in free
+                if (p[i] == 0.0 and d[i] < 0.0) or (p[i] == 1.0 and d[i] > 0.0)]
+        if not held:
+            return d
+        free = [i for i in free if i not in held]
+
+
+def _newton_step(chords, p, eps2: float):
+    """One projected Newton step on the box; returns (new point, vanished).
+
+    A step whose predicted decrease -g.d is below _DECREMENT_TOL has
+    vanished: rounding hides its effect on the value, so it is taken in
+    full, which settles the position to gradient precision.
+    Any other step is backtracked along the clipped path until it strictly
+    lowers the smoothed objective by the Armijo fraction; if none does, p
+    itself is returned.
+    """
+    g, h = _derivatives(chords, p, eps2)
+    d = _direction(p, g, h)
+    slope = sum(g[i] * d[i] for i in range(3))
+
+    def clipped(alpha):
+        return [min(1.0, max(0.0, p[i] + alpha * d[i])) for i in range(3)]
+
+    if -slope <= _DECREMENT_TOL:
+        return clipped(1.0), True
+    f0 = _smoothed(chords, p, eps2)
+    alpha = 1.0
+    for _ in range(_MAX_HALVINGS):
+        q = clipped(alpha)
+        fq = _smoothed(chords, q, eps2)
+        if fq < f0 and fq <= f0 + _ARMIJO * alpha * slope:
+            return q, False
+        alpha *= 0.5
+    return p, False
+
+
+def minimize_inscribed(t: Triangle, w: Weights) -> MinimizeReport:
+    """Projected Newton with continuation in the smoothing radius.
+
+    Each stage starts from the previous stage's minimizer and ends on a
+    vanishing step, a failed line search or the stage's step cap.  The
+    radius falls from 1e-1 to 1e-15 of the diameter.  Parameters within
+    _SNAP_TOL of a bound are then moved onto it if that lowers the true
+    cost, which removes the smoothing's offset from corner-pair minimizers.
+    """
+    chords = _chords(t, w)
+    p = [0.5, 0.5, 0.5]
     iterations = 0
     converged = False
-    for sweep in range(refine_iters):
-        iterations = sweep + 1
-        old = list(params)
-        for axis in range(3):
-            q = list(params)
-
-            def on_axis(u, q=q, axis=axis):
-                q[axis] = u
-                return f(q)
-
-            params[axis] = _golden_1d(on_axis, 0.0, 1.0)
-        d = [params[i] - old[i] for i in range(3)]
-        scale = max(abs(v) for v in d)
-        if scale > 1e-15:
-            # largest multiple of the sweep displacement staying in the cube
-            u_max = 8.0
-            for v, o in zip(d, old):
-                if v > 0:
-                    u_max = min(u_max, (1.0 - o) / v)
-                elif v < 0:
-                    u_max = min(u_max, -o / v)
-
-            def along(u):
-                return f([min(1.0, max(0.0, o + u * v))
-                          for o, v in zip(old, d)])
-
-            u_star = _golden_1d(along, 0.0, u_max, tol=1e-13 * u_max)
-            if along(u_star) < f(params):
-                params = [min(1.0, max(0.0, o + u_star * v))
-                          for o, v in zip(old, d)]
-        cur = f(params)
-        if prev - cur <= 1e-13 * max(1.0, abs(cur)):
-            converged = True
-            break
-        prev = cur
-    return params, f(params), iterations, converged
-
-
-def _gradient(t: Triangle, w: Weights, p):
-    """Exact derivatives of the weighted perimeter in the side parameters."""
-    it = inscribed_from_params(t, *p)
-    sa = t.vC - t.vB
-    sb = t.vA - t.vC
-    sc = t.vB - t.vA
-    d1 = dist(it.pB, it.pC)
-    d2 = dist(it.pC, it.pA)
-    d3 = dist(it.pA, it.pB)
-    if min(d1, d2, d3) < 1e-14:
-        return None
-    e1 = (it.pB - it.pC) * (1.0 / d1)
-    e2 = (it.pC - it.pA) * (1.0 / d2)
-    e3 = (it.pA - it.pB) * (1.0 / d3)
-    return (
-        (w.lam_B * (-e2.dot(sa)) + w.lam_C * e3.dot(sa)),
-        (w.lam_C * (-e3.dot(sb)) + w.lam_A * e1.dot(sb)),
-        (w.lam_A * (-e1.dot(sc)) + w.lam_B * e2.dot(sc)),
-    )
-
-
-def _polish_newton(t: Triangle, w: Weights, params, f):
-    """Drive the free components of the gradient to zero.
-
-    Value-only searches leave the position sqrt(eps)-fuzzy along soft valley
-    directions; Newton on the exact stationarity system recovers machine
-    precision.  Components pinned at 0/1 with an outward-pushing gradient
-    stay fixed; a step that leaves the cube or raises the cost is rejected.
-    """
-    p = list(params)
-    gscale = (w.lam_A + w.lam_B + w.lam_C) * t.diameter
-    for _ in range(40):
-        g = _gradient(t, w, p)
-        if g is None:
-            return params
-        free = [i for i in range(3)
-                if not (p[i] < 1e-9 and g[i] > 0)
-                and not (p[i] > 1.0 - 1e-9 and g[i] < 0)]
-        if not free or max(abs(g[i]) for i in free) <= 1e-14 * gscale:
-            break
-        h = 1e-7
-        jac = np.empty((len(free), len(free)))
-        for col, j in enumerate(free):
-            q_hi, q_lo = list(p), list(p)
-            q_hi[j] += h
-            q_lo[j] -= h
-            g_hi = _gradient(t, w, q_hi)
-            g_lo = _gradient(t, w, q_lo)
-            if g_hi is None or g_lo is None:
-                return p
-            for row, i in enumerate(free):
-                jac[row, col] = (g_hi[i] - g_lo[i]) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, [-g[i] for i in free])
-        except np.linalg.LinAlgError:
-            break
-        trial = list(p)
-        for s, i in zip(step, free):
-            trial[i] = min(1.0, max(0.0, trial[i] + float(s)))
-        if f(trial) > f(p) + 1e-9 * max(1.0, abs(f(p))):
-            break
-        p = trial
-    return p if f(p) <= f(params) else list(params)
-
-
-def _scan_seeds(t: Triangle, w: Weights, axes, count: int,
-                min_separation: int = 4):
-    """Best well-separated cells of a dense scan over the given axis grids."""
-    ax, ay = np.array(t.vA)
-    bx, by = np.array(t.vB)
-    cx, cy = np.array(t.vC)
-    # Foot coordinates per parameter value, one array per side.
-    pax, pay = bx + axes[0] * (cx - bx), by + axes[0] * (cy - by)
-    pbx, pby = cx + axes[1] * (ax - cx), cy + axes[1] * (ay - cy)
-    pcx, pcy = ax + axes[2] * (bx - ax), ay + axes[2] * (by - ay)
-    # Chord-length tables: D1[j,k] = |pB(j) pC(k)| and so on.
-    d1 = np.hypot(pbx[:, None] - pcx[None, :], pby[:, None] - pcy[None, :])
-    d2 = np.hypot(pcx[:, None] - pax[None, :], pcy[:, None] - pay[None, :])
-    d3 = np.hypot(pax[:, None] - pbx[None, :], pay[:, None] - pby[None, :])
-    cost = (w.lam_A * d1[None, :, :]
-            + w.lam_B * d2.T[:, None, :]
-            + w.lam_C * d3[:, :, None])
-    order = np.argsort(cost.ravel())
-    cells = []
-    for idx in order[:4000]:
-        cell = np.unravel_index(int(idx), cost.shape)
-        if all(max(abs(cell[n] - c[n]) for n in range(3)) >= min_separation
-               for c in cells):
-            cells.append(cell)
-        if len(cells) >= max(1, count):
-            break
-    return [[float(axes[n][cell[n]]) for n in range(3)] for cell in cells]
-
-
-def minimize_inscribed(t: Triangle, w: Weights, grid: int = 64,
-                       refine_iters: int = 200,
-                       seeds: int = 4, zoom_levels: int = 2) -> MinimizeReport:
-    """Multiscale grid scan plus accelerated coordinate descent.
-
-    Multiple well-separated seeds from the full-cube scan guard against
-    picking the wrong basin when an interior orbit competes with boundary
-    configurations (feet at vertices, doubled altitudes).  The scan is then
-    repeated in a shrinking window around the incumbent: minima hugging the
-    parameter-cube boundary at scales below the global grid resolution sit
-    next to collapsed-chord corner configurations whose conical cusp traps
-    plain descent, and only a finer local scan separates the two.  A final
-    Newton solve of the exact stationarity system sharpens the position
-    past the noise floor of value-only search.
-    """
-    if grid < 16:
-        raise ValueError("grid resolution below 16 is unreliable")
-    ts = np.linspace(0.0, 1.0, grid)
-
-    def f(p) -> float:
-        return weighted_perimeter(inscribed_from_params(t, *p), w)
-
-    best_params = None
-    best_cost = math.inf
-    iterations = 0
-    converged = False
-    for start in _scan_seeds(t, w, (ts, ts, ts), seeds):
-        p, c, its, conv = _descend(f, start, refine_iters)
-        iterations += its
-        if c < best_cost:
-            best_params, best_cost, converged = p, c, conv
-
-    half = 2.0 / grid
-    for _ in range(max(0, zoom_levels)):
-        axes = tuple(
-            np.linspace(max(0.0, best_params[n] - half),
-                        min(1.0, best_params[n] + half), grid)
-            for n in range(3))
-        for start in _scan_seeds(t, w, axes, 2):
-            p, c, its, conv = _descend(f, start, refine_iters)
-            iterations += its
-            if c < best_cost:
-                best_params, best_cost, converged = p, c, conv
-        half *= 4.0 / grid
-
-    best_params = _polish_newton(t, w, best_params, f)
-    best = inscribed_from_params(t, *best_params)
+    for eps in _EPS_STAGES:
+        converged = False
+        for _ in range(_MAX_STEPS):
+            q, converged = _newton_step(chords, p, eps * eps)
+            iterations += 1
+            stalled = q == p
+            p = q
+            if converged or stalled:
+                break
+    best = inscribed_from_params(t, *p)
+    cost = weighted_perimeter(best, w)
+    # Where the true minimizer lies on a bound, the smoothed one stops
+    # O(eps / side length) short of it; step onto it when that is cheaper.
+    snapped = inscribed_from_params(
+        t, *((0.0 if x < 0.5 else 1.0) if min(x, 1.0 - x) < _SNAP_TOL else x
+             for x in p))
+    snapped_cost = weighted_perimeter(snapped, w)
+    if snapped_cost < cost:
+        best, cost = snapped, snapped_cost
     area = abs(signed_area(best.pA, best.pB, best.pC))
-    return MinimizeReport(best=best, cost=weighted_perimeter(best, w),
-                          iterations=iterations, converged=converged,
-                          flatness=area / t.area)
+    return MinimizeReport(best=best, cost=cost, iterations=iterations,
+                          converged=converged, flatness=area / t.area)

@@ -241,7 +241,7 @@ def test_simulate_bad_start(capsys, tmp_path):
 
 def test_minimize_agrees_with_construction(capsys):
     code, doc = run_doc(capsys, ["minimize", "--input",
-                                 corpus_path("minimize_grid24.json")])
+                                 corpus_path("minimize_interior.json")])
     assert code == 0
     assert doc["report"]["converged"] is True
     assert doc["constructed"]["status"] == "interior"
@@ -250,11 +250,16 @@ def test_minimize_agrees_with_construction(capsys):
         doc["constructed"]["weighted_perimeter"], rel=1e-5)
 
 
-def test_minimize_grid_too_small(capsys, tmp_path):
-    spec = {"triangle": {"sides": [3, 4, 5]}, "weights": [1, 1, 1], "grid": 8}
+def test_minimize_ignores_retired_search_fields(capsys, tmp_path):
+    # "grid" and "refine_iters" tuned an earlier search; now they are extras
+    spec = dict(T456, grid=8, refine_iters=0)
     code, doc = run_doc(capsys, ["minimize", "--input",
                                  write_spec(tmp_path, spec)])
-    assert code == 2
+    assert code == 0
+    assert doc["input"] == spec
+    _, ref = run_doc(capsys, ["minimize", "--input",
+                              write_spec(tmp_path, T456)])
+    assert doc["report"] == ref["report"]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +408,15 @@ def declared_script(name):
                                          group="console_scripts")
 
 
+def checkout_env():
+    """Child environment in which this checkout's package wins any import."""
+    pkg_parent = os.path.dirname(os.path.dirname(snellfagnano.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_entry_point_wiring(tmp_path):
     """The declared `sf` entry point runs `sf point` as its own process.
 
@@ -410,16 +424,11 @@ def test_entry_point_wiring(tmp_path):
     test needs no install: it runs from a checkout on PYTHONPATH."""
     ep = declared_script("sf")
     assert callable(ep.load()), "%s is not callable" % ep.value
-    # the checkout's package must win over any other copy in the child
-    pkg_parent = os.path.dirname(os.path.dirname(snellfagnano.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     wrapper = "import sys; from %s import %s; sys.exit(%s())" % (
         ep.module, ep.attr, ep.attr)
     proc = subprocess.run([sys.executable, "-c", wrapper,
                            "point", "--input", write_spec(tmp_path, T456)],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=checkout_env(),
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
@@ -442,6 +451,16 @@ def test_installed_sf_script(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["status"] == "interior"
+
+
+def test_cli_import_leaves_numpy_out():
+    """numpy is a test dependency only; the CLI must not import it."""
+    probe = "import sys, snellfagnano.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=checkout_env(),
+                          timeout=SUBPROCESS_TIMEOUT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

@@ -40,12 +40,6 @@ def test_weighted_perimeter_doubled_altitude_candidate():
         pytest.approx((3 + 4) * hA, rel=1e-12)
 
 
-def test_grid_floor():
-    t = triangle_from_sides(3.0, 4.0, 5.0)
-    with pytest.raises(ValueError):
-        minimize_inscribed(t, Weights(1, 1, 1), grid=15)
-
-
 def test_report_cost_matches_best():
     rng = random.Random(91)
     t, w = sample_admissible(rng)
@@ -94,6 +88,10 @@ def test_degenerate_samples_flatten():
         t, w = sample_degenerate(rng)
         rep = minimize_inscribed(t, w)
         assert rep.flatness < 1e-3
+        # the collapse lands on the cheapest doubled altitude, in value too
+        res = snell_fagnano_point(t, w, include_brute_force=False)
+        collapsed = min(res.degenerate_info["weighted_costs"].values())
+        assert rep.cost == pytest.approx(collapsed, rel=1e-9)
 
 
 def test_weight_scaling_scales_cost():
