@@ -11,8 +11,7 @@ points with the existence of the scaled "tilde" triangle of side lengths
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (Point2, Triangle, dist, foot_of_perpendicular,
                        intersect_lines)
@@ -24,8 +23,7 @@ BISECTOR_EPS = 1e-12
 TANGENT_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class ApollonianCircle:
+class ApollonianCircle(NamedTuple):
     """Generalized circle for a base pair and a positive ratio.
 
     kind is "circle" (center/radius set) or "bisector" (point/direction set,
@@ -67,8 +65,7 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float,
                             center=center, radius=0.5 * dist(m, n))
 
 
-@dataclass(frozen=True)
-class TildeTriangle:
+class TildeTriangle(NamedTuple):
     """Side lengths (lam_A*a, lam_B*b, lam_C*c) and, when they close up,
     the angles opposite those sides."""
 

@@ -13,8 +13,8 @@ traversed foot-on-a -> foot-on-c -> foot-on-b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from collections import namedtuple
+from typing import NamedTuple, Tuple
 
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        dist, line_parameter)
@@ -31,8 +31,7 @@ class HitVertex(GeometryError):
     """The ray ran into a corner, where the reflection law is undefined."""
 
 
-@dataclass(frozen=True)
-class BilliardState:
+class BilliardState(NamedTuple):
     """Position on the boundary plus the direction of the next flight.
 
     side is "a", "b" or "c"; param is the affine coordinate along the side
@@ -133,26 +132,23 @@ def orbit_start_state(t: Triangle, it: InscribedTriangle) -> BilliardState:
     return BilliardState("a", it.tA, (it.pC - it.pA).unit())
 
 
-@dataclass(frozen=True)
-class RiverInstance:
+class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
     """Two points on the same strict side of a line, with leg weights."""
 
-    a_pt: Point2
-    b_pt: Point2
-    line: Tuple[Point2, Point2]
-    lam1: float
-    lam2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.lam1, self.lam2) <= 0.0:
+    def __new__(cls, a_pt: Point2, b_pt: Point2, line: Tuple[Point2, Point2],
+                lam1: float, lam2: float):
+        if min(lam1, lam2) <= 0.0:
             raise ValueError("leg weights must be positive")
-        q1, q2 = self.line
+        q1, q2 = line
         e = Point2(*q2) - Point2(*q1)
-        sa = e.cross(Point2(*self.a_pt) - Point2(*q1))
-        sb = e.cross(Point2(*self.b_pt) - Point2(*q1))
+        sa = e.cross(Point2(*a_pt) - Point2(*q1))
+        sb = e.cross(Point2(*b_pt) - Point2(*q1))
         if sa * sb <= 0.0:
             raise ValueError("both points must lie strictly on one side "
                              "of the line")
+        return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)
 
 
 def solve_river(r: RiverInstance,

@@ -2,8 +2,9 @@
 
 Job specs are JSON (from --input or stdin), reports are JSON on stdout with
 a fixed field layout and fixed float formatting, so identical inputs give
-byte-identical outputs.  Exit codes: 0 success, 2 invalid input, 3 requested
-object does not exist, 4 dynamics failure, 5 I/O failure.
+byte-identical outputs.  Exit codes: 0 success, 1 internal error (a defect in
+sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
+5 I/O failure.  A batch runs its lines serially, in input order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__, billiards, construction, coordinates, serialize
@@ -27,6 +27,7 @@ from .optimize import minimize_inscribed
 from .render import render_scene
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INVALID = 2
 EXIT_MISSING = 3
 EXIT_DYNAMICS = 4
@@ -55,17 +56,28 @@ def _reject_const(name: str):
     raise ValueError("non-finite number %r in input" % name)
 
 
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        _reject_const(text)
+    return v
+
+
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_const)
-    except ValueError as e:
+        return json.loads(text, parse_float=_finite_float,
+                          parse_constant=_reject_const)
+    except (ValueError, RecursionError) as e:
         raise CliError(EXIT_INVALID, "invalid JSON: %s" % e)
 
 
 def _finite(x: Any, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise CliError(EXIT_INVALID, "%s must be a number" % what)
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise CliError(EXIT_INVALID, "%s is out of range" % what)
     if not math.isfinite(v):
         raise CliError(EXIT_INVALID, "%s must be finite" % what)
     return v
@@ -143,6 +155,14 @@ def _base_doc(command: str, spec: Dict[str, Any],
         "tolerances": dict(tols),
         "status": "ok",
     }
+
+
+def _error_doc(command: str, spec: Any, tols: Dict[str, float],
+               message: str) -> Dict[str, Any]:
+    doc = _base_doc(command, spec, tols)
+    doc["status"] = "error"
+    doc["message"] = message
+    return doc
 
 
 def _failing_tilde_inequality(t: Triangle, w: Weights) -> str:
@@ -436,10 +456,7 @@ def run_spec(command: str, spec: Any,
             err = (EXIT_INVALID, "invalid job spec: %s" % e)
         except OSError as e:
             err = (EXIT_IO, str(e))
-    doc = _base_doc(command, spec, tols)
-    doc["status"] = "error"
-    doc["message"] = err[1]
-    return doc, err[0]
+    return _error_doc(command, spec, tols, err[1]), err[0]
 
 
 def _resolve_tols(config_path: Optional[str],
@@ -487,37 +504,45 @@ def _emit(doc: Dict[str, Any], compact: bool) -> None:
         sys.stdout.write("\n")
 
 
-def _run_batch(command: str, path: str, tols: Dict[str, float],
-               workers: int) -> int:
+def _batch_line(command: str, line: str,
+                tols: Dict[str, float]) -> Tuple[str, int]:
+    """Compact report and exit code of one batch line; never raises."""
+    spec: Any = {}
+    cmd = command
+    try:
+        try:
+            spec = _loads(line)
+            job = (spec.get("command", command) if isinstance(spec, dict)
+                   else command)
+            if not isinstance(job, str) or job not in HANDLERS:
+                raise CliError(EXIT_INVALID, "unknown command %r" % (job,))
+            cmd = job
+            doc, code = run_spec(cmd, spec, tols)
+        except CliError as e:
+            doc, code = _error_doc(cmd, spec, tols, str(e)), e.code
+        doc["exit_code"] = code
+        return serialize.dumps(doc, indent=0), code
+    except Exception as e:  # a defect in sf: report it, keep the batch going
+        import traceback
+        traceback.print_exc()
+        doc = _error_doc(cmd, spec, tols, "internal error: %s: %s"
+                         % (type(e).__name__, e))
+        doc["exit_code"] = EXIT_INTERNAL
+        return serialize.dumps(doc, indent=0), EXIT_INTERNAL
+
+
+def _run_batch(command: str, path: str, tols: Dict[str, float]) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as e:
         sys.stderr.write("sf: cannot read batch file: %s\n" % e)
         return EXIT_IO
-
-    def job(line: str) -> Tuple[Dict[str, Any], int]:
-        try:
-            spec = _loads(line)
-        except CliError as e:
-            doc = _base_doc(command, {}, tols)
-            doc["status"] = "error"
-            doc["message"] = str(e)
-            return doc, e.code
-        cmd = spec.get("command", command) if isinstance(spec, dict) else command
-        if cmd not in HANDLERS:
-            doc = _base_doc(command, spec, tols)
-            doc["status"] = "error"
-            doc["message"] = "unknown command %r" % cmd
-            return doc, EXIT_INVALID
-        return run_spec(cmd, spec, tols)
-
     worst = EXIT_OK
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for doc, code in pool.map(job, lines):
-            doc["exit_code"] = code
-            _emit(doc, compact=True)
-            worst = max(worst, code)
+    for line in lines:
+        text, code = _batch_line(command, line, tols)
+        sys.stdout.write(text + "\n")
+        worst = max(worst, code)
     return worst
 
 
@@ -535,8 +560,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap.add_argument("--svg", help="output path for render")
     ap.add_argument("--compact", action="store_true",
                     help="one-line JSON output")
-    ap.add_argument("--workers", type=int, default=4,
-                    help="batch worker pool size")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
 
@@ -547,7 +570,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code
 
     if args.batch:
-        return _run_batch(args.command, args.batch, tols, args.workers)
+        return _run_batch(args.command, args.batch, tols)
 
     if args.input:
         try:

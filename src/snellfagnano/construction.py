@@ -19,8 +19,8 @@ result distinguishes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import coordinates
 from .apollonius import TildeTriangle, tilde_triangle
@@ -47,37 +47,33 @@ class ConcurrencyViolation(GeometryError):
     """The third cevian missed the intersection of the first two (a bug)."""
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
     """Stiffness triple: lam_A weights the chord opposite vertex A."""
 
-    lam_A: float
-    lam_B: float
-    lam_C: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.lam_A, self.lam_B, self.lam_C) <= 0.0:
+    def __new__(cls, lam_A: float, lam_B: float, lam_C: float):
+        if min(lam_A, lam_B, lam_C) <= 0.0:
             raise ValueError("weights must be strictly positive")
+        return super().__new__(cls, lam_A, lam_B, lam_C)
 
     @property
     def triple(self):
         return (self.lam_A, self.lam_B, self.lam_C)
 
 
-@dataclass(frozen=True)
-class RefractionCoeffs:
+class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
     """Per-side sine ratios; their product is 1 by construction."""
 
-    kap_a: float
-    kap_b: float
-    kap_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.kap_a, self.kap_b, self.kap_c) <= 0.0:
+    def __new__(cls, kap_a: float, kap_b: float, kap_c: float):
+        if min(kap_a, kap_b, kap_c) <= 0.0:
             raise ValueError("coefficients must be strictly positive")
-        prod = self.kap_a * self.kap_b * self.kap_c
+        prod = kap_a * kap_b * kap_c
         if abs(prod - 1.0) > 1e-9:
             raise ValueError(f"coefficient product must be 1, got {prod!r}")
+        return super().__new__(cls, kap_a, kap_b, kap_c)
 
     @property
     def triple(self):
@@ -91,8 +87,7 @@ def coeffs_from_weights(w: Weights) -> RefractionCoeffs:
                             w.lam_A / w.lam_B)
 
 
-@dataclass(frozen=True)
-class SnellOrbitResult:
+class SnellOrbitResult(NamedTuple):
     """Outcome of the orbit construction for one (triangle, weights) pair.
 
     status is "interior" (point valid), "degenerate" (minimizer collapses

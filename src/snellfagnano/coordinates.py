@@ -29,7 +29,6 @@ recomputing its vertex distances before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import GeometryError, Point2, Triangle, dist, signed_area
@@ -125,8 +124,7 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle,
     return trilinear_to_barycentric(inv, t)
 
 
-@dataclass(frozen=True)
-class ConwayData:
+class ConwayData(NamedTuple):
     """Conway-style symmetric quantities for a triangle and a scaled triple.
 
     ``F`` is the leading coefficient of the scale quadratic (the G of the

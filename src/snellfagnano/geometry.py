@@ -9,7 +9,6 @@ side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 # Relative tolerance below which a triangle counts as degenerate
@@ -200,8 +199,7 @@ def triangle_from_sides(a: float, b: float, c: float,
                     eps_degenerate=eps_degenerate)
 
 
-@dataclass(frozen=True)
-class InscribedTriangle:
+class InscribedTriangle(NamedTuple):
     """Triangle with one vertex on each side line of a reference triangle.
 
     pA lies on line BC (parameter tA along B->C), pB on line CA, pC on

@@ -21,7 +21,7 @@ such as tB = 1, tC = 0 (both feet at vertex A); the bounds pin those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import Weights
 from .geometry import (InscribedTriangle, Triangle, inscribed_from_params,
@@ -41,8 +41,7 @@ _MAX_HALVINGS = 40       # backtracking halvings per step
 _ARMIJO = 1e-4           # sufficient-decrease fraction
 
 
-@dataclass(frozen=True)
-class MinimizeReport:
+class MinimizeReport(NamedTuple):
     """Best inscribed triangle found, with convergence diagnostics.
 
     iterations is the number of Newton steps over all continuation stages.

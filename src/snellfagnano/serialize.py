@@ -10,12 +10,8 @@ keep insertion order; callers build documents with a fixed field layout.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring as _escape
 from typing import Any
-
-_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
-    "\n": "\\n", "\r": "\\r", "\t": "\\t",
-}
 
 
 def format_float(x: float) -> str:
@@ -25,18 +21,6 @@ def format_float(x: float) -> str:
     if x == 0.0:
         return "0"
     return "%.17g" % x
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
 
 
 def _emit(value: Any, parts: list, indent: str, level: int) -> None:

@@ -273,7 +273,7 @@ def _run_corpus_once(tmp_dir):
     batch = os.path.join(CORPUS, "batch.jsonl")
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        cli.main(["point", "--batch", batch, "--workers", "3"])
+        cli.main(["point", "--batch", batch])
     outputs["batch.jsonl"] = buf.getvalue().encode()
     return outputs
 

@@ -102,12 +102,34 @@ def test_point_no_tilde(capsys):
 
 def test_point_rejects_nan(tmp_path, capsys):
     p = tmp_path / "bad.json"
-    p.write_text('{"triangle": {"sides": [3, 4, 5]}, "weights": [1, 1, NaN]}')
+    for number in ("NaN", "1e400", "-1e400"):  # 1e400 overflows to inf
+        p.write_text('{"triangle": {"sides": [3, 4, 5]}, '
+                     '"weights": [1, 1, %s]}' % number)
+        code = cli.main(["point", "--input", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2, number
+        assert captured.out == ""  # rejected before a report exists
+        assert "non-finite" in captured.err
+
+
+def test_point_rejects_huge_integer(tmp_path, capsys):
+    p = tmp_path / "big.json"
+    p.write_text('{"triangle": {"sides": [1%s, 1, 1]}, "weights": [1, 1, 1]}'
+                 % ("0" * 400))
     code = cli.main(["point", "--input", str(p)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""  # rejected before a report exists
-    assert "non-finite" in captured.err
+    assert json.loads(captured.out)["status"] == "error"
+    assert "out of range" in captured.err
+
+
+def test_deeply_nested_json_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
+    code = cli.main(["point"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid JSON" in captured.err
 
 
 def test_bad_json_exits_2(capsys, monkeypatch):
@@ -368,11 +390,34 @@ def test_batch_preserves_order_and_codes(capsys):
     assert lines[3]["message"] == "unknown command 'nope'"
 
 
-def test_batch_single_worker_same_output(capsys):
-    _, out1 = run(capsys, ["point", "--batch", corpus_path("batch.jsonl")])
-    _, out2 = run(capsys, ["point", "--batch", corpus_path("batch.jsonl"),
-                           "--workers", "1"])
-    assert out1 == out2
+def test_batch_survives_an_internal_error(capsys, monkeypatch, tmp_path):
+    def broken(spec, tols):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "river", broken)
+    lines = [json.dumps(dict(T456, id=1)),
+             json.dumps({"command": "river", "id": 2}),
+             json.dumps(dict(T456, id=3))]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    code = cli.main(["point", "--batch", str(batch)])
+    captured = capsys.readouterr()
+    docs = [json.loads(ln) for ln in captured.out.splitlines()]
+    assert [d["input"]["id"] for d in docs] == [1, 2, 3]
+    assert [d["exit_code"] for d in docs] == [0, 1, 0]
+    assert code == 1
+    assert docs[1]["command"] == "river"
+    assert docs[1]["status"] == "error"
+    assert "RuntimeError" in docs[1]["message"]
+    assert "Traceback" in captured.err and "boom" in captured.err
+
+
+def test_batch_rejects_unhashable_command(capsys, tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(dict(T456, command=["point"])) + "\n")
+    code, doc = run_doc(capsys, ["point", "--batch", str(batch)])
+    assert code == 2
+    assert doc["message"] == "unknown command ['point']"
 
 
 def test_compact_single_line(capsys, tmp_path):
@@ -454,13 +499,18 @@ def test_installed_sf_script(tmp_path):
 
 
 def test_cli_import_leaves_numpy_out():
-    """numpy is a test dependency only; the CLI must not import it."""
-    probe = "import sys, snellfagnano.cli; print('numpy' in sys.modules)"
+    """The CLI imports nothing its cold start does not use: numpy is a test
+    dependency only, and the records and the batch loop need neither
+    dataclasses nor a thread pool."""
+    probe = ("import sys; before = set(sys.modules); import snellfagnano.cli; "
+             "added = set(sys.modules) - before; "
+             "print(sorted(added & {'numpy', 'dataclasses', "
+             "'concurrent.futures'}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=checkout_env(),
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

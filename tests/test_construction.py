@@ -32,6 +32,20 @@ def test_weights_must_be_positive():
         Weights(1.0, 1.0, -2.0)
 
 
+def test_records_are_immutable_values():
+    w = Weights(1.0, 2.0, 3.0)
+    res = snell_fagnano_point(triangle_from_sides(4.0, 5.0, 6.0), w)
+    for record, field in ((w, "lam_A"), (res, "status"),
+                          (res.orbit, "tA"), (coeffs_from_weights(w), "kap_a")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert w == Weights(1.0, 2.0, 3.0)
+    assert w != Weights(1.0, 2.0, 4.0)
+    assert res == snell_fagnano_point(triangle_from_sides(4.0, 5.0, 6.0), w)
+    with pytest.raises(ValueError):
+        Weights(1, 0, 1)
+
+
 def test_coeffs_examples():
     assert coeffs_from_weights(Weights(1, 1, 1)).triple == (1.0, 1.0, 1.0)
     k = coeffs_from_weights(Weights(2, 1, 1))
