@@ -151,18 +151,16 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
         return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)
 
 
-def solve_river(r: RiverInstance,
-                iters: int = 140) -> Tuple[Point2, float, float]:
+def solve_river(r: RiverInstance) -> Tuple[Point2, float, float]:
     """Minimize lam1*d(A,X) + lam2*d(B,X) over X on the line.
 
-    The objective is strictly convex along the line, so golden-section
-    search over the bracket spanned by the two perpendicular feet (widened
-    by 10%) converges to the unique minimizer.  Value comparisons alone
-    bottom out around sqrt(eps) in position, so the last digits come from
-    bisecting the sign of the exact directional derivative, which vanishes
-    only at the minimizer and has opposite signs at the two feet.  Returns
-    the point, the cost, and the residual of the sine-ratio equilibrium
-    condition.
+    The objective is strictly convex along the line and its minimizer lies
+    between the two perpendicular feet, so 120 halvings of that bracket on
+    the sign of the exact directional derivative converge to it.  Where
+    rounding leaves the derivative one-signed over the bracket, they
+    converge to the end at which the objective is least.
+    Returns the point, the cost, and the residual of the sine-ratio
+    equilibrium condition.
     """
     q1, q2 = Point2(*r.line[0]), Point2(*r.line[1])
     e = (q2 - q1).unit()
@@ -175,6 +173,11 @@ def solve_river(r: RiverInstance,
         p = at(u)
         return r.lam1 * dist(a, p) + r.lam2 * dist(b, p)
 
+    def slope(u: float) -> float:
+        p = at(u)
+        va, vb = a - p, b - p
+        return -(r.lam1 * va.dot(e) / va.norm() + r.lam2 * vb.dot(e) / vb.norm())
+
     ua = (a - q1).dot(e)
     ub = (b - q1).dot(e)
     lo, hi = min(ua, ub), max(ua, ub)
@@ -182,45 +185,19 @@ def solve_river(r: RiverInstance,
     if hi - lo <= 1e-13 * scale:
         x = at(0.5 * (ua + ub))
         return x, r.lam1 * dist(a, x) + r.lam2 * dist(b, x), 0.0
-    pad = 0.1 * (hi - lo)
-    lo, hi = lo - pad, hi + pad
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    u1 = hi - invphi * (hi - lo)
-    u2 = lo + invphi * (hi - lo)
-    f1, f2 = cost(u1), cost(u2)
-    for _ in range(iters):
-        if hi - lo <= 1e-14 * scale:
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
             break
-        if f1 <= f2:
-            hi, u2, f2 = u2, u1, f1
-            u1 = hi - invphi * (hi - lo)
-            f1 = cost(u1)
+        s = slope(mid)
+        if s == 0.0:
+            lo = hi = mid
+            break
+        if s < 0.0:
+            lo = mid
         else:
-            lo, u1, f1 = u1, u2, f2
-            u2 = lo + invphi * (hi - lo)
-            f2 = cost(u2)
+            hi = mid
     ustar = 0.5 * (lo + hi)
-
-    def slope(u: float) -> float:
-        p = at(u)
-        va, vb = a - p, b - p
-        return -(r.lam1 * va.dot(e) / va.norm() + r.lam2 * vb.dot(e) / vb.norm())
-
-    blo, bhi = min(ua, ub), max(ua, ub)
-    if slope(blo) < 0.0 < slope(bhi):
-        for _ in range(120):
-            mid = 0.5 * (blo + bhi)
-            if mid <= blo or mid >= bhi:
-                break
-            s = slope(mid)
-            if s == 0.0:
-                blo = bhi = mid
-                break
-            if s < 0.0:
-                blo = mid
-            else:
-                bhi = mid
-        ustar = 0.5 * (blo + bhi)
     x = at(ustar)
     va = a - x
     vb = b - x

@@ -4,7 +4,11 @@ Job specs are JSON (from --input or stdin), reports are JSON on stdout with
 a fixed field layout and fixed float formatting, so identical inputs give
 byte-identical outputs.  Exit codes: 0 success, 1 internal error (a defect in
 sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
-5 I/O failure.  A batch runs its lines serially, in input order.
+5 I/O failure.  A batch runs its lines serially, in input order.  A job
+that hits a defect, on a batch line or alone from --input or stdin, still
+gets a report: the error report with exit code 1, its traceback on stderr.
+`sf point` adds the minimizer's cost as brute_force_cost wherever no closed
+orbit exists; `sf simulate` takes at most MAX_SIMULATE_STEPS steps.
 """
 
 from __future__ import annotations
@@ -35,13 +39,15 @@ EXIT_IO = 5
 
 # Tolerance registry: defaults here, overridable by --config then --tol.
 DEFAULT_TOLS = {
-    "concurrency": 1e-9,
     "interior_angle": 1e-10,
     "tripolar_validate": 1e-8,
     "periodicity": 1e-8,
 }
 
 COMMANDS = ("point", "convert", "simulate", "minimize", "river", "render")
+
+# simulate keeps every state in its report; this bounds its time and memory.
+MAX_SIMULATE_STEPS = 10000
 
 
 class CliError(Exception):
@@ -193,8 +199,9 @@ def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
 def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    res = snell_fagnano_point(t, w, concurrency_tol=tols["concurrency"],
-                              eps_angle=tols["interior_angle"])
+    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
+    # Where no closed orbit exists, the oracle gives the constrained minimum.
+    brute = None if res.orbit_in_sides else minimize_inscribed(t, w).cost
     k = coeffs_from_weights(w)
     doc = _base_doc("point", spec, tols)
     doc["status"] = res.status
@@ -218,8 +225,8 @@ def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
             "tripolar": list(ctp),
             "tripolar_normalized": _normalized(ctp),
         }
-        if res.brute_force_cost is not None:
-            doc["brute_force_cost"] = res.brute_force_cost
+        if brute is not None:
+            doc["brute_force_cost"] = brute
         return doc, EXIT_OK
     info = res.degenerate_info or {}
     doc["degenerate_info"] = {
@@ -228,8 +235,7 @@ def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
         "weighted_argmin": info.get("weighted_argmin"),
         "shortest_altitude": info.get("shortest_altitude"),
     }
-    if res.brute_force_cost is not None:
-        doc["brute_force_cost"] = res.brute_force_cost
+    doc["brute_force_cost"] = brute
     if res.status == STATUS_NO_TILDE:
         doc["message"] = _failing_tilde_inequality(t, w)
         return doc, EXIT_MISSING
@@ -288,12 +294,13 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
     steps = spec.get("steps", 3)
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise CliError(EXIT_INVALID, "steps must be a positive integer")
+    if steps > MAX_SIMULATE_STEPS:
+        raise CliError(EXIT_INVALID,
+                       "steps must be at most %d" % MAX_SIMULATE_STEPS)
 
     node = spec.get("start")
     if node is None:
-        res = snell_fagnano_point(t, w, concurrency_tol=tols["concurrency"],
-                                  eps_angle=tols["interior_angle"],
-                                  include_brute_force=False)
+        res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
         if res.status != STATUS_INTERIOR:
             raise CliError(EXIT_MISSING,
                            "no interior orbit to launch from (status %s); "
@@ -352,9 +359,7 @@ def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
         "converged": rep.converged,
         "flatness": rep.flatness,
     }
-    res = snell_fagnano_point(t, w, concurrency_tol=tols["concurrency"],
-                              eps_angle=tols["interior_angle"],
-                              include_brute_force=False)
+    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
     gap = ((rep.cost - res.weighted_perimeter)
            / max(abs(res.weighted_perimeter), 1e-300))
     doc["constructed"] = {
@@ -395,9 +400,7 @@ def cmd_render(spec, tols) -> Tuple[Dict[str, Any], int]:
     if not isinstance(out, str) or not out:
         raise CliError(EXIT_INVALID,
                        "render needs an output path (--svg or \"svg_path\")")
-    res = snell_fagnano_point(t, w, concurrency_tol=tols["concurrency"],
-                              eps_angle=tols["interior_angle"],
-                              include_brute_force=False)
+    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
     layers = spec.get("layers") or {}
     circles = None
     common = None
@@ -498,37 +501,52 @@ def _resolve_tols(config_path: Optional[str],
     return tols
 
 
-def _emit(doc: Dict[str, Any], compact: bool) -> None:
-    sys.stdout.write(serialize.dumps(doc, indent=0 if compact else 2))
-    if compact:
-        sys.stdout.write("\n")
+def _run_job(command: str, text: str, tols: Dict[str, float], batch: bool,
+             indent: int = 0, svg: Optional[str] = None) -> int:
+    """Write the report of one job to stdout; return its exit code.
 
-
-def _batch_line(command: str, line: str,
-                tols: Dict[str, float]) -> Tuple[str, int]:
-    """Compact report and exit code of one batch line; never raises."""
+    Never raises.  A batch line may name its own "command", and its report
+    carries its exit_code.  A single job whose text is not valid JSON gets
+    no report, only its reason on stderr, where the message of any other
+    failing single job goes too.  An exception that escapes a handler or
+    the serializer is a defect in sf: its traceback goes to stderr and the
+    job gets an exit-1 error report.
+    """
     spec: Any = {}
     cmd = command
+
+    def finish(doc: Dict[str, Any], code: int) -> int:
+        if batch:
+            doc["exit_code"] = code
+        sys.stdout.write(serialize.dumps(doc, indent=indent)
+                         + ("" if indent else "\n"))
+        if not batch and code != EXIT_OK and "message" in doc:
+            sys.stderr.write("sf: %s\n" % doc["message"])
+        return code
+
     try:
         try:
-            spec = _loads(line)
-            job = (spec.get("command", command) if isinstance(spec, dict)
-                   else command)
-            if not isinstance(job, str) or job not in HANDLERS:
-                raise CliError(EXIT_INVALID, "unknown command %r" % (job,))
-            cmd = job
+            spec = _loads(text)
+            if batch:
+                job = (spec.get("command", command) if isinstance(spec, dict)
+                       else command)
+                if not isinstance(job, str) or job not in HANDLERS:
+                    raise CliError(EXIT_INVALID, "unknown command %r" % (job,))
+                cmd = job
+            elif svg and isinstance(spec, dict):
+                spec = dict(spec, svg_path=svg)
             doc, code = run_spec(cmd, spec, tols)
         except CliError as e:
+            if not batch:
+                sys.stderr.write("sf: %s\n" % e)
+                return e.code
             doc, code = _error_doc(cmd, spec, tols, str(e)), e.code
-        doc["exit_code"] = code
-        return serialize.dumps(doc, indent=0), code
-    except Exception as e:  # a defect in sf: report it, keep the batch going
+        return finish(doc, code)
+    except Exception as e:  # a defect in sf: report it, keep a batch going
         import traceback
         traceback.print_exc()
-        doc = _error_doc(cmd, spec, tols, "internal error: %s: %s"
-                         % (type(e).__name__, e))
-        doc["exit_code"] = EXIT_INTERNAL
-        return serialize.dumps(doc, indent=0), EXIT_INTERNAL
+        return finish(_error_doc(cmd, spec, tols, "internal error: %s: %s"
+                                 % (type(e).__name__, e)), EXIT_INTERNAL)
 
 
 def _run_batch(command: str, path: str, tols: Dict[str, float]) -> int:
@@ -540,9 +558,7 @@ def _run_batch(command: str, path: str, tols: Dict[str, float]) -> int:
         return EXIT_IO
     worst = EXIT_OK
     for line in lines:
-        text, code = _batch_line(command, line, tols)
-        sys.stdout.write(text + "\n")
-        worst = max(worst, code)
+        worst = max(worst, _run_job(command, line, tols, batch=True))
     return worst
 
 
@@ -581,20 +597,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_IO
     else:
         text = sys.stdin.read()
-    try:
-        spec = _loads(text)
-    except CliError as e:
-        sys.stderr.write("sf: %s\n" % e)
-        return e.code
-    if isinstance(spec, dict) and args.svg:
-        spec = dict(spec)
-        spec["svg_path"] = args.svg
-
-    doc, code = run_spec(args.command, spec, tols)
-    _emit(doc, args.compact)
-    if code != EXIT_OK and "message" in doc:
-        sys.stderr.write("sf: %s\n" % doc["message"])
-    return code
+    return _run_job(args.command, text, tols, batch=False,
+                    indent=0 if args.compact else 2, svg=args.svg)
 
 
 if __name__ == "__main__":

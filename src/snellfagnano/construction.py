@@ -3,17 +3,24 @@
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
 triangle of side lengths (lam_A*a, lam_B*b, lam_C*c).  The three cevians
-joining each vertex to the opposite apex are concurrent; when their meeting
-point lies strictly inside and its perpendicular feet land strictly inside
-the sides, its pedal triangle is the closed 3-bounce refractive billiard
-orbit and the minimizer of the weighted chord-length sum.  When the angle
-conditions fail outright the minimizer collapses onto a doubled altitude.
+joining each vertex to the opposite apex are concurrent.  By Ceva's theorem
+their meeting point has barycentrics
+
+    (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
+
+s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
+same vertex; the construction computes the point from them.  When every
+V + V~ < pi the point lies strictly inside, and when its perpendicular feet
+also land strictly inside the sides, its pedal triangle is the closed
+3-bounce refractive billiard orbit and the minimizer of the weighted
+chord-length sum.  When an angle condition fails the minimizer collapses
+onto a doubled altitude.
 
 The in-between regime exists only for obtuse triangles: the point can be
 interior while one pedal foot falls beyond a side endpoint, in which case
 there is no closed orbit and the constrained minimizer sits on the
 boundary of the inscribed-triangle parameter cube.  orbit_in_sides on the
-result distinguishes it.
+result distinguishes it; optimize.minimize_inscribed prices that case.
 """
 
 from __future__ import annotations
@@ -35,16 +42,9 @@ STATUS_NO_TILDE = "no_tilde_triangle"
 # Strictness margin for the angle-sum interior tests.
 EPS_ANGLE = 1e-10
 
-# Relative tolerance for the cevian concurrency standing assertion.
-EPS_CONCURRENCY = 1e-9
-
 
 class TildeDegenerate(GeometryError):
     """The scaled side triple does not form a triangle."""
-
-
-class ConcurrencyViolation(GeometryError):
-    """The third cevian missed the intersection of the first two (a bug)."""
 
 
 class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
@@ -60,6 +60,11 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
     @property
     def triple(self):
         return (self.lam_A, self.lam_B, self.lam_C)
+
+    def perimeter(self, it: InscribedTriangle) -> float:
+        """lam_A |pB pC| + lam_B |pC pA| + lam_C |pA pB|."""
+        d1, d2, d3 = it.chord_lengths()
+        return self.lam_A * d1 + self.lam_B * d2 + self.lam_C * d3
 
 
 class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
@@ -95,13 +100,15 @@ class SnellOrbitResult(NamedTuple):
     does not close up; also degenerate).  The doubled-altitude fallback
     fills orbit/weighted_perimeter in the last two cases, with both the
     weighted and the plain altitude ranking reported in degenerate_info.
+    point is None for no_tilde_triangle, and for degenerate when the
+    barycentric sum vanishes (a point at infinity).
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
     path.  False means the point is interior but one foot projects beyond a
     side endpoint (possible only for obtuse triangles); weighted_perimeter
     then prices chords to the side *lines* and undercuts the constrained
-    minimum, which brute_force_cost reports instead.
+    minimum, which optimize.minimize_inscribed finds.
     """
 
     status: str
@@ -112,28 +119,36 @@ class SnellOrbitResult(NamedTuple):
     conditions: Optional[Tuple[bool, bool, bool]] = None
     orbit_in_sides: Optional[bool] = None
     degenerate_info: Optional[Dict[str, object]] = None
-    brute_force_cost: Optional[float] = None
+
+
+def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
+    """The minimizer's objective, w.perimeter(it).
+
+    The construction prices its orbit through the method, so that a count
+    of calls to this function counts the minimizer's evaluations alone.
+    """
+    return w.perimeter(it)
 
 
 def erect_similar(t: Triangle, tt: TildeTriangle) -> Tuple[Point2, Point2, Point2]:
     """Apex points of the outward erected triangles, one per side.
 
     On side a the erected triangle has the second tilde angle at B and the
-    third at C, so the apex A1 carries the first; the law of sines then
-    gives d(B, A1) = a * sin(gamma~) / sin(alpha~) = c * lam_C / lam_A.
-    Outward placement uses clockwise rotation of the side direction, valid
-    because the reference triangle is counterclockwise.
+    third at C, so the apex A1 carries the first; with (p, q, r) the tilde
+    sides, the law of sines gives d(B, A1) = a * r / p = c * lam_C / lam_A,
+    and cyclically.  Outward placement uses clockwise rotation of the side
+    direction, valid because the reference triangle is counterclockwise.
     """
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
     at, bt, gt = tt.angles
-    sa, sb, sg = math.sin(at), math.sin(bt), math.sin(gt)
+    p, q, r = tt.sides
     uA = (t.vC - t.vB) * (1.0 / t.a)
     uB = (t.vA - t.vC) * (1.0 / t.b)
     uC = (t.vB - t.vA) * (1.0 / t.c)
-    a1 = t.vB + (t.a * sg / sa) * rotate(uA, -bt)
-    b1 = t.vC + (t.b * sa / sb) * rotate(uB, -gt)
-    c1 = t.vA + (t.c * sb / sg) * rotate(uC, -at)
+    a1 = t.vB + (t.a * r / p) * rotate(uA, -bt)
+    b1 = t.vC + (t.b * p / q) * rotate(uB, -gt)
+    c1 = t.vA + (t.c * q / r) * rotate(uC, -at)
     return a1, b1, c1
 
 
@@ -153,67 +168,41 @@ def _dist_to_line(p: Point2, q1: Point2, q2: Point2) -> float:
     return abs(d.cross(p - q1))
 
 
-def _weighted_cost(it: InscribedTriangle, w: Weights) -> float:
-    d1, d2, d3 = it.chord_lengths()
-    return w.lam_A * d1 + w.lam_B * d2 + w.lam_C * d3
-
-
 def snell_fagnano_point(t: Triangle, w: Weights,
-                        concurrency_tol: float = EPS_CONCURRENCY,
-                        eps_angle: float = EPS_ANGLE,
-                        include_brute_force: bool = True) -> SnellOrbitResult:
+                        eps_angle: float = EPS_ANGLE) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
 
-    The interior test is performed twice (angle sums and barycentric
-    positivity); a disagreement away from the common boundary is treated as
-    a convention bug and raises AssertionError.
+    The point comes from its closed-form barycentrics; it is interior
+    exactly when all three interior_conditions hold, and then every
+    barycentric is positive.
     """
     tt = tilde_triangle(t, w)
     if not tt.exists:
-        return _degenerate_result(t, w, STATUS_NO_TILDE,
-                                  include_brute_force=include_brute_force)
+        return _degenerate_result(t, w, STATUS_NO_TILDE)
 
-    a1, b1, c1 = erect_similar(t, tt)
-    f = intersect_lines(t.vA, a1, t.vB, b1)
+    at, bt, gt = tt.angles
+    sA = math.sin(t.alpha + at)
+    sB = math.sin(t.beta + bt)
+    sC = math.sin(t.gamma + gt)
+    top = max(w.triple)
+    bary = (w.lam_A / top * t.a ** 2 * sB * sC,
+            w.lam_B / top * t.b ** 2 * sC * sA,
+            w.lam_C / top * t.c ** 2 * sA * sB)
+    try:
+        f = coordinates.from_barycentric(bary, t)
+    except coordinates.IdealPoint:
+        f = None
+    erected = erect_similar(t, tt)
     conds = interior_conditions(t, tt, eps_angle=eps_angle)
-    if f is not None:
-        miss = _dist_to_line(f, t.vC, c1)
-        if miss > concurrency_tol * t.diameter:
-            raise ConcurrencyViolation(
-                f"third cevian misses by {miss:g} (diameter {t.diameter:g})")
-
-    angle_interior = all(conds)
-    if f is None:
-        bary_interior = False
-        bary_margin = 0.0
-    else:
-        bary = coordinates.to_barycentric(f, t)
-        bary_interior = min(bary) > 0.0
-        bary_margin = min(bary)
-    if angle_interior != bary_interior:
-        at, bt, gt = tt.angles
-        angle_margin = min(math.pi - (t.alpha + at), math.pi - (t.beta + bt),
-                           math.pi - (t.gamma + gt))
-        assert min(abs(angle_margin), abs(bary_margin)) < 1e-8, (
-            "interior tests disagree away from the boundary: "
-            f"angle margin {angle_margin:g}, barycentric margin {bary_margin:g}")
-        angle_interior = False  # boundary case: classify as degenerate
-
-    if angle_interior:
+    if all(conds):
         orbit = pedal_triangle(f, t)
         in_sides = all(0.0 < p < 1.0 for p in (orbit.tA, orbit.tB, orbit.tC))
-        brute = None
-        if not in_sides and include_brute_force:
-            from . import optimize
-            brute = optimize.minimize_inscribed(t, w).cost
         return SnellOrbitResult(status=STATUS_INTERIOR,
-                                weighted_perimeter=_weighted_cost(orbit, w),
-                                point=f, orbit=orbit, erected=(a1, b1, c1),
-                                conditions=conds, orbit_in_sides=in_sides,
-                                brute_force_cost=brute)
+                                weighted_perimeter=w.perimeter(orbit),
+                                point=f, orbit=orbit, erected=erected,
+                                conditions=conds, orbit_in_sides=in_sides)
     return _degenerate_result(t, w, STATUS_DEGENERATE, point=f,
-                              erected=(a1, b1, c1), conditions=conds,
-                              include_brute_force=include_brute_force)
+                              erected=erected, conditions=conds)
 
 
 def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
@@ -305,8 +294,7 @@ def _sin_against(n: Point2, v: Point2) -> float:
     return abs(n.cross(v)) / v.norm()
 
 
-def degenerate_minimizer(t: Triangle, w: Weights,
-                         include_brute_force: bool = True) -> SnellOrbitResult:
+def degenerate_minimizer(t: Triangle, w: Weights) -> SnellOrbitResult:
     """Doubled-altitude fallback when no interior orbit point exists.
 
     The degenerate inscribed triangle for the altitude from A has one
@@ -320,17 +308,15 @@ def degenerate_minimizer(t: Triangle, w: Weights,
     two altitude feet fall outside their segments; if the weights favour
     one of those vertices, no inscribed triangle can reach the returned
     cost, and the true segment-constrained minimizer is a non-flat path
-    through a vertex (compare with the brute-force cost, which always
-    respects the segments).
+    through a vertex (compare with the cost of optimize.minimize_inscribed,
+    which always respects the segments).
     """
-    return _degenerate_result(t, w, STATUS_DEGENERATE,
-                              include_brute_force=include_brute_force)
+    return _degenerate_result(t, w, STATUS_DEGENERATE)
 
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,
                        point: Optional[Point2] = None,
-                       erected=None, conditions=None,
-                       include_brute_force: bool = True) -> SnellOrbitResult:
+                       erected=None, conditions=None) -> SnellOrbitResult:
     (fA, hA), (fB, hB), (fC, hC) = altitudes(t)
     cands = {
         "A": (inscribed_from_params(t, line_parameter(fA, t.vB, t.vC), 1.0, 0.0),
@@ -349,11 +335,6 @@ def _degenerate_result(t: Triangle, w: Weights, status: str,
         "weighted_argmin": best,
         "shortest_altitude": min(heights, key=heights.get),
     }
-    brute = None
-    if include_brute_force:
-        from . import optimize
-        brute = optimize.minimize_inscribed(t, w).cost
     return SnellOrbitResult(status=status, weighted_perimeter=cost,
                             point=point, orbit=orbit, erected=erected,
-                            conditions=conditions, degenerate_info=info,
-                            brute_force_cost=brute)
+                            conditions=conditions, degenerate_info=info)

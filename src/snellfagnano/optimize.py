@@ -3,7 +3,7 @@
 Deliberately independent of the erected-triangle construction: it starts
 from the medial parameters (1/2, 1/2, 1/2) and never consults the
 construction.  Used as the oracle the geometric construction is checked
-against.
+against; the two share only the weighted perimeter it prices.
 
 With side vectors s_A = C - B, s_B = A - C, s_C = B - A, the chord opposite
 vertex A is pB - pC = (tB - 1) s_B - tC s_C, and cyclically for B and C.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .construction import Weights
+from .construction import Weights, weighted_perimeter
 from .geometry import (InscribedTriangle, Triangle, inscribed_from_params,
                        signed_area)
 
@@ -58,12 +58,6 @@ class MinimizeReport(NamedTuple):
     iterations: int
     converged: bool
     flatness: float
-
-
-def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
-    """lam_A |pB pC| + lam_B |pC pA| + lam_C |pA pB|."""
-    d1, d2, d3 = it.chord_lengths()
-    return w.lam_A * d1 + w.lam_B * d2 + w.lam_C * d3
 
 
 def _chords(t: Triangle, w: Weights):

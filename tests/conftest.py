@@ -105,7 +105,7 @@ def sample_admissible(rng: random.Random,
                 and t.beta + bt < math.pi - angle_margin
                 and t.gamma + gt < math.pi - angle_margin):
             continue
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != "interior":
             continue
         o = res.orbit

@@ -60,8 +60,7 @@ def test_criterion_1_classical_recovery():
     n = 100
     for _ in range(n):
         t = sample_acute_triangle(rng, 40.0, 80.0)
-        res = snell_fagnano_point(t, Weights(1, 1, 1),
-                                  include_brute_force=False)
+        res = snell_fagnano_point(t, Weights(1, 1, 1))
         h = orthocenter_oracle(t)
         worst_f = max(worst_f, dist(res.point, h) / t.diameter)
         for p, q in zip(res.orbit.points, altitude_feet_oracle(t)):
@@ -96,7 +95,7 @@ def test_criterion_3_isogonal_tripolar_ratios():
                                           isogonal_conjugate, to_barycentric)
     worst = 0.0
     for t, w in admissible_samples():
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         conj = from_barycentric(
             isogonal_conjugate(to_barycentric(res.point, t), t), t)
         tp = tripolar_of_point(conj, t)
@@ -111,7 +110,7 @@ def test_criterion_4_three_periodicity():
     closed = 0
     total = 0
     for t, w in admissible_samples():
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         k = coeffs_from_weights(w)
         total += 1
         if is_periodic(orbit_start_state(t, res.orbit), t, k, 3, 1e-8):
@@ -125,7 +124,7 @@ def test_criterion_5_oracle_equivalence():
     worst_cost = worst_vertex = 0.0
     n = 100
     for t, w in admissible_samples()[:n]:
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         rep = minimize_inscribed(t, w)
         worst_cost = max(worst_cost,
                          abs(rep.cost - res.weighted_perimeter)
@@ -241,7 +240,7 @@ def test_criterion_9_degenerate_regime():
         t, w = sample_degenerate(rng)
         rep = minimize_inscribed(t, w)
         worst_flat = max(worst_flat, rep.flatness)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         info = res.degenerate_info
         if info["weighted_argmin"] == info["shortest_altitude"]:
             argmin_agree += 1

@@ -101,7 +101,7 @@ def test_flight_lands_on_aimed_foot():
     rng = random.Random(83)
     for _ in range(25):
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != "interior":
             continue
         orbit = res.orbit
@@ -135,7 +135,7 @@ def test_constructed_orbit_is_periodic():
     count = 0
     while count < 25:
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != "interior":
             continue
         count += 1
@@ -147,7 +147,7 @@ def test_step_sine_ratio_matches_coefficient():
     rng = random.Random(86)
     t, w = sample_admissible(rng)
     k = coeffs_from_weights(w)
-    res = snell_fagnano_point(t, w, include_brute_force=False)
+    res = snell_fagnano_point(t, w)
     state = orbit_start_state(t, res.orbit)
     for _ in range(3):
         nxt = billiard_step(state, t, k)
@@ -166,7 +166,7 @@ def test_time_reversal_with_reciprocal_coefficients():
     count = 0
     while count < 10:
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != "interior":
             continue
         count += 1

@@ -30,6 +30,11 @@ def corpus_path(name):
     return os.path.join(CORPUS, name)
 
 
+def corpus_spec(name):
+    with open(corpus_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_spec(tmp_path, spec):
     p = tmp_path / "job.json"
     p.write_text(json.dumps(spec))
@@ -98,6 +103,63 @@ def test_point_no_tilde(capsys):
     assert code == 3
     assert doc["status"] == "no_tilde_triangle"
     assert ">=" in doc["message"]
+
+
+def test_point_needle_is_degenerate(capsys, tmp_path):
+    spec = {"triangle": {"sides": [1, 1, 1.9999999]}, "weights": [1, 1, 1]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 0
+    assert doc["status"] == "degenerate"
+
+
+def test_point_tilde_angle_near_zero(capsys, tmp_path):
+    # the tilde angle opposite lam_A*a rounds to 0: the scaled triple is a
+    # hair from flat, and the apexes must not divide by its sine
+    spec = {"triangle": {"sides": [3.1716704906982103, 4.05907688353185,
+                                   5.48586012990923]},
+            "weights": [0.9457662585096261, 1.4912505559222313,
+                        1.6501987615314522]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 0
+    assert doc["status"] == "degenerate"
+    assert doc["brute_force_cost"] == pytest.approx(
+        doc["orbit"]["weighted_perimeter"], rel=1e-9)
+
+
+def test_point_reports_brute_force_cost_without_orbit(capsys, tmp_path):
+    feet_outside = {"triangle": {"vertices": [
+        [-2.215109438014208, 2.818969649065556],
+        [-4.034728786434073, -1.4419054310523558],
+        [3.8558641001898994, 3.442815546106077]]},
+        "weights": [0.5250328650960183, 0.777545135717788, 1.9512765204699702]}
+    cases = ((corpus_spec("point_no_tilde.json"), "no_tilde_triangle", None),
+             (corpus_spec("point_degenerate.json"), "degenerate", None),
+             (feet_outside, "interior", False),
+             (T456, "interior", True))
+    for spec, status, in_sides in cases:
+        _, doc = run_doc(capsys, ["point", "--input",
+                                  write_spec(tmp_path, spec)])
+        assert doc["status"] == status
+        assert doc["orbit"].get("in_sides") == in_sides
+        assert ("brute_force_cost" in doc) == (in_sides is not True)
+
+
+def test_point_internal_error_gets_a_report(capsys, monkeypatch):
+    # lam_A / lam_B overflows to inf, which no report can carry
+    spec = {"triangle": {"sides": [3, 4, 5]}, "weights": [1e300, 1e-300, 1]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    code = cli.main(["point"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("{\n")  # indented, as any single job
+    doc = json.loads(captured.out)
+    assert doc["status"] == "error"
+    assert doc["message"].startswith("internal error: ValueError:")
+    assert "exit_code" not in doc
+    assert "sf: internal error: ValueError:" in captured.err
+    assert "Traceback" in captured.err
 
 
 def test_point_rejects_nan(tmp_path, capsys):
@@ -229,6 +291,19 @@ def test_simulate_explicit_start(capsys):
     assert len(doc["trajectory"]) == 5
 
 
+def test_simulate_step_cap(capsys, tmp_path):
+    spec = dict(T456, steps=cli.MAX_SIMULATE_STEPS + 1)
+    code, doc = run_doc(capsys, ["simulate", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 2
+    assert doc["message"] == "steps must be at most 10000"
+    spec["steps"] = 12
+    code, doc = run_doc(capsys, ["simulate", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 0
+    assert len(doc["trajectory"]) == 13
+
+
 def test_simulate_vertex_hit(capsys, tmp_path):
     t = {"vertices": [[0, 0], [4, 0], [1, 3]]}
     # from the midpoint of AB straight at C
@@ -356,7 +431,7 @@ def test_tol_override_echoed(capsys, tmp_path):
                                  "--tol", "periodicity=0.01"])
     assert code == 0
     assert doc["tolerances"]["periodicity"] == 0.01
-    assert doc["tolerances"]["concurrency"] == 1e-9
+    assert doc["tolerances"]["interior_angle"] == 1e-10
 
 
 def test_unknown_tolerance(capsys, tmp_path):
@@ -364,19 +439,24 @@ def test_unknown_tolerance(capsys, tmp_path):
                      "--tol", "bogus=1"])
     capsys.readouterr()
     assert code == 2
+    # the closed-form point has no concurrency check left to tune
+    code = cli.main(["point", "--input", write_spec(tmp_path, T456),
+                     "--tol", "concurrency=1e-9"])
+    assert "unknown tolerance 'concurrency'" in capsys.readouterr().err
+    assert code == 2
 
 
 def test_config_then_tol_precedence(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"tolerances": {"periodicity": 0.5, "concurrency": 1e-6}}))
+        {"tolerances": {"periodicity": 0.5, "interior_angle": 1e-6}}))
     code, doc = run_doc(capsys, ["point", "--input",
                                  write_spec(tmp_path, T456),
                                  "--config", str(cfg),
                                  "--tol", "periodicity=0.25"])
     assert code == 0
     assert doc["tolerances"]["periodicity"] == 0.25
-    assert doc["tolerances"]["concurrency"] == 1e-6
+    assert doc["tolerances"]["interior_angle"] == 1e-6
 
 
 def test_batch_preserves_order_and_codes(capsys):

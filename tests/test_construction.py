@@ -17,6 +17,7 @@ from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        snell_fagnano_point,
                                        verify_snell_point)
 from snellfagnano.geometry import altitudes, inscribed_from_params
+from snellfagnano.optimize import minimize_inscribed
 
 from conftest import (altitude_feet_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
@@ -118,7 +119,7 @@ def test_unit_weights_acute_gives_orthocenter():
     rng = random.Random(63)
     for _ in range(20):
         t = sample_acute_triangle(rng)
-        res = snell_fagnano_point(t, Weights(1, 1, 1), include_brute_force=False)
+        res = snell_fagnano_point(t, Weights(1, 1, 1))
         assert res.status == STATUS_INTERIOR
         assert dist(res.point, orthocenter_oracle(t)) <= 1e-10 * t.diameter
         for p, q in zip(res.orbit.points, altitude_feet_oracle(t)):
@@ -127,7 +128,7 @@ def test_unit_weights_acute_gives_orthocenter():
 
 def test_equilateral_center_and_medial_perimeter():
     t = triangle_from_sides(2.0, 2.0, 2.0)
-    res = snell_fagnano_point(t, Weights(1, 1, 1), include_brute_force=False)
+    res = snell_fagnano_point(t, Weights(1, 1, 1))
     assert res.status == STATUS_INTERIOR
     centroid = Point2((t.vA.x + t.vB.x + t.vC.x) / 3,
                       (t.vA.y + t.vB.y + t.vC.y) / 3)
@@ -139,7 +140,7 @@ def test_isogonal_image_proportional_to_weights():
     rng = random.Random(64)
     for _ in range(30):
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != STATUS_INTERIOR:
             continue
         conj = sf.from_barycentric(
@@ -154,7 +155,7 @@ def test_isogonal_image_is_apollonian_common_point():
     done = 0
     while done < 15:
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != STATUS_INTERIOR:
             continue
         done += 1
@@ -167,10 +168,9 @@ def test_isogonal_image_is_apollonian_common_point():
 def test_weight_scaling_invariance():
     rng = random.Random(66)
     t, w = sample_admissible(rng)
-    res1 = snell_fagnano_point(t, w, include_brute_force=False)
+    res1 = snell_fagnano_point(t, w)
     res2 = snell_fagnano_point(
-        t, Weights(7.3 * w.lam_A, 7.3 * w.lam_B, 7.3 * w.lam_C),
-        include_brute_force=False)
+        t, Weights(7.3 * w.lam_A, 7.3 * w.lam_B, 7.3 * w.lam_C))
     assert dist(res1.point, res2.point) <= 1e-10 * t.diameter
     assert res2.weighted_perimeter == pytest.approx(
         7.3 * res1.weighted_perimeter, rel=1e-12)
@@ -187,6 +187,8 @@ def test_cevian_concurrency_pairwise():
         p31 = intersect_lines(t.vC, c1, t.vA, a1)
         assert dist(p12, p23) <= 1e-9 * t.diameter
         assert dist(p23, p31) <= 1e-9 * t.diameter
+        # the closed-form point is where the cevians meet
+        assert dist(snell_fagnano_point(t, w).point, p12) <= 1e-9 * t.diameter
 
 
 def test_no_tilde_status():
@@ -195,7 +197,9 @@ def test_no_tilde_status():
     assert res.status == STATUS_NO_TILDE
     assert res.orbit is not None
     assert res.degenerate_info is not None
-    assert res.brute_force_cost is not None
+    # the doubled altitude from A is the constrained minimum here
+    assert minimize_inscribed(t, Weights(10, 1, 1)).cost == pytest.approx(
+        res.weighted_perimeter, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def test_constructed_point_residuals():
     rng = random.Random(74)
     for _ in range(20):
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         if res.status != STATUS_INTERIOR:
             continue
         k = coeffs_from_weights(w)
@@ -308,7 +312,7 @@ def test_off_point_residuals_are_large():
     rng = random.Random(75)
     t, w = sample_admissible(rng)
     k = coeffs_from_weights(w)
-    res = snell_fagnano_point(t, w, include_brute_force=False)
+    res = snell_fagnano_point(t, w)
     shifted = Point2(res.point.x + 0.11 * t.diameter,
                      res.point.y - 0.07 * t.diameter)
     bary = sf.to_barycentric(shifted, t)
@@ -363,7 +367,7 @@ def test_degenerate_candidate_is_argmin():
     from conftest import sample_degenerate
     for _ in range(10):
         t, w = sample_degenerate(rng)
-        res = degenerate_minimizer(t, w, include_brute_force=False)
+        res = degenerate_minimizer(t, w)
         costs = res.degenerate_info["weighted_costs"]
         assert res.weighted_perimeter <= min(costs.values()) + 1e-12
         assert costs[res.degenerate_info["weighted_argmin"]] == \
@@ -371,8 +375,7 @@ def test_degenerate_candidate_is_argmin():
 
 
 def test_degenerate_orbit_cost_consistent():
-    res = snell_fagnano_point(OBTUSE, Weights(1, 1, 1),
-                              include_brute_force=False)
+    res = snell_fagnano_point(OBTUSE, Weights(1, 1, 1))
     d1, d2, d3 = res.orbit.chord_lengths()
     assert d1 + d2 + d3 == pytest.approx(res.weighted_perimeter, rel=1e-12)
 
@@ -381,9 +384,9 @@ def test_interior_point_with_foot_outside_side():
     """Obtuse regime where the point is interior but no closed orbit exists.
 
     The pedal foot on side c projects beyond a vertex, the result says so
-    via orbit_in_sides, and the constrained minimizer (reported in
-    brute_force_cost) is strictly worse than the unconstrained pedal price
-    and sits on the parameter-cube boundary without being flat.
+    via orbit_in_sides, and the constrained minimizer (minimize_inscribed)
+    is strictly worse than the unconstrained pedal price and sits on the
+    parameter-cube boundary without being flat.
     """
     t = Triangle(Point2(-2.215109438014208, 2.818969649065556),
                  Point2(-4.034728786434073, -1.4419054310523558),
@@ -396,10 +399,8 @@ def test_interior_point_with_foot_outside_side():
     assert res.orbit.tC < 0.0
     assert res.orbit_in_sides is False
     assert max(verify_snell_point(res.point, t, coeffs_from_weights(w))) <= 1e-9
-    assert res.brute_force_cost is not None
-    assert res.brute_force_cost > res.weighted_perimeter + 1e-6
-    from snellfagnano.optimize import minimize_inscribed
     rep = minimize_inscribed(t, w)
+    assert rep.cost > res.weighted_perimeter + 1e-6
     edge_gap = min(min(p, 1.0 - p)
                    for p in (rep.best.tA, rep.best.tB, rep.best.tC))
     assert edge_gap <= 1e-6
@@ -409,6 +410,59 @@ def test_interior_point_with_foot_outside_side():
 def test_realizable_interior_sets_flag_true():
     rng = random.Random(80)
     t, w = sample_admissible(rng)
-    res = snell_fagnano_point(t, w, include_brute_force=False)
+    res = snell_fagnano_point(t, w)
     assert res.orbit_in_sides is True
-    assert res.brute_force_cost is None
+    assert minimize_inscribed(t, w).cost == pytest.approx(
+        res.weighted_perimeter, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# every (triangle, weights) pair gets a verdict
+
+@st.composite
+def needles(draw):
+    """A flat needle (one side a hair short of the other two together) or
+    a sliver (one side tiny), in a random vertex order."""
+    gap = 10.0 ** draw(st.floats(-8.0, -2.0))
+    if draw(st.booleans()):
+        r = draw(st.floats(0.1, 10.0))
+        sides = draw(st.permutations([1.0, r, (1.0 + r) * (1.0 - gap)]))
+        return triangle_from_sides(*sides)
+    apex = Point2(gap * draw(st.floats(-2.0, 3.0)), 1.0)
+    return Triangle(*draw(st.permutations(
+        [Point2(0.0, 0.0), Point2(gap, 0.0), apex])))
+
+
+@st.composite
+def near_tilde_boundary(draw, t):
+    """Weights whose scaled side triple is 1e-16..1e-4 (relative) inside or
+    outside the triangle inequality, at a random vertex."""
+    sides = (t.a, t.b, t.c)
+    lam = [10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    i = draw(st.sampled_from((0, 1, 2)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    shift = draw(st.sampled_from((-1.0, 1.0))) \
+        * 10.0 ** draw(st.floats(-16.0, -4.0))
+    if draw(st.booleans()):   # lam_i * side_i near the sum of the others
+        target = (lam[j] * sides[j] + lam[k] * sides[k]) * (1.0 + shift)
+    else:                     # ... or near their difference
+        target = abs(lam[j] * sides[j] - lam[k] * sides[k]) * (1.0 + shift)
+    if target <= 0.0:
+        target = lam[i] * sides[i]
+    lam[i] = target / sides[i]
+    return Weights(*lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_needles_and_tilde_boundary_get_a_verdict(data):
+    t = data.draw(needles())
+    w = data.draw(near_tilde_boundary(t) if data.draw(st.booleans())
+                  else st.builds(Weights, *[st.floats(0.2, 5.0)] * 3))
+    res = snell_fagnano_point(t, w)
+    assert res.status in (STATUS_INTERIOR, STATUS_DEGENERATE, STATUS_NO_TILDE)
+    tt = tilde_triangle(t, w)
+    conds_hold = tt.exists and all(interior_conditions(t, tt))
+    assert (res.status == STATUS_INTERIOR) == conds_hold
+    if res.status == STATUS_INTERIOR:
+        assert min(sf.to_barycentric(res.point, t)) > 0.0

@@ -67,7 +67,7 @@ def test_matches_construction_generic():
     rng = random.Random(93)
     for _ in range(5):
         t, w = sample_admissible(rng)
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         rep = minimize_inscribed(t, w)
         assert rep.cost == pytest.approx(res.weighted_perimeter, rel=1e-6)
         for p, q in zip(rep.best.points, res.orbit.points):
@@ -89,7 +89,7 @@ def test_degenerate_samples_flatten():
         rep = minimize_inscribed(t, w)
         assert rep.flatness < 1e-3
         # the collapse lands on the cheapest doubled altitude, in value too
-        res = snell_fagnano_point(t, w, include_brute_force=False)
+        res = snell_fagnano_point(t, w)
         collapsed = min(res.degenerate_info["weighted_costs"].values())
         assert rep.cost == pytest.approx(collapsed, rel=1e-9)
 
