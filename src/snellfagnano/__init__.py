@@ -2,26 +2,25 @@
 
 Construct the interior point whose pedal triangle is the unique 3-periodic
 trajectory of a refractive (Snell) billiard with per-side coefficients, and
-cross-check it against coordinate conversions, Apollonius-circle
-intersections and a derivative-free minimizer of the weighted perimeter.
+cross-check it against coordinate conversions, the Apollonius common
+points and a convex minimizer of the weighted perimeter.
 """
 
 __version__ = "0.1.0"
 
 from .geometry import (DegenerateLine, DegenerateTriangle, GeometryError,
                        InscribedTriangle, Point2, Triangle,
-                       TriangleInequalityViolated, altitudes, dist,
-                       inscribed_from_params, pedal_triangle, signed_area,
+                       TriangleInequalityViolated, altitudes, circumcircle,
+                       dist, inscribed_from_params, pedal_triangle, signed_area,
                        triangle_from_sides)
-from .coordinates import (BarycentricCoords, FZero, IdealPoint, NoSuchPoint,
+from .coordinates import (BarycentricCoords, IdealPoint, NoSuchPoint,
                           OnSideLine, TrilinearCoords, TripolarCoords,
-                          barycentric_to_trilinear, conway_data,
-                          from_barycentric, isogonal_conjugate,
-                          to_barycentric, trilinear_to_barycentric,
-                          tripolar_of_point, tripolar_to_points)
+                          barycentric_to_trilinear, from_barycentric,
+                          isogonal_conjugate, to_barycentric,
+                          trilinear_to_barycentric, tripolar_of_point,
+                          tripolar_to_points)
 from .apollonius import (ApollonianCircle, TildeTriangle, apollonian_circle,
-                         apollonian_common_points, circumcircle,
-                         intersect_apollonian, tilde_triangle)
+                         apollonian_common_points, tilde_triangle)
 from .construction import (RefractionCoeffs, SnellOrbitResult, Weights,
                            coeffs_from_weights, degenerate_minimizer,
                            erect_similar, interior_conditions,
@@ -35,17 +34,16 @@ __all__ = [
     "__version__",
     "Point2", "Triangle", "InscribedTriangle", "triangle_from_sides",
     "inscribed_from_params", "pedal_triangle", "altitudes", "dist",
-    "signed_area",
+    "signed_area", "circumcircle",
     "GeometryError", "DegenerateTriangle", "DegenerateLine",
     "TriangleInequalityViolated",
     "BarycentricCoords", "TrilinearCoords", "TripolarCoords",
     "to_barycentric", "from_barycentric", "trilinear_to_barycentric",
     "barycentric_to_trilinear", "tripolar_of_point", "tripolar_to_points",
-    "isogonal_conjugate", "conway_data",
-    "IdealPoint", "OnSideLine", "FZero", "NoSuchPoint",
+    "isogonal_conjugate",
+    "IdealPoint", "OnSideLine", "NoSuchPoint",
     "ApollonianCircle", "TildeTriangle", "apollonian_circle",
-    "apollonian_common_points", "circumcircle", "intersect_apollonian",
-    "tilde_triangle",
+    "apollonian_common_points", "tilde_triangle",
     "Weights", "RefractionCoeffs", "coeffs_from_weights",
     "SnellOrbitResult", "snell_fagnano_point", "erect_similar",
     "interior_conditions", "verify_snell_point", "degenerate_minimizer",

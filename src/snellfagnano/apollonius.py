@@ -3,24 +3,26 @@
 For a base pair (P1, P2) and ratio r, the locus d(X,P1)/d(X,P2) = r is a
 circle having the internal and external division points of P1P2 as a
 diameter, except at r = 1 where it degenerates to the perpendicular
-bisector.  The three loci attached to a weight triple share their common
-points with the existence of the scaled "tilde" triangle of side lengths
-(lam_A * a, lam_B * b, lam_C * c): both exist together.
+bisector.  The three loci attached to a weight triple (lam_A : lam_B :
+lam_C) meet where the vertex distances are proportional to the weights, so
+their common points are the tripolar inversion of the weight triple
+(coordinates.tripolar_to_points): invert about such a point and the
+vertices span a triangle similar to the scaled "tilde" triangle of side
+lengths (lam_A * a, lam_B * b, lam_C * c).  Two points, inverse in the
+circumcircle, exist when that triangle does, one on the circumcircle when
+it is flat, and none beyond; equal weights leave the circumcenter alone.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from .geometry import (Point2, Triangle, dist, foot_of_perpendicular,
-                       intersect_lines)
+from .coordinates import NoSuchPoint, tripolar_to_points
+from .geometry import Point2, Triangle, angles_from_sides, dist
+from .geometry import circumcircle  # noqa: F401  (re-export)
 
 # Ratios this close to 1 are treated as the bisector degeneration.
 BISECTOR_EPS = 1e-12
-
-# Relative band around zero discriminant treated as tangency (one point).
-TANGENT_EPS = 1e-10
 
 
 class ApollonianCircle(NamedTuple):
@@ -80,95 +82,15 @@ def tilde_triangle(t: Triangle, w) -> TildeTriangle:
     q = w.lam_B * t.b
     r = w.lam_C * t.c
     exists = (p < q + r) and (q < r + p) and (r < p + q)
-    angles = None
-    if exists:
-        angles = (math.acos(_clamp((q * q + r * r - p * p) / (2.0 * q * r))),
-                  math.acos(_clamp((r * r + p * p - q * q) / (2.0 * r * p))),
-                  math.acos(_clamp((p * p + q * q - r * r) / (2.0 * p * q))))
+    angles = angles_from_sides(p, q, r) if exists else None
     return TildeTriangle((p, q, r), angles, exists)
 
 
-def _clamp(x: float) -> float:
-    return max(-1.0, min(1.0, x))
-
-
-def circumcircle(t: Triangle) -> Tuple[Point2, float]:
-    """Center equidistant from the three vertices, and that distance."""
-    ax, ay = t.vA
-    bx, by = t.vB
-    cx, cy = t.vC
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    center = Point2(ux, uy)
-    return center, dist(center, t.vA)
-
-
-def _intersect_circle_circle(c1: ApollonianCircle,
-                             c2: ApollonianCircle) -> List[Point2]:
-    """Radical-line method; tangency band collapses to a single point."""
-    d = dist(c1.center, c2.center)
-    if d == 0.0:
+def apollonian_common_points(t: Triangle, w) -> List[Point2]:
+    """Points lying on all three weight-ratio circles, sorted by (x, y)."""
+    try:
+        pts = [p for p, _ in tripolar_to_points(w.triple, t)]
+    except NoSuchPoint:
         return []
-    r1, r2 = c1.radius, c2.radius
-    x = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - x * x
-    scale = max(r1 * r1, x * x)
-    e = (c2.center - c1.center) * (1.0 / d)
-    base = c1.center + x * e
-    if h2 < -TANGENT_EPS * scale:
-        return []
-    if h2 <= TANGENT_EPS * scale:
-        return [base]
-    h = math.sqrt(h2)
-    off = h * e.perp()
-    return [base + off, base - off]
-
-
-def _intersect_line_circle(point: Point2, direction: Point2,
-                           circ: ApollonianCircle) -> List[Point2]:
-    foot = foot_of_perpendicular(circ.center, point, point + direction)
-    h2 = circ.radius ** 2 - dist(circ.center, foot) ** 2
-    scale = circ.radius ** 2
-    if h2 < -TANGENT_EPS * scale:
-        return []
-    if h2 <= TANGENT_EPS * scale:
-        return [foot]
-    h = math.sqrt(h2)
-    e = direction.unit()
-    return [foot + h * e, foot - h * e]
-
-
-def intersect_apollonian(c1: ApollonianCircle,
-                         c2: ApollonianCircle) -> List[Point2]:
-    """Common points of two generalized circles (0, 1 or 2 of them)."""
-    if c1.kind == "circle" and c2.kind == "circle":
-        return _intersect_circle_circle(c1, c2)
-    if c1.kind == "bisector" and c2.kind == "circle":
-        return _intersect_line_circle(c1.point, c1.direction, c2)
-    if c1.kind == "circle" and c2.kind == "bisector":
-        return _intersect_line_circle(c2.point, c2.direction, c1)
-    p = intersect_lines(c1.point, c1.point + c1.direction,
-                        c2.point, c2.point + c2.direction)
-    return [] if p is None else [p]
-
-
-def apollonian_common_points(t: Triangle, w,
-                             verify_tol: float = 1e-8) -> List[Point2]:
-    """Points lying on all three weight-ratio circles of the triangle.
-
-    Intersects the (A,B) and (B,C) loci; membership of every result in the
-    (C,A) locus is a standing assertion (a failure would indicate a bug, not
-    an unlucky input).
-    """
-    cab = apollonian_circle(t.vA, t.vB, w.lam_A / w.lam_B)
-    cbc = apollonian_circle(t.vB, t.vC, w.lam_B / w.lam_C)
-    cca = apollonian_circle(t.vC, t.vA, w.lam_C / w.lam_A)
-    pts = intersect_apollonian(cab, cbc)
-    for p in pts:
-        res = cca.ratio_residual(p)
-        assert res <= verify_tol, (
-            f"common point misses the third ratio locus ({res:g})")
     pts.sort(key=lambda p: (p.x, p.y))
     return pts

@@ -40,7 +40,6 @@ EXIT_IO = 5
 # Tolerance registry: defaults here, overridable by --config then --tol.
 DEFAULT_TOLS = {
     "interior_angle": 1e-10,
-    "tripolar_validate": 1e-8,
     "periodicity": 1e-8,
 }
 
@@ -262,8 +261,7 @@ def cmd_convert(spec, tols) -> Tuple[Dict[str, Any], int]:
         if min(values) < 0.0:
             raise CliError(EXIT_INVALID, "tripolar distances must be >= 0")
         for p, s in coordinates.tripolar_to_points(
-                coordinates.TripolarCoords(*values), t,
-                validate_tol=tols["tripolar_validate"]):
+                coordinates.TripolarCoords(*values), t):
             block = _point_block(p, t)
             block["scale"] = s
             points.append(block)
@@ -448,8 +446,8 @@ def run_spec(command: str, spec: Any,
             return HANDLERS[command](spec, tols)
         except CliError as e:
             err = (e.code, str(e))
-        except (coordinates.NoSuchPoint, coordinates.FZero,
-                coordinates.IdealPoint, coordinates.OnSideLine) as e:
+        except (coordinates.NoSuchPoint, coordinates.IdealPoint,
+                coordinates.OnSideLine) as e:
             err = (EXIT_MISSING, str(e))
         except (billiards.TotalInternalReflection, billiards.HitVertex) as e:
             err = (EXIT_DYNAMICS, str(e))

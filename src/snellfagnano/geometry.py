@@ -9,7 +9,7 @@ side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -177,11 +177,50 @@ def _angle_at(v, p, q) -> float:
     return math.atan2(abs(u1.cross(u2)), u1.dot(u2))
 
 
+def heron_area(a: float, b: float, c: float) -> float:
+    """Area of the triangle with side lengths a, b, c; 0 when flat.
+
+    Kahan's ordering (Miscalculating Area and Angles of a Needle-like
+    Triangle): with a >= b >= c and the parentheses kept, every factor is
+    accurate, so needles and slivers keep their relative accuracy.  Sides
+    that fail the triangle inequality also give 0.
+    """
+    a, b, c = sorted((a, b, c), reverse=True)
+    prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
+    return 0.25 * math.sqrt(prod) if prod > 0.0 else 0.0
+
+
+def angles_from_sides(a: float, b: float,
+                      c: float) -> Tuple[float, float, float]:
+    """Angles opposite a, b, c: atan2(4 area, b^2 + c^2 - a^2) and cyclic.
+
+    On a flat triple the longest side's angle is pi and the others 0.
+    """
+    k = 4.0 * heron_area(a, b, c)
+    return (math.atan2(k, b * b + c * c - a * a),
+            math.atan2(k, c * c + a * a - b * b),
+            math.atan2(k, a * a + b * b - c * c))
+
+
+def circumcircle(t: Triangle) -> Tuple[Point2, float]:
+    """Center equidistant from the three vertices, and that distance."""
+    ax, ay = t.vA
+    bx, by = t.vB
+    cx, cy = t.vC
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    center = Point2(ux, uy)
+    return center, dist(center, t.vA)
+
+
 def triangle_from_sides(a: float, b: float, c: float,
                         eps_degenerate: float = EPS_DEGENERATE) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
-    B goes to the origin, C to (a, 0) and A into the upper half-plane.
+    B goes to the origin, C to (a, 0) and A into the upper half-plane, at
+    height 2 area / a, so a sliver's height does not cancel.
     """
     if min(a, b, c) <= 0.0:
         raise TriangleInequalityViolated("side lengths must be positive")
@@ -192,9 +231,8 @@ def triangle_from_sides(a: float, b: float, c: float,
         raise TriangleInequalityViolated(
             f"sides ({a:g}, {b:g}, {c:g}) violate the strict triangle inequality")
     # A is at distance c from B=(0,0) and b from C=(a,0).
-    x = (a * a + c * c - b * b) / (2.0 * a)
-    y2 = c * c - x * x
-    y = math.sqrt(max(y2, 0.0))
+    x = 0.5 * a + (c - b) * (c + b) / (2.0 * a)
+    y = 2.0 * heron_area(a, b, c) / a
     return Triangle(Point2(x, y), Point2(0.0, 0.0), Point2(a, 0.0),
                     eps_degenerate=eps_degenerate)
 

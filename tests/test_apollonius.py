@@ -185,6 +185,26 @@ def test_orthogonal_to_circumcircle():
                                         rel=1e-8)
 
 
+def test_near_equal_weights_stay_on_all_three_circles():
+    # as the weights approach equality, one common point runs off to
+    # infinity; both must still lie on every ratio circle
+    rng = random.Random(54)
+    for k in range(2, 13):
+        spread = 10.0 ** -k
+        for _ in range(20):
+            t = sample_triangle(rng)
+            w = Weights(*(1.0 + spread * rng.uniform(-1.0, 1.0)
+                          for _ in range(3)))
+            pts = apollonian_common_points(t, w)
+            assert pts
+            for p in pts:
+                for (v1, v2, r) in ((t.vA, t.vB, w.lam_A / w.lam_B),
+                                    (t.vB, t.vC, w.lam_B / w.lam_C),
+                                    (t.vC, t.vA, w.lam_C / w.lam_A)):
+                    assert apollonian_circle(v1, v2, r).ratio_residual(p) \
+                        <= 1e-12
+
+
 def test_ptolemy_inequality_at_common_points():
     rng = random.Random(52)
     done = 0

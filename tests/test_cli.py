@@ -113,6 +113,20 @@ def test_point_needle_is_degenerate(capsys, tmp_path):
     assert doc["status"] == "degenerate"
 
 
+def test_point_sliver_sides_are_placed(capsys, tmp_path):
+    # a sliver's height comes from its area, not from c^2 - x^2
+    spec = {"triangle": {"sides": [1, 1e-8, 1]}, "weights": [1, 1, 1]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 0
+    # an acute isosceles needle: the unit-weight orbit is the orthic one
+    spec = {"triangle": {"sides": [1e-8, 1, 1]}, "weights": [1, 1, 1]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 0
+    assert doc["status"] == "interior"
+
+
 def test_point_tilde_angle_near_zero(capsys, tmp_path):
     # the tilde angle opposite lam_A*a rounds to 0: the scaled triple is a
     # hair from flat, and the apexes must not divide by its sine
@@ -254,6 +268,28 @@ def test_convert_unrealizable_tripolar(capsys, tmp_path):
                                  write_spec(tmp_path, spec)])
     assert code == 3
     assert doc["status"] == "error"
+
+
+def test_convert_tripolar_needle_and_sliver(capsys, tmp_path):
+    # realizable triples a distance re-validation used to reject (exit 3)
+    cases = (((1.1883541646654383e-06, 0.022229017803980802,
+               0.02222880556815606),
+              (0.02117751591768509, 0.014009530069013608,
+               0.014009866036274793)),
+             ((0.6595322558449519, 5.440659001432983e-06, 0.6595362667903908),
+              (0.024439890587565873, 0.04787645348532656,
+               0.024439450798186397)))
+    for sides, values in cases:
+        spec = {"triangle": {"sides": list(sides)},
+                "coords": {"kind": "tripolar", "values": list(values)}}
+        code, doc = run_doc(capsys, ["convert", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == 0
+        assert doc["count"] >= 1
+        want = [v / sum(values) for v in values]
+        for point in doc["points"]:
+            tp = point["tripolar"]
+            assert [v / sum(tp) for v in tp] == pytest.approx(want, rel=1e-6)
 
 
 def test_convert_bad_kind(capsys, tmp_path):
@@ -408,6 +444,20 @@ def test_render_apollonius_layer(capsys, tmp_path):
     assert b"apollonius" not in plain.read_bytes()
 
 
+def test_render_apollonius_near_equal_weights(capsys, tmp_path):
+    # lam_A / lam_B = 1.00003 makes one ratio circle huge
+    out = tmp_path / "near.svg"
+    spec = {"triangle": {"sides": [0.13515914118725295, 0.11016365232450137,
+                                   0.09094664997977844]},
+            "weights": [0.806206498245, 0.806184505322, 0.653781270011],
+            "layers": {"apollonius": True}}
+    code, doc = run_doc(capsys, ["render", "--input",
+                                 write_spec(tmp_path, spec),
+                                 "--svg", str(out)])
+    assert code == 0
+    assert doc["svg_bytes"] == len(out.read_bytes())
+
+
 def test_render_requires_path(capsys):
     code, doc = run_doc(capsys, ["render", "--input",
                                  corpus_path("render_plain.json")])
@@ -443,6 +493,11 @@ def test_unknown_tolerance(capsys, tmp_path):
     code = cli.main(["point", "--input", write_spec(tmp_path, T456),
                      "--tol", "concurrency=1e-9"])
     assert "unknown tolerance 'concurrency'" in capsys.readouterr().err
+    assert code == 2
+    # nor does the closed-form tripolar inversion re-validate its points
+    code = cli.main(["point", "--input", write_spec(tmp_path, T456),
+                     "--tol", "tripolar_validate=1e-8"])
+    assert "unknown tolerance 'tripolar_validate'" in capsys.readouterr().err
     assert code == 2
 
 
@@ -591,6 +646,12 @@ def test_cli_import_leaves_numpy_out():
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_names_resolve():
+    missing = [name for name in snellfagnano.__all__
+               if not hasattr(snellfagnano, name)]
+    assert missing == []
 
 
 def test_version_flag(capsys):

@@ -9,8 +9,7 @@ from snellfagnano import (BarycentricCoords, NoSuchPoint, Point2, Triangle,
                           TrilinearCoords, TripolarCoords, dist,
                           triangle_from_sides)
 from snellfagnano.coordinates import (IdealPoint, OnSideLine,
-                                      biquadratic_coefficients,
-                                      biquadratic_residual, conway_data)
+                                      biquadratic_residual)
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_triangle)
@@ -158,56 +157,6 @@ def test_isogonal_undefined_on_side_lines():
 
 
 # ---------------------------------------------------------------------------
-# Conway quantities
-
-def test_conway_equilateral_values():
-    t = triangle_from_sides(1.0, 1.0, 1.0)
-    cd = conway_data(t, 1.0, 1.0, 1.0)
-    assert cd.S_a == pytest.approx(0.5, rel=1e-14)
-    assert cd.S_b == pytest.approx(0.5, rel=1e-14)
-    assert cd.S_c == pytest.approx(0.5, rel=1e-14)
-    assert cd.area == pytest.approx(math.sqrt(3) / 4, rel=1e-13)
-    assert cd.tilde_exists
-
-
-def test_conway_invariants():
-    rng = random.Random(17)
-    for _ in range(20):
-        t = sample_triangle(rng)
-        cd = conway_data(t, 1.0, 1.0, 1.0)
-        lhs = cd.S_a + cd.S_b + cd.S_c
-        assert lhs == pytest.approx((t.a**2 + t.b**2 + t.c**2) / 2, rel=1e-12)
-        heron = (2 * (t.a**2 * t.b**2 + t.b**2 * t.c**2 + t.c**2 * t.a**2)
-                 - (t.a**4 + t.b**4 + t.c**4))
-        assert 16 * cd.area**2 == pytest.approx(heron, rel=1e-10)
-
-
-def test_conway_tilde_failure_flag():
-    t = triangle_from_sides(1.0, 1.0, 1.0)
-    cd = conway_data(t, 5.0, 1.0, 1.0)  # scaled sides (5,1,1): impossible
-    assert not cd.tilde_exists
-    assert cd.s2_plus is None and cd.s2_minus is None
-
-
-def test_conway_equal_triple_linear_root_is_circumradius_squared():
-    rng = random.Random(18)
-    for _ in range(10):
-        t = sample_triangle(rng)
-        cd = conway_data(t, 1.0, 1.0, 1.0)
-        o = circumcenter_oracle(t)
-        r2 = dist(o, t.vA) ** 2
-        roots = [r for r in (cd.s2_minus, cd.s2_plus) if r is not None]
-        assert any(r == pytest.approx(r2, rel=1e-9) for r in roots)
-
-
-def test_conway_rejects_bad_triples():
-    with pytest.raises(ValueError):
-        conway_data(T0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        conway_data(T0, 0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # tripolar -> points
 
 def test_unit_triple_gives_circumcenter():
@@ -233,6 +182,10 @@ def test_vertex_triple_gives_vertex():
 def test_two_zero_distances_rejected():
     with pytest.raises(NoSuchPoint):
         sf.tripolar_to_points(TripolarCoords(0.0, 0.0, 1.0), T0)
+    with pytest.raises(ValueError):
+        sf.tripolar_to_points(TripolarCoords(-1.0, 1.0, 1.0), T0)
+    with pytest.raises(ValueError):
+        sf.tripolar_to_points(TripolarCoords(0.0, 0.0, 0.0), T0)
 
 
 def test_unrealizable_triple_raises():
@@ -285,22 +238,6 @@ def test_roundtrip_random_points():
                 assert circ.ratio_residual(q) <= 1e-8
 
 
-def test_both_roots_nonnegative_when_tilde_exists():
-    rng = random.Random(31)
-    checked = 0
-    while checked < 40:
-        t = sample_triangle(rng)
-        trip = (rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0),
-                rng.uniform(0.3, 2.0))
-        cd = conway_data(t, *trip)
-        if not cd.tilde_exists:
-            continue
-        for r in (cd.s2_minus, cd.s2_plus):
-            if r is not None:
-                assert r >= 0.0
-        checked += 1
-
-
 def test_biquadratic_residual_at_roots_and_off_roots():
     rng = random.Random(37)
     for _ in range(25):
@@ -312,18 +249,6 @@ def test_biquadratic_residual_at_roots_and_off_roots():
         # negative control: a perturbed scale is far off the curve
         assert biquadratic_residual(t, X, Y, Z, (1.07 * 1.07)) > 1e-4 or \
             biquadratic_residual(t, X, Y, Z, (0.9 * 0.9)) > 1e-4
-
-
-def test_biquadratic_proportional_to_scale_quadratic():
-    rng = random.Random(38)
-    t = sample_triangle(rng)
-    X, Y, Z = 1.2, 0.8, 1.05
-    A2, A1, A0 = biquadratic_coefficients(t, X, Y, Z)
-    cd = conway_data(t, X, Y, Z)
-    abc2 = (t.a * t.b * t.c) ** 2
-    # same root set: A2 : A1 : A0 == F : -2 sigma : (abc)^2
-    assert A1 * cd.F == pytest.approx(A2 * (-2.0 * cd.sigma), rel=1e-9)
-    assert A0 * cd.F == pytest.approx(A2 * abc2, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 import math
 import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,9 @@ from snellfagnano import (DegenerateTriangle, Point2, Triangle,
                           TriangleInequalityViolated, altitudes, dist,
                           inscribed_from_params, pedal_triangle, signed_area,
                           triangle_from_sides)
-from snellfagnano.geometry import (foot_of_perpendicular, intersect_lines,
-                                   line_parameter, rotate)
+from snellfagnano.geometry import (angles_from_sides, foot_of_perpendicular,
+                                   heron_area, intersect_lines, line_parameter,
+                                   rotate)
 
 from conftest import sample_triangle
 
@@ -87,6 +90,48 @@ def test_triangle_from_sides_roundtrip(sides):
     assert t.b == pytest.approx(b, rel=1e-12)
     assert t.c == pytest.approx(c, rel=1e-12)
     assert t.alpha + t.beta + t.gamma == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_triangle_from_sides_places_slivers():
+    # the height is 2 area / a; from c^2 - x^2 it cancels to nothing
+    for sides in ((1.0, 1e-6, 1.0), (1.0, 1e-8, 1.0)):
+        t = triangle_from_sides(*sides)
+        for got, want in zip(t.sides, sides):
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def _exact_area(a, b, c):
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    h16 = 2 * (a * a * b * b + b * b * c * c + c * c * a * a) \
+        - (a ** 4 + b ** 4 + c ** 4)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = (Decimal(h16.numerator) / Decimal(h16.denominator)).sqrt()
+        return float(root / 4)
+
+
+def test_heron_area_needles_and_flat():
+    assert heron_area(5.0, 3.0, 4.0) == 6.0
+    # Kahan's needles: the naive formula loses most digits on these
+    for sides in ((100000.0, 99999.99979, 0.00029), (1.0, 1.0, 1e-12),
+                  (0.6595322558449519, 5.440659001432983e-06,
+                   0.6595362667903908)):
+        for perm in (sides, sides[::-1], sides[1:] + sides[:1]):
+            assert heron_area(*perm) == pytest.approx(_exact_area(*sides),
+                                                      rel=1e-13)
+    assert heron_area(1.0, 1.0, 2.0) == 0.0
+    assert heron_area(1.0, 1.0, 3.0) == 0.0
+
+
+def test_angles_from_sides():
+    assert angles_from_sides(3.0, 4.0, 5.0) == pytest.approx(
+        (math.atan2(3, 4), math.atan2(4, 3), math.pi / 2), rel=1e-15)
+    assert angles_from_sides(1.0, 1.0, 2.0) == (0.0, 0.0, math.pi)
+    rng = random.Random(7)
+    for _ in range(20):
+        t = sample_triangle(rng)
+        assert angles_from_sides(*t.sides) == pytest.approx(
+            (t.alpha, t.beta, t.gamma), rel=1e-12)
 
 
 def test_law_of_sines():
