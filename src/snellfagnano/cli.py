@@ -19,16 +19,8 @@ import math
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import __version__, billiards, construction, coordinates, serialize
-from .apollonius import apollonian_circle, apollonian_common_points
-from .billiards import BilliardState, RiverInstance
-from .construction import (STATUS_INTERIOR, STATUS_NO_TILDE, Weights,
-                           coeffs_from_weights, snell_fagnano_point,
-                           verify_snell_point)
-from .geometry import (DegenerateTriangle, GeometryError, Point2, Triangle,
-                       TriangleInequalityViolated, triangle_from_sides)
-from .optimize import minimize_inscribed
-from .render import render_scene
+from . import (__version__, apollonius, billiards, construction, coordinates,
+               geometry, optimize, render, serialize)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -94,13 +86,13 @@ def _triple(node: Any, what: str) -> Tuple[float, float, float]:
     return tuple(_finite(v, what) for v in node)  # type: ignore[return-value]
 
 
-def _pair(node: Any, what: str) -> Point2:
+def _pair(node: Any, what: str) -> geometry.Point2:
     if not isinstance(node, (list, tuple)) or len(node) != 2:
         raise CliError(EXIT_INVALID, "%s must be an [x, y] pair" % what)
-    return Point2(_finite(node[0], what), _finite(node[1], what))
+    return geometry.Point2(_finite(node[0], what), _finite(node[1], what))
 
 
-def parse_triangle(spec: Dict[str, Any]) -> Triangle:
+def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
     node = spec.get("triangle")
     if not isinstance(node, dict):
         raise CliError(EXIT_INVALID, "spec needs a \"triangle\" object")
@@ -114,15 +106,16 @@ def parse_triangle(spec: Dict[str, Any]) -> Triangle:
             vs = node["vertices"]
             if not isinstance(vs, (list, tuple)) or len(vs) != 3:
                 raise CliError(EXIT_INVALID, "vertices must list three points")
-            return Triangle(*(_pair(v, "vertex") for v in vs))
-        return triangle_from_sides(*_triple(node["sides"], "sides"))
-    except (TriangleInequalityViolated, DegenerateTriangle, ValueError) as e:
+            return geometry.Triangle(*(_pair(v, "vertex") for v in vs))
+        return geometry.triangle_from_sides(*_triple(node["sides"], "sides"))
+    except (geometry.TriangleInequalityViolated, geometry.DegenerateTriangle,
+            ValueError) as e:
         raise CliError(EXIT_INVALID, str(e))
 
 
-def parse_weights(spec: Dict[str, Any]) -> Weights:
+def parse_weights(spec: Dict[str, Any]) -> construction.Weights:
     try:
-        return Weights(*_triple(spec.get("weights"), "weights"))
+        return construction.Weights(*_triple(spec.get("weights"), "weights"))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
 
@@ -138,7 +131,7 @@ def _normalized(triple) -> Optional[List[float]]:
     return [v / s for v in triple]
 
 
-def _point_block(p: Point2, t: Triangle) -> Dict[str, Any]:
+def _point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
     bc = coordinates.to_barycentric(p, t)
     tl = coordinates.barycentric_to_trilinear(bc, t)
     tp = coordinates.tripolar_of_point(p, t)
@@ -170,7 +163,8 @@ def _error_doc(command: str, spec: Any, tols: Dict[str, float],
     return doc
 
 
-def _failing_tilde_inequality(t: Triangle, w: Weights) -> str:
+def _failing_tilde_inequality(t: geometry.Triangle,
+                              w: construction.Weights) -> str:
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
              ("lam_C*c", w.lam_C * t.c))
     for i in range(3):
@@ -198,10 +192,12 @@ def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
 def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
+    res = construction.snell_fagnano_point(t, w,
+                                           eps_angle=tols["interior_angle"])
     # Where no closed orbit exists, the oracle gives the constrained minimum.
-    brute = None if res.orbit_in_sides else minimize_inscribed(t, w).cost
-    k = coeffs_from_weights(w)
+    brute = (None if res.orbit_in_sides
+             else optimize.minimize_inscribed(t, w).cost)
+    k = construction.coeffs_from_weights(w)
     doc = _base_doc("point", spec, tols)
     doc["status"] = res.status
     doc["weights_normalized"] = _normalized(w.triple)
@@ -214,8 +210,9 @@ def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
         doc["point"] = _point_block(res.point, t)
     if res.orbit is not None:
         doc["orbit"] = _orbit_block(res)
-    if res.status == STATUS_INTERIOR:
-        doc["snell_residuals"] = list(verify_snell_point(res.point, t, k))
+    if res.status == construction.STATUS_INTERIOR:
+        doc["snell_residuals"] = list(
+            construction.verify_snell_point(res.point, t, k))
         bc = coordinates.to_barycentric(res.point, t)
         conj = coordinates.from_barycentric(coordinates.isogonal_conjugate(bc, t), t)
         ctp = coordinates.tripolar_of_point(conj, t)
@@ -235,7 +232,7 @@ def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
         "shortest_altitude": info.get("shortest_altitude"),
     }
     doc["brute_force_cost"] = brute
-    if res.status == STATUS_NO_TILDE:
+    if res.status == construction.STATUS_NO_TILDE:
         doc["message"] = _failing_tilde_inequality(t, w)
         return doc, EXIT_MISSING
     return doc, EXIT_OK
@@ -276,7 +273,8 @@ def cmd_convert(spec, tols) -> Tuple[Dict[str, Any], int]:
     return doc, EXIT_OK
 
 
-def _state_block(t: Triangle, s: BilliardState) -> Dict[str, Any]:
+def _state_block(t: geometry.Triangle,
+                 s: billiards.BilliardState) -> Dict[str, Any]:
     return {
         "side": s.side,
         "param": s.param,
@@ -288,7 +286,7 @@ def _state_block(t: Triangle, s: BilliardState) -> Dict[str, Any]:
 def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    k = coeffs_from_weights(w)
+    k = construction.coeffs_from_weights(w)
     steps = spec.get("steps", 3)
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise CliError(EXIT_INVALID, "steps must be a positive integer")
@@ -298,8 +296,9 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
 
     node = spec.get("start")
     if node is None:
-        res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
-        if res.status != STATUS_INTERIOR:
+        res = construction.snell_fagnano_point(
+            t, w, eps_angle=tols["interior_angle"])
+        if res.status != construction.STATUS_INTERIOR:
             raise CliError(EXIT_MISSING,
                            "no interior orbit to launch from (status %s); "
                            "provide an explicit start state" % res.status)
@@ -316,7 +315,7 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
         d = _pair(node.get("direction"), "start.direction")
         if d.norm() <= 0.0:
             raise CliError(EXIT_INVALID, "start.direction must be nonzero")
-        start = BilliardState(side, param, d.unit())
+        start = billiards.BilliardState(side, param, d.unit())
 
     states = [start]
     for i in range(steps):
@@ -347,7 +346,7 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
 def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    rep = minimize_inscribed(t, w)
+    rep = optimize.minimize_inscribed(t, w)
     doc = _base_doc("minimize", spec, tols)
     doc["report"] = {
         "params": [rep.best.tA, rep.best.tB, rep.best.tC],
@@ -357,7 +356,8 @@ def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
         "converged": rep.converged,
         "flatness": rep.flatness,
     }
-    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
+    res = construction.snell_fagnano_point(t, w,
+                                           eps_angle=tols["interior_angle"])
     gap = ((rep.cost - res.weighted_perimeter)
            / max(abs(res.weighted_perimeter), 1e-300))
     doc["constructed"] = {
@@ -376,7 +376,7 @@ def cmd_river(spec, tols) -> Tuple[Dict[str, Any], int]:
     if not isinstance(line, (list, tuple)) or len(line) != 2:
         raise CliError(EXIT_INVALID, "river.line must list two points")
     try:
-        inst = RiverInstance(
+        inst = billiards.RiverInstance(
             _pair(node.get("a"), "river.a"), _pair(node.get("b"), "river.b"),
             (_pair(line[0], "river.line"), _pair(line[1], "river.line")),
             _finite(node.get("lam1"), "river.lam1"),
@@ -398,18 +398,19 @@ def cmd_render(spec, tols) -> Tuple[Dict[str, Any], int]:
     if not isinstance(out, str) or not out:
         raise CliError(EXIT_INVALID,
                        "render needs an output path (--svg or \"svg_path\")")
-    res = snell_fagnano_point(t, w, eps_angle=tols["interior_angle"])
+    res = construction.snell_fagnano_point(t, w,
+                                           eps_angle=tols["interior_angle"])
     layers = spec.get("layers") or {}
     circles = None
     common = None
     if isinstance(layers, dict) and layers.get("apollonius"):
         circles = [
-            apollonian_circle(t.vA, t.vB, w.lam_A / w.lam_B),
-            apollonian_circle(t.vB, t.vC, w.lam_B / w.lam_C),
-            apollonian_circle(t.vC, t.vA, w.lam_C / w.lam_A),
+            apollonius.apollonian_circle(t.vA, t.vB, w.lam_A / w.lam_B),
+            apollonius.apollonian_circle(t.vB, t.vC, w.lam_B / w.lam_C),
+            apollonius.apollonian_circle(t.vC, t.vA, w.lam_C / w.lam_A),
         ]
-        common = apollonian_common_points(t, w)
-    svg = render_scene(t, res, apollonius=circles, common_points=common)
+        common = apollonius.apollonian_common_points(t, w)
+    svg = render.render_scene(t, res, apollonius=circles, common_points=common)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -451,7 +452,7 @@ def run_spec(command: str, spec: Any,
             err = (EXIT_MISSING, str(e))
         except (billiards.TotalInternalReflection, billiards.HitVertex) as e:
             err = (EXIT_DYNAMICS, str(e))
-        except GeometryError as e:
+        except geometry.GeometryError as e:
             err = (EXIT_INVALID, str(e))
         except (KeyError, TypeError, ValueError) as e:
             err = (EXIT_INVALID, "invalid job spec: %s" % e)

@@ -32,8 +32,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import coordinates
 from .apollonius import TildeTriangle, tilde_triangle
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       altitudes, dist, inscribed_from_params, intersect_lines,
-                       line_parameter, pedal_triangle, rotate)
+                       altitudes, inscribed_from_params, line_parameter,
+                       pedal_triangle, rotate)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -163,11 +163,6 @@ def interior_conditions(t: Triangle, tt: TildeTriangle,
             t.gamma + gt < math.pi - eps_angle)
 
 
-def _dist_to_line(p: Point2, q1: Point2, q2: Point2) -> float:
-    d = (q2 - q1).unit()
-    return abs(d.cross(p - q1))
-
-
 def snell_fagnano_point(t: Triangle, w: Weights,
                         eps_angle: float = EPS_ANGLE) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
@@ -205,37 +200,6 @@ def snell_fagnano_point(t: Triangle, w: Weights,
                               erected=erected, conditions=conds)
 
 
-def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
-                 agreement_tol: float = 1e-9) -> Tuple[float, float, float]:
-    """Directed foot ratios of the three cevians, by closed form.
-
-    Each closed-form value (e.g. lam_B b^2 sin(gamma+gamma~) /
-    (lam_C c^2 sin(beta+beta~)) for the cevian from A) is checked against
-    the geometric ratio measured at the actual cevian foot; their product
-    telescopes to exactly 1.
-    """
-    if not tt.exists:
-        raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    at, bt, gt = tt.angles
-    sA = math.sin(t.alpha + at)
-    sB = math.sin(t.beta + bt)
-    sC = math.sin(t.gamma + gt)
-    lam = w.triple
-    closed = (lam[1] * t.b ** 2 * sC / (lam[2] * t.c ** 2 * sB),
-              lam[2] * t.c ** 2 * sA / (lam[0] * t.a ** 2 * sC),
-              lam[0] * t.a ** 2 * sB / (lam[1] * t.b ** 2 * sA))
-    a1, b1, c1 = erect_similar(t, tt)
-    cev = ((t.vA, a1, t.vB, t.vC), (t.vB, b1, t.vC, t.vA), (t.vC, c1, t.vA, t.vB))
-    for value, (v, apex, e1, e2) in zip(closed, cev):
-        foot = intersect_lines(v, apex, e1, e2)
-        if foot is None:
-            continue
-        geom = dist(e2, foot) / dist(e1, foot)
-        assert abs(geom - abs(value)) <= agreement_tol * max(geom, abs(value)), (
-            f"closed-form cevian ratio {value:g} disagrees with measured {geom:g}")
-    return closed
-
-
 def _sin_at(v: Point2, p: Point2, q: Point2) -> float:
     """Sine of the (unsigned) angle at v between rays v->p and v->q."""
     u1 = p - v
@@ -258,60 +222,6 @@ def verify_snell_point(f: Point2, t: Triangle, k: RefractionCoeffs,
     r_b = _sin_at(t.vA, f, t.vB) / _sin_at(t.vC, f, t.vB)
     r_c = _sin_at(t.vB, f, t.vC) / _sin_at(t.vA, f, t.vC)
     return (abs(r_a - k.kap_a), abs(r_b - k.kap_b), abs(r_c - k.kap_c))
-
-
-def eta_concurrency_test(it: InscribedTriangle, t: Triangle,
-                         tol: float = 1e-9):
-    """Sine-ratio concurrency test for the side-normals at the feet.
-
-    eta_a is the ratio of the sines the two chords at the foot on side a
-    make with that side's normal (chord toward the next-letter foot on
-    top).  The normals are concurrent iff the product of the three etas is
-    1; the product test and a direct three-line intersection test are both
-    run and must agree for a True verdict.
-    """
-    normals = ((t.vC - t.vB).unit().perp(),
-               (t.vA - t.vC).unit().perp(),
-               (t.vB - t.vA).unit().perp())
-    feet = it.points
-    nxt = (it.pB, it.pC, it.pA)   # chord to the next letter
-    prv = (it.pC, it.pA, it.pB)   # chord to the previous letter
-    etas = []
-    for n, foot, to_next, to_prev in zip(normals, feet, nxt, prv):
-        s1 = _sin_against(n, to_next - foot)
-        s2 = _sin_against(n, to_prev - foot)
-        etas.append(s1 / s2)
-    product = etas[0] * etas[1] * etas[2]
-    q = intersect_lines(feet[0], feet[0] + normals[0],
-                        feet[1], feet[1] + normals[1])
-    direct = (q is not None and
-              _dist_to_line(q, feet[2], feet[2] + normals[2]) <= tol * t.diameter)
-    concurrent = abs(product - 1.0) < tol and direct
-    return tuple(etas), concurrent
-
-
-def _sin_against(n: Point2, v: Point2) -> float:
-    return abs(n.cross(v)) / v.norm()
-
-
-def degenerate_minimizer(t: Triangle, w: Weights) -> SnellOrbitResult:
-    """Doubled-altitude fallback when no interior orbit point exists.
-
-    The degenerate inscribed triangle for the altitude from A has one
-    vertex at the foot and the other two collapsed onto A itself, costing
-    (lam_B + lam_C) times the altitude length; candidates from B and C are
-    cyclic.  The weighted argmin is returned; both the weighted ranking and
-    the plain shortest-altitude ranking are reported since they may differ
-    for lopsided weights.
-
-    The candidates are priced on the side lines.  In an obtuse triangle
-    two altitude feet fall outside their segments; if the weights favour
-    one of those vertices, no inscribed triangle can reach the returned
-    cost, and the true segment-constrained minimizer is a non-flat path
-    through a vertex (compare with the cost of optimize.minimize_inscribed,
-    which always respects the segments).
-    """
-    return _degenerate_result(t, w, STATUS_DEGENERATE)
 
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,

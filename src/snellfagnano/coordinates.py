@@ -129,25 +129,6 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle,
     return trilinear_to_barycentric(inv, t)
 
 
-def _conway_triple(a: float, b: float, c: float):
-    """Halved Conway symbols S_a = (b^2 + c^2 - a^2) / 2 and cyclic."""
-    return (0.5 * (b * b + c * c - a * a), 0.5 * (c * c + a * a - b * b),
-            0.5 * (a * a + b * b - c * c))
-
-
-def _linear_forms(Sa, Sb, Sc, a, b, c, X2, Y2, Z2):
-    """Slopes and intercepts of the barycentrics as affine functions of t.
-
-    A point at distances s*(X, Y, Z) from the vertices has barycentrics
-    rho_a = (S_c Y^2 + S_b Z^2 - a^2 X^2) t + a^2 S_a (and cyclic) with
-    t = s^2; they sum to 8 [ABC]^2.
-    """
-    a1 = Sc * Y2 + Sb * Z2 - a * a * X2
-    b1 = Sa * Z2 + Sc * X2 - b * b * Y2
-    g1 = Sb * X2 + Sa * Y2 - c * c * Z2
-    return (a1, a * a * Sa), (b1, b * b * Sb), (g1, c * c * Sc)
-
-
 def tripolar_to_points(tp: TripolarCoords,
                        t: Triangle) -> List[Tuple[Point2, float]]:
     """All points whose vertex distances are proportional to the triple.
@@ -196,46 +177,3 @@ def tripolar_to_points(tp: TripolarCoords,
     vertex = t.vertices[(X, Y, Z).index(mx)]
     return sorted(((pt, dist(pt, vertex) / mx) for pt in points),
                   key=lambda ps: ps[1])
-
-
-def biquadratic_coefficients(t: Triangle, X: float, Y: float, Z: float):
-    """Coefficients (A2, A1, A0) of a quadratic A2 t^2 + A1 t + A0 in t = s^2
-    whose roots are the squared scales of the realizing points.
-
-    Built independently of the closed form: substitute the affine point
-    parametrization of _linear_forms into the distance-ratio locus
-    d(B,P)/d(C,P) = Y/Z written in barycentric coordinates.  When the Z
-    slot vanishes the roles are rotated cyclically so the ratio k stays
-    finite; the roots do not depend on the rotation.
-    """
-    sides = [t.a, t.b, t.c]
-    triple = [X, Y, Z]
-    # Rotate so the denominator coordinate (third slot) is the largest.
-    rot = max(range(3), key=lambda r: triple[(2 + r) % 3])
-    a, b, c = (sides[(0 + rot) % 3], sides[(1 + rot) % 3], sides[(2 + rot) % 3])
-    X_, Y_, Z_ = (triple[(0 + rot) % 3], triple[(1 + rot) % 3], triple[(2 + rot) % 3])
-    Sa, Sb, Sc = _conway_triple(a, b, c)
-    X2, Y2, Z2 = X_ * X_, Y_ * Y_, Z_ * Z_
-    (a1, a0), (b1, b0), (g1, g0) = _linear_forms(Sa, Sb, Sc, a, b, c, X2, Y2, Z2)
-    kk = (Y_ / Z_) ** 2
-    # Cross terms carry the doubled Conway symbols 2 S_b, 2 S_c because the
-    # squared-distance expansion of d(B,P)^2 in normalized barycentrics is
-    # rho_a^2 c^2 + rho_c^2 a^2 + 2 rho_a rho_c S_b.
-    A2 = ((c * c - kk * b * b) * a1 * a1 + a * a * (g1 * g1 - kk * b1 * b1)
-          + 2.0 * Sb * a1 * g1 - kk * 2.0 * Sc * a1 * b1)
-    A1 = (2.0 * (c * c - kk * b * b) * a0 * a1
-          + 2.0 * a * a * (g0 * g1 - kk * b0 * b1)
-          + 2.0 * Sb * (a0 * g1 + a1 * g0) - kk * 2.0 * Sc * (a0 * b1 + a1 * b0))
-    A0 = ((c * c - kk * b * b) * a0 * a0 + a * a * (g0 * g0 - kk * b0 * b0)
-          + 2.0 * Sb * a0 * g0 - kk * 2.0 * Sc * a0 * b0)
-    return A2, A1, A0
-
-
-def biquadratic_residual(t: Triangle, X: float, Y: float, Z: float,
-                         s2: float) -> float:
-    """Relative residual of a candidate scale in the independent quadratic."""
-    A2, A1, A0 = biquadratic_coefficients(t, X, Y, Z)
-    scale = max(abs(A2 * s2 * s2), abs(A1 * s2), abs(A0))
-    if scale == 0.0:
-        return 0.0
-    return abs(A2 * s2 * s2 + A1 * s2 + A0) / scale

@@ -352,6 +352,26 @@ def test_simulate_vertex_hit(capsys, tmp_path):
     assert doc["message"].startswith("step 1:")
 
 
+def test_errors_raised_in_the_core_map_to_exit_codes(capsys, tmp_path):
+    # IdealPoint reaches run_spec; TotalInternalReflection is caught per step
+    cases = (
+        ("convert", {"triangle": {"sides": [3, 4, 5]},
+                     "coords": {"kind": "barycentric", "values": [1, -1, 0]}},
+         3, "coordinate sum is zero: point at infinity"),
+        ("simulate", {"triangle": {"sides": [4, 5, 6]}, "weights": [1, 3, 1],
+                      "steps": 20,
+                      "start": {"side": "a", "param": 0.5,
+                                "direction": [math.cos(0.1), math.sin(0.1)]}},
+         4, "step 3: required departure sine 1.7857 exceeds 1"),
+    )
+    for command, spec, exit_code, message in cases:
+        code, doc = run_doc(capsys, [command, "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == exit_code
+        assert doc["status"] == "error"
+        assert doc["message"] == message
+
+
 def test_simulate_degenerate_needs_start(capsys, tmp_path):
     spec = {"triangle": {"vertices": [[0, 0], [6, 0], [5.2, 1.1]]},
             "weights": [1, 1, 1]}
@@ -633,25 +653,56 @@ def test_installed_sf_script(tmp_path):
     assert doc["status"] == "interior"
 
 
+# Imports the CLI and runs the job given on its command line, if any; then
+# prints the modules it imported that a cold start does not use, and the
+# snellfagnano modules whose bodies have run.
+COLD_START_PROBE = """
+import contextlib, io, json, sys, types
+before = set(sys.modules)
+import snellfagnano.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = snellfagnano.cli.main(sys.argv[1:])
+    assert code == 0, code
+added = set(sys.modules) - before
+print(json.dumps({
+    "unused": sorted(added & {"numpy", "dataclasses", "concurrent.futures"}),
+    "ran": sorted(name for name, module in sys.modules.items()
+                  if name.split(".")[0] == "snellfagnano"
+                  and type(module) is types.ModuleType)}))
+"""
+
+
 def test_cli_import_leaves_numpy_out():
     """The CLI imports nothing its cold start does not use: numpy is a test
     dependency only, and the records and the batch loop need neither
-    dataclasses nor a thread pool."""
-    probe = ("import sys; before = set(sys.modules); import snellfagnano.cli; "
-             "added = set(sys.modules) - before; "
-             "print(sorted(added & {'numpy', 'dataclasses', "
-             "'concurrent.futures'}))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=checkout_env(),
-                          timeout=SUBPROCESS_TIMEOUT)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    dataclasses nor a thread pool.  Submodules load on first use, so
+    importing the CLI runs none of their bodies, and a cold job runs only
+    those of the modules its command calls."""
+    cases = (
+        ([], []),
+        (["river", "--input", corpus_path("river_basic.json")],
+         ["billiards", "geometry", "serialize"]),
+        (["convert", "--input", corpus_path("convert_trilinear_incenter.json")],
+         ["coordinates", "geometry", "serialize"]),
+    )
+    for argv, used in cases:
+        proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE] + argv,
+                              capture_output=True, text=True,
+                              env=checkout_env(), timeout=SUBPROCESS_TIMEOUT)
+        assert proc.returncode == 0, proc.stderr
+        expected = ["snellfagnano", "snellfagnano.cli"] + [
+            "snellfagnano." + name for name in used]
+        assert json.loads(proc.stdout) == {"unused": [],
+                                           "ran": sorted(expected)}, argv
 
 
 def test_public_names_resolve():
     missing = [name for name in snellfagnano.__all__
                if not hasattr(snellfagnano, name)]
     assert missing == []
+    assert set(snellfagnano.__all__) <= set(dir(snellfagnano))
+    assert not hasattr(snellfagnano, "degenerate_minimizer")
 
 
 def test_version_flag(capsys):

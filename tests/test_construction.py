@@ -10,9 +10,7 @@ from snellfagnano import (Point2, RefractionCoeffs, Triangle, Weights, dist,
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        STATUS_NO_TILDE, TildeDegenerate,
-                                       cevian_ratio, coeffs_from_weights,
-                                       degenerate_minimizer, erect_similar,
-                                       eta_concurrency_test,
+                                       coeffs_from_weights, erect_similar,
                                        interior_conditions,
                                        snell_fagnano_point,
                                        verify_snell_point)
@@ -22,6 +20,7 @@ from snellfagnano.optimize import minimize_inscribed
 from conftest import (altitude_feet_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
                       sample_triangle, sample_weights)
+from oracles import cevian_ratio, degenerate_minimizer, eta_concurrency_test
 
 OBTUSE = Triangle(Point2(0.0, 0.0), Point2(6.0, 0.0), Point2(5.2, 1.1))
 

@@ -8,11 +8,11 @@ import snellfagnano as sf
 from snellfagnano import (BarycentricCoords, NoSuchPoint, Point2, Triangle,
                           TrilinearCoords, TripolarCoords, dist,
                           triangle_from_sides)
-from snellfagnano.coordinates import (IdealPoint, OnSideLine,
-                                      biquadratic_residual)
+from snellfagnano.coordinates import IdealPoint, OnSideLine
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_triangle)
+from oracles import biquadratic_residual
 
 T0 = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0))
 
