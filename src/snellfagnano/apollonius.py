@@ -47,8 +47,7 @@ class ApollonianCircle(NamedTuple):
         return abs(d1 - self.ratio * d2) / max(d1, self.ratio * d2, 1e-300)
 
 
-def apollonian_circle(p1: Point2, p2: Point2, r: float,
-                      bisector_eps: float = BISECTOR_EPS) -> ApollonianCircle:
+def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
     """Locus of points with d(X, p1)/d(X, p2) = r."""
     p1, p2 = Point2(*p1), Point2(*p2)
     if r <= 0.0:
@@ -56,7 +55,7 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float,
     base = p2 - p1
     if base.norm() == 0.0:
         raise ValueError("base points must be distinct")
-    if abs(r - 1.0) < bisector_eps:
+    if abs(r - 1.0) < BISECTOR_EPS:
         mid = Point2(0.5 * (p1.x + p2.x), 0.5 * (p1.y + p2.y))
         return ApollonianCircle(p1, p2, r, "bisector",
                                 point=mid, direction=base.unit().perp())

@@ -113,6 +113,17 @@ def billiard_step(s: BilliardState, t: Triangle, k) -> BilliardState:
     return BilliardState(side, v, out)
 
 
+def closure(start: BilliardState, end: BilliardState,
+            tol: float) -> Tuple[bool, float, float, bool]:
+    """How far end is from start: (side_match, param_error, direction_error,
+    periodic), periodic when the sides match and both errors are below tol."""
+    side_match = end.side == start.side
+    param_error = abs(end.param - start.param)
+    direction_error = dist(end.direction, start.direction)
+    return (side_match, param_error, direction_error,
+            side_match and param_error < tol and direction_error < tol)
+
+
 def is_periodic(start: BilliardState, t: Triangle, k, n: int,
                 tol: float) -> bool:
     """Whether n steps return to the starting side, parameter and direction."""
@@ -121,9 +132,7 @@ def is_periodic(start: BilliardState, t: Triangle, k, n: int,
     state = start
     for _ in range(n):
         state = billiard_step(state, t, k)
-    return (state.side == start.side
-            and abs(state.param - start.param) < tol
-            and dist(state.direction, start.direction) < tol)
+    return closure(start, state, tol)[3]
 
 
 def orbit_start_state(t: Triangle, it: InscribedTriangle) -> BilliardState:

@@ -8,7 +8,12 @@ sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
 that hits a defect, on a batch line or alone from --input or stdin, still
 gets a report: the error report with exit code 1, its traceback on stderr.
 `sf point` adds the minimizer's cost as brute_force_cost wherever no closed
-orbit exists; `sf simulate` takes at most MAX_SIMULATE_STEPS steps.
+orbit exists; `sf simulate` takes at most MAX_SIMULATE_STEPS steps and
+reports its raw closure errors beside the verdict.  The check tolerances
+are fixed (TOLERANCES) and every report echoes them.  Exit 2 also covers a
+smallest weight below sys.float_info.min times the largest, render
+"layers" other than {"apollonius": true|false}, and --svg anywhere but on
+a single render job.
 """
 
 from __future__ import annotations
@@ -29,13 +34,11 @@ EXIT_MISSING = 3
 EXIT_DYNAMICS = 4
 EXIT_IO = 5
 
-# Tolerance registry: defaults here, overridable by --config then --tol.
-DEFAULT_TOLS = {
-    "interior_angle": 1e-10,
-    "periodicity": 1e-8,
-}
-
-COMMANDS = ("point", "convert", "simulate", "minimize", "river", "render")
+# Echoed by every report.  interior_angle is construction.EPS_ANGLE, which
+# snell_fagnano_point applies; it is written out so that jobs which never
+# construct the orbit (river, convert) need not load construction.
+# periodicity is simulate's closure threshold.
+TOLERANCES = {"interior_angle": 1e-10, "periodicity": 1e-8}
 
 # simulate keeps every state in its report; this bounds its time and memory.
 MAX_SIMULATE_STEPS = 10000
@@ -144,20 +147,18 @@ def _point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
     }
 
 
-def _base_doc(command: str, spec: Dict[str, Any],
-              tols: Dict[str, float]) -> Dict[str, Any]:
+def _base_doc(command: str, spec: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "version": __version__,
         "command": command,
         "input": spec,
-        "tolerances": dict(tols),
+        "tolerances": dict(TOLERANCES),
         "status": "ok",
     }
 
 
-def _error_doc(command: str, spec: Any, tols: Dict[str, float],
-               message: str) -> Dict[str, Any]:
-    doc = _base_doc(command, spec, tols)
+def _error_doc(command: str, spec: Any, message: str) -> Dict[str, Any]:
+    doc = _base_doc(command, spec)
     doc["status"] = "error"
     doc["message"] = message
     return doc
@@ -189,16 +190,15 @@ def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
     return block
 
 
-def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_point(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
-    res = construction.snell_fagnano_point(t, w,
-                                           eps_angle=tols["interior_angle"])
+    res = construction.snell_fagnano_point(t, w)
     # Where no closed orbit exists, the oracle gives the constrained minimum.
     brute = (None if res.orbit_in_sides
              else optimize.minimize_inscribed(t, w).cost)
     k = construction.coeffs_from_weights(w)
-    doc = _base_doc("point", spec, tols)
+    doc = _base_doc("point", spec)
     doc["status"] = res.status
     doc["weights_normalized"] = _normalized(w.triple)
     doc["refraction_coefficients"] = list(k.triple)
@@ -238,7 +238,7 @@ def cmd_point(spec, tols) -> Tuple[Dict[str, Any], int]:
     return doc, EXIT_OK
 
 
-def cmd_convert(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_convert(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     node = spec.get("coords")
     if not isinstance(node, dict):
@@ -248,7 +248,7 @@ def cmd_convert(spec, tols) -> Tuple[Dict[str, Any], int]:
         raise CliError(EXIT_INVALID,
                        "coords.kind must be barycentric, trilinear or tripolar")
     values = _triple(node.get("values"), "coords.values")
-    doc = _base_doc("convert", spec, tols)
+    doc = _base_doc("convert", spec)
     doc["kind"] = kind
     doc["values"] = list(values)
     doc["values_normalized"] = _normalized(values)
@@ -283,7 +283,7 @@ def _state_block(t: geometry.Triangle,
     }
 
 
-def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_simulate(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
     k = construction.coeffs_from_weights(w)
@@ -296,8 +296,7 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
 
     node = spec.get("start")
     if node is None:
-        res = construction.snell_fagnano_point(
-            t, w, eps_angle=tols["interior_angle"])
+        res = construction.snell_fagnano_point(t, w)
         if res.status != construction.STATUS_INTERIOR:
             raise CliError(EXIT_MISSING,
                            "no interior orbit to launch from (status %s); "
@@ -324,13 +323,9 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
         except (billiards.TotalInternalReflection, billiards.HitVertex) as e:
             raise CliError(EXIT_DYNAMICS, "step %d: %s" % (i + 1, e))
 
-    last = states[-1]
-    side_match = last.side == start.side
-    param_error = abs(last.param - start.param)
-    direction_error = math.dist(last.direction, start.direction)
-    periodic = (side_match and param_error < tols["periodicity"]
-                and direction_error < tols["periodicity"])
-    doc = _base_doc("simulate", spec, tols)
+    side_match, param_error, direction_error, periodic = billiards.closure(
+        start, states[-1], TOLERANCES["periodicity"])
+    doc = _base_doc("simulate", spec)
     doc["kappa"] = list(k.triple)
     doc["steps"] = steps
     doc["trajectory"] = [_state_block(t, s) for s in states]
@@ -343,11 +338,11 @@ def cmd_simulate(spec, tols) -> Tuple[Dict[str, Any], int]:
     return doc, EXIT_OK
 
 
-def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_minimize(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
     rep = optimize.minimize_inscribed(t, w)
-    doc = _base_doc("minimize", spec, tols)
+    doc = _base_doc("minimize", spec)
     doc["report"] = {
         "params": [rep.best.tA, rep.best.tB, rep.best.tC],
         "vertices": [_xy(p) for p in rep.best.points],
@@ -356,8 +351,7 @@ def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
         "converged": rep.converged,
         "flatness": rep.flatness,
     }
-    res = construction.snell_fagnano_point(t, w,
-                                           eps_angle=tols["interior_angle"])
+    res = construction.snell_fagnano_point(t, w)
     gap = ((rep.cost - res.weighted_perimeter)
            / max(abs(res.weighted_perimeter), 1e-300))
     doc["constructed"] = {
@@ -368,7 +362,7 @@ def cmd_minimize(spec, tols) -> Tuple[Dict[str, Any], int]:
     return doc, EXIT_OK
 
 
-def cmd_river(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_river(spec) -> Tuple[Dict[str, Any], int]:
     node = spec.get("river")
     if not isinstance(node, dict):
         raise CliError(EXIT_INVALID, "spec needs a \"river\" object")
@@ -384,26 +378,29 @@ def cmd_river(spec, tols) -> Tuple[Dict[str, Any], int]:
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
     x, cost, residual = billiards.solve_river(inst)
-    doc = _base_doc("river", spec, tols)
+    doc = _base_doc("river", spec)
     doc["x"] = _xy(x)
     doc["cost"] = cost
     doc["snell_residual"] = residual
     return doc, EXIT_OK
 
 
-def cmd_render(spec, tols) -> Tuple[Dict[str, Any], int]:
+def cmd_render(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec)
     out = spec.get("svg_path")
     if not isinstance(out, str) or not out:
         raise CliError(EXIT_INVALID,
                        "render needs an output path (--svg or \"svg_path\")")
-    res = construction.snell_fagnano_point(t, w,
-                                           eps_angle=tols["interior_angle"])
-    layers = spec.get("layers") or {}
+    layers = spec.get("layers", {})
+    if (not isinstance(layers, dict) or set(layers) - {"apollonius"}
+            or not isinstance(layers.get("apollonius", False), bool)):
+        raise CliError(EXIT_INVALID,
+                       "layers must be {\"apollonius\": true or false}")
+    res = construction.snell_fagnano_point(t, w)
     circles = None
     common = None
-    if isinstance(layers, dict) and layers.get("apollonius"):
+    if layers.get("apollonius"):
         circles = [
             apollonius.apollonian_circle(t.vA, t.vB, w.lam_A / w.lam_B),
             apollonius.apollonian_circle(t.vB, t.vC, w.lam_B / w.lam_C),
@@ -416,7 +413,7 @@ def cmd_render(spec, tols) -> Tuple[Dict[str, Any], int]:
             fh.write(svg)
     except OSError as e:
         raise CliError(EXIT_IO, "cannot write %s: %s" % (out, e))
-    doc = _base_doc("render", spec, tols)
+    doc = _base_doc("render", spec)
     doc["construction_status"] = res.status
     doc["svg_path"] = out
     doc["svg_bytes"] = len(svg.encode("utf-8"))
@@ -433,8 +430,7 @@ HANDLERS = {
 }
 
 
-def run_spec(command: str, spec: Any,
-             tols: Dict[str, float]) -> Tuple[Dict[str, Any], int]:
+def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
     """Dispatch one job; never raises, always returns a report document."""
     if not isinstance(spec, dict):
         spec = {"_raw": spec}
@@ -444,7 +440,7 @@ def run_spec(command: str, spec: Any,
         err = None
     if err is None:
         try:
-            return HANDLERS[command](spec, tols)
+            return HANDLERS[command](spec)
         except CliError as e:
             err = (e.code, str(e))
         except (coordinates.NoSuchPoint, coordinates.IdealPoint,
@@ -458,50 +454,11 @@ def run_spec(command: str, spec: Any,
             err = (EXIT_INVALID, "invalid job spec: %s" % e)
         except OSError as e:
             err = (EXIT_IO, str(e))
-    return _error_doc(command, spec, tols, err[1]), err[0]
+    return _error_doc(command, spec, err[1]), err[0]
 
 
-def _resolve_tols(config_path: Optional[str],
-                  overrides: List[str]) -> Dict[str, float]:
-    tols = dict(DEFAULT_TOLS)
-
-    def apply(name: str, value: Any, origin: str):
-        if name not in tols:
-            raise CliError(EXIT_INVALID,
-                           "unknown tolerance %r in %s (known: %s)"
-                           % (name, origin, ", ".join(sorted(tols))))
-        v = _finite(value, "tolerance %s" % name)
-        if v <= 0.0:
-            raise CliError(EXIT_INVALID, "tolerance %s must be positive" % name)
-        tols[name] = v
-
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                cfg = _loads(fh.read())
-        except OSError as e:
-            raise CliError(EXIT_IO, "cannot read config: %s" % e)
-        if not isinstance(cfg, dict):
-            raise CliError(EXIT_INVALID, "config must be a JSON object")
-        section = cfg.get("tolerances", cfg)
-        if not isinstance(section, dict):
-            raise CliError(EXIT_INVALID, "config tolerances must be an object")
-        for name, value in section.items():
-            apply(name, value, "config")
-    for item in overrides:
-        name, sep, raw = item.partition("=")
-        if not sep:
-            raise CliError(EXIT_INVALID, "--tol expects NAME=VALUE, got %r" % item)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError(EXIT_INVALID, "--tol %s: bad number %r" % (name, raw))
-        apply(name.strip(), value, "--tol")
-    return tols
-
-
-def _run_job(command: str, text: str, tols: Dict[str, float], batch: bool,
-             indent: int = 0, svg: Optional[str] = None) -> int:
+def _run_job(command: str, text: str, batch: bool, indent: int = 0,
+             svg: Optional[str] = None) -> int:
     """Write the report of one job to stdout; return its exit code.
 
     Never raises.  A batch line may name its own "command", and its report
@@ -532,23 +489,23 @@ def _run_job(command: str, text: str, tols: Dict[str, float], batch: bool,
                 if not isinstance(job, str) or job not in HANDLERS:
                     raise CliError(EXIT_INVALID, "unknown command %r" % (job,))
                 cmd = job
-            elif svg and isinstance(spec, dict):
+            elif svg is not None and isinstance(spec, dict):
                 spec = dict(spec, svg_path=svg)
-            doc, code = run_spec(cmd, spec, tols)
+            doc, code = run_spec(cmd, spec)
         except CliError as e:
             if not batch:
                 sys.stderr.write("sf: %s\n" % e)
                 return e.code
-            doc, code = _error_doc(cmd, spec, tols, str(e)), e.code
+            doc, code = _error_doc(cmd, spec, str(e)), e.code
         return finish(doc, code)
     except Exception as e:  # a defect in sf: report it, keep a batch going
         import traceback
         traceback.print_exc()
-        return finish(_error_doc(cmd, spec, tols, "internal error: %s: %s"
+        return finish(_error_doc(cmd, spec, "internal error: %s: %s"
                                  % (type(e).__name__, e)), EXIT_INTERNAL)
 
 
-def _run_batch(command: str, path: str, tols: Dict[str, float]) -> int:
+def _run_batch(command: str, path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -557,7 +514,7 @@ def _run_batch(command: str, path: str, tols: Dict[str, float]) -> int:
         return EXIT_IO
     worst = EXIT_OK
     for line in lines:
-        worst = max(worst, _run_job(command, line, tols, batch=True))
+        worst = max(worst, _run_job(command, line, batch=True))
     return worst
 
 
@@ -566,26 +523,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="sf",
         description="Weighted closed-orbit construction and optimization "
                     "for triangles.")
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=HANDLERS)
     ap.add_argument("--input", help="job spec JSON file (default: stdin)")
     ap.add_argument("--batch", help="JSON-lines file of job specs")
-    ap.add_argument("--config", help="JSON file with a tolerances object")
-    ap.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                    help="override one tolerance (repeatable)")
-    ap.add_argument("--svg", help="output path for render")
+    ap.add_argument("--svg", help="output path for a single render job")
     ap.add_argument("--compact", action="store_true",
                     help="one-line JSON output")
     ap.add_argument("--version", action="version", version=__version__)
     args = ap.parse_args(argv)
 
-    try:
-        tols = _resolve_tols(args.config, args.tol)
-    except CliError as e:
-        sys.stderr.write("sf: %s\n" % e)
-        return e.code
+    if args.svg is not None and (args.command != "render" or args.batch):
+        sys.stderr.write("sf: --svg goes only with a single render job\n")
+        return EXIT_INVALID
 
     if args.batch:
-        return _run_batch(args.command, args.batch, tols)
+        return _run_batch(args.command, args.batch)
 
     if args.input:
         try:
@@ -596,7 +548,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_IO
     else:
         text = sys.stdin.read()
-    return _run_job(args.command, text, tols, batch=False,
+    return _run_job(args.command, text, batch=False,
                     indent=0 if args.compact else 2, svg=args.svg)
 
 

@@ -26,6 +26,7 @@ result distinguishes it; optimize.minimize_inscribed prices that case.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -55,6 +56,12 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
     def __new__(cls, lam_A: float, lam_B: float, lam_C: float):
         if min(lam_A, lam_B, lam_C) <= 0.0:
             raise ValueError("weights must be strictly positive")
+        # Every pairwise ratio (the refraction coefficients among them) must
+        # be a normal float: none may overflow or go subnormal.
+        ratio = min(lam_A, lam_B, lam_C) / max(lam_A, lam_B, lam_C)
+        if ratio < sys.float_info.min:
+            raise ValueError("smallest / largest weight is %.17g, below %.17g"
+                             % (ratio, sys.float_info.min))
         return super().__new__(cls, lam_A, lam_B, lam_C)
 
     @property
@@ -163,8 +170,7 @@ def interior_conditions(t: Triangle, tt: TildeTriangle,
             t.gamma + gt < math.pi - eps_angle)
 
 
-def snell_fagnano_point(t: Triangle, w: Weights,
-                        eps_angle: float = EPS_ANGLE) -> SnellOrbitResult:
+def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
 
     The point comes from its closed-form barycentrics; it is interior
@@ -188,7 +194,7 @@ def snell_fagnano_point(t: Triangle, w: Weights,
     except coordinates.IdealPoint:
         f = None
     erected = erect_similar(t, tt)
-    conds = interior_conditions(t, tt, eps_angle=eps_angle)
+    conds = interior_conditions(t, tt)
     if all(conds):
         orbit = pedal_triangle(f, t)
         in_sides = all(0.0 < p < 1.0 for p in (orbit.tA, orbit.tB, orbit.tC))
@@ -207,8 +213,8 @@ def _sin_at(v: Point2, p: Point2, q: Point2) -> float:
     return abs(u1.cross(u2)) / (u1.norm() * u2.norm())
 
 
-def verify_snell_point(f: Point2, t: Triangle, k: RefractionCoeffs,
-                       eps: float = 1e-12) -> Tuple[float, float, float]:
+def verify_snell_point(f: Point2, t: Triangle,
+                       k: RefractionCoeffs) -> Tuple[float, float, float]:
     """Residuals of the three sine-ratio characterizations of the point.
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
@@ -216,7 +222,7 @@ def verify_snell_point(f: Point2, t: Triangle, k: RefractionCoeffs,
     """
     f = Point2(*f)
     tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
-    if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < eps * max(map(abs, tl)):
+    if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * max(map(abs, tl)):
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
     r_a = _sin_at(t.vC, f, t.vA) / _sin_at(t.vB, f, t.vA)
     r_b = _sin_at(t.vA, f, t.vB) / _sin_at(t.vC, f, t.vB)

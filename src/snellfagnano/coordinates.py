@@ -84,14 +84,13 @@ def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
     )
 
 
-def from_barycentric(bc: BarycentricCoords, t: Triangle,
-                     eps: float = 1e-14) -> Point2:
+def from_barycentric(bc: BarycentricCoords, t: Triangle) -> Point2:
     """Affine combination of the vertices after normalizing the triple."""
     s = bc[0] + bc[1] + bc[2]
     scale = max(abs(bc[0]), abs(bc[1]), abs(bc[2]))
     if scale == 0.0:
         raise IdealPoint("all-zero coordinate triple")
-    if abs(s) <= eps * scale:
+    if abs(s) <= 1e-14 * scale:
         raise IdealPoint("coordinate sum is zero: point at infinity")
     u, v, w = bc[0] / s, bc[1] / s, bc[2] / s
     return Point2(u * t.vA.x + v * t.vB.x + w * t.vC.x,
@@ -114,8 +113,7 @@ def tripolar_of_point(p: Point2, t: Triangle) -> TripolarCoords:
     return TripolarCoords(dist(p, t.vA), dist(p, t.vB), dist(p, t.vC))
 
 
-def isogonal_conjugate(bc: BarycentricCoords, t: Triangle,
-                       eps: float = 1e-12) -> BarycentricCoords:
+def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     """Reflect the three cevians in the angle bisectors.
 
     In trilinear coordinates the map is componentwise inversion, so it is an
@@ -123,7 +121,7 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle,
     """
     tl = barycentric_to_trilinear(bc, t)
     scale = max(abs(tl[0]), abs(tl[1]), abs(tl[2]))
-    if scale == 0.0 or min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < eps * scale:
+    if scale == 0.0 or min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * scale:
         raise OnSideLine("isogonal conjugation is undefined on the side lines")
     inv = TrilinearCoords(1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2])
     return trilinear_to_barycentric(inv, t)

@@ -15,9 +15,6 @@ from typing import NamedTuple, Optional, Tuple
 # (|signed area| compared against the squared diameter).
 EPS_DEGENERATE = 1e-12
 
-# Default residual tolerance for membership/incidence checks.
-EPS_GEOMETRIC = 1e-10
-
 
 class GeometryError(Exception):
     """Base class for all geometric failures in this package."""
@@ -129,11 +126,11 @@ class Triangle:
     __slots__ = ("vA", "vB", "vC", "a", "b", "c",
                  "alpha", "beta", "gamma", "area", "diameter")
 
-    def __init__(self, vA, vB, vC, eps_degenerate: float = EPS_DEGENERATE):
+    def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
         area2 = signed_area(vA, vB, vC)
         diam = max(dist(vA, vB), dist(vB, vC), dist(vC, vA))
-        if abs(area2) <= eps_degenerate * diam * diam:
+        if abs(area2) <= EPS_DEGENERATE * diam * diam:
             raise DegenerateTriangle(
                 f"vertices are collinear within tolerance (area {area2:g})")
         if area2 < 0.0:
@@ -215,8 +212,7 @@ def circumcircle(t: Triangle) -> Tuple[Point2, float]:
     return center, dist(center, t.vA)
 
 
-def triangle_from_sides(a: float, b: float, c: float,
-                        eps_degenerate: float = EPS_DEGENERATE) -> Triangle:
+def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
     B goes to the origin, C to (a, 0) and A into the upper half-plane, at
@@ -225,16 +221,15 @@ def triangle_from_sides(a: float, b: float, c: float,
     if min(a, b, c) <= 0.0:
         raise TriangleInequalityViolated("side lengths must be positive")
     s = a + b + c
-    if (a >= b + c - eps_degenerate * s or
-            b >= c + a - eps_degenerate * s or
-            c >= a + b - eps_degenerate * s):
+    if (a >= b + c - EPS_DEGENERATE * s or
+            b >= c + a - EPS_DEGENERATE * s or
+            c >= a + b - EPS_DEGENERATE * s):
         raise TriangleInequalityViolated(
             f"sides ({a:g}, {b:g}, {c:g}) violate the strict triangle inequality")
     # A is at distance c from B=(0,0) and b from C=(a,0).
     x = 0.5 * a + (c - b) * (c + b) / (2.0 * a)
     y = 2.0 * heron_area(a, b, c) / a
-    return Triangle(Point2(x, y), Point2(0.0, 0.0), Point2(a, 0.0),
-                    eps_degenerate=eps_degenerate)
+    return Triangle(Point2(x, y), Point2(0.0, 0.0), Point2(a, 0.0))
 
 
 class InscribedTriangle(NamedTuple):

@@ -32,7 +32,8 @@ from snellfagnano.coordinates import tripolar_of_point, tripolar_to_points
 from snellfagnano.geometry import intersect_lines
 from snellfagnano.optimize import minimize_inscribed
 
-CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
+EXPECTED = os.path.join(CORPUS, "expected")
 
 _SAMPLES = None
 
@@ -252,28 +253,39 @@ def test_criterion_9_degenerate_regime():
 
 
 def _run_corpus_once(tmp_dir):
-    """One full pass over the corpus; returns {label: output bytes}."""
+    """One full pass over the corpus; returns {label: output bytes}.
+
+    Runs from tmp_dir with relative SVG names, so no report echoes a path
+    that depends on where the pass ran.  Labels are file names under
+    EXPECTED.
+    """
     outputs = {}
-    for path in sorted(glob.glob(os.path.join(CORPUS, "*.json"))):
-        name = os.path.basename(path)
-        command = name.split("_")[0]
-        args = [command, "--input", path]
-        svg_path = None
-        if command == "render":
-            svg_path = os.path.join(tmp_dir, name + ".svg")
-            args += ["--svg", svg_path]
+
+    def capture(label, args):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             cli.main(args)
-        outputs[name] = buf.getvalue().encode()
-        if svg_path:
-            with open(svg_path, "rb") as fh:
-                outputs[name + ".svg"] = fh.read()
-    batch = os.path.join(CORPUS, "batch.jsonl")
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli.main(["point", "--batch", batch])
-    outputs["batch.jsonl"] = buf.getvalue().encode()
+        outputs[label] = buf.getvalue().encode()
+
+    cwd = os.getcwd()
+    os.chdir(tmp_dir)
+    try:
+        for path in sorted(glob.glob(os.path.join(CORPUS, "*.json"))):
+            name = os.path.basename(path)
+            stem = name[:-len(".json")]
+            command = name.split("_")[0]
+            args = [command, "--input", path]
+            if command == "render":
+                args += ["--svg", stem + ".svg"]
+            capture(name, args)
+            capture(stem + ".compact.json", args + ["--compact"])
+            if command == "render":
+                with open(stem + ".svg", "rb") as fh:
+                    outputs[stem + ".svg"] = fh.read()
+        capture("batch.jsonl",
+                ["point", "--batch", os.path.join(CORPUS, "batch.jsonl")])
+    finally:
+        os.chdir(cwd)
     return outputs
 
 
@@ -287,3 +299,29 @@ def test_criterion_10_determinism(tmp_path):
     ok = not diffs and len(first) == len(second) and len(first) >= 14
     report(10, "byte-identical corpus outputs (%d artifacts)" % len(first),
            ok, "differing: %s" % (", ".join(diffs) if diffs else "none"))
+
+
+def test_corpus_matches_golden_bytes(tmp_path):
+    """Every corpus report and SVG equals its committed bytes.
+
+    A change that moves a report regenerates tests/corpus/expected with
+    `PYTHONPATH=src python tests/test_acceptance.py` and explains the diff.
+    """
+    outputs = _run_corpus_once(str(tmp_path))
+    assert sorted(outputs) == sorted(os.listdir(EXPECTED))
+    for name, data in outputs.items():
+        with open(os.path.join(EXPECTED, name), "rb") as fh:
+            assert data == fh.read(), name
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = _run_corpus_once(tmp)
+    os.makedirs(EXPECTED, exist_ok=True)
+    for old in os.listdir(EXPECTED):
+        os.remove(os.path.join(EXPECTED, old))
+    for name, data in golden.items():
+        with open(os.path.join(EXPECTED, name), "wb") as fh:
+            fh.write(data)

@@ -63,7 +63,7 @@ def test_point_456_unit_weights(capsys, tmp_path):
     conj = doc["isogonal_conjugate"]
     tn = conj["tripolar_normalized"]
     assert max(tn) - min(tn) < 1e-9  # circumcenter: equidistant
-    assert doc["tolerances"] == cli.DEFAULT_TOLS
+    assert doc["tolerances"] == cli.TOLERANCES
 
 
 def test_point_stdin(capsys, monkeypatch):
@@ -161,19 +161,38 @@ def test_point_reports_brute_force_cost_without_orbit(capsys, tmp_path):
 
 
 def test_point_internal_error_gets_a_report(capsys, monkeypatch):
-    # lam_A / lam_B overflows to inf, which no report can carry
-    spec = {"triangle": {"sides": [3, 4, 5]}, "weights": [1e300, 1e-300, 1]}
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(spec)))
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "point", broken)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(T456)))
     code = cli.main(["point"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out.startswith("{\n")  # indented, as any single job
     doc = json.loads(captured.out)
     assert doc["status"] == "error"
-    assert doc["message"].startswith("internal error: ValueError:")
+    assert doc["message"] == "internal error: RuntimeError: boom"
     assert "exit_code" not in doc
-    assert "sf: internal error: ValueError:" in captured.err
+    assert "sf: internal error: RuntimeError: boom" in captured.err
     assert "Traceback" in captured.err
+
+
+def test_weight_ratio_limit_is_the_same_for_every_command(capsys, tmp_path):
+    # Weights whose ratios leave the normal float range are refused alike by
+    # every command that takes weights, and never reach an internal error.
+    for k in range(140, 171):
+        for weights in ([10.0 ** k, 1, 10.0 ** -k], [10.0 ** k, 10.0 ** -k, 1]):
+            spec = {"triangle": {"sides": [4, 5, 6]}, "weights": weights,
+                    "svg_path": str(tmp_path / "w.svg")}
+            path = write_spec(tmp_path, spec)
+            codes = [cli.main([command, "--input", path]) for command in
+                     ("point", "simulate", "minimize", "render")]
+            capsys.readouterr()
+            assert 1 not in codes, (k, weights, codes)
+            assert codes.count(2) in (0, 4), (k, weights, codes)
+            assert (codes[0] == 2) == (min(weights) / max(weights)
+                                       < sys.float_info.min), (k, weights)
 
 
 def test_point_rejects_nan(tmp_path, capsys):
@@ -492,46 +511,61 @@ def test_render_unwritable_path(capsys, tmp_path):
     assert code == 5
 
 
+def test_inputs_that_would_be_ignored_exit_2(capsys, tmp_path):
+    out = str(tmp_path / "scene.svg")
+    render = dict(corpus_spec("render_plain.json"), svg_path=out)
+    cases = [(["render"], dict(render, layers=layers)) for layers in (
+        {"apollonius": "no"}, {"apollonius": 1}, {"apollonius": None},
+        {"apolonius": True}, ["apollonius"], "apollonius", None)]
+    cases += [([command, "--svg", out], T456)
+              for command in ("point", "simulate", "minimize")]
+    cases.append((["render", "--svg", out, "--batch",
+                   write_spec(tmp_path, render)], None))
+    for args, spec in cases:
+        if spec is not None:
+            args = args + ["--input", write_spec(tmp_path, spec)]
+        assert cli.main(args) == 2, args
+        assert not os.path.exists(out), args
+        capsys.readouterr()
+    for layers in ({}, {"apollonius": False}, {"apollonius": True}):
+        assert cli.main(["render", "--input", write_spec(
+            tmp_path, dict(render, layers=layers))]) == 0
+
+
 # ---------------------------------------------------------------------------
-# tolerances, config, batch
+# tolerances, batch
 
-def test_tol_override_echoed(capsys, tmp_path):
-    code, doc = run_doc(capsys, ["point", "--input",
-                                 write_spec(tmp_path, T456),
-                                 "--tol", "periodicity=0.01"])
-    assert code == 0
-    assert doc["tolerances"]["periodicity"] == 0.01
-    assert doc["tolerances"]["interior_angle"] == 1e-10
-
-
-def test_unknown_tolerance(capsys, tmp_path):
-    code = cli.main(["point", "--input", write_spec(tmp_path, T456),
-                     "--tol", "bogus=1"])
-    capsys.readouterr()
-    assert code == 2
-    # the closed-form point has no concurrency check left to tune
-    code = cli.main(["point", "--input", write_spec(tmp_path, T456),
-                     "--tol", "concurrency=1e-9"])
-    assert "unknown tolerance 'concurrency'" in capsys.readouterr().err
-    assert code == 2
-    # nor does the closed-form tripolar inversion re-validate its points
-    code = cli.main(["point", "--input", write_spec(tmp_path, T456),
-                     "--tol", "tripolar_validate=1e-8"])
-    assert "unknown tolerance 'tripolar_validate'" in capsys.readouterr().err
-    assert code == 2
+def test_tolerances_are_constants(capsys, tmp_path):
+    assert cli.TOLERANCES["interior_angle"] == \
+        snellfagnano.construction.EPS_ANGLE
+    for flag in (["--tol", "periodicity=0.01"], ["--config", "c.json"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["point", "--input", write_spec(tmp_path, T456)] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_config_then_tol_precedence(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"tolerances": {"periodicity": 0.5, "interior_angle": 1e-6}}))
-    code, doc = run_doc(capsys, ["point", "--input",
-                                 write_spec(tmp_path, T456),
-                                 "--config", str(cfg),
-                                 "--tol", "periodicity=0.25"])
-    assert code == 0
-    assert doc["tolerances"]["periodicity"] == 0.25
-    assert doc["tolerances"]["interior_angle"] == 1e-6
+def test_simulate_closure_is_billiards_closure(capsys, monkeypatch, tmp_path):
+    def state(block):
+        return snellfagnano.BilliardState(block["side"], block["param"],
+                                          snellfagnano.Point2(
+                                              *block["direction"]))
+
+    # a zero threshold must flip the verdict of the closed default orbit
+    for tol in (cli.TOLERANCES["periodicity"], 0.0):
+        monkeypatch.setitem(cli.TOLERANCES, "periodicity", tol)
+        for spec in (T456, corpus_spec("simulate_explicit.json")):
+            _, doc = run_doc(capsys, ["simulate", "--input",
+                                      write_spec(tmp_path, spec)])
+            closure = doc["closure"]
+            got = (closure["side_match"], closure["param_error"],
+                   closure["direction_error"], doc["periodic"])
+            assert got == snellfagnano.billiards.closure(
+                state(doc["trajectory"][0]), state(doc["trajectory"][-1]),
+                tol)
+            if spec is T456:
+                assert doc["periodic"] is (tol > 0.0)
+            assert doc["tolerances"]["periodicity"] == tol
 
 
 def test_batch_preserves_order_and_codes(capsys):
@@ -546,7 +580,7 @@ def test_batch_preserves_order_and_codes(capsys):
 
 
 def test_batch_survives_an_internal_error(capsys, monkeypatch, tmp_path):
-    def broken(spec, tols):
+    def broken(spec):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.HANDLERS, "river", broken)
