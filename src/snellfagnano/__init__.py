@@ -9,10 +9,11 @@ Submodules load on first use: ``import snellfagnano`` puts a lazy module
 (``importlib.util.LazyLoader``) for each of them into ``sys.modules``, and a
 submodule's body runs when one of its attributes, or a public name of the
 package, is first looked up.  A cold ``sf`` process therefore compiles and
-runs only the modules its command uses, and an error inside a submodule
-surfaces on that first use, not at ``import snellfagnano``.  Before Python
-3.12 that first use is not thread-safe, so a threaded caller looks up one
-name of each submodule it needs before it starts its threads.
+runs only the CLI core (``cli`` and ``jobs``), its command's module
+(``cmd_<command>``) and the modules that command uses, and an error inside
+a submodule surfaces on that first use, not at ``import snellfagnano``.
+Before Python 3.12 that first use is not thread-safe, so a threaded caller
+looks up one name of each submodule it needs before it starts its threads.
 """
 
 import sys
@@ -48,6 +49,14 @@ _PUBLIC = (
     ("optimize", ("MinimizeReport", "minimize_inscribed", "weighted_perimeter")),
     ("render", ()),
     ("serialize", ()),
+    # The `sf` command modules and the helpers they share (see cli).
+    ("jobs", ()),
+    ("cmd_point", ()),
+    ("cmd_convert", ()),
+    ("cmd_simulate", ()),
+    ("cmd_minimize", ()),
+    ("cmd_river", ()),
+    ("cmd_render", ()),
 )
 _HOME = {name: module for module, names in _PUBLIC for name in names}
 

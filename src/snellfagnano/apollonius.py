@@ -41,11 +41,6 @@ class ApollonianCircle(NamedTuple):
     point: Optional[Point2] = None
     direction: Optional[Point2] = None
 
-    def ratio_residual(self, p: Point2) -> float:
-        """Relative deviation of d(p, base1)/d(p, base2) from the ratio."""
-        d1, d2 = dist(p, self.base1), dist(p, self.base2)
-        return abs(d1 - self.ratio * d2) / max(d1, self.ratio * d2, 1e-300)
-
 
 def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
     """Locus of points with d(X, p1)/d(X, p2) = r."""

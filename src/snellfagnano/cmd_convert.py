@@ -1,0 +1,47 @@
+"""`sf convert`: a barycentric, trilinear or tripolar triple to points.
+
+A tripolar triple can name two points, one or none (exit 3).
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, List, Tuple
+
+from . import coordinates
+from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, normalized,
+                   parse_triangle, point_block, triple)
+
+
+def run(spec) -> Tuple[Dict[str, Any], int]:
+    t = parse_triangle(spec)
+    node = spec.get("coords")
+    if not isinstance(node, dict):
+        raise CliError(EXIT_INVALID, "spec needs a \"coords\" object")
+    kind = node.get("kind")
+    if kind not in ("barycentric", "trilinear", "tripolar"):
+        raise CliError(EXIT_INVALID,
+                       "coords.kind must be barycentric, trilinear or tripolar")
+    values = triple(node.get("values"), "coords.values")
+    doc = base_doc("convert", spec)
+    doc["kind"] = kind
+    doc["values"] = list(values)
+    doc["values_normalized"] = normalized(values)
+
+    points: List[Dict[str, Any]] = []
+    if kind == "tripolar":
+        if min(values) < 0.0:
+            raise CliError(EXIT_INVALID, "tripolar distances must be >= 0")
+        for p, s in coordinates.tripolar_to_points(
+                coordinates.TripolarCoords(*values), t):
+            block = point_block(p, t)
+            block["scale"] = s
+            points.append(block)
+    else:
+        bc = (coordinates.BarycentricCoords(*values) if kind == "barycentric"
+              else coordinates.trilinear_to_barycentric(
+                  coordinates.TrilinearCoords(*values), t))
+        p = coordinates.from_barycentric(bc, t)
+        points.append(point_block(p, t))
+    doc["points"] = points
+    doc["count"] = len(points)
+    return doc, EXIT_OK

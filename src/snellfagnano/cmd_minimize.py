@@ -1,0 +1,32 @@
+"""`sf minimize`: the convex oracle's minimum beside the construction's."""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Tuple
+
+from . import construction, optimize
+from .jobs import EXIT_OK, base_doc, parse_triangle, parse_weights, xy
+
+
+def run(spec) -> Tuple[Dict[str, Any], int]:
+    t = parse_triangle(spec)
+    w = parse_weights(spec)
+    rep = optimize.minimize_inscribed(t, w)
+    doc = base_doc("minimize", spec)
+    doc["report"] = {
+        "params": [rep.best.tA, rep.best.tB, rep.best.tC],
+        "vertices": [xy(p) for p in rep.best.points],
+        "cost": rep.cost,
+        "iterations": rep.iterations,
+        "converged": rep.converged,
+        "flatness": rep.flatness,
+    }
+    res = construction.snell_fagnano_point(t, w)
+    gap = ((rep.cost - res.weighted_perimeter)
+           / max(abs(res.weighted_perimeter), 1e-300))
+    doc["constructed"] = {
+        "status": res.status,
+        "weighted_perimeter": res.weighted_perimeter,
+        "relative_gap": gap,
+    }
+    return doc, EXIT_OK

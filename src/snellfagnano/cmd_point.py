@@ -1,0 +1,87 @@
+"""`sf point`: the Snell-Fagnano point, its orbit and regime verdict.
+
+Where no closed orbit exists, the report adds the minimizer's constrained
+minimum as brute_force_cost; a failing tilde inequality is exit 3.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Tuple
+
+from . import construction, coordinates, geometry, optimize
+from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, normalized, parse_triangle,
+                   parse_weights, point_block, xy)
+
+
+def _failing_tilde_inequality(t: geometry.Triangle,
+                              w: construction.Weights) -> str:
+    sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
+             ("lam_C*c", w.lam_C * t.c))
+    for i in range(3):
+        name, val = sides[i]
+        others = [sides[j] for j in range(3) if j != i]
+        if val >= others[0][1] + others[1][1]:
+            return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
+                    % (name, others[0][0], others[1][0],
+                       val, others[0][1], others[1][1]))
+    return "scaled side triple fails the triangle inequality"
+
+
+def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
+    orbit = res.orbit
+    block = {
+        "params": [orbit.tA, orbit.tB, orbit.tC],
+        "vertices": [xy(p) for p in orbit.points],
+        "weighted_perimeter": res.weighted_perimeter,
+    }
+    if res.orbit_in_sides is not None:
+        block["in_sides"] = res.orbit_in_sides
+    return block
+
+
+def run(spec) -> Tuple[Dict[str, Any], int]:
+    t = parse_triangle(spec)
+    w = parse_weights(spec)
+    res = construction.snell_fagnano_point(t, w)
+    # Where no closed orbit exists, the oracle gives the constrained minimum.
+    brute = (None if res.orbit_in_sides
+             else optimize.minimize_inscribed(t, w).cost)
+    k = construction.coeffs_from_weights(w)
+    doc = base_doc("point", spec)
+    doc["status"] = res.status
+    doc["weights_normalized"] = normalized(w.triple)
+    doc["refraction_coefficients"] = list(k.triple)
+    if res.conditions is not None:
+        doc["interior_conditions"] = list(res.conditions)
+    if res.erected is not None:
+        doc["erected_apexes"] = [xy(p) for p in res.erected]
+    if res.point is not None:
+        doc["point"] = point_block(res.point, t)
+    if res.orbit is not None:
+        doc["orbit"] = _orbit_block(res)
+    if res.status == construction.STATUS_INTERIOR:
+        doc["snell_residuals"] = list(
+            construction.verify_snell_point(res.point, t, k))
+        bc = coordinates.to_barycentric(res.point, t)
+        conj = coordinates.from_barycentric(coordinates.isogonal_conjugate(bc, t), t)
+        ctp = coordinates.tripolar_of_point(conj, t)
+        doc["isogonal_conjugate"] = {
+            "xy": xy(conj),
+            "tripolar": list(ctp),
+            "tripolar_normalized": normalized(ctp),
+        }
+        if brute is not None:
+            doc["brute_force_cost"] = brute
+        return doc, EXIT_OK
+    info = res.degenerate_info or {}
+    doc["degenerate_info"] = {
+        "weighted_costs": dict(info.get("weighted_costs", {})),
+        "altitude_lengths": dict(info.get("altitude_lengths", {})),
+        "weighted_argmin": info.get("weighted_argmin"),
+        "shortest_altitude": info.get("shortest_altitude"),
+    }
+    doc["brute_force_cost"] = brute
+    if res.status == construction.STATUS_NO_TILDE:
+        doc["message"] = _failing_tilde_inequality(t, w)
+        return doc, EXIT_MISSING
+    return doc, EXIT_OK

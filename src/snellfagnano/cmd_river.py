@@ -1,0 +1,31 @@
+"""`sf river`: the weighted river crossing and its Snell residual."""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Tuple
+
+from . import billiards
+from .jobs import EXIT_INVALID, EXIT_OK, CliError, base_doc, finite, pair, xy
+
+
+def run(spec) -> Tuple[Dict[str, Any], int]:
+    node = spec.get("river")
+    if not isinstance(node, dict):
+        raise CliError(EXIT_INVALID, "spec needs a \"river\" object")
+    line = node.get("line")
+    if not isinstance(line, (list, tuple)) or len(line) != 2:
+        raise CliError(EXIT_INVALID, "river.line must list two points")
+    try:
+        inst = billiards.RiverInstance(
+            pair(node.get("a"), "river.a"), pair(node.get("b"), "river.b"),
+            (pair(line[0], "river.line"), pair(line[1], "river.line")),
+            finite(node.get("lam1"), "river.lam1"),
+            finite(node.get("lam2"), "river.lam2"))
+    except ValueError as e:
+        raise CliError(EXIT_INVALID, str(e))
+    x, cost, residual = billiards.solve_river(inst)
+    doc = base_doc("river", spec)
+    doc["x"] = xy(x)
+    doc["cost"] = cost
+    doc["snell_residual"] = residual
+    return doc, EXIT_OK

@@ -9,7 +9,7 @@ side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -101,18 +101,6 @@ def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
     if den <= 0.0:
         raise DegenerateLine("parameter target line is a single point")
     return Point2(p[0] - q1[0], p[1] - q1[1]).dot(d) / den
-
-
-def intersect_lines(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Optional[Point2]:
-    """Intersection of line p1p2 with line q1q2, or None when parallel."""
-    dp = Point2(p2[0] - p1[0], p2[1] - p1[1])
-    dq = Point2(q2[0] - q1[0], q2[1] - q1[1])
-    den = dp.cross(dq)
-    scale = dp.norm() * dq.norm()
-    if abs(den) <= 1e-14 * scale:
-        return None
-    t = Point2(q1[0] - p1[0], q1[1] - p1[1]).cross(dq) / den
-    return Point2(p1[0] + t * dp[0], p1[1] + t * dp[1])
 
 
 class Triangle:

@@ -1,0 +1,134 @@
+"""What every `sf` command module shares: spec parsing and report blocks.
+
+A job spec is parsed here into the package's own types (`Triangle`,
+`Weights`, `Point2`); a malformed field raises `CliError` with exit code
+2.  `base_doc` and `error_doc` start every report, so each one echoes the
+version, the command, the input and the fixed `TOLERANCES`.  The command
+modules (`cmd_point` ... `cmd_render`) and the CLI core import this
+module; it imports none of them, nor `cli`, which `python -m
+snellfagnano.cli` runs as `__main__` and an import would run a second time.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Dict, List, Optional, Tuple
+
+from . import __version__, construction, coordinates, geometry
+
+EXIT_OK = 0
+EXIT_INTERNAL = 1
+EXIT_INVALID = 2
+EXIT_MISSING = 3
+EXIT_DYNAMICS = 4
+EXIT_IO = 5
+
+# Echoed by every report.  interior_angle is construction.EPS_ANGLE, which
+# snell_fagnano_point applies; it is written out so that jobs which never
+# construct the orbit (river, convert) need not load construction.
+# periodicity is simulate's closure threshold.
+TOLERANCES = {"interior_angle": 1e-10, "periodicity": 1e-8}
+
+# simulate keeps every state in its report; this bounds its time and memory.
+MAX_SIMULATE_STEPS = 10000
+
+
+class CliError(Exception):
+    """Failure with a designated process exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def finite(x: Any, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise CliError(EXIT_INVALID, "%s must be a number" % what)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise CliError(EXIT_INVALID, "%s is out of range" % what)
+    if not math.isfinite(v):
+        raise CliError(EXIT_INVALID, "%s must be finite" % what)
+    return v
+
+
+def triple(node: Any, what: str) -> Tuple[float, float, float]:
+    if not isinstance(node, (list, tuple)) or len(node) != 3:
+        raise CliError(EXIT_INVALID, "%s must be a list of three numbers" % what)
+    return tuple(finite(v, what) for v in node)  # type: ignore[return-value]
+
+
+def pair(node: Any, what: str) -> geometry.Point2:
+    if not isinstance(node, (list, tuple)) or len(node) != 2:
+        raise CliError(EXIT_INVALID, "%s must be an [x, y] pair" % what)
+    return geometry.Point2(finite(node[0], what), finite(node[1], what))
+
+
+def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
+    node = spec.get("triangle")
+    if not isinstance(node, dict):
+        raise CliError(EXIT_INVALID, "spec needs a \"triangle\" object")
+    has_v = "vertices" in node
+    has_s = "sides" in node
+    if has_v == has_s:
+        raise CliError(EXIT_INVALID,
+                       "triangle needs exactly one of \"vertices\"/\"sides\"")
+    try:
+        if has_v:
+            vs = node["vertices"]
+            if not isinstance(vs, (list, tuple)) or len(vs) != 3:
+                raise CliError(EXIT_INVALID, "vertices must list three points")
+            return geometry.Triangle(*(pair(v, "vertex") for v in vs))
+        return geometry.triangle_from_sides(*triple(node["sides"], "sides"))
+    except (geometry.TriangleInequalityViolated, geometry.DegenerateTriangle,
+            ValueError) as e:
+        raise CliError(EXIT_INVALID, str(e))
+
+
+def parse_weights(spec: Dict[str, Any]) -> construction.Weights:
+    try:
+        return construction.Weights(*triple(spec.get("weights"), "weights"))
+    except ValueError as e:
+        raise CliError(EXIT_INVALID, str(e))
+
+
+def xy(p) -> List[float]:
+    return [float(p[0]), float(p[1])]
+
+
+def normalized(values) -> Optional[List[float]]:
+    s = sum(values)
+    if abs(s) <= 1e-12 * max(abs(v) for v in values):
+        return None
+    return [v / s for v in values]
+
+
+def point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
+    bc = coordinates.to_barycentric(p, t)
+    tl = coordinates.barycentric_to_trilinear(bc, t)
+    tp = coordinates.tripolar_of_point(p, t)
+    return {
+        "xy": xy(p),
+        "barycentric": list(bc),
+        "trilinear": list(tl),
+        "trilinear_normalized": normalized(tl),
+        "tripolar": list(tp),
+    }
+
+
+def base_doc(command: str, spec: Dict[str, Any]) -> Dict[str, Any]:
+    return {
+        "version": __version__,
+        "command": command,
+        "input": spec,
+        "tolerances": dict(TOLERANCES),
+        "status": "ok",
+    }
+
+
+def error_doc(command: str, spec: Any, message: str) -> Dict[str, Any]:
+    doc = base_doc(command, spec)
+    doc["status"] = "error"
+    doc["message"] = message
+    return doc

@@ -5,20 +5,38 @@ Each recomputes a quantity the package computes one way, by another route
 (cevian foot ratios, the sine-ratio concurrency of the side normals, and
 the biquadratic in the squared scale of a tripolar triple), so that the
 tests can compare the two.  degenerate_minimizer runs the construction's
-doubled-altitude fallback on its own.
+doubled-altitude fallback on its own.  intersect_lines and ratio_residual
+are plane helpers that only the tests use.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
-from snellfagnano.apollonius import TildeTriangle
+from snellfagnano.apollonius import ApollonianCircle, TildeTriangle
 from snellfagnano.construction import (STATUS_DEGENERATE, SnellOrbitResult,
                                        TildeDegenerate, Weights,
                                        _degenerate_result, erect_similar)
-from snellfagnano.geometry import (InscribedTriangle, Point2, Triangle, dist,
-                                   intersect_lines)
+from snellfagnano.geometry import InscribedTriangle, Point2, Triangle, dist
+
+
+def intersect_lines(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Optional[Point2]:
+    """Intersection of line p1p2 with line q1q2, or None when parallel."""
+    dp = Point2(p2[0] - p1[0], p2[1] - p1[1])
+    dq = Point2(q2[0] - q1[0], q2[1] - q1[1])
+    den = dp.cross(dq)
+    scale = dp.norm() * dq.norm()
+    if abs(den) <= 1e-14 * scale:
+        return None
+    t = Point2(q1[0] - p1[0], q1[1] - p1[1]).cross(dq) / den
+    return Point2(p1[0] + t * dp[0], p1[1] + t * dp[1])
+
+
+def ratio_residual(circle: ApollonianCircle, p: Point2) -> float:
+    """Relative deviation of d(p, base1)/d(p, base2) from circle's ratio."""
+    d1, d2 = dist(p, circle.base1), dist(p, circle.base2)
+    return abs(d1 - circle.ratio * d2) / max(d1, circle.ratio * d2, 1e-300)
 
 
 def _dist_to_line(p: Point2, q1: Point2, q2: Point2) -> float:

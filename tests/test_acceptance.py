@@ -21,7 +21,7 @@ from conftest import (altitude_feet_oracle, circumcenter_oracle,
                       orthocenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_degenerate, sample_triangle,
                       sample_weights, tilde_slack)
-from oracles import biquadratic_residual
+from oracles import biquadratic_residual, intersect_lines
 from snellfagnano import Point2, Weights, cli, dist
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
 from snellfagnano.billiards import (RiverInstance, is_periodic,
@@ -29,7 +29,6 @@ from snellfagnano.billiards import (RiverInstance, is_periodic,
 from snellfagnano.construction import (coeffs_from_weights, erect_similar,
                                        snell_fagnano_point)
 from snellfagnano.coordinates import tripolar_of_point, tripolar_to_points
-from snellfagnano.geometry import intersect_lines
 from snellfagnano.optimize import minimize_inscribed
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")

@@ -13,6 +13,7 @@ from snellfagnano.apollonius import (apollonian_circle,
 from conftest import (circumcenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_triangle, sample_weights,
                       tilde_slack)
+from oracles import ratio_residual
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +61,7 @@ def test_division_points_span_diameter():
             ang = 2 * math.pi * k / 8
             q = c.center + Point2(c.radius * math.cos(ang),
                                   c.radius * math.sin(ang))
-            assert c.ratio_residual(q) <= 1e-9
+            assert ratio_residual(c, q) <= 1e-9
 
 
 def test_circle_requires_positive_ratio():
@@ -201,8 +202,8 @@ def test_near_equal_weights_stay_on_all_three_circles():
                 for (v1, v2, r) in ((t.vA, t.vB, w.lam_A / w.lam_B),
                                     (t.vB, t.vC, w.lam_B / w.lam_C),
                                     (t.vC, t.vA, w.lam_C / w.lam_A)):
-                    assert apollonian_circle(v1, v2, r).ratio_residual(p) \
-                        <= 1e-12
+                    assert ratio_residual(apollonian_circle(v1, v2, r),
+                                          p) <= 1e-12
 
 
 def test_ptolemy_inequality_at_common_points():

@@ -12,10 +12,11 @@ from snellfagnano.billiards import (BilliardState, HitVertex, RiverInstance,
                                     snell_reflect, solve_river)
 from snellfagnano.construction import (coeffs_from_weights,
                                        snell_fagnano_point)
-from snellfagnano.geometry import GeometryError, intersect_lines
+from snellfagnano.geometry import GeometryError
 
 from conftest import (orthocenter_oracle, sample_acute_triangle,
                       sample_admissible)
+from oracles import intersect_lines
 
 UNIT_K = RefractionCoeffs(1.0, 1.0, 1.0)
 

@@ -687,7 +687,7 @@ def test_installed_sf_script(tmp_path):
     assert doc["status"] == "interior"
 
 
-# Imports the CLI and runs the job given on its command line, if any; then
+# Imports the CLI and runs the command line given to it, if any; then
 # prints the modules it imported that a cold start does not use, and the
 # snellfagnano modules whose bodies have run.
 COLD_START_PROBE = """
@@ -696,11 +696,15 @@ before = set(sys.modules)
 import snellfagnano.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = snellfagnano.cli.main(sys.argv[1:])
+        try:
+            code = snellfagnano.cli.main(sys.argv[1:])
+        except SystemExit as e:
+            code = e.code
     assert code == 0, code
 added = set(sys.modules) - before
 print(json.dumps({
-    "unused": sorted(added & {"numpy", "dataclasses", "concurrent.futures"}),
+    "unused": sorted(added & {"numpy", "dataclasses", "concurrent.futures",
+                              "argparse", "gettext", "locale", "textwrap"}),
     "ran": sorted(name for name, module in sys.modules.items()
                   if name.split(".")[0] == "snellfagnano"
                   and type(module) is types.ModuleType)}))
@@ -709,23 +713,26 @@ print(json.dumps({
 
 def test_cli_import_leaves_numpy_out():
     """The CLI imports nothing its cold start does not use: numpy is a test
-    dependency only, and the records and the batch loop need neither
-    dataclasses nor a thread pool.  Submodules load on first use, so
-    importing the CLI runs none of their bodies, and a cold job runs only
-    those of the modules its command calls."""
+    dependency only, the records and the batch loop need neither
+    dataclasses nor a thread pool, and the hand-written argument parser
+    needs none of argparse and what it loads.  Submodules load on first
+    use, so importing the CLI runs only the CLI core (cli and jobs), and a
+    cold job adds its command's module and the modules that command
+    calls."""
     cases = (
         ([], []),
+        (["--version"], []),
         (["river", "--input", corpus_path("river_basic.json")],
-         ["billiards", "geometry", "serialize"]),
+         ["cmd_river", "billiards", "geometry", "serialize"]),
         (["convert", "--input", corpus_path("convert_trilinear_incenter.json")],
-         ["coordinates", "geometry", "serialize"]),
+         ["cmd_convert", "coordinates", "geometry", "serialize"]),
     )
     for argv, used in cases:
         proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE] + argv,
                               capture_output=True, text=True,
                               env=checkout_env(), timeout=SUBPROCESS_TIMEOUT)
         assert proc.returncode == 0, proc.stderr
-        expected = ["snellfagnano", "snellfagnano.cli"] + [
+        expected = ["snellfagnano", "snellfagnano.cli", "snellfagnano.jobs"] + [
             "snellfagnano." + name for name in used]
         assert json.loads(proc.stdout) == {"unused": [],
                                            "ran": sorted(expected)}, argv
@@ -745,3 +752,104 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     from snellfagnano import __version__
     assert capsys.readouterr().out.strip() == __version__
+
+
+# Runs `python -m snellfagnano.cli` the way runpy does, on the command line
+# given to it, then prints whether a second copy of the CLI module loaded:
+# there `cli` runs as __main__, so any module importing it would run it
+# again as snellfagnano.cli.
+MAIN_MODULE_PROBE = """
+import contextlib, io, runpy, sys
+sys.argv[0] = "sf"
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("snellfagnano.cli", run_name="__main__",
+                         alter_sys=True)
+    except SystemExit as e:
+        code = e.code
+print(code, "snellfagnano.cli" in sys.modules, out.getvalue().count('"x"'))
+"""
+
+
+def test_main_module_is_not_imported_again():
+    proc = subprocess.run([sys.executable, "-c", MAIN_MODULE_PROBE, "river",
+                           "--input", corpus_path("river_basic.json")],
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=SUBPROCESS_TIMEOUT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "1"]
+
+
+# ---------------------------------------------------------------------------
+# command line parsing
+
+def test_help_flag(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["point", flag])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: sf ")
+        for name in ("--input", "--batch", "--svg", "--compact", "--version",
+                     *cli.HANDLERS):
+            assert name in out, name
+
+
+def test_usage_errors_exit_2(capsys, tmp_path):
+    path = write_spec(tmp_path, T456)
+    cases = [
+        ([], "the following arguments are required: command"),
+        (["--input", path], "the following arguments are required: command"),
+        (["bogus", "--input", path], "argument command: invalid choice: "
+         "'bogus' (choose from 'point', 'convert', 'simulate', 'minimize', "
+         "'river', 'render')"),
+        (["point", "--input"], "argument --input: expected one argument"),
+        (["point", "--batch", "--compact"],
+         "argument --batch: expected one argument"),
+        (["point", "--input", path, "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["point", "--comp", "--input", path], "unrecognized arguments: --comp"),
+        (["point", "point", "--input", path], "unrecognized arguments: point"),
+        # flags that would be accepted and then ignored
+        (["point", "--batch", path, "--input", path],
+         "argument --batch: not allowed with argument --input"),
+        (["point", "--input", path, "--input", path],
+         "argument --input: not allowed twice"),
+        (["point", "--batch=" + path, "--batch", path],
+         "argument --batch: not allowed twice"),
+        (["render", "--svg", "a.svg", "--svg=b.svg", "--input", path],
+         "argument --svg: not allowed twice"),
+        (["point", "--compact", "--input", path, "--compact"],
+         "argument --compact: not allowed twice"),
+    ]
+    for argv, reason in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage: sf "), argv
+        assert captured.err.endswith("sf: error: %s\n" % reason), argv
+
+
+def test_flag_forms_and_order(capsys, tmp_path):
+    path = write_spec(tmp_path, T456)
+    _, expected = run(capsys, ["point", "--input", path, "--compact"])
+    for argv in (["point", "--input=" + path, "--compact"],
+                 ["--compact", "point", "--input", path],
+                 ["--input", path, "--compact", "point"]):
+        assert run(capsys, argv) == (0, expected), argv
+    # an empty file name is a file that cannot be read, not stdin
+    assert cli.main(["point", "--input="]) == 5
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_main_module_usage_error():
+    proc = subprocess.run([sys.executable, "-m", "snellfagnano.cli", "bogus"],
+                          capture_output=True, text=True, env=checkout_env(),
+                          timeout=SUBPROCESS_TIMEOUT)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: sf ")
+    assert "sf: error: argument command: invalid choice" in proc.stderr

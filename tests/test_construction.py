@@ -20,7 +20,8 @@ from snellfagnano.optimize import minimize_inscribed
 from conftest import (altitude_feet_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
                       sample_triangle, sample_weights)
-from oracles import cevian_ratio, degenerate_minimizer, eta_concurrency_test
+from oracles import (cevian_ratio, degenerate_minimizer, eta_concurrency_test,
+                     intersect_lines)
 
 OBTUSE = Triangle(Point2(0.0, 0.0), Point2(6.0, 0.0), Point2(5.2, 1.1))
 
@@ -177,7 +178,6 @@ def test_weight_scaling_invariance():
 
 def test_cevian_concurrency_pairwise():
     rng = random.Random(67)
-    from snellfagnano.geometry import intersect_lines
     for _ in range(25):
         t, w = sample_admissible(rng)
         a1, b1, c1 = erect_similar(t, tilde_triangle(t, w))
@@ -248,7 +248,6 @@ def test_condition_flip_matches_barycentric_sign():
         else:
             hi = mid
     # F at the flip point sits on the boundary of the triangle
-    from snellfagnano.geometry import intersect_lines
     w_star = at(lo)
     a1, b1, c1 = erect_similar(t, tilde_triangle(t, w_star))
     f = intersect_lines(t.vA, a1, t.vB, b1)

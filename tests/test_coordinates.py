@@ -12,7 +12,7 @@ from snellfagnano.coordinates import IdealPoint, OnSideLine
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_triangle)
-from oracles import biquadratic_residual
+from oracles import biquadratic_residual, ratio_residual
 
 T0 = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0))
 
@@ -235,7 +235,7 @@ def test_roundtrip_random_points():
                                      (t.vB, t.vC, tp[1], tp[2]),
                                      (t.vC, t.vA, tp[2], tp[0])):
                 circ = sf.apollonian_circle(v1, v2, x1 / x2)
-                assert circ.ratio_residual(q) <= 1e-8
+                assert ratio_residual(circ, q) <= 1e-8
 
 
 def test_biquadratic_residual_at_roots_and_off_roots():

@@ -11,10 +11,10 @@ from snellfagnano import (DegenerateTriangle, Point2, Triangle,
                           inscribed_from_params, pedal_triangle, signed_area,
                           triangle_from_sides)
 from snellfagnano.geometry import (angles_from_sides, foot_of_perpendicular,
-                                   heron_area, intersect_lines, line_parameter,
-                                   rotate)
+                                   heron_area, line_parameter, rotate)
 
 from conftest import sample_triangle
+from oracles import intersect_lines
 
 
 def test_signed_area_right_triangle():
