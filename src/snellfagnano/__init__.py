@@ -6,12 +6,13 @@ cross-check it against coordinate conversions, the Apollonius common
 points and a convex minimizer of the weighted perimeter.
 
 Submodules load on first use: ``import snellfagnano`` puts a lazy module
-(``importlib.util.LazyLoader``) for each of them into ``sys.modules``, and a
-submodule's body runs when one of its attributes, or a public name of the
-package, is first looked up.  A cold ``sf`` process therefore compiles and
-runs only the CLI core (``cli`` and ``jobs``), its command's module
-(``cmd_<command>``) and the modules that command uses, and an error inside
-a submodule surfaces on that first use, not at ``import snellfagnano``.
+(``importlib.util.LazyLoader``) for each library module into
+``sys.modules``, and its body runs when one of its attributes, or a public
+name of the package, is first looked up.  The CLI (``cli``, ``jobs``)
+imports a command's module (``cmd_<command>``) by name when it runs, so a
+cold ``sf`` process compiles and runs only those and the library modules
+that command uses, and an error inside a submodule surfaces on that first
+use, not at ``import snellfagnano``.
 Before Python 3.12 that first use is not thread-safe, so a threaded caller
 looks up one name of each submodule it needs before it starts its threads.
 """
@@ -21,7 +22,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-# Every submodule, with the public names of the package that it defines.
+# Every library submodule, with the public names of the package it defines.
 _PUBLIC = (
     ("geometry", (
         "Point2", "Triangle", "InscribedTriangle", "triangle_from_sides",
@@ -33,11 +34,10 @@ _PUBLIC = (
         "BarycentricCoords", "TrilinearCoords", "TripolarCoords",
         "to_barycentric", "from_barycentric", "trilinear_to_barycentric",
         "barycentric_to_trilinear", "tripolar_of_point", "tripolar_to_points",
-        "isogonal_conjugate",
+        "isogonal_conjugate", "TildeTriangle", "tilde_triangle",
         "IdealPoint", "OnSideLine", "NoSuchPoint")),
     ("apollonius", (
-        "ApollonianCircle", "TildeTriangle", "apollonian_circle",
-        "apollonian_common_points", "tilde_triangle")),
+        "ApollonianCircle", "apollonian_circle", "apollonian_common_points")),
     ("construction", (
         "Weights", "RefractionCoeffs", "coeffs_from_weights",
         "SnellOrbitResult", "snell_fagnano_point", "erect_similar",
@@ -49,14 +49,6 @@ _PUBLIC = (
     ("optimize", ("MinimizeReport", "minimize_inscribed", "weighted_perimeter")),
     ("render", ()),
     ("serialize", ()),
-    # The `sf` command modules and the helpers they share (see cli).
-    ("jobs", ()),
-    ("cmd_point", ()),
-    ("cmd_convert", ()),
-    ("cmd_simulate", ()),
-    ("cmd_minimize", ()),
-    ("cmd_river", ()),
-    ("cmd_render", ()),
 )
 _HOME = {name: module for module, names in _PUBLIC for name in names}
 

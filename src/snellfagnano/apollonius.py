@@ -11,15 +11,17 @@ vertices span a triangle similar to the scaled "tilde" triangle of side
 lengths (lam_A * a, lam_B * b, lam_C * c).  Two points, inverse in the
 circumcircle, exist when that triangle does, one on the circumcircle when
 it is flat, and none beyond; equal weights leave the circumcenter alone.
+The tilde triangle itself lives with the inversion, in coordinates, and
+is re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .coordinates import NoSuchPoint, tripolar_to_points
-from .geometry import Point2, Triangle, angles_from_sides, dist
-from .geometry import circumcircle  # noqa: F401  (re-export)
+from .coordinates import TildeTriangle, tilde_triangle  # noqa: F401
+from .geometry import Point2, Triangle, dist
 
 # Ratios this close to 1 are treated as the bisector degeneration.
 BISECTOR_EPS = 1e-12
@@ -59,25 +61,6 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
     center = Point2(0.5 * (m.x + n.x), 0.5 * (m.y + n.y))
     return ApollonianCircle(p1, p2, r, "circle",
                             center=center, radius=0.5 * dist(m, n))
-
-
-class TildeTriangle(NamedTuple):
-    """Side lengths (lam_A*a, lam_B*b, lam_C*c) and, when they close up,
-    the angles opposite those sides."""
-
-    sides: Tuple[float, float, float]
-    angles: Optional[Tuple[float, float, float]]
-    exists: bool
-
-
-def tilde_triangle(t: Triangle, w) -> TildeTriangle:
-    """Scaled side triple for a weight triple; exists = strict inequality."""
-    p = w.lam_A * t.a
-    q = w.lam_B * t.b
-    r = w.lam_C * t.c
-    exists = (p < q + r) and (q < r + p) and (r < p + q)
-    angles = angles_from_sides(p, q, r) if exists else None
-    return TildeTriangle((p, q, r), angles, exists)
 
 
 def apollonian_common_points(t: Triangle, w) -> List[Point2]:

@@ -15,9 +15,10 @@ anywhere but on a single render job.
 This module is the CLI core: the argument parser, the batch loop and the
 mapping of exceptions to exit codes.  Each command lives in its own module
 (`cmd_point` ... `cmd_render`, each with `run(spec)`), and the spec parsing
-and report helpers they share live in `jobs`.  `HANDLERS` loads a command
-module on its first call, so a cold process compiles only this core, `jobs`,
-the module of the command it runs and the modules that command uses.
+and report helpers they share live in `jobs`.  A handler in `HANDLERS`
+imports its command's module by name when it is first called, so a cold
+process compiles only this core, `jobs`, the module of the command it runs
+and the modules that command uses.
 `python -m snellfagnano.cli` runs this file as `__main__`, so no module of
 the package imports it: an import would run it a second time.
 
@@ -31,29 +32,30 @@ abbreviated flag.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from . import (__version__, billiards, cmd_convert, cmd_minimize, cmd_point,
-               cmd_render, cmd_river, cmd_simulate, coordinates, geometry,
-               serialize)
+from . import __version__, billiards, coordinates, geometry, serialize
 from .jobs import (EXIT_DYNAMICS, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
                    EXIT_MISSING, EXIT_OK, CliError, error_doc)
 # The simulate handler reads these very objects; they stay reachable here.
 from .jobs import MAX_SIMULATE_STEPS, TOLERANCES  # noqa: F401
 
-# Command name -> handler.  Each lambda looks its module's run up only when
-# it is called, which is when the lazy module's body first runs.
-HANDLERS = {
-    "point": lambda spec: cmd_point.run(spec),
-    "convert": lambda spec: cmd_convert.run(spec),
-    "simulate": lambda spec: cmd_simulate.run(spec),
-    "minimize": lambda spec: cmd_minimize.run(spec),
-    "river": lambda spec: cmd_river.run(spec),
-    "render": lambda spec: cmd_render.run(spec),
-}
+
+def _handler(command: str):
+    """run(spec) of module cmd_<command>, imported when first called."""
+    def run(spec):
+        module = importlib.import_module(__package__ + ".cmd_" + command)
+        return module.run(spec)
+    return run
+
+
+# Command name -> handler, in the order the usage line lists them.
+HANDLERS = {command: _handler(command) for command in
+            ("point", "convert", "simulate", "minimize", "river", "render")}
 
 USAGE = ("usage: sf [-h] [--version] [--input FILE | --batch FILE] "
          "[--svg FILE] [--compact]\n          {%s}\n" % ",".join(HANDLERS))

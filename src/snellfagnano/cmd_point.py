@@ -73,13 +73,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
         if brute is not None:
             doc["brute_force_cost"] = brute
         return doc, EXIT_OK
-    info = res.degenerate_info or {}
-    doc["degenerate_info"] = {
-        "weighted_costs": dict(info.get("weighted_costs", {})),
-        "altitude_lengths": dict(info.get("altitude_lengths", {})),
-        "weighted_argmin": info.get("weighted_argmin"),
-        "shortest_altitude": info.get("shortest_altitude"),
-    }
+    doc["degenerate_info"] = res.degenerate_info
     doc["brute_force_cost"] = brute
     if res.status == construction.STATUS_NO_TILDE:
         doc["message"] = _failing_tilde_inequality(t, w)

@@ -42,6 +42,11 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
             raise CliError(EXIT_MISSING,
                            "no interior orbit to launch from (status %s); "
                            "provide an explicit start state" % res.status)
+        if not res.orbit_in_sides:
+            raise CliError(EXIT_MISSING,
+                           "no closed orbit to launch from (a foot of the "
+                           "interior point lies outside its side); "
+                           "provide an explicit start state")
         start = billiards.orbit_start_state(t, res.orbit)
     else:
         if not isinstance(node, dict):

@@ -2,9 +2,11 @@
 
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
-triangle of side lengths (lam_A*a, lam_B*b, lam_C*c).  The three cevians
-joining each vertex to the opposite apex are concurrent.  By Ceva's theorem
-their meeting point has barycentrics
+triangle of side lengths (lam_A*a, lam_B*b, lam_C*c), which
+coordinates.tilde_triangle builds from the weights scaled by a power of
+two, so that only their ratios matter.  The three cevians joining each
+vertex to the opposite apex are concurrent.  By Ceva's theorem their
+meeting point has barycentrics
 
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
@@ -31,7 +33,6 @@ from collections import namedtuple
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import coordinates
-from .apollonius import TildeTriangle, tilde_triangle
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        altitudes, inscribed_from_params, line_parameter,
                        pedal_triangle, rotate)
@@ -137,7 +138,8 @@ def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
     return w.perimeter(it)
 
 
-def erect_similar(t: Triangle, tt: TildeTriangle) -> Tuple[Point2, Point2, Point2]:
+def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
+                  ) -> Tuple[Point2, Point2, Point2]:
     """Apex points of the outward erected triangles, one per side.
 
     On side a the erected triangle has the second tilde angle at B and the
@@ -159,7 +161,7 @@ def erect_similar(t: Triangle, tt: TildeTriangle) -> Tuple[Point2, Point2, Point
     return a1, b1, c1
 
 
-def interior_conditions(t: Triangle, tt: TildeTriangle,
+def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle,
                         eps_angle: float = EPS_ANGLE) -> Tuple[bool, bool, bool]:
     """Strict tests angle + tilde-angle < pi, one per vertex."""
     if not tt.exists:
@@ -177,7 +179,7 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     exactly when all three interior_conditions hold, and then every
     barycentric is positive.
     """
-    tt = tilde_triangle(t, w)
+    tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
         return _degenerate_result(t, w, STATUS_NO_TILDE)
 

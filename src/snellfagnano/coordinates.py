@@ -13,7 +13,8 @@ cyclic, the triple is realized by
     (YZ sin(A +- A~) : ZX sin(B +- B~) : XY sin(C +- C~)),
 
 two points when the tilde triangle exists, one on its boundary and none
-otherwise.  The "+" point is computed from these barycentrics.  The "-"
+otherwise; tilde_triangle builds that triangle here and for the orbit
+construction.  The "+" point is computed from these barycentrics.  The "-"
 point is not: its barycentrics nearly cancel as the triple approaches
 (1 : 1 : 1).  Each locus of a fixed distance ratio to two vertices is a
 circle orthogonal to the circumcircle, so inversion in the circumcircle
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
                        circumcircle, dist, signed_area)
@@ -127,6 +128,30 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     return trilinear_to_barycentric(inv, t)
 
 
+class TildeTriangle(NamedTuple):
+    """Sides proportional to (Xa, Yb, Zc), and the angles opposite them
+    unless the sides strictly fail the triangle inequality; exists is the
+    strict inequality."""
+
+    sides: Tuple[float, float, float]
+    angles: Optional[Tuple[float, float, float]]
+    exists: bool
+
+
+def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
+    """The "tilde" triangle of a positive triple (X : Y : Z), scaled by the
+    power of two that puts the largest entry in [1, 2): exactly, so that
+    every ratio is kept and no side over- or underflows."""
+    shift = 1 - math.frexp(max(triple))[1]
+    x, y, z = triple
+    p, q, r = (math.ldexp(x, shift) * t.a, math.ldexp(y, shift) * t.b,
+               math.ldexp(z, shift) * t.c)
+    if p > q + r or q > r + p or r > p + q:
+        return TildeTriangle((p, q, r), None, False)
+    exists = p < q + r and q < r + p and r < p + q
+    return TildeTriangle((p, q, r), angles_from_sides(p, q, r), exists)
+
+
 def tripolar_to_points(tp: TripolarCoords,
                        t: Triangle) -> List[Tuple[Point2, float]]:
     """All points whose vertex distances are proportional to the triple.
@@ -157,12 +182,12 @@ def tripolar_to_points(tp: TripolarCoords,
         return [(vertex, 0.5 * (s1 + s2))]
 
     x, y, z = X / mx, Y / mx, Z / mx
-    p, q, r = x * t.a, y * t.b, z * t.c
-    if p > q + r or q > r + p or r > p + q:
+    tt = tilde_triangle(t, (x, y, z))
+    if tt.angles is None:
         raise NoSuchPoint(
             "no point attains these vertex-distance ratios "
             "(scaled side triple fails the triangle inequality)")
-    at, bt, ct = angles_from_sides(p, q, r)
+    at, bt, ct = tt.angles
     plus = from_barycentric((y * z * math.sin(t.alpha + at),
                              z * x * math.sin(t.beta + bt),
                              x * y * math.sin(t.gamma + ct)), t)

@@ -86,12 +86,8 @@ def rotate(v: Point2, angle: float) -> Point2:
 
 def foot_of_perpendicular(p: Point2, q1: Point2, q2: Point2) -> Point2:
     """Orthogonal projection of p onto the line through q1 and q2."""
-    d = Point2(q2[0] - q1[0], q2[1] - q1[1])
-    den = d.dot(d)
-    if den <= 0.0:
-        raise DegenerateLine("projection target line is a single point")
-    t = (Point2(p[0] - q1[0], p[1] - q1[1]).dot(d)) / den
-    return Point2(q1[0] + t * d[0], q1[1] + t * d[1])
+    t = line_parameter(p, q1, q2)
+    return Point2(q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
 
 
 def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
@@ -99,7 +95,7 @@ def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
     d = Point2(q2[0] - q1[0], q2[1] - q1[1])
     den = d.dot(d)
     if den <= 0.0:
-        raise DegenerateLine("parameter target line is a single point")
+        raise DegenerateLine("projection target line is a single point")
     return Point2(p[0] - q1[0], p[1] - q1[1]).dot(d) / den
 
 

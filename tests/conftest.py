@@ -9,7 +9,6 @@ import math
 import random
 
 from snellfagnano import (Point2, Triangle, Weights, tilde_triangle)
-from snellfagnano.apollonius import TildeTriangle  # noqa: F401  (re-export)
 from snellfagnano.geometry import DegenerateTriangle
 
 # Lines appended by the acceptance suite; replayed after the run so each

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from snellfagnano.apollonius import ApollonianCircle, TildeTriangle
+from snellfagnano.apollonius import ApollonianCircle
+from snellfagnano.coordinates import TildeTriangle
 from snellfagnano.construction import (STATUS_DEGENERATE, SnellOrbitResult,
                                        TildeDegenerate, Weights,
                                        _degenerate_result, erect_similar)

@@ -7,8 +7,8 @@ import snellfagnano as sf
 from snellfagnano import (Point2, Triangle, Weights, dist,
                           triangle_from_sides)
 from snellfagnano.apollonius import (apollonian_circle,
-                                     apollonian_common_points, circumcircle,
-                                     tilde_triangle)
+                                     apollonian_common_points, tilde_triangle)
+from snellfagnano.geometry import circumcircle
 
 from conftest import (circumcenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_triangle, sample_weights,

@@ -195,6 +195,44 @@ def test_weight_ratio_limit_is_the_same_for_every_command(capsys, tmp_path):
                                        < sys.float_info.min), (k, weights)
 
 
+def test_uniformly_scaled_weights_give_the_same_answer(capsys, tmp_path):
+    # Only the weight ratios matter.  A power-of-two scale changes no bit of
+    # the orbit; a power of ten moves it by rounding alone, out to 1e+-300.
+    scales = [(2.0 ** k, True) for k in (1, 100, 500, 996)]
+    scales += [(10.0 ** k, False) for k in (1, 100, 200, 300)]
+    scales += [(1.0 / s, exact) for s, exact in scales]
+    for triangle in ({"sides": [4, 5, 6]},
+                     {"vertices": [[0, 0], [5, 0], [1.5, 2]]}):  # obtuse
+
+        def reports(s):
+            spec = {"triangle": triangle,
+                    "weights": [1.2 * s, 1.0 * s, 0.9 * s]}
+            path = write_spec(tmp_path, spec)
+            return {command: run_doc(capsys, [command, "--input", path])
+                    for command in ("point", "simulate", "minimize")}
+
+        base = reports(1.0)
+        assert base["point"][1]["status"] == "interior"
+        assert base["simulate"][1]["periodic"] is True
+        for s, exact in scales:
+            got = reports(s)
+            for command in got:
+                assert got[command][0] == base[command][0], (s, command)
+            point, ref = got["point"][1], base["point"][1]
+            assert point["status"] == ref["status"], s
+            params = point["orbit"]["params"]
+            if exact:
+                assert params == ref["orbit"]["params"], s
+            else:
+                assert params == pytest.approx(ref["orbit"]["params"],
+                                               rel=1e-12), s
+            assert got["simulate"][1]["periodic"] is True, s
+            gap = got["minimize"][1]["constructed"]["relative_gap"]
+            assert gap == pytest.approx(
+                base["minimize"][1]["constructed"]["relative_gap"],
+                abs=1e-9), s
+
+
 def test_point_rejects_nan(tmp_path, capsys):
     p = tmp_path / "bad.json"
     for number in ("NaN", "1e400", "-1e400"):  # 1e400 overflows to inf
@@ -398,6 +436,23 @@ def test_simulate_degenerate_needs_start(capsys, tmp_path):
                                  write_spec(tmp_path, spec)])
     assert code == 3
     assert "explicit start" in doc["message"]
+
+
+def test_simulate_needs_start_when_a_foot_is_outside(capsys, tmp_path):
+    # The orbit point is interior but one pedal foot lies beyond a side
+    # (tA = 1.034; tB = -0.034 on its mirror image): no closed orbit.
+    for c in ([3, 2], [7, 2]):
+        spec = {"triangle": {"vertices": [[0, 0], [10, 0], c]},
+                "weights": [2, 2, 1]}
+        path = write_spec(tmp_path, spec)
+        code, doc = run_doc(capsys, ["point", "--input", path])
+        assert (code, doc["status"], doc["orbit"]["in_sides"]) == (
+            0, "interior", False)
+        code, doc = run_doc(capsys, ["simulate", "--input", path])
+        assert code == 3, c
+        assert doc["message"] == (
+            "no closed orbit to launch from (a foot of the interior point "
+            "lies outside its side); provide an explicit start state")
 
 
 def test_simulate_bad_start(capsys, tmp_path):
@@ -688,8 +743,9 @@ def test_installed_sf_script(tmp_path):
 
 
 # Imports the CLI and runs the command line given to it, if any; then
-# prints the modules it imported that a cold start does not use, and the
-# snellfagnano modules whose bodies have run.
+# prints the modules it imported that a cold start does not use, the
+# snellfagnano modules whose bodies have run, and the command modules
+# present in sys.modules, run or not.
 COLD_START_PROBE = """
 import contextlib, io, json, sys, types
 before = set(sys.modules)
@@ -707,7 +763,9 @@ print(json.dumps({
                               "argparse", "gettext", "locale", "textwrap"}),
     "ran": sorted(name for name, module in sys.modules.items()
                   if name.split(".")[0] == "snellfagnano"
-                  and type(module) is types.ModuleType)}))
+                  and type(module) is types.ModuleType),
+    "commands": sorted(name for name in sys.modules
+                       if name.startswith("snellfagnano.cmd_"))}))
 """
 
 
@@ -716,9 +774,10 @@ def test_cli_import_leaves_numpy_out():
     dependency only, the records and the batch loop need neither
     dataclasses nor a thread pool, and the hand-written argument parser
     needs none of argparse and what it loads.  Submodules load on first
-    use, so importing the CLI runs only the CLI core (cli and jobs), and a
-    cold job adds its command's module and the modules that command
-    calls."""
+    use, so importing the CLI runs only the CLI core (cli and jobs) and
+    registers no command module; a cold job adds its command's module and
+    the modules that command calls.  A closed orbit draws no circles, so
+    point and simulate leave apollonius out."""
     cases = (
         ([], []),
         (["--version"], []),
@@ -726,6 +785,12 @@ def test_cli_import_leaves_numpy_out():
          ["cmd_river", "billiards", "geometry", "serialize"]),
         (["convert", "--input", corpus_path("convert_trilinear_incenter.json")],
          ["cmd_convert", "coordinates", "geometry", "serialize"]),
+        (["point", "--input", corpus_path("point_interior.json")],
+         ["cmd_point", "construction", "coordinates", "geometry",
+          "serialize"]),
+        (["simulate", "--input", corpus_path("simulate_default.json")],
+         ["cmd_simulate", "billiards", "construction", "coordinates",
+          "geometry", "serialize"]),
     )
     for argv, used in cases:
         proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE] + argv,
@@ -734,8 +799,10 @@ def test_cli_import_leaves_numpy_out():
         assert proc.returncode == 0, proc.stderr
         expected = ["snellfagnano", "snellfagnano.cli", "snellfagnano.jobs"] + [
             "snellfagnano." + name for name in used]
+        commands = [name for name in expected if ".cmd_" in name]
         assert json.loads(proc.stdout) == {"unused": [],
-                                           "ran": sorted(expected)}, argv
+                                           "ran": sorted(expected),
+                                           "commands": commands}, argv
 
 
 def test_public_names_resolve():
