@@ -8,6 +8,10 @@ billiard.  A closed 3-bounce orbit exists when the construction module
 produces an interior point whose pedal feet all land strictly inside the
 sides (orbit_in_sides on its result), and the orbit is that pedal triangle
 traversed foot-on-a -> foot-on-c -> foot-on-b.
+
+The one-wall crossing (`solve_river`) minimizes a weighted sum of two
+distances along a line by safeguarded Newton on the exact derivative,
+bracketed between the two perpendicular feet.
 """
 
 from __future__ import annotations
@@ -161,61 +165,70 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
 
 
 def solve_river(r: RiverInstance) -> Tuple[Point2, float, float]:
-    """Minimize lam1*d(A,X) + lam2*d(B,X) over X on the line.
+    """Minimize lam1*d(A,X) + lam2*d(B,X) over X = q1 + u*e on the line.
 
-    The objective is strictly convex along the line and its minimizer lies
-    between the two perpendicular feet, so 120 halvings of that bracket on
-    the sign of the exact directional derivative converge to it.  Where
-    rounding leaves the derivative one-signed over the bracket, they
-    converge to the end at which the objective is least.
+    With A and B projected once to feet u_A, u_B and heights h_A, h_B,
+    and r_A, r_B the leg lengths at u, the objective f has
+    f' = lam1 (u - u_A)/r_A + lam2 (u - u_B)/r_B and
+    f'' = lam1 h_A^2/r_A^3 + lam2 h_B^2/r_B^3 > 0, so its minimizer lies
+    between the two feet.  Safeguarded Newton (rtsafe in Press et al.,
+    Numerical Recipes) starts at the equal-weight mirror point and keeps
+    that bracket on the sign of f'.  It takes a Newton step only when the
+    step lands strictly inside the bracket, and bisects otherwise.  It
+    stops on f' = 0, on a step below one ulp, or when the bracket ends are
+    adjacent floats, after at most 120 steps.  Where rounding leaves the
+    derivative one-signed over the bracket, it converges to the end at
+    which the objective is least.
     Returns the point, the cost, and the residual of the sine-ratio
     equilibrium condition.
     """
     q1, q2 = Point2(*r.line[0]), Point2(*r.line[1])
     e = (q2 - q1).unit()
     a, b = Point2(*r.a_pt), Point2(*r.b_pt)
-
-    def at(u: float) -> Point2:
-        return q1 + u * e
-
-    def cost(u: float) -> float:
-        p = at(u)
-        return r.lam1 * dist(a, p) + r.lam2 * dist(b, p)
-
-    def slope(u: float) -> float:
-        p = at(u)
-        va, vb = a - p, b - p
-        return -(r.lam1 * va.dot(e) / va.norm() + r.lam2 * vb.dot(e) / vb.norm())
-
-    ua = (a - q1).dot(e)
-    ub = (b - q1).dot(e)
+    lam1, lam2 = r.lam1, r.lam2
+    ua, ha = (a - q1).dot(e), abs(e.cross(a - q1))
+    ub, hb = (b - q1).dot(e), abs(e.cross(b - q1))
     lo, hi = min(ua, ub), max(ua, ub)
     scale = max(abs(ua), abs(ub), dist(a, q1), dist(b, q1), 1.0)
     if hi - lo <= 1e-13 * scale:
-        x = at(0.5 * (ua + ub))
-        return x, r.lam1 * dist(a, x) + r.lam2 * dist(b, x), 0.0
+        x = q1 + 0.5 * (ua + ub) * e
+        return x, lam1 * dist(a, x) + lam2 * dist(b, x), 0.0
+    u = ua + (ub - ua) * (ha / (ha + hb))
+    if not lo < u < hi:
+        # A height that rounds to 0 puts the mirror point on a foot, where
+        # a leg has length 0; every later iterate is strictly inside.
+        u = 0.5 * (lo + hi)
     for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        da, db = u - ua, u - ub
+        ra, rb = math.hypot(da, ha), math.hypot(db, hb)
+        slope = lam1 * da / ra + lam2 * db / rb
+        if slope == 0.0:
             break
-        s = slope(mid)
-        if s == 0.0:
-            lo = hi = mid
-            break
-        if s < 0.0:
-            lo = mid
+        if slope < 0.0:
+            lo = u
         else:
-            hi = mid
-    ustar = 0.5 * (lo + hi)
-    x = at(ustar)
+            hi = u
+        ca, cb = ha / ra, hb / rb
+        # Written with the cosines h/r so that no cube over- or underflows.
+        curvature = lam1 * ca * ca / ra + lam2 * cb * cb / rb
+        step = slope / curvature if curvature > 0.0 else math.inf
+        if abs(step) < math.ulp(u):
+            break
+        nxt = u - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        u = nxt
+    x = q1 + u * e
     va = a - x
     vb = b - x
     sin_a = abs(va.dot(e)) / va.norm()
     sin_b = abs(vb.dot(e)) / vb.norm()
     if sin_a > 1e-12:
-        residual = abs(sin_b / sin_a - r.lam1 / r.lam2)
+        residual = abs(sin_b / sin_a - lam1 / lam2)
     elif sin_b > 1e-12:
-        residual = abs(sin_a / sin_b - r.lam2 / r.lam1)
+        residual = abs(sin_a / sin_b - lam2 / lam1)
     else:
         residual = 0.0
-    return x, cost(ustar), residual
+    return x, lam1 * dist(a, x) + lam2 * dist(b, x), residual

@@ -8,9 +8,11 @@ sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
 that hits a defect, on a batch line or alone from --input or stdin, still
 gets a report: the error report with exit code 1, its traceback on stderr.
 The check tolerances are fixed (TOLERANCES) and every report echoes them.
-Exit 2 also covers a smallest weight below sys.float_info.min times the
-largest, render "layers" other than {"apollonius": true|false}, and --svg
-anywhere but on a single render job.
+Exit 2 also covers a top-level spec key that the command does not read
+(see each module's KEYS), a smallest weight below sys.float_info.min times
+the largest, a largest weight times the perimeter that overflows, render
+"layers" other than {"apollonius": true|false}, and --svg anywhere but on
+a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
 mapping of exceptions to exit codes.  Each command lives in its own module
@@ -40,15 +42,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__, billiards, coordinates, geometry, serialize
 from .jobs import (EXIT_DYNAMICS, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
-                   EXIT_MISSING, EXIT_OK, CliError, error_doc)
+                   EXIT_MISSING, EXIT_OK, CliError, check_keys, error_doc)
 # The simulate handler reads these very objects; they stay reachable here.
 from .jobs import MAX_SIMULATE_STEPS, TOLERANCES  # noqa: F401
 
 
 def _handler(command: str):
-    """run(spec) of module cmd_<command>, imported when first called."""
+    """run(spec) of module cmd_<command>, imported when first called, after
+    the spec's keys are checked against the module's KEYS."""
     def run(spec):
         module = importlib.import_module(__package__ + ".cmd_" + command)
+        check_keys(spec, module.KEYS)
         return module.run(spec)
     return run
 
@@ -139,10 +143,17 @@ def _finite_float(text: str) -> float:
     return v
 
 
+# One decoder for the process: json.loads with hooks builds a new one per call.
+_DECODER = json.JSONDecoder(parse_float=_finite_float,
+                            parse_constant=_reject_const)
+
+
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_finite_float,
-                          parse_constant=_reject_const)
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as e:
         raise CliError(EXIT_INVALID, "invalid JSON: %s" % e)
 

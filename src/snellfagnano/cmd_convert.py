@@ -12,6 +12,10 @@ from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, normalized,
                    parse_triangle, point_block, triple)
 
 
+# The top-level spec keys this command reads.
+KEYS = ("triangle", "coords")
+
+
 def run(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
     node = spec.get("coords")

@@ -8,9 +8,13 @@ from . import construction, optimize
 from .jobs import EXIT_OK, base_doc, parse_triangle, parse_weights, xy
 
 
+# The top-level spec keys this command reads.
+KEYS = ("triangle", "weights")
+
+
 def run(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
-    w = parse_weights(spec)
+    w = parse_weights(spec, t)
     rep = optimize.minimize_inscribed(t, w)
     doc = base_doc("minimize", spec)
     doc["report"] = {

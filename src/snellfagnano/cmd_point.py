@@ -13,6 +13,10 @@ from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, normalized, parse_triangle,
                    parse_weights, point_block, xy)
 
 
+# The top-level spec keys this command reads.
+KEYS = ("triangle", "weights")
+
+
 def _failing_tilde_inequality(t: geometry.Triangle,
                               w: construction.Weights) -> str:
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
@@ -41,7 +45,7 @@ def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
 
 def run(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
-    w = parse_weights(spec)
+    w = parse_weights(spec, t)
     res = construction.snell_fagnano_point(t, w)
     # Where no closed orbit exists, the oracle gives the constrained minimum.
     brute = (None if res.orbit_in_sides

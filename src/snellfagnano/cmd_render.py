@@ -14,9 +14,13 @@ from .jobs import (EXIT_INVALID, EXIT_IO, EXIT_OK, CliError, base_doc,
                    parse_triangle, parse_weights)
 
 
+# The top-level spec keys this command reads.
+KEYS = ("triangle", "weights", "svg_path", "layers")
+
+
 def run(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
-    w = parse_weights(spec)
+    w = parse_weights(spec, t)
     out = spec.get("svg_path")
     if not isinstance(out, str) or not out:
         raise CliError(EXIT_INVALID,

@@ -8,6 +8,10 @@ from . import billiards
 from .jobs import EXIT_INVALID, EXIT_OK, CliError, base_doc, finite, pair, xy
 
 
+# The top-level spec keys this command reads.
+KEYS = ("river",)
+
+
 def run(spec) -> Tuple[Dict[str, Any], int]:
     node = spec.get("river")
     if not isinstance(node, dict):

@@ -14,6 +14,10 @@ from .jobs import (EXIT_DYNAMICS, EXIT_INVALID, EXIT_MISSING, EXIT_OK,
                    pair, parse_triangle, parse_weights, xy)
 
 
+# The top-level spec keys this command reads.
+KEYS = ("triangle", "weights", "steps", "start")
+
+
 def _state_block(t: geometry.Triangle,
                  s: billiards.BilliardState) -> Dict[str, Any]:
     return {
@@ -26,7 +30,7 @@ def _state_block(t: geometry.Triangle,
 
 def run(spec) -> Tuple[Dict[str, Any], int]:
     t = parse_triangle(spec)
-    w = parse_weights(spec)
+    w = parse_weights(spec, t)
     k = construction.coeffs_from_weights(w)
     steps = spec.get("steps", 3)
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:

@@ -86,11 +86,26 @@ def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
         raise CliError(EXIT_INVALID, str(e))
 
 
-def parse_weights(spec: Dict[str, Any]) -> construction.Weights:
+def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:
+    """Refuse a top-level key that the command does not read; "id" and
+    "command" are allowed everywhere."""
+    for key in spec:
+        if key not in keys and key not in ("id", "command"):
+            raise CliError(EXIT_INVALID, "unknown key %r in job spec" % key)
+
+
+def parse_weights(spec: Dict[str, Any],
+                  t: geometry.Triangle) -> construction.Weights:
+    """The weights of spec on triangle t.  The largest weight times the
+    perimeter bounds every cost a report prices, so it must be finite."""
     try:
-        return construction.Weights(*triple(spec.get("weights"), "weights"))
+        w = construction.Weights(*triple(spec.get("weights"), "weights"))
     except ValueError as e:
         raise CliError(EXIT_INVALID, str(e))
+    if not math.isfinite(max(w) * (t.a + t.b + t.c)):
+        raise CliError(EXIT_INVALID,
+                       "largest weight times the perimeter overflows")
+    return w
 
 
 def xy(p) -> List[float]:

@@ -10,6 +10,7 @@ keep insertion order; callers build documents with a fixed field layout.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from json.encoder import encode_basestring as _escape
 from typing import Any
 
@@ -23,55 +24,62 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _emit(value: Any, parts: list, indent: str, level: int) -> None:
-    pad = indent * (level + 1)
-    close_pad = indent * level
-    nl = "\n" if indent else ""
-    sep = "," + nl
-    colon = ": " if indent else ":"
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(_escape(value))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        parts.append(format_float(value))
-    elif isinstance(value, dict):
+@lru_cache(maxsize=256)
+def _float_list_format(n: int, sep: str) -> str:
+    return sep.join(("%.17g",) * n)
+
+
+_FLOAT = frozenset((float,))
+
+
+def _encode(value: Any, indent: str, pad: str) -> str:
+    """The text of value, its container lines starting with pad (a newline
+    and the current indentation, or "" in the compact form)."""
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return _escape(value)
+    inner = pad + indent
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
         if not value:
-            parts.append("{}")
-            return
-        parts.append("{" + nl)
-        for i, (k, v) in enumerate(value.items()):
+            return "[]"
+        # Nonzero floats whose sum is finite are all finite and print as
+        # "%.17g"; zero and non-finite values take format_float's path.
+        if (_FLOAT.issuperset(map(type, value)) and 0.0 not in value
+                and math.isfinite(sum(value))):
+            body = _float_list_format(len(value), sep) % tuple(value)
+        else:
+            # A loop, not a comprehension, so that each level of nesting
+            # takes one frame: echoed input may nest as deep as JSON allows.
+            items = []
+            for v in value:
+                items.append(_encode(v, indent, inner))
+            body = sep.join(items)
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        colon = ": " if indent else ":"
+        items = []
+        for k, v in value.items():
             if not isinstance(k, str):
                 raise TypeError("non-string key: %r" % (k,))
-            if i:
-                parts.append(sep)
-            parts.append(pad + _escape(k) + colon)
-            _emit(v, parts, indent, level + 1)
-        parts.append(nl + close_pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[" + nl)
-        for i, v in enumerate(seq):
-            if i:
-                parts.append(sep)
-            parts.append(pad)
-            _emit(v, parts, indent, level + 1)
-        parts.append(nl + close_pad + "]")
-    else:
-        raise TypeError("cannot serialize %r" % type(value))
+            items.append(_escape(k) + colon + _encode(v, indent, inner))
+        return "{" + inner + sep.join(items) + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return str(value)
+    raise TypeError("cannot serialize %r" % type(value))
 
 
 def dumps(doc: Any, indent: int = 2) -> str:
     """Serialize a document; indent=0 gives the compact one-line form."""
-    parts: list = []
-    _emit(doc, parts, " " * indent if indent else "", 0)
-    return "".join(parts) + ("\n" if indent else "")
+    if indent:
+        return _encode(doc, " " * indent, "\n") + "\n"
+    return _encode(doc, "", "")

@@ -6,13 +6,17 @@ Each recomputes a quantity the package computes one way, by another route
 the biquadratic in the squared scale of a tripolar triple), so that the
 tests can compare the two.  degenerate_minimizer runs the construction's
 doubled-altitude fallback on its own.  intersect_lines and ratio_residual
-are plane helpers that only the tests use.
+are plane helpers that only the tests use.  river_reference solves the
+river crossing in 60-digit decimal arithmetic, and reference_dumps is the
+serializer that emitted every report before the one-pass encoder.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-from typing import Optional, Tuple
+from json.encoder import encode_basestring as _escape
+from typing import Any, Optional, Tuple
 
 from snellfagnano.apollonius import ApollonianCircle
 from snellfagnano.coordinates import TildeTriangle
@@ -20,6 +24,7 @@ from snellfagnano.construction import (STATUS_DEGENERATE, SnellOrbitResult,
                                        TildeDegenerate, Weights,
                                        _degenerate_result, erect_similar)
 from snellfagnano.geometry import InscribedTriangle, Point2, Triangle, dist
+from snellfagnano.serialize import format_float
 
 
 def intersect_lines(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Optional[Point2]:
@@ -190,3 +195,103 @@ def biquadratic_residual(t: Triangle, X: float, Y: float, Z: float,
     if scale == 0.0:
         return 0.0
     return abs(A2 * s2 * s2 + A1 * s2 + A0) / scale
+
+
+def river_frame(r):
+    """Decimal line frame of a river instance, its floats taken exactly:
+    (q1x, q1y, ex, ey, u_A, h_A, u_B, h_B), e the unit direction of the
+    line, u the foot parameters along it and h the heights above it."""
+    D = decimal.Decimal
+    (q1x, q1y), (q2x, q2y) = ([D(c) for c in q] for q in r.line)
+    n = ((q2x - q1x) ** 2 + (q2y - q1y) ** 2).sqrt()
+    ex, ey = (q2x - q1x) / n, (q2y - q1y) / n
+
+    def project(p):
+        dx, dy = D(p[0]) - q1x, D(p[1]) - q1y
+        return dx * ex + dy * ey, abs(dx * ey - dy * ex)
+
+    return (q1x, q1y, ex, ey) + project(r.a_pt) + project(r.b_pt)
+
+
+def river_reference(r):
+    """Minimizer (x, y) and cost of a river instance to 50 digits.
+
+    200 halvings of the bracket between the two feet on the sign of the
+    exact derivative, at 60 significant digits; the bracket is at most
+    a few times the instance's size, so it ends far below 1e-50 of it.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q1x, q1y, ex, ey, ua, ha, ub, hb = river_frame(r)
+        l1, l2 = D(r.lam1), D(r.lam2)
+
+        def legs(u):
+            return (((u - ua) ** 2 + ha * ha).sqrt(),
+                    ((u - ub) ** 2 + hb * hb).sqrt())
+
+        lo, hi = min(ua, ub), max(ua, ub)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            ra, rb = legs(mid)
+            if l1 * (mid - ua) / ra + l2 * (mid - ub) / rb < 0:
+                lo = mid
+            else:
+                hi = mid
+        u = (lo + hi) / 2
+        ra, rb = legs(u)
+        return q1x + u * ex, q1y + u * ey, l1 * ra + l2 * rb
+
+
+def _reference_emit(value: Any, parts: list, indent: str, level: int) -> None:
+    pad = indent * (level + 1)
+    close_pad = indent * level
+    nl = "\n" if indent else ""
+    sep = "," + nl
+    colon = ": " if indent else ":"
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, str):
+        parts.append(_escape(value))
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, float):
+        parts.append(format_float(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        parts.append("{" + nl)
+        for i, (k, v) in enumerate(value.items()):
+            if not isinstance(k, str):
+                raise TypeError("non-string key: %r" % (k,))
+            if i:
+                parts.append(sep)
+            parts.append(pad + _escape(k) + colon)
+            _reference_emit(v, parts, indent, level + 1)
+        parts.append(nl + close_pad + "}")
+    elif isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            parts.append("[]")
+            return
+        parts.append("[" + nl)
+        for i, v in enumerate(seq):
+            if i:
+                parts.append(sep)
+            parts.append(pad)
+            _reference_emit(v, parts, indent, level + 1)
+        parts.append(nl + close_pad + "]")
+    else:
+        raise TypeError("cannot serialize %r" % type(value))
+
+
+def reference_dumps(doc: Any, indent: int = 2) -> str:
+    """serialize.dumps as it was: one append per token into a part list."""
+    parts: list = []
+    _reference_emit(doc, parts, " " * indent if indent else "", 0)
+    return "".join(parts) + ("\n" if indent else "")

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -16,7 +17,7 @@ from snellfagnano.geometry import GeometryError
 
 from conftest import (orthocenter_oracle, sample_acute_triangle,
                       sample_admissible)
-from oracles import intersect_lines
+from oracles import intersect_lines, river_frame, river_reference
 
 UNIT_K = RefractionCoeffs(1.0, 1.0, 1.0)
 
@@ -293,3 +294,113 @@ def test_river_validation():
         RiverInstance(Point2(0, 1), Point2(1, 0), X_AXIS, 1.0, 1.0)
     with pytest.raises(ValueError):
         RiverInstance(Point2(0, 1), Point2(1, 1), X_AXIS, 0.0, 1.0)
+
+
+def _sfbench_river(rng, height=None, lams=None, same_foot=False):
+    """A river instance drawn as sfbench's river job draws one: scale
+    10^U(-3, 3), a rotated line through an offset up to 10 scales from the
+    origin, points up to 2 scales along and 0.1-2 scales off the line, and
+    weights exp(U(-ln 4, ln 4)).  height, lams and same_foot override the
+    draw for the hard cases."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    e = (math.cos(theta), math.sin(theta))
+    o = (rng.uniform(-10, 10) * scale, rng.uniform(-10, 10) * scale)
+    q2 = (o[0] + scale * e[0], o[1] + scale * e[1])
+
+    def above(u, h):
+        return Point2(o[0] + scale * (u * e[0] - h * e[1]),
+                      o[1] + scale * (u * e[1] + h * e[0]))
+
+    side = 1.0 if rng.random() < 0.5 else -1.0
+    ua = rng.uniform(-2, 2)
+    a = above(ua, side * (height or rng.uniform(0.1, 2.0)))
+    b = above(ua if same_foot else rng.uniform(-2, 2),
+              side * rng.uniform(0.1, 2.0))
+    ln4 = math.log(4.0)
+    lam1, lam2 = lams or (math.exp(rng.uniform(-ln4, ln4)),
+                          math.exp(rng.uniform(-ln4, ln4)))
+    return RiverInstance(a, b, (Point2(*o), Point2(*q2)), lam1, lam2)
+
+
+EPS = 2.0 ** -52
+# Twice the worst errors of the 120-halving bisection that solve_river used
+# before, measured on the instances of the test below: position 1.72 (a
+# point 1e-9 scales off the line), cost 17.1.
+RIVER_POSITION_BOUND = 3.45
+RIVER_COST_BOUND = 34.3
+
+
+def _size(r):
+    """The largest absolute coordinate of a river instance."""
+    return max(abs(c) for p in (r.a_pt, r.b_pt) + tuple(r.line) for c in p)
+
+
+def _river_error(r):
+    """Position error in units of EPS times _size(r), and relative cost
+    error in EPS, against the 50-digit reference."""
+    x, cost, _ = solve_river(r)
+    rx, ry, rcost = river_reference(r)
+    pos = math.hypot(float(Decimal(x.x) - rx), float(Decimal(x.y) - ry))
+    return (pos / (EPS * _size(r)),
+            float(abs(Decimal(cost) - rcost) / rcost) / EPS)
+
+
+def test_river_matches_50_digit_reference():
+    rng = random.Random(4401)
+    cases = [_sfbench_river(rng) for _ in range(500)]
+    cases += [_sfbench_river(rng, height=1e-9) for _ in range(40)]
+    cases += [_sfbench_river(rng, lams=lams) for lams in
+              [(1e3, 1e-3), (1e-3, 1e3)] * 20]
+    cases += [_sfbench_river(rng, same_foot=True) for _ in range(40)]
+    worst_pos = worst_cost = 0.0
+    for r in cases:
+        pos, cost = _river_error(r)
+        worst_pos, worst_cost = max(worst_pos, pos), max(worst_cost, cost)
+    assert worst_pos <= RIVER_POSITION_BOUND
+    assert worst_cost <= RIVER_COST_BOUND
+
+
+# A lies strictly on B's side by the cross product with q2 - q1, as
+# RiverInstance checks it, but its height over the unit direction rounds to 0.
+ROUNDED_ONTO_THE_LINE = [
+    ((-8.952516969259321, -13.681714019970602),
+     (-4.917332696578297, -21.242569079637136),
+     (0.0771725051131611, 4.101850589387533),
+     (-3.1015027088397362, -2.1584063330605185)),
+    ((-14.089619794842013, 3.5256371333407226),
+     (-9.323453083700823, 6.1088535490405125),
+     (-4.763654223680129, -1.134428952385301),
+     (-0.7908132079092409, -3.119606952486871)),
+    ((7.361400055914579, -6.534896763613994),
+     (8.073852934324684, -13.767345812537398),
+     (-3.379801652166383, -0.49091382567707953),
+     (1.8089004040822596, -3.410552386641025)),
+]
+
+
+def test_river_point_rounded_onto_the_line():
+    for a, b, q1, q2 in ROUNDED_ONTO_THE_LINE:
+        a, b, q1, q2 = (Point2(*p) for p in (a, b, q1, q2))
+        assert (q2 - q1).unit().cross(a - q1) == 0.0
+        for lams in ((1.0, 2.0), (2.0, 1.0)):
+            pos, cost = _river_error(RiverInstance(a, b, (q1, q2), *lams))
+            assert pos <= RIVER_POSITION_BOUND
+            assert cost <= RIVER_COST_BOUND
+
+
+def test_river_equal_weights_match_the_mirror_point():
+    rng = random.Random(4402)
+    for _ in range(60):
+        lam = math.exp(rng.uniform(-1.0, 1.0))
+        r = _sfbench_river(rng, lams=(lam, lam))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            q1x, q1y, ex, ey, ua, ha, ub, hb = river_frame(r)
+            u = (hb * ua + ha * ub) / (ha + hb)
+            mx, my = q1x + u * ex, q1y + u * ey
+        rx, ry, _ = river_reference(r)
+        assert abs(mx - rx) + abs(my - ry) <= Decimal(1e-45) * Decimal(_size(r))
+        x, _, _ = solve_river(r)
+        pos = math.hypot(float(Decimal(x.x) - mx), float(Decimal(x.y) - my))
+        assert pos <= RIVER_POSITION_BOUND * EPS * _size(r)

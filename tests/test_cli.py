@@ -183,16 +183,36 @@ def test_weight_ratio_limit_is_the_same_for_every_command(capsys, tmp_path):
     # every command that takes weights, and never reach an internal error.
     for k in range(140, 171):
         for weights in ([10.0 ** k, 1, 10.0 ** -k], [10.0 ** k, 10.0 ** -k, 1]):
-            spec = {"triangle": {"sides": [4, 5, 6]}, "weights": weights,
-                    "svg_path": str(tmp_path / "w.svg")}
-            path = write_spec(tmp_path, spec)
-            codes = [cli.main([command, "--input", path]) for command in
-                     ("point", "simulate", "minimize", "render")]
+            spec = {"triangle": {"sides": [4, 5, 6]}, "weights": weights}
+            codes = [cli.main([command, "--input", write_spec(tmp_path, spec)])
+                     for command in ("point", "simulate", "minimize")]
+            codes.append(cli.main(["render", "--input", write_spec(
+                tmp_path, dict(spec, svg_path=str(tmp_path / "w.svg")))]))
             capsys.readouterr()
             assert 1 not in codes, (k, weights, codes)
             assert codes.count(2) in (0, 4), (k, weights, codes)
             assert (codes[0] == 2) == (min(weights) / max(weights)
                                        < sys.float_info.min), (k, weights)
+
+
+def test_weights_times_perimeter_must_stay_finite(capsys, tmp_path):
+    # max(weights) * perimeter bounds every cost a report prices; where it
+    # overflows, each command that takes weights refuses the job.
+    svg = str(tmp_path / "w.svg")
+    for weights, expect in (([1e308] * 3, [2, 2, 2, 2]),
+                            ([1e300, 1e300, 1e308], [2, 2, 2, 2]),
+                            ([1e307] * 3, [0, 0, 0, 0]),
+                            ([1e300, 1e300, 1.1e307], [3, 3, 0, 0])):
+        spec = {"triangle": {"sides": [4, 5, 6]}, "weights": weights}
+        codes = []
+        for command in ("point", "simulate", "minimize", "render"):
+            job = dict(spec, svg_path=svg) if command == "render" else spec
+            codes.append(cli.main([command, "--input",
+                                   write_spec(tmp_path, job)]))
+            err = capsys.readouterr().err
+            if codes[-1] == 2:
+                assert "largest weight times the perimeter overflows" in err
+        assert codes == expect, (weights, codes)
 
 
 def test_uniformly_scaled_weights_give_the_same_answer(capsys, tmp_path):
@@ -265,11 +285,25 @@ def test_deeply_nested_json_exits_2(capsys, monkeypatch):
     assert "invalid JSON" in captured.err
 
 
+def test_deep_input_is_echoed_in_its_report(capsys, tmp_path):
+    # The serializer takes one frame per level, as the JSON decoder does, so
+    # any input that parses can be echoed by its error report.
+    spec = dict(T456, weights=json.loads("[" * 700 + "]" * 700))
+    code, doc = run_doc(capsys, ["point", "--input", write_spec(tmp_path, spec)])
+    assert code == 2
+    assert doc["message"] == "weights must be a list of three numbers"
+
+
 def test_bad_json_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{nope"))
     code = cli.main(["point"])
     capsys.readouterr()
     assert code == 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + json.dumps(T456)))
+    assert cli.main(["point"]) == 2
+    assert capsys.readouterr().err == (
+        "sf: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)\n")
 
 
 def test_triangle_spec_validation(capsys, tmp_path):
@@ -477,18 +511,6 @@ def test_minimize_agrees_with_construction(capsys):
         doc["constructed"]["weighted_perimeter"], rel=1e-5)
 
 
-def test_minimize_ignores_retired_search_fields(capsys, tmp_path):
-    # "grid" and "refine_iters" tuned an earlier search; now they are extras
-    spec = dict(T456, grid=8, refine_iters=0)
-    code, doc = run_doc(capsys, ["minimize", "--input",
-                                 write_spec(tmp_path, spec)])
-    assert code == 0
-    assert doc["input"] == spec
-    _, ref = run_doc(capsys, ["minimize", "--input",
-                              write_spec(tmp_path, T456)])
-    assert doc["report"] == ref["report"]
-
-
 # ---------------------------------------------------------------------------
 # river
 
@@ -585,6 +607,36 @@ def test_inputs_that_would_be_ignored_exit_2(capsys, tmp_path):
     for layers in ({}, {"apollonius": False}, {"apollonius": True}):
         assert cli.main(["render", "--input", write_spec(
             tmp_path, dict(render, layers=layers))]) == 0
+
+
+def test_unknown_spec_keys_exit_2(capsys, tmp_path):
+    # A misspelled or retired key would otherwise be ignored silently.
+    cases = [("simulate", dict(T456, step=12), "step"),
+             ("point", dict(T456, coords={"kind": "barycentric",
+                                          "values": [1, 1, 1]}), "coords"),
+             ("minimize", dict(T456, grid=8, refine_iters=0), "grid"),
+             ("river", dict(corpus_spec("river_basic.json"), weights=[1, 1, 1]),
+              "weights"),
+             ("convert", dict(corpus_spec("convert_trilinear_incenter.json"),
+                              steps=3), "steps")]
+    for command, spec, key in cases:
+        code = cli.main([command, "--input", write_spec(tmp_path, spec)])
+        assert code == 2, command
+        assert "unknown key %r" % key in capsys.readouterr().err
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(dict(spec, command=command, id=i))
+                             + "\n" for i, (command, spec, _) in
+                             enumerate(cases)))
+    code, out = run(capsys, ["point", "--batch", str(batch)])
+    docs = [json.loads(ln) for ln in out.splitlines()]
+    assert code == 2
+    assert [d["exit_code"] for d in docs] == [2] * len(cases)
+    assert [d["message"] for d in docs] == [
+        "unknown key %r in job spec" % key for _, _, key in cases]
+    # "id" and "command" are accepted on every command, alone or batched.
+    code, doc = run_doc(capsys, ["minimize", "--input", write_spec(
+        tmp_path, dict(T456, id="j1", command="minimize"))])
+    assert code == 0 and doc["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------
