@@ -10,8 +10,8 @@ sides (orbit_in_sides on its result), and the orbit is that pedal triangle
 traversed foot-on-a -> foot-on-c -> foot-on-b.
 
 The one-wall crossing (`solve_river`) minimizes a weighted sum of two
-distances along a line by safeguarded Newton on the exact derivative,
-bracketed between the two perpendicular feet.
+distances along a line by safeguarded Newton on the exact derivative in
+the line's own frame, and reports that derivative as its Snell residual.
 """
 
 from __future__ import annotations
@@ -145,8 +145,20 @@ def orbit_start_state(t: Triangle, it: InscribedTriangle) -> BilliardState:
     return BilliardState("a", it.tA, (it.pC - it.pA).unit())
 
 
+def _river_frame(a_pt, b_pt, line):
+    """(q1, e, u_A, h_A, u_B, h_B): the line's first point and unit
+    direction, and for A and B the foot's parameter along e and the
+    height above the line."""
+    q1 = Point2(*line[0])
+    e = (Point2(*line[1]) - q1).unit()
+    a, b = Point2(*a_pt) - q1, Point2(*b_pt) - q1
+    return q1, e, a.dot(e), abs(e.cross(a)), b.dot(e), abs(e.cross(b))
+
+
 class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
-    """Two points on the same strict side of a line, with leg weights."""
+    """Two points on the same strict side of a line, with leg weights.
+    The line's length, the cost bound (lam1 + lam2)(|u_A - u_B| + h_A + h_B)
+    and the two feet, between which the crossing lies, must be finite."""
 
     __slots__ = ()
 
@@ -154,55 +166,53 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
                 lam1: float, lam2: float):
         if min(lam1, lam2) <= 0.0:
             raise ValueError("leg weights must be positive")
-        q1, q2 = line
-        e = Point2(*q2) - Point2(*q1)
-        sa = e.cross(Point2(*a_pt) - Point2(*q1))
-        sb = e.cross(Point2(*b_pt) - Point2(*q1))
-        if sa * sb <= 0.0:
+        q1 = Point2(*line[0])
+        d = Point2(*line[1]) - q1
+        if d.cross(Point2(*a_pt) - q1) * d.cross(Point2(*b_pt) - q1) <= 0.0:
             raise ValueError("both points must lie strictly on one side "
                              "of the line")
+        q1, e, ua, ha, ub, hb = _river_frame(a_pt, b_pt, line)
+        if not all(map(math.isfinite, (
+                d.norm(), (lam1 + lam2) * (abs(ua - ub) + ha + hb),
+                *(q1 + ua * e), *(q1 + ub * e)))):
+            raise ValueError("the crossing's cost or coordinates overflow")
         return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)
 
 
 def solve_river(r: RiverInstance) -> Tuple[Point2, float, float]:
     """Minimize lam1*d(A,X) + lam2*d(B,X) over X = q1 + u*e on the line.
 
-    With A and B projected once to feet u_A, u_B and heights h_A, h_B,
-    and r_A, r_B the leg lengths at u, the objective f has
-    f' = lam1 (u - u_A)/r_A + lam2 (u - u_B)/r_B and
+    In the frame of `_river_frame`, with r_A, r_B the leg lengths at u,
+    the objective f has f' = lam1 (u - u_A)/r_A + lam2 (u - u_B)/r_B and
     f'' = lam1 h_A^2/r_A^3 + lam2 h_B^2/r_B^3 > 0, so its minimizer lies
     between the two feet.  Safeguarded Newton (rtsafe in Press et al.,
-    Numerical Recipes) starts at the equal-weight mirror point and keeps
-    that bracket on the sign of f'.  It takes a Newton step only when the
-    step lands strictly inside the bracket, and bisects otherwise.  It
-    stops on f' = 0, on a step below one ulp, or when the bracket ends are
-    adjacent floats, after at most 120 steps.  Where rounding leaves the
-    derivative one-signed over the bracket, it converges to the end at
-    which the objective is least.
-    Returns the point, the cost, and the residual of the sine-ratio
-    equilibrium condition.
+    Numerical Recipes) starts at the equal-weight mirror point, or at the
+    midpoint where that is not strictly inside, and keeps that bracket on
+    the sign of f'.  A Newton step that would not land strictly inside
+    becomes a bisection, so no iterate has a leg of length 0.  It stops
+    on f' = 0, on a step below one ulp, or when the bracket ends are
+    adjacent floats, after at most 120 steps, and where rounding leaves f'
+    one-signed over the bracket, it ends where f is least.  Returns the
+    point, the cost and the Snell residual |f'(u)|/max(lam1, lam2), that
+    is |lam1 sin A - lam2 sin B|/max(lam1, lam2), which need not vanish at
+    the kink where a point rounds onto the line.
     """
-    q1, q2 = Point2(*r.line[0]), Point2(*r.line[1])
-    e = (q2 - q1).unit()
-    a, b = Point2(*r.a_pt), Point2(*r.b_pt)
+    q1, e, ua, ha, ub, hb = _river_frame(r.a_pt, r.b_pt, r.line)
     lam1, lam2 = r.lam1, r.lam2
-    ua, ha = (a - q1).dot(e), abs(e.cross(a - q1))
-    ub, hb = (b - q1).dot(e), abs(e.cross(b - q1))
     lo, hi = min(ua, ub), max(ua, ub)
-    scale = max(abs(ua), abs(ub), dist(a, q1), dist(b, q1), 1.0)
-    if hi - lo <= 1e-13 * scale:
-        x = q1 + 0.5 * (ua + ub) * e
-        return x, lam1 * dist(a, x) + lam2 * dist(b, x), 0.0
-    u = ua + (ub - ua) * (ha / (ha + hb))
+    # Heights that are, or round to, 0 put the mirror point on a foot.
+    u = ua + (ub - ua) * (ha / (ha + hb)) if ha + hb > 0.0 else lo
     if not lo < u < hi:
-        # A height that rounds to 0 puts the mirror point on a foot, where
-        # a leg has length 0; every later iterate is strictly inside.
-        u = 0.5 * (lo + hi)
-    for _ in range(120):
+        u = 0.5 * lo + 0.5 * hi  # halved first: lo + hi can overflow
+    # The 121st pass only evaluates f' at the last step.
+    for i in range(121):
         da, db = u - ua, u - ub
         ra, rb = math.hypot(da, ha), math.hypot(db, hb)
-        slope = lam1 * da / ra + lam2 * db / rb
-        if slope == 0.0:
+        # A leg of length 0 (at equal feet, or at the foot of a point that
+        # rounds onto the line) adds 0, a value of its subgradient.
+        slope = lam1 * da / (ra or 1.0) + lam2 * db / (rb or 1.0)
+        # Equal or adjacent feet leave no float strictly inside.
+        if slope == 0.0 or i == 120 or not lo < u < hi:
             break
         if slope < 0.0:
             lo = u
@@ -216,19 +226,10 @@ def solve_river(r: RiverInstance) -> Tuple[Point2, float, float]:
             break
         nxt = u - step
         if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
+            nxt = 0.5 * lo + 0.5 * hi
             if not lo < nxt < hi:
                 break
         u = nxt
     x = q1 + u * e
-    va = a - x
-    vb = b - x
-    sin_a = abs(va.dot(e)) / va.norm()
-    sin_b = abs(vb.dot(e)) / vb.norm()
-    if sin_a > 1e-12:
-        residual = abs(sin_b / sin_a - lam1 / lam2)
-    elif sin_b > 1e-12:
-        residual = abs(sin_a / sin_b - lam2 / lam1)
-    else:
-        residual = 0.0
-    return x, lam1 * dist(a, x) + lam2 * dist(b, x), residual
+    return (x, lam1 * dist(r.a_pt, x) + lam2 * dist(r.b_pt, x),
+            abs(slope) / max(lam1, lam2))

@@ -10,9 +10,9 @@ gets a report: the error report with exit code 1, its traceback on stderr.
 The check tolerances are fixed (TOLERANCES) and every report echoes them.
 Exit 2 also covers a top-level spec key that the command does not read
 (see each module's KEYS), a smallest weight below sys.float_info.min times
-the largest, a largest weight times the perimeter that overflows, render
-"layers" other than {"apollonius": true|false}, and --svg anywhere but on
-a single render job.
+the largest, a largest weight times the perimeter that overflows, a river
+crossing whose cost or coordinates overflow, render "layers" other than
+{"apollonius": true|false}, and --svg anywhere but on a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
 mapping of exceptions to exit codes.  Each command lives in its own module
@@ -43,8 +43,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from . import __version__, billiards, coordinates, geometry, serialize
 from .jobs import (EXIT_DYNAMICS, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
                    EXIT_MISSING, EXIT_OK, CliError, check_keys, error_doc)
-# The simulate handler reads these very objects; they stay reachable here.
-from .jobs import MAX_SIMULATE_STEPS, TOLERANCES  # noqa: F401
 
 
 def _handler(command: str):

@@ -74,16 +74,12 @@ def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
     if has_v == has_s:
         raise CliError(EXIT_INVALID,
                        "triangle needs exactly one of \"vertices\"/\"sides\"")
-    try:
-        if has_v:
-            vs = node["vertices"]
-            if not isinstance(vs, (list, tuple)) or len(vs) != 3:
-                raise CliError(EXIT_INVALID, "vertices must list three points")
-            return geometry.Triangle(*(pair(v, "vertex") for v in vs))
-        return geometry.triangle_from_sides(*triple(node["sides"], "sides"))
-    except (geometry.TriangleInequalityViolated, geometry.DegenerateTriangle,
-            ValueError) as e:
-        raise CliError(EXIT_INVALID, str(e))
+    if has_v:
+        vs = node["vertices"]
+        if not isinstance(vs, (list, tuple)) or len(vs) != 3:
+            raise CliError(EXIT_INVALID, "vertices must list three points")
+        return geometry.Triangle(*(pair(v, "vertex") for v in vs))
+    return geometry.triangle_from_sides(*triple(node["sides"], "sides"))
 
 
 def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:

@@ -8,11 +8,13 @@ involved.  Canvas is 800x600 with the reference triangle fitted inside a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .apollonius import ApollonianCircle
-from .construction import SnellOrbitResult
 from .geometry import Point2, Triangle
+
+if TYPE_CHECKING:  # annotations only: a plain render runs no apollonius
+    from .apollonius import ApollonianCircle
+    from .construction import SnellOrbitResult
 
 CANVAS_W = 800
 CANVAS_H = 600

@@ -353,6 +353,10 @@ def test_river_matches_50_digit_reference():
     cases += [_sfbench_river(rng, lams=lams) for lams in
               [(1e3, 1e-3), (1e-3, 1e3)] * 20]
     cases += [_sfbench_river(rng, same_foot=True) for _ in range(40)]
+    # Feet 4e-11 apart at size 1000: a scale-relative shortcut for
+    # coincident feet once returned their midpoint here, 64 EPS off.
+    cases.append(RiverInstance(Point2(0.0, 1000.0), Point2(4e-11, 500.0),
+                               X_AXIS, 1.0, 3.0))
     worst_pos = worst_cost = 0.0
     for r in cases:
         pos, cost = _river_error(r)
@@ -362,7 +366,8 @@ def test_river_matches_50_digit_reference():
 
 
 # A lies strictly on B's side by the cross product with q2 - q1, as
-# RiverInstance checks it, but its height over the unit direction rounds to 0.
+# RiverInstance checks it, but its height over the unit direction is below
+# EPS times the instance's size, and rounds to 0 on all but three.
 ROUNDED_ONTO_THE_LINE = [
     ((-8.952516969259321, -13.681714019970602),
      (-4.917332696578297, -21.242569079637136),
@@ -376,17 +381,108 @@ ROUNDED_ONTO_THE_LINE = [
      (8.073852934324684, -13.767345812537398),
      (-3.379801652166383, -0.49091382567707953),
      (1.8089004040822596, -3.410552386641025)),
+    # The crossing rounds onto A, so a residual measured on the legs A - X
+    # and B - X divided by zero on these.
+    ((7.270445295712988, 5.78385088367004),
+     (8.326907436171037, 5.314509032582835),
+     (0.8752171847186077, 1.4788237585620152),
+     (-9.737716208221956, -5.665403990723037)),
+    ((-9.961241819537971, -0.5652128037632123),
+     (-6.929445054298529, 1.7170447917887888),
+     (-7.146316444061787, -0.43174777996051894),
+     (0.9819067848756937, -0.04636153982254321)),
+    ((-5.839403173322197, -3.356656038466992),
+     (-7.271491926502806, 6.62201037381773),
+     (-5.299623118370458, -3.3346983893901117),
+     (2.2751473941393385, -3.026565194719808)),
+    ((5.324909406839108, -0.12435527704805738),
+     (1.8782655732543274, -7.233919195084517),
+     (5.975472342699204, 2.536115370522147),
+     (4.422700805839089, -3.8139283661951406)),
+    # B's foot is the float next to A's, so no float lies strictly between
+    # them, and the search starts on A's foot, where A's leg has length 0.
+    ((12.098921421224066, -9.144884134118723),
+     (11.929306025535139, -10.37888208131286),
+     (-9.396522700583343, -6.19029391902173),
+     (2.6807993653972275, -7.850345109335112)),
+    ((-3.134148456539562, -1.5504254917191664),
+     (-5.0887267350193, -0.17593461748638708),
+     (0.008940834708209167, 2.919166974236152),
+     (-1.1155551505724208, 1.3200909321387204)),
 ]
 
 
 def test_river_point_rounded_onto_the_line():
     for a, b, q1, q2 in ROUNDED_ONTO_THE_LINE:
         a, b, q1, q2 = (Point2(*p) for p in (a, b, q1, q2))
-        assert (q2 - q1).unit().cross(a - q1) == 0.0
-        for lams in ((1.0, 2.0), (2.0, 1.0)):
+        size = max(abs(c) for p in (a, b, q1, q2) for c in p)
+        assert abs((q2 - q1).unit().cross(a - q1)) < EPS * size
+        for lams in ((1.0, 2.0), (2.0, 1.0), (1.0, 1.0)):
             pos, cost = _river_error(RiverInstance(a, b, (q1, q2), *lams))
             assert pos <= RIVER_POSITION_BOUND
             assert cost <= RIVER_COST_BOUND
+        # A twice: equal feet, both legs of length 0 at them.
+        r = RiverInstance(a, a, (q1, q2), 1.0, 3.0)
+        assert solve_river(r)[2] == 0.0
+        assert _river_error(r)[0] <= RIVER_POSITION_BOUND
+
+
+def _near_line_river(rng, lams):
+    """A and B placed on the line through q1 and q2 as q1 + u (q2 - q1),
+    u ~ U(-2, 3), q1 and q2 ~ U(-10, 10)^2: each lies on it to within
+    rounding, on either side or exactly on it.  None if they are not
+    strictly on one side."""
+    q1, q2 = (Point2(rng.uniform(-10, 10), rng.uniform(-10, 10))
+              for _ in range(2))
+    a, b = (q1 + rng.uniform(-2.0, 3.0) * (q2 - q1) for _ in range(2))
+    try:
+        return RiverInstance(a, b, (q1, q2), *lams)
+    except ValueError:
+        return None
+
+
+# Twice the worst errors on the instances of the test below: position
+# 2.89, cost 254.6, cost at equal weights 0.965.  The crossing sits at a
+# kink, and where A and B are close against the instance's size, an ulp of
+# its position is a large relative error of the cost.
+NEAR_LINE_POSITION_BOUND = 5.78
+NEAR_LINE_COST_BOUND = 509.0
+NEAR_LINE_EQUAL_COST_BOUND = 1.93
+
+
+def test_river_both_points_rounded_onto_the_line():
+    rng = random.Random(4403)
+    worst_pos = worst_cost = worst_equal = 0.0
+    ln4 = math.log(4.0)
+    for _ in range(1000):
+        lams = (math.exp(rng.uniform(-ln4, ln4)),
+                math.exp(rng.uniform(-ln4, ln4)))
+        r = _near_line_river(rng, lams)
+        if r is not None:
+            pos, cost = _river_error(r)
+            worst_pos, worst_cost = max(worst_pos, pos), max(worst_cost, cost)
+        # With equal weights every point between the feet is a minimizer.
+        r = _near_line_river(rng, (lams[0], lams[0]))
+        if r is not None:
+            worst_equal = max(worst_equal, _river_error(r)[1])
+    assert worst_pos <= NEAR_LINE_POSITION_BOUND
+    assert worst_cost <= NEAR_LINE_COST_BOUND
+    assert worst_equal <= NEAR_LINE_EQUAL_COST_BOUND
+
+
+def test_river_feet_near_the_largest_float():
+    # Both points round onto the line and their feet lie near 1.5e308, so
+    # the search starts at the feet's midpoint, where lo + hi overflows.
+    r = RiverInstance(
+        Point2(-2.467202049295939e306, 7.743788238004021e307),
+        Point2(-2.6191080041843812e306, 8.220574298993058e307),
+        (Point2(2.2290970531648038e306, -6.996449904292585e307),
+         Point2(1.9106546169984033e306, -5.996957060822216e307)), 1.0, 2.0)
+    pos, cost = _river_error(r)
+    assert pos <= NEAR_LINE_POSITION_BOUND
+    assert cost <= NEAR_LINE_COST_BOUND
+    # The optimum is the kink at B, where f' is 1 - 2 on one side.
+    assert solve_river(r)[2] == 0.5
 
 
 def test_river_equal_weights_match_the_mirror_point():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import snellfagnano
-from snellfagnano import cli
+from snellfagnano import cli, jobs
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -63,7 +64,7 @@ def test_point_456_unit_weights(capsys, tmp_path):
     conj = doc["isogonal_conjugate"]
     tn = conj["tripolar_normalized"]
     assert max(tn) - min(tn) < 1e-9  # circumcenter: equidistant
-    assert doc["tolerances"] == cli.TOLERANCES
+    assert doc["tolerances"] == jobs.TOLERANCES
 
 
 def test_point_stdin(capsys, monkeypatch):
@@ -419,7 +420,7 @@ def test_simulate_explicit_start(capsys):
 
 
 def test_simulate_step_cap(capsys, tmp_path):
-    spec = dict(T456, steps=cli.MAX_SIMULATE_STEPS + 1)
+    spec = dict(T456, steps=jobs.MAX_SIMULATE_STEPS + 1)
     code, doc = run_doc(capsys, ["simulate", "--input",
                                  write_spec(tmp_path, spec)])
     assert code == 2
@@ -529,6 +530,40 @@ def test_river_opposite_sides(capsys, tmp_path):
     code, doc = run_doc(capsys, ["river", "--input",
                                  write_spec(tmp_path, spec)])
     assert code == 2
+
+
+# A lies on the line in floating point, so the optimum is a kink at A.
+RIVER_ON_THE_LINE = {"river": {
+    "a": [5.324909406839108, -0.12435527704805738],
+    "b": [1.8782655732543274, -7.233919195084517],
+    "line": [[5.975472342699204, 2.536115370522147],
+             [4.422700805839089, -3.8139283661951406]],
+    "lam1": 1, "lam2": 1}}
+
+
+def test_river_point_rounded_onto_the_line_exits_0(capsys, tmp_path):
+    code, doc = run_doc(capsys, ["river", "--input",
+                                 write_spec(tmp_path, RIVER_ON_THE_LINE)])
+    assert code == 0
+    assert doc["x"] == RIVER_ON_THE_LINE["river"]["a"]
+    assert 0.0 < doc["snell_residual"] < 0.05
+
+
+def test_river_overflow_exits_2(capsys, tmp_path):
+    # A is 1e300 off the line and lam1 about 1e10: the cost overflows.
+    spec = {"river": {
+        "a": [-749.850587273934, 1e300],
+        "b": [-261.9105148140824, 3.4080332050127966],
+        "line": [[-847560.9449275407, -515737.66429744],
+                 [1e-300, 1.0302370488521454e-05]],
+        "lam1": 9613336323.75734, "lam2": 4.685008855662574}}
+    assert cli.main(["river", "--input", write_spec(tmp_path, spec)]) == 2
+    assert "overflow" in capsys.readouterr().err
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(spec) + "\n")
+    code, doc = run_doc(capsys, ["river", "--batch", str(batch)])
+    assert code == doc["exit_code"] == 2
+    assert doc["message"] == "the crossing's cost or coordinates overflow"
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +678,7 @@ def test_unknown_spec_keys_exit_2(capsys, tmp_path):
 # tolerances, batch
 
 def test_tolerances_are_constants(capsys, tmp_path):
-    assert cli.TOLERANCES["interior_angle"] == \
+    assert jobs.TOLERANCES["interior_angle"] == \
         snellfagnano.construction.EPS_ANGLE
     for flag in (["--tol", "periodicity=0.01"], ["--config", "c.json"]):
         with pytest.raises(SystemExit) as exc:
@@ -659,8 +694,8 @@ def test_simulate_closure_is_billiards_closure(capsys, monkeypatch, tmp_path):
                                               *block["direction"]))
 
     # a zero threshold must flip the verdict of the closed default orbit
-    for tol in (cli.TOLERANCES["periodicity"], 0.0):
-        monkeypatch.setitem(cli.TOLERANCES, "periodicity", tol)
+    for tol in (jobs.TOLERANCES["periodicity"], 0.0):
+        monkeypatch.setitem(jobs.TOLERANCES, "periodicity", tol)
         for spec in (T456, corpus_spec("simulate_explicit.json")):
             _, doc = run_doc(capsys, ["simulate", "--input",
                                       write_spec(tmp_path, spec)])
@@ -706,6 +741,76 @@ def test_batch_survives_an_internal_error(capsys, monkeypatch, tmp_path):
     assert docs[1]["status"] == "error"
     assert "RuntimeError" in docs[1]["message"]
     assert "Traceback" in captured.err and "boom" in captured.err
+
+
+def test_invalid_triangles_exit_2_with_their_reason(capsys):
+    for triangle, message in (
+            ({"vertices": [[0, 0], [1, 1], [2, 2]]},
+             "vertices are collinear within tolerance (area 0)"),
+            ({"sides": [1, 2, 10]},
+             "sides (1, 2, 10) violate the strict triangle inequality"),
+            ({"sides": [0, 1, 1]}, "side lengths must be positive")):
+        doc, code = cli.run_spec("point", {"triangle": triangle,
+                                           "weights": [1, 1, 1]})
+        assert (code, doc["message"]) == (2, message)
+
+
+def _fuzz_spec(rng):
+    """A random job of any command but render: sides, vertices and river
+    coordinates at scales 10^U(-12, 12), weights 10^U(-6, 6), river points
+    placed on the line as q1 + u (q2 - q1), and now and then one river
+    coordinate up to 1e300."""
+    command = rng.choice(("point", "convert", "simulate", "minimize", "river"))
+    scale = 10.0 ** rng.uniform(-12.0, 12.0)
+    if command == "river":
+        q1, q2 = ([rng.uniform(-10, 10) * scale for _ in "xy"] for _ in "12")
+
+        def on_line():
+            u = rng.uniform(-2.0, 3.0)
+            return [q1[i] + u * (q2[i] - q1[i]) for i in (0, 1)]
+
+        a = on_line()
+        b = on_line() if rng.random() < 0.5 else [
+            rng.uniform(-10, 10) * scale for _ in "xy"]
+        if rng.random() < 0.1:
+            rng.choice((a, b, q1, q2))[rng.randrange(2)] = (
+                rng.choice((-1, 1)) * 10.0 ** rng.uniform(0.0, 300.0))
+        return command, {"river": {
+            "a": a, "b": b, "line": [q1, q2],
+            "lam1": 10.0 ** rng.uniform(-6.0, 6.0),
+            "lam2": 10.0 ** rng.uniform(-6.0, 6.0)}}
+    if rng.random() < 0.5:
+        triangle = {"sides": [scale * rng.uniform(0.1, 1.0) for _ in "abc"]}
+    else:
+        triangle = {"vertices": [[scale * rng.uniform(-1, 1) for _ in "xy"]
+                                 for _ in "ABC"]}
+    spec = {"triangle": triangle}
+    if command == "convert":
+        kind = rng.choice(("barycentric", "trilinear", "tripolar"))
+        spec["coords"] = {"kind": kind, "values": [
+            rng.uniform(-0.5, 1.0) * (scale if kind == "tripolar" else 1.0)
+            for _ in "abc"]}
+    else:
+        # Independent weights, or a common scale with bounded ratios.
+        w = 10.0 ** rng.uniform(-6.0, 6.0)
+        spec["weights"] = [
+            (w * rng.uniform(0.5, 2.0) if rng.random() < 0.5
+             else 10.0 ** rng.uniform(-6.0, 6.0)) for _ in "abc"]
+    if command == "simulate":
+        spec["steps"] = rng.randint(1, 12)
+    return command, spec
+
+
+def test_random_jobs_never_exit_1(capsys):
+    """Exit 1 marks a defect in sf; no valid or invalid job may reach it."""
+    rng = random.Random(1501)
+    internal = []
+    for _ in range(3000):
+        command, spec = _fuzz_spec(rng)
+        if cli._run_job(command, json.dumps(spec), batch=True) == 1:
+            internal.append((command, spec))
+        capsys.readouterr()
+    assert internal == []
 
 
 def test_batch_rejects_unhashable_command(capsys, tmp_path):
@@ -821,7 +926,7 @@ print(json.dumps({
 """
 
 
-def test_cli_import_leaves_numpy_out():
+def test_cli_import_leaves_numpy_out(tmp_path):
     """The CLI imports nothing its cold start does not use: numpy is a test
     dependency only, the records and the batch loop need neither
     dataclasses nor a thread pool, and the hand-written argument parser
@@ -829,7 +934,7 @@ def test_cli_import_leaves_numpy_out():
     use, so importing the CLI runs only the CLI core (cli and jobs) and
     registers no command module; a cold job adds its command's module and
     the modules that command calls.  A closed orbit draws no circles, so
-    point and simulate leave apollonius out."""
+    point, simulate and a render without layers leave apollonius out."""
     cases = (
         ([], []),
         (["--version"], []),
@@ -843,6 +948,10 @@ def test_cli_import_leaves_numpy_out():
         (["simulate", "--input", corpus_path("simulate_default.json")],
          ["cmd_simulate", "billiards", "construction", "coordinates",
           "geometry", "serialize"]),
+        (["render", "--input", corpus_path("render_plain.json"),
+          "--svg", str(tmp_path / "plain.svg")],
+         ["cmd_render", "construction", "coordinates", "geometry", "render",
+          "serialize"]),
     )
     for argv, used in cases:
         proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE] + argv,
