@@ -168,7 +168,11 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
             raise ValueError("leg weights must be positive")
         q1 = Point2(*line[0])
         d = Point2(*line[1]) - q1
-        if d.cross(Point2(*a_pt) - q1) * d.cross(Point2(*b_pt) - q1) <= 0.0:
+        side_a = d.cross(Point2(*a_pt) - q1)
+        side_b = d.cross(Point2(*b_pt) - q1)
+        # signs, not the product, which underflows at small scale
+        if (side_a == 0.0 or side_b == 0.0 or side_a < 0.0 < side_b
+                or side_b < 0.0 < side_a):
             raise ValueError("both points must lie strictly on one side "
                              "of the line")
         q1, e, ua, ha, ub, hb = _river_frame(a_pt, b_pt, line)

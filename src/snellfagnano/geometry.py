@@ -59,9 +59,15 @@ class Point2(NamedTuple):
         return math.hypot(self.x, self.y)
 
     def unit(self) -> "Point2":
+        """This vector over its length.  Where the length overflows, the
+        vector is first divided by its larger component, so only such
+        vectors take the extra rounding."""
         n = self.norm()
         if n == 0.0:
             raise DegenerateLine("cannot normalize the zero vector")
+        if n == math.inf:
+            m = max(abs(self.x), abs(self.y))
+            return Point2(self.x / m, self.y / m).unit()
         return Point2(self.x / n, self.y / n)
 
     def perp(self) -> "Point2":

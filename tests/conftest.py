@@ -1,4 +1,5 @@
-"""Shared sampling helpers and independent oracles for the test suite.
+"""Shared sampling helpers, independent oracles and the environment of
+child processes for the test suite.
 
 Oracles here deliberately avoid the package's own construction code where
 they are used to judge it (orthocenter/circumcenter come from tiny linear
@@ -6,8 +7,10 @@ solves written out by hand).
 """
 
 import math
+import os
 import random
 
+import snellfagnano
 from snellfagnano import (Point2, Triangle, Weights, tilde_triangle)
 from snellfagnano.geometry import DegenerateTriangle
 
@@ -21,6 +24,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+SUBPROCESS_TIMEOUT = 120  # seconds; a cold `sf point` takes well under 1 s
+
+
+def checkout_env():
+    """Child environment in which this checkout's package wins any import."""
+    pkg_parent = os.path.dirname(os.path.dirname(snellfagnano.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 
@@ -251,20 +253,26 @@ def test_criterion_9_degenerate_regime():
            "altitude in %d/%d" % (worst_flat, argmin_agree, n))
 
 
-def _run_corpus_once(tmp_dir):
+def _in_process(label, args):
+    """The stdout bytes of `cli.main(args)`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(args)
+    return buf.getvalue().encode()
+
+
+def _run_corpus_once(tmp_dir, run=_in_process):
     """One full pass over the corpus; returns {label: output bytes}.
 
     Runs from tmp_dir with relative SVG names, so no report echoes a path
     that depends on where the pass ran.  Labels are file names under
-    EXPECTED.
+    EXPECTED.  run(label, args) runs one command line and returns its
+    stdout bytes.
     """
     outputs = {}
 
     def capture(label, args):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            cli.main(args)
-        outputs[label] = buf.getvalue().encode()
+        outputs[label] = run(label, args)
 
     cwd = os.getcwd()
     os.chdir(tmp_dir)
@@ -306,11 +314,41 @@ def test_corpus_matches_golden_bytes(tmp_path):
     A change that moves a report regenerates tests/corpus/expected with
     `PYTHONPATH=src python tests/test_acceptance.py` and explains the diff.
     """
-    outputs = _run_corpus_once(str(tmp_path))
+    _assert_golden(_run_corpus_once(str(tmp_path)))
+
+
+def _assert_golden(outputs):
     assert sorted(outputs) == sorted(os.listdir(EXPECTED))
     for name, data in outputs.items():
         with open(os.path.join(EXPECTED, name), "rb") as fh:
             assert data == fh.read(), name
+
+
+def test_corpus_through_the_process_entry(tmp_path):
+    """Every corpus report and SVG equals its committed bytes when each job
+    runs as `python -m snellfagnano.cli` in its own process, as `sf` does,
+    under `-X dev` with ResourceWarning an error: exit codes as documented,
+    and stderr holds at most the one `sf:` line of a failing single job."""
+    results = {}
+
+    def run(label, args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "snellfagnano.cli"] + args, capture_output=True,
+            env=conftest.checkout_env(), timeout=conftest.SUBPROCESS_TIMEOUT)
+        results[label] = proc.returncode, proc.stderr.decode()
+        return proc.stdout
+
+    _assert_golden(_run_corpus_once(str(tmp_path), run))
+    for label, (code, err) in results.items():
+        expected = (3 if label.startswith("point_no_tilde.") else
+                    2 if label == "batch.jsonl" else 0)
+        assert code == expected, (label, err)
+        if code and label != "batch.jsonl":
+            assert err.startswith("sf: ") and err.count("\n") == 1, (label,
+                                                                       err)
+        else:
+            assert err == "", (label, err)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
+import ast
+import gc
 import importlib.metadata
+import inspect
 import io
 import json
 import math
@@ -11,6 +14,7 @@ import sys
 import pytest
 
 import snellfagnano
+from conftest import SUBPROCESS_TIMEOUT, checkout_env
 from snellfagnano import cli, jobs
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -43,6 +47,7 @@ def write_spec(tmp_path, spec):
 
 
 T456 = {"triangle": {"sides": [4, 5, 6]}, "weights": [1, 1, 1]}
+EPS = sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +424,26 @@ def test_simulate_explicit_start(capsys):
     assert len(doc["trajectory"]) == 5
 
 
+def test_simulate_direction_length_is_irrelevant(capsys, tmp_path):
+    """A start direction gives the same trajectory at any length, one whose
+    norm overflows `math.hypot` too."""
+    runs = []
+    for d in ([1e-300, 1e-300], [1, 1], [1e300, 1e300], [1.7e308, 1.7e308]):
+        spec = dict(T456, start={"side": "a", "param": 0.5, "direction": d})
+        runs.append(run_doc(capsys, ["simulate", "--input",
+                                     write_spec(tmp_path, spec)]))
+    ref_code, ref = runs[1]
+    assert ref_code == 0
+    for code, doc in runs:
+        assert code == ref_code
+        assert doc["periodic"] == ref["periodic"]
+        assert ([s["side"] for s in doc["trajectory"]]
+                == [s["side"] for s in ref["trajectory"]])
+        for s, r in zip(doc["trajectory"], ref["trajectory"]):
+            for got, want in zip(s["direction"], r["direction"]):
+                assert abs(got - want) <= 4 * EPS, (got, want)
+
+
 def test_simulate_step_cap(capsys, tmp_path):
     spec = dict(T456, steps=jobs.MAX_SIMULATE_STEPS + 1)
     code, doc = run_doc(capsys, ["simulate", "--input",
@@ -564,6 +589,25 @@ def test_river_overflow_exits_2(capsys, tmp_path):
     code, doc = run_doc(capsys, ["river", "--batch", str(batch)])
     assert code == doc["exit_code"] == 2
     assert doc["message"] == "the crossing's cost or coordinates overflow"
+
+
+def test_river_verdict_is_scale_invariant(capsys, tmp_path):
+    """`river_basic` scaled by 2**k gives the k = 0 crossing and cost, each
+    scaled by 2**k exactly.  The side test compares the signs of the two
+    cross products; their product underflows to 0 below about 2**-268."""
+    base = corpus_spec("river_basic.json")["river"]
+    results = {}
+    for k in (-500, -330, 0, 330, 1000):
+        def scaled(p):
+            return [math.ldexp(v, k) for v in p]
+        spec = {"river": dict(base, a=scaled(base["a"]), b=scaled(base["b"]),
+                              line=[scaled(q) for q in base["line"]])}
+        code, doc = run_doc(capsys, ["river", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == 0, (k, doc.get("message"))
+        results[k] = ([math.ldexp(v, -k) for v in doc["x"]],
+                      math.ldexp(doc["cost"], -k))
+    assert all(r == results[0] for r in results.values()), results
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +882,6 @@ def test_repeat_runs_byte_identical(capsys, tmp_path):
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "pyproject.toml")
-SUBPROCESS_TIMEOUT = 120  # seconds; a cold `sf point` takes well under 1 s
 
 
 def declared_script(name):
@@ -854,22 +897,27 @@ def declared_script(name):
                                          group="console_scripts")
 
 
-def checkout_env():
-    """Child environment in which this checkout's package wins any import."""
-    pkg_parent = os.path.dirname(os.path.dirname(snellfagnano.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [pkg_parent] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
+def main_block_call():
+    """The name of the function that the `__main__` block of cli.py calls,
+    the block's one statement."""
+    for node in ast.parse(inspect.getsource(cli)).body:
+        if (isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"):
+            [stmt] = node.body
+            assert isinstance(stmt, ast.Expr) and not stmt.value.args
+            return stmt.value.func.id
+    raise AssertionError("cli.py has no __main__ block")
 
 
 def test_entry_point_wiring(tmp_path):
-    """The declared `sf` entry point runs `sf point` as its own process.
+    """The declared `sf` entry point is the function `python -m
+    snellfagnano.cli` calls, and it runs `sf point` as its own process.
 
     The child is launched the way a console-script wrapper does it, so the
     test needs no install: it runs from a checkout on PYTHONPATH."""
     ep = declared_script("sf")
-    assert callable(ep.load()), "%s is not callable" % ep.value
+    assert (ep.module, ep.attr) == ("snellfagnano.cli", main_block_call())
+    assert ep.load() is cli.console
     wrapper = "import sys; from %s import %s; sys.exit(%s())" % (
         ep.module, ep.attr, ep.attr)
     proc = subprocess.run([sys.executable, "-c", wrapper,
@@ -879,6 +927,71 @@ def test_entry_point_wiring(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["status"] == "interior"
+
+
+# Runs `python -m snellfagnano.cli` the way runpy does, on the command line
+# given to it, with an atexit hook that writes the collector's freeze count
+# to stderr as the process ends; the count at start goes to stderr first.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+sys.stderr.write("freeze count %d\\n" % gc.get_freeze_count())
+atexit.register(lambda: sys.stderr.write(
+    "freeze count %d\\n" % gc.get_freeze_count()))
+sys.argv[0] = "sf"
+runpy.run_module("snellfagnano.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_heap_at_exit():
+    """The process entry leaves every tracked object frozen at exit, so the
+    interpreter's final collections skip them, whether `main()` returns, a
+    flag exits, or a usage error raises SystemExit(2)."""
+    for argv, code in ((["--version"], 0), (["bogus"], 2),
+                       (["point", "--input", corpus_path("point_interior.json")],
+                        0)):
+        proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE] + argv,
+                              capture_output=True, text=True,
+                              env=checkout_env(), timeout=SUBPROCESS_TIMEOUT)
+        assert proc.returncode == code, (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "freeze count 0", argv
+        last = lines[-1].split()
+        assert last[:2] == ["freeze", "count"] and int(last[2]) > 0, argv
+
+
+def test_main_does_not_freeze(capsys, tmp_path):
+    """`main()` is the in-process API: the caller's garbage stays
+    collectable after a job, a flag and a usage error."""
+    before = gc.get_freeze_count()
+    assert run(capsys, ["point", "--input", write_spec(tmp_path, T456)])[0] == 0
+    for argv in (["--version"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_broken_pipe_exits_120(tmp_path):
+    """A report that cannot be flushed at exit, because stdout's reader has
+    gone, still ends in the interpreter's exit 120, after the freeze.  The
+    child buffers stdout, so the write fails only at the exit flush."""
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv in (["--version"],
+                 ["river", "--compact", "--input",
+                  corpus_path("river_basic.json")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "snellfagnano.cli"] + argv,
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=SUBPROCESS_TIMEOUT)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120, (argv, proc.stderr)
+        assert "BrokenPipeError" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
 
 
 @pytest.mark.skipif(shutil.which("sf") is None,

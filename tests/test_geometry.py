@@ -32,6 +32,11 @@ def test_point_algebra():
     assert p.cross(q) == pytest.approx(0.5 + 6.0)
     assert abs(p.unit().norm() - 1.0) < 1e-15
     assert p.perp().dot(p) == 0.0
+    # a length that overflows: divided by the larger component first
+    assert Point2(1.7e308, -1.7e308).unit() == Point2(1.0, -1.0).unit()
+    u = Point2(1e308, 1.5e308).unit()
+    assert u.x == pytest.approx(2 / math.sqrt(13), abs=2e-16)
+    assert u.y == pytest.approx(3 / math.sqrt(13), abs=2e-16)
 
 
 def test_rotate_quarter_turn():
