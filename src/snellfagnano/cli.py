@@ -4,9 +4,11 @@ Job specs are JSON (from --input or stdin), reports are JSON on stdout with
 a fixed field layout and fixed float formatting, so identical inputs give
 byte-identical outputs.  Exit codes: 0 success, 1 internal error (a defect in
 sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
-5 I/O failure.  A batch runs its lines serially, in input order.  A job
-that hits a defect, on a batch line or alone from --input or stdin, still
-gets a report: the error report with exit code 1, its traceback on stderr.
+5 I/O failure, a write to stdout that fails among them.  Every input is
+decoded as UTF-8; a batch file is split on "\n" alone, as JSON Lines is,
+and each line is decoded and reported on its own.  A job that hits a
+defect, on a batch line or alone from --input or stdin, still gets a
+report: the error report with exit code 1, its traceback on stderr.
 The check tolerances are fixed (TOLERANCES) and every report echoes them.
 Exit 2 also covers a top-level spec key that the command does not read
 (see each module's KEYS), a smallest weight below sys.float_info.min times
@@ -32,8 +34,20 @@ walk a heap that is about to be freed whole: from `main()` returning to
 the parent reaping the process took a median 11.2 ms for a cold `sf point`
 and now takes 3.4 ms (15 runs each, 2-core x86-64 Linux, Python 3.11).
 `main(argv)` is the in-process API: it returns the exit code (or raises
-SystemExit for `--version`, `-h` and a usage error) and never freezes, so
-a process that calls it and goes on still collects its garbage.
+SystemExit for `--version`, `-h` and a usage error, and OSError when a
+write to stdout fails) and never freezes, so a process that calls it and
+goes on still collects its garbage.  `console()` turns a failed write to
+stdout, a broken pipe among them, into exit 5 with one `sf:` line.
+
+A batch's reports come out in input order, and stdout, stderr, the SVGs
+and the exit code (the largest over its lines) are byte for byte those of
+a serial run.  `main()` runs a batch serially, so a caller in the same
+process sees every job run there.  The process entry splits a batch of at
+least 2 * LINES_PER_WORKER lines into contiguous chunks, one per usable
+CPU but at most one per LINES_PER_WORKER lines, run by forked workers (see
+`workers`): its own chunk's reports stream as they are ready, and a later
+chunk's are written once the earlier ones are.  Each worker compiles the
+modules its lines use again, which a small batch does not earn back.
 
 The parser takes the command word and the flags in any order, each flag at
 most once: `--input FILE`, `--batch FILE` and `--svg FILE` (also written
@@ -49,8 +63,9 @@ import gc
 import importlib
 import json
 import math
+import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import __version__, billiards, coordinates, geometry, serialize
 from .jobs import (EXIT_DYNAMICS, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
@@ -158,8 +173,12 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float,
                             parse_constant=_reject_const)
 
 
-def _loads(text: str) -> Any:
+def _loads(text: Union[str, bytes]) -> Any:
+    """The JSON value of text, bytes being decoded as UTF-8; CliError(2) if
+    it is not one."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         if text.startswith("\ufeff"):  # as json.loads words it
             raise json.JSONDecodeError(
                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -195,28 +214,24 @@ def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
     return error_doc(command, spec, err[1]), err[0]
 
 
-def _run_job(command: str, text: str, batch: bool, indent: int = 0,
-             svg: Optional[str] = None) -> int:
+def _run_job(command: str, text: Union[str, bytes], batch: bool,
+             indent: int = 0, svg: Optional[str] = None) -> int:
     """Write the report of one job to stdout; return its exit code.
 
-    Never raises.  A batch line may name its own "command", and its report
-    carries its exit_code.  A single job whose text is not valid JSON gets
-    no report, only its reason on stderr, where the message of any other
-    failing single job goes too.  An exception that escapes a handler or
-    the serializer is a defect in sf: its traceback goes to stderr and the
-    job gets an exit-1 error report.
+    A batch line may name its own "command", and its report carries its
+    exit_code.  A single job whose text is not valid JSON gets no report,
+    only its reason on stderr, where the message of any other failing
+    single job goes too.  An exception that escapes a handler or the
+    serializer is a defect in sf: its traceback goes to stderr and the job
+    gets an exit-1 error report.  Only a failed write raises (OSError).
     """
     spec: Any = {}
     cmd = command
 
-    def finish(doc: Dict[str, Any], code: int) -> int:
+    def report(doc: Dict[str, Any], code: int) -> str:
         if batch:
             doc["exit_code"] = code
-        sys.stdout.write(serialize.dumps(doc, indent=indent)
-                         + ("" if indent else "\n"))
-        if not batch and code != EXIT_OK and "message" in doc:
-            sys.stderr.write("sf: %s\n" % doc["message"])
-        return code
+        return serialize.dumps(doc, indent=indent) + ("" if indent else "\n")
 
     try:
         try:
@@ -235,28 +250,56 @@ def _run_job(command: str, text: str, batch: bool, indent: int = 0,
                 sys.stderr.write("sf: %s\n" % e)
                 return e.code
             doc, code = error_doc(cmd, spec, str(e)), e.code
-        return finish(doc, code)
+        out = report(doc, code)
     except Exception as e:  # a defect in sf: report it, keep a batch going
         import traceback
         traceback.print_exc()
-        return finish(error_doc(cmd, spec, "internal error: %s: %s"
-                                % (type(e).__name__, e)), EXIT_INTERNAL)
+        doc, code = error_doc(cmd, spec, "internal error: %s: %s"
+                              % (type(e).__name__, e)), EXIT_INTERNAL
+        out = report(doc, code)
+    sys.stdout.write(out)
+    if not batch and code != EXIT_OK and "message" in doc:
+        sys.stderr.write("sf: %s\n" % doc["message"])
+    return code
 
 
-def _run_batch(command: str, path: str) -> int:
+# Lines per worker below which a split does not pay: each worker compiles
+# and warms up the code its lines use again, and copies the pages it
+# writes, about 40 ms of CPU on construct-batch lines.  Measured as sf
+# --batch over the first N construct-batch lines of an sfbench seed, split
+# in two against serial, median wall of 15 alternating runs, 2-core x86-64
+# Linux, Python 3.11, PYTHONDONTWRITEBYTECODE=1.  Seed 7: N = 64 -2.2 %,
+# 96 -0.2 %, 128 +4.5 % (split faster in 13 of 15), 192 +7.1 %.  Seed 8:
+# N = 64 -6.8 %, 96 +1.3 %, 128 +1.2 % (9 of 15), 160 +4.4 % (11 of 15).
+LINES_PER_WORKER = 64
+
+
+def _run_batch(command: str, path: str, split: bool = False) -> int:
+    """Run every nonblank line of the batch file; return the largest exit
+    code.  With split, a batch of at least two workers' worth of lines may
+    run in forked workers (see `workers`)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        with open(path, "rb") as fh:
+            lines = [ln for ln in fh.read().split(b"\n") if ln.strip()]
     except OSError as e:
         sys.stderr.write("sf: cannot read batch file: %s\n" % e)
         return EXIT_IO
-    worst = EXIT_OK
-    for line in lines:
-        worst = max(worst, _run_job(command, line, batch=True))
-    return worst
+
+    def run_lines(chunk: List[bytes]) -> int:
+        worst = EXIT_OK
+        for line in chunk:
+            worst = max(worst, _run_job(command, line, batch=True))
+        return worst
+
+    if split and len(lines) >= 2 * LINES_PER_WORKER:
+        from . import workers
+        return workers.run(lines, run_lines, LINES_PER_WORKER)
+    return run_lines(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None, *, split: bool = False) -> int:
+    """Run one `sf` command line; return its exit code.  `split` lets a
+    large batch run in forked workers; only the process entry sets it."""
     command, flags = parse_args(sys.argv[1:] if argv is None else argv)
     svg = flags.get("--svg")
     batch = flags.get("--batch")
@@ -265,18 +308,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INVALID
 
     if batch is not None:
-        return _run_batch(command, batch)
+        return _run_batch(command, batch, split)
 
     path = flags.get("--input")
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                text: Union[str, bytes] = fh.read()
         except OSError as e:
             sys.stderr.write("sf: cannot read input: %s\n" % e)
             return EXIT_IO
     else:
-        text = sys.stdin.read()
+        # Bytes from a real stdin; a replaced one may hold text already.
+        text = getattr(sys.stdin, "buffer", sys.stdin).read()
     return _run_job(command, text, batch=False,
                     indent=0 if "--compact" in flags else 2, svg=svg)
 
@@ -288,14 +332,28 @@ def console() -> None:
     `gc.freeze()` moves every tracked object into the permanent generation,
     so the interpreter's final collections skip a heap the process is about
     to give back whole.  It runs in `finally`, so a SystemExit from
-    `--version`, `-h` or a usage error exits the same way; the stdout and
-    stderr flush, its exit 120 on a broken pipe and atexit handlers run
-    after it, as before.
+    `--version`, `-h` or a usage error exits the same way; atexit handlers
+    run after it.  stdout is flushed here, so that a write that fails, at
+    once or at this flush, because stdout's reader has gone or its disk is
+    full, stops the job with exit 5 and one `sf:` line on stderr.  stdout
+    is then pointed at the null device, so that the interpreter's own
+    flush at exit has nowhere to fail again.
     """
     try:
-        sys.exit(main())
+        try:
+            code = main(split=True)
+        except SystemExit as e:  # --version, -h and usage errors
+            code = e.code
+        sys.stdout.flush()
+    except OSError as e:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        sys.stderr.write("sf: cannot write output: %s\n" % e)
+        code = EXIT_IO
     finally:
         gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

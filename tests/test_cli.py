@@ -865,6 +865,48 @@ def test_batch_rejects_unhashable_command(capsys, tmp_path):
     assert doc["message"] == "unknown command ['point']"
 
 
+def test_batch_lines_split_on_newline_only(capsys, tmp_path):
+    """A batch is JSON Lines: only "\n" ends a line, so a line separator
+    inside a JSON string stays in its line, and "\r\n" endings work."""
+    spec = dict(T456, id="a\u2028b\u2029c\x85d")
+    line = json.dumps(spec, ensure_ascii=False)
+    batch = tmp_path / "batch.jsonl"
+    batch.write_bytes((line + "\r\n" + json.dumps(T456) + "\r\n")
+                      .encode("utf-8"))
+    code, out = run(capsys, ["point", "--batch", str(batch)])
+    docs = [json.loads(ln) for ln in out.split("\n")[:-1]]
+    assert code == 0
+    assert [d["exit_code"] for d in docs] == [0, 0]
+    assert docs[0]["input"]["id"] == spec["id"]
+    single = tmp_path / "job.json"
+    single.write_bytes(line.encode("utf-8"))
+    code, doc = run_doc(capsys, ["point", "--input", str(single)])
+    assert code == 0 and doc["input"]["id"] == spec["id"]
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, monkeypatch, tmp_path):
+    """Every input is decoded as UTF-8.  An undecodable batch line gets an
+    exit-2 report and the other lines run; an undecodable --input file or
+    stdin exits 2 with one `sf:` line."""
+    bad = b"\xff\xfe" + json.dumps(T456).encode("utf-8")
+    reason = ("invalid JSON: 'utf-8' codec can't decode byte 0xff in "
+              "position 0: invalid start byte")
+    batch = tmp_path / "batch.jsonl"
+    batch.write_bytes(bad + b"\n" + json.dumps(T456).encode("utf-8") + b"\n")
+    code, out = run(capsys, ["point", "--batch", str(batch)])
+    docs = [json.loads(ln) for ln in out.splitlines()]
+    assert code == 2
+    assert [d["exit_code"] for d in docs] == [2, 0]
+    assert docs[0]["message"] == reason
+    single = tmp_path / "job.json"
+    single.write_bytes(bad)
+    assert cli.main(["point", "--input", str(single)]) == 2
+    assert capsys.readouterr() == ("", "sf: %s\n" % reason)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad)))
+    assert cli.main(["point"]) == 2
+    assert capsys.readouterr() == ("", "sf: %s\n" % reason)
+
+
 def test_compact_single_line(capsys, tmp_path):
     code, out = run(capsys, ["point", "--input", write_spec(tmp_path, T456),
                              "--compact"])
@@ -971,27 +1013,292 @@ def test_main_does_not_freeze(capsys, tmp_path):
     assert gc.get_freeze_count() == before
 
 
-def test_process_entry_broken_pipe_exits_120(tmp_path):
-    """A report that cannot be flushed at exit, because stdout's reader has
-    gone, still ends in the interpreter's exit 120, after the freeze.  The
-    child buffers stdout, so the write fails only at the exit flush."""
+def test_process_entry_broken_pipe_exits_5():
+    """A write to stdout that fails because its reader has gone is output
+    I/O failure: exit 5 and one `sf:` line on stderr, never a traceback
+    or exit 1.  With stdout buffered the write fails only at the flush
+    before exit, unbuffered at once; a batch stops at its first failed
+    write either way."""
+    for buffered in (True, False):
+        env = checkout_env()
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        for argv in (["--version"],
+                     ["river", "--compact", "--input",
+                      corpus_path("river_basic.json")],
+                     ["point", "--batch", corpus_path("batch.jsonl")]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "snellfagnano.cli"] + argv,
+                    stdout=write_end, stderr=subprocess.PIPE, text=True,
+                    env=env, timeout=SUBPROCESS_TIMEOUT)
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 5, (buffered, argv, proc.stderr)
+            assert proc.stderr == \
+                "sf: cannot write output: [Errno 32] Broken pipe\n", argv
+
+
+CORPUS_COMMANDS = ("point", "convert", "simulate", "minimize", "river",
+                   "render")
+
+
+def split_batch():
+    """A batch that the process entry splits in two: eleven rounds of every
+    corpus spec under its command, with distinct ids and relative SVG
+    paths, and invalid lines.  One line exits 3, in the first half; one
+    exits 4, in the second, ahead of the point line with id "victim"; the
+    point line with id "early" is in the first half."""
+    corpus = sorted(name[:-len(".json")] for name in os.listdir(CORPUS)
+                    if name.endswith(".json"))
+    lines = []
+    for r in range(11):
+        for name in corpus:
+            spec = dict(corpus_spec(name + ".json"), id="%d-%s" % (r, name),
+                        command=name.split("_")[0])
+            if spec["command"] == "render":
+                spec["svg_path"] = "%d-%s.svg" % (r, name)
+            lines.append(json.dumps(spec).encode("utf-8"))
+    missing = {"command": "convert", "id": "missing",
+               "triangle": {"sides": [2, 2, 2]},
+               "coords": {"kind": "tripolar", "values": [10, 1, 1]}}
+    vertex_hit = {"command": "simulate", "id": "vertex-hit",
+                  "triangle": {"vertices": [[0, 0], [4, 0], [1, 3]]},
+                  "weights": [1, 1, 1],
+                  "start": {"side": "c", "param": 0.5, "direction": [-1, 3]}}
+    for at, spec in ((5, missing), (20, dict(T456, id="early"))):
+        lines.insert(at, json.dumps(spec).encode("utf-8"))
+    lines[30:30] = [b"{nope", b"[1, 2]", b'{"command": "nope"}',
+                    b"\xff\xfe{}"]
+    for at, spec in ((90, vertex_hit), (115, dict(T456, id="victim"))):
+        lines.insert(at, json.dumps(spec).encode("utf-8"))
+    assert {c.split("_")[0] for c in corpus} == set(CORPUS_COMMANDS)
+    assert len(lines) >= 2 * cli.LINES_PER_WORKER
+    return b"\n".join(lines) + b"\n"
+
+
+def run_serial_batch(monkeypatch, capsys, work, batch):
+    """stdout, stderr, exit code and SVG bytes of cli.main on batch, run
+    in directory work, with os.fork refused: main never splits."""
+    def no_fork():
+        raise AssertionError("cli.main forked")
+
+    os.makedirs(work)
+    (work / "batch.jsonl").write_bytes(batch)
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code = cli.main(["point", "--batch", "batch.jsonl"])
+    out, err = capsys.readouterr()
+    return out, err, code, svg_files(work)
+
+
+def svg_files(work):
+    return {name: (work / name).read_bytes() for name in os.listdir(work)
+            if name.endswith(".svg")}
+
+
+def test_split_batch_is_byte_identical_to_serial(monkeypatch, capsys,
+                                                 tmp_path):
+    """Through the process entry a batch above the threshold runs in
+    forked workers, and its stdout, exit code and SVGs equal those of the
+    serial in-process run.  The child runs under -X dev with unclosed
+    files an error, so its stderr, like the serial run's, stays empty."""
+    batch = split_batch()
+    forked = tmp_path / "forked"
+    os.makedirs(forked)
+    (forked / "batch.jsonl").write_bytes(batch)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+         "snellfagnano.cli", "point", "--batch", "batch.jsonl"],
+        cwd=forked, capture_output=True, env=checkout_env(),
+        timeout=SUBPROCESS_TIMEOUT)
+    out, err, code, svgs = run_serial_batch(monkeypatch, capsys,
+                                            tmp_path / "serial", batch)
+    reports = [json.loads(ln) for ln in out.splitlines()]
+    assert len(reports) == batch.count(b"\n")
+    assert {d["exit_code"] for d in reports} == {0, 2, 3, 4}
+    assert {d["command"] for d in reports} == set(CORPUS_COMMANDS)
+    assert len(svgs) == 22
+    assert (proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8"),
+            proc.returncode) == (out, err, code) == (out, "", 4)
+    assert svg_files(forked) == svgs
+
+
+# Runs `sf` on the command line given after its own four arguments: the
+# entry ("console" or "main"), an action, the id of the batch line it acts
+# on and a file for its findings.  The harness reports two usable CPUs
+# whatever the machine, so a batch above the threshold splits in two, and
+# wraps the point handler: on the line with that id "raise" raises
+# RuntimeError, "kill" makes a forked worker kill itself, "cut" makes it
+# write part of a line first, and "interrupt" raises KeyboardInterrupt in
+# the parent.  "nofork" makes any os.fork call an error and "forkfails"
+# makes it raise OSError.  As it ends, the harness writes how many forks
+# the parent made and whether a child is left.
+SPLIT_HARNESS = """
+import errno, os, signal, sys
+from snellfagnano import cli
+entry, action, target, findings = sys.argv[1:5]
+del sys.argv[1:5]
+parent = os.getpid()
+os.sched_getaffinity = lambda pid: {0, 1}
+point = cli.HANDLERS["point"]
+
+def handler(spec):
+    if spec.get("id") == target:
+        if action == "raise":
+            raise RuntimeError("boom")
+        if action in ("kill", "cut") and os.getpid() != parent:
+            if action == "cut":
+                sys.stdout.write('{"cut short by a full disk')
+                sys.stdout.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        if action == "interrupt" and os.getpid() == parent:
+            raise KeyboardInterrupt
+    return point(spec)
+
+cli.HANDLERS["point"] = handler
+forks = []
+fork = os.fork
+
+def counted_fork():
+    if action == "nofork":
+        raise AssertionError("os.fork called")
+    if action == "forkfails":
+        raise OSError(errno.EAGAIN, "no fork")
+    forks.append(os.getpid())
+    return fork()
+
+os.fork = counted_fork
+try:
+    if entry == "console":
+        cli.console()
+    else:
+        sys.exit(cli.main())
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child is left"
+    except ChildProcessError:
+        left = "no child is left"
+    with open(findings, "w") as fh:
+        fh.write("%d forks, %s" % (len(forks), left))
+"""
+
+
+def run_split_harness(work, batch, entry, action, target="", stdout=None,
+                      buffered=False):
+    """(stdout, stderr, exit code, findings, SVGs) of SPLIT_HARNESS on
+    batch, run in directory work."""
+    os.makedirs(work)
+    (work / "batch.jsonl").write_bytes(batch)
     env = checkout_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    for argv in (["--version"],
-                 ["river", "--compact", "--input",
-                  corpus_path("river_basic.json")]):
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "snellfagnano.cli"] + argv,
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
-                timeout=SUBPROCESS_TIMEOUT)
-        finally:
-            os.close(write_end)
-        assert proc.returncode == 120, (argv, proc.stderr)
-        assert "BrokenPipeError" in proc.stderr, argv
-        assert "Traceback" not in proc.stderr, argv
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_HARNESS, entry, action, target,
+         str(work / "findings"), "point", "--batch", "batch.jsonl"],
+        cwd=work, stdout=stdout or subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, timeout=SUBPROCESS_TIMEOUT)
+    return (proc.stdout, proc.stderr, proc.returncode,
+            (work / "findings").read_text(), svg_files(work))
+
+
+def test_split_batch_relays_a_workers_traceback_in_order(tmp_path):
+    """A defect on a line of the worker's chunk gives the same stdout,
+    stderr (its traceback included) and exit code as the serial run."""
+    batch = split_batch()
+    serial = run_split_harness(tmp_path / "serial", batch, "main", "raise",
+                               "victim")
+    forked = run_split_harness(tmp_path / "forked", batch, "console",
+                               "raise", "victim")
+    assert serial[3] == "0 forks, no child is left"
+    assert forked[3] == "1 forks, no child is left"
+    assert serial[1].count(b"Traceback") == 1
+    assert b"RuntimeError: boom" in serial[1]
+    assert b'"id":"victim"' in serial[0] and b'"exit_code":1' in serial[0]
+    assert forked == serial[:3] + (forked[3], serial[4])
+
+
+def test_split_batch_survives_a_dead_worker(tmp_path):
+    """A worker that dies on a line leaves its complete reports trusted;
+    the parent runs the rest of its chunk, so every line gets its report,
+    in order, and the exit code (4, from a line only the dead worker ran)
+    is the serial run's.  Unbuffered, the worker's file holds every report
+    before the one it died on; buffered, it may hold fewer.  A line the
+    worker wrote only in part is dropped and run again."""
+    batch = split_batch()
+    serial = run_split_harness(tmp_path / "serial", batch, "main", "kill",
+                               "victim")
+    assert serial[2] == 4
+    for action, buffered in (("kill", False), ("kill", True), ("cut", False)):
+        forked = run_split_harness(
+            tmp_path / ("%s-%s" % (action, buffered)), batch, "console",
+            action, "victim", buffered=buffered)
+        assert forked[3] == "1 forks, no child is left"
+        assert forked == serial[:3] + (forked[3], serial[4]), action
+
+
+def test_split_batch_reaps_its_workers_when_the_parent_fails(tmp_path):
+    """A failed write to stdout and an exception in the parent's own chunk
+    both end the batch with no worker left behind."""
+    batch = split_batch()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        broken = run_split_harness(tmp_path / "broken", batch, "console",
+                                   "none", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert broken[1:4] == (b"sf: cannot write output: [Errno 32] Broken "
+                           b"pipe\n", 5, "1 forks, no child is left")
+    interrupted = run_split_harness(tmp_path / "interrupted", batch,
+                                    "console", "interrupt", "early")
+    assert b"KeyboardInterrupt" in interrupted[1]
+    assert interrupted[3] == "1 forks, no child is left"
+
+
+def test_batch_naming_one_svg_twice_stays_serial(tmp_path):
+    """When two lines write the same SVG file, however its path is
+    spelled, the batch runs serially, so the later line's file survives.
+    Split in two, the second line would start the worker's chunk and be
+    overwritten by the first, which ends the parent's."""
+    lines = split_batch().split(b"\n")[:-1]
+    for at, sides, path in ((69, [4, 5, 6], "same.svg"),
+                            (70, [3, 4, 5], "./same.svg")):
+        lines[at] = json.dumps({"command": "render", "svg_path": path,
+                                "triangle": {"sides": sides},
+                                "weights": [1, 1, 1]}).encode("utf-8")
+    batch = b"\n".join(lines) + b"\n"
+    serial = run_split_harness(tmp_path / "serial", batch, "main", "none")
+    forked = run_split_harness(tmp_path / "forked", batch, "console", "none")
+    assert forked[3] == "0 forks, no child is left"
+    assert forked[:3] + forked[4:] == serial[:3] + serial[4:]
+    assert b'"sides":[3,4,5]' in serial[0]
+    with open(corpus_path("expected/render_plain.svg"), "rb") as fh:
+        assert serial[4]["same.svg"] != fh.read()  # the [4, 5, 6] drawing
+
+
+def test_batch_forks_only_above_the_threshold(tmp_path):
+    """Through the process entry a batch below the threshold never forks;
+    a fork that fails leaves the parent to run the chunk itself."""
+    small = open(corpus_path("batch.jsonl"), "rb").read()
+    out, err, code, findings, _ = run_split_harness(
+        tmp_path / "small", small, "console", "nofork")
+    with open(os.path.join(CORPUS, "expected", "batch.jsonl"), "rb") as fh:
+        assert (out, err, code) == (fh.read(), b"", 2)
+    assert findings == "0 forks, no child is left"
+    batch = split_batch()
+    serial = run_split_harness(tmp_path / "serial", batch, "main", "none")
+    failed = run_split_harness(tmp_path / "failed", batch, "console",
+                               "forkfails")
+    assert failed[3] == "0 forks, no child is left"
+    assert failed[:3] + failed[4:] == serial[:3] + serial[4:]
 
 
 @pytest.mark.skipif(shutil.which("sf") is None,
