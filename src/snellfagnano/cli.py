@@ -46,8 +46,10 @@ process sees every job run there.  The process entry splits a batch of at
 least 2 * LINES_PER_WORKER lines into contiguous chunks, one per usable
 CPU but at most one per LINES_PER_WORKER lines, run by forked workers (see
 `workers`): its own chunk's reports stream as they are ready, and a later
-chunk's are written once the earlier ones are.  Each worker compiles the
-modules its lines use again, which a small batch does not earn back.
+chunk's are written once the earlier ones are.  A worker's chunk is
+trusted whole when the worker ends with an exit code (0 to 5), else run
+again whole by the parent.  Each worker compiles the modules its lines
+use again, which a small batch does not earn back.
 
 The parser takes the command word and the flags in any order, each flag at
 most once: `--input FILE`, `--batch FILE` and `--svg FILE` (also written

@@ -39,11 +39,6 @@ class _Frame:
         self.cx = 0.5 * (x0 + x1)
         self.cy = 0.5 * (y0 + y1)
 
-    def map(self, p) -> str:
-        u = CANVAS_W / 2 + (p[0] - self.cx) * self.scale
-        v = CANVAS_H / 2 - (p[1] - self.cy) * self.scale
-        return f"{_fmt(u)},{_fmt(v)}"
-
     def map_xy(self, p):
         u = CANVAS_W / 2 + (p[0] - self.cx) * self.scale
         v = CANVAS_H / 2 - (p[1] - self.cy) * self.scale
@@ -51,7 +46,7 @@ class _Frame:
 
 
 def _polygon(frame, pts, style: str) -> str:
-    body = " ".join(frame.map(p) for p in pts)
+    body = " ".join(",".join(map(_fmt, frame.map_xy(p))) for p in pts)
     return f'<polygon points="{body}" {style}/>'
 
 
@@ -128,10 +123,8 @@ def render_scene(t: Triangle,
         span = 2.0 * max(t.a, t.b, t.c)
         for circ in apollonius:
             if circ.kind == "circle":
-                x, y = frame.map_xy(circ.center)
-                r = circ.radius * frame.scale
-                parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" '
-                             f'r="{_fmt(r)}" {style}/>')
+                parts.append(_dot(frame, circ.center,
+                                  circ.radius * frame.scale, style))
             else:
                 p = circ.point
                 d = circ.direction

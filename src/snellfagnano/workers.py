@@ -21,14 +21,15 @@ stderr has no file descriptor (a caller replaced it), or two lines may
 name the same `svg_path`: the later line's file must be the one that
 survives, and chunks finish in any order.
 
-Every batch report is one line.  A worker that dies, or ends other than
-with its chunk's largest exit code, is trusted for the complete lines in
-its stdout file only: the parent reads their exit codes back and runs the
-rest of the chunk itself, so a batch never loses a line.  A chunk whose
-fork or temporary files fail is left to the parent the same way.  The
-parent reaps every worker on every path it controls: in chunk order when
-the batch ends, and at once, after killing it, when the parent itself
-fails (a write to stdout, an exception).
+A worker's chunk is trusted whole or run again whole, so a batch never
+loses a line and this module never reads a report.  A worker that ends
+with an exit code (0 to 5) has run every line and flushed both files, and
+the parent copies them out as they are.  Every other chunk the parent runs
+itself and drops its worker's files: one whose fork or temporary files
+failed, and one whose worker was killed by a signal or failed outside its
+jobs.  The parent reaps every worker on every path it controls: in chunk
+order when the batch ends, and at once, after killing it, when the parent
+itself fails (a write to stdout, an exception).
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ import os
 import signal
 import sys
 import tempfile
-from typing import Callable, List, Optional
+from typing import IO, Callable, List, Optional
 
 from .jobs import EXIT_IO, EXIT_OK
 
 # Exit status of a worker that failed outside its jobs, in a write to its
-# files say; like any status above EXIT_IO, the largest exit code, or a
-# signal, it leaves only the complete lines of the worker's stdout trusted.
+# files say, and of a chunk with no worker; like any status outside EXIT_OK
+# to EXIT_IO, a signal among them, it makes the parent run the chunk whole.
 FAILED = 255
 
 
@@ -77,18 +78,13 @@ def svg_paths_repeat(lines: List[bytes]) -> bool:
 
 class Worker:
     """One chunk of the batch: the forked process that runs it (pid None
-    when the fork failed) and the unlinked files of its stdout and
-    stderr."""
+    until it is forked, and when its fork or its files fail) and the
+    unlinked files of its stdout and stderr."""
 
     def __init__(self, chunk: List[bytes]):
         self.chunk = chunk
         self.pid: Optional[int] = None
-        self.out = tempfile.TemporaryFile()
-        try:
-            self.err = tempfile.TemporaryFile()
-        except BaseException:
-            self.out.close()
-            raise
+        self.files: List[IO[bytes]] = []
 
     def start(self, run_lines: Callable[[List[bytes]], int],
               fds: List[int]) -> None:
@@ -98,16 +94,18 @@ class Worker:
         sys.stdout.flush()
         sys.stderr.flush()
         try:
+            for _ in fds:  # one by one: close() shuts those made so far
+                self.files.append(tempfile.TemporaryFile())
             pid = os.fork()
-        except OSError:  # too many processes, no memory: the parent runs it
+        except OSError:  # no file, too many processes: the parent runs it
             return
         if pid:
             self.pid = pid
             return
         status = FAILED
         try:
-            os.dup2(self.out.fileno(), fds[0])
-            os.dup2(self.err.fileno(), fds[1])
+            for f, fd in zip(self.files, fds):
+                os.dup2(f.fileno(), fd)
             worst = run_lines(self.chunk)
             sys.stdout.flush()
             sys.stderr.flush()
@@ -130,44 +128,23 @@ class Worker:
 
     def finish(self, run_lines: Callable[[List[bytes]], int],
                fds: List[int]) -> int:
-        """Reap the worker, copy its output to the parent's stdout and
-        stderr, and run the lines it did not report; return the chunk's
-        largest exit code."""
+        """Reap the worker; copy its files whole to the parent's stdout and
+        stderr if it ended with an exit code, else run its chunk whole.
+        Return the chunk's largest exit code."""
         status = self.reap()
-        trusted = EXIT_OK <= status <= EXIT_IO
+        if not EXIT_OK <= status <= EXIT_IO:
+            return run_lines(self.chunk)
         sys.stdout.flush()
         sys.stderr.flush()
-        worst = status if trusted else EXIT_OK
-        self.out.seek(0)
-        reported = 0
-        block = []
-        for line in self.out:
-            if not line.endswith(b"\n"):  # cut off as the worker died
-                break
-            reported += 1
-            if not trusted:
-                worst = max(worst, exit_code(line))
-            block.append(line)
-            if len(block) == 256:
-                write_all(fds[0], b"".join(block))
-                block = []
-        write_all(fds[0], b"".join(block))
-        self.err.seek(0)
-        for data in iter(lambda: self.err.read(1 << 16), b""):
-            write_all(fds[1], data)
-        if reported < len(self.chunk):
-            worst = max(worst, run_lines(self.chunk[reported:]))
-        return worst
+        for f, fd in zip(self.files, fds):
+            f.seek(0)
+            while data := f.read(1 << 16):
+                write_all(fd, data)
+        return status
 
     def close(self) -> None:
-        self.out.close()
-        self.err.close()
-
-
-def exit_code(report: bytes) -> int:
-    """The exit code of a compact batch report, which the CLI writes as
-    its last field: the line ends `"exit_code":N}` and a newline."""
-    return int(report[report.rindex(b":") + 1:-2])
+        for f in self.files:
+            f.close()
 
 
 def write_all(fd: int, data: bytes) -> None:
@@ -189,21 +166,13 @@ def run(lines: List[bytes], run_lines: Callable[[List[bytes]], int],
     if n < 2 or not hasattr(os, "fork") or svg_paths_repeat(lines):
         return run_lines(lines)
     bounds = [len(lines) * k // n for k in range(n + 1)]
-    workers: List[Worker] = []
+    workers = [Worker(lines[bounds[k]:bounds[k + 1]]) for k in range(1, n)]
     try:
-        for k in range(1, n):
-            try:
-                worker = Worker(lines[bounds[k]:bounds[k + 1]])
-            except OSError:  # no temporary file: the parent runs the rest
-                break
-            workers.append(worker)
-            worker.start(run_lines, fds)
+        for w in workers:
+            w.start(run_lines, fds)
         worst = run_lines(lines[:bounds[1]])
         for w in workers:
             worst = max(worst, w.finish(run_lines, fds))
-        end = bounds[len(workers) + 1]
-        if end < len(lines):
-            worst = max(worst, run_lines(lines[end:]))
         return worst
     finally:
         for w in workers:

@@ -1134,12 +1134,16 @@ def test_split_batch_is_byte_identical_to_serial(monkeypatch, capsys,
 # whatever the machine, so a batch above the threshold splits in two, and
 # wraps the point handler: on the line with that id "raise" raises
 # RuntimeError, "kill" makes a forked worker kill itself, "cut" makes it
-# write part of a line first, and "interrupt" raises KeyboardInterrupt in
-# the parent.  "nofork" makes any os.fork call an error and "forkfails"
-# makes it raise OSError.  As it ends, the harness writes how many forks
-# the parent made and whether a child is left.
+# write part of a line first, "tracekill" raises RuntimeError and makes a
+# worker kill itself once the traceback is on stderr, and "interrupt"
+# raises KeyboardInterrupt in the parent.  "nofork" makes any os.fork call
+# an error, "forkfails" makes it raise OSError, and "tempfails" makes
+# tempfile.TemporaryFile raise OSError.  As it ends, the harness writes
+# how many forks the parent made and whether a child is left to its
+# findings file, and whether `snellfagnano.workers` was loaded to the
+# findings file's name plus ".modules".
 SPLIT_HARNESS = """
-import errno, os, signal, sys
+import errno, os, signal, sys, tempfile, traceback
 from snellfagnano import cli
 entry, action, target, findings = sys.argv[1:5]
 del sys.argv[1:5]
@@ -1149,7 +1153,7 @@ point = cli.HANDLERS["point"]
 
 def handler(spec):
     if spec.get("id") == target:
-        if action == "raise":
+        if action in ("raise", "tracekill"):
             raise RuntimeError("boom")
         if action in ("kill", "cut") and os.getpid() != parent:
             if action == "cut":
@@ -1161,6 +1165,21 @@ def handler(spec):
     return point(spec)
 
 cli.HANDLERS["point"] = handler
+print_exc = traceback.print_exc
+
+def print_exc_then_die():
+    print_exc()
+    if action == "tracekill" and os.getpid() != parent:
+        sys.stderr.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+traceback.print_exc = print_exc_then_die
+
+if action == "tempfails":
+    def no_temporary_file(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "no temporary file")
+
+    tempfile.TemporaryFile = no_temporary_file
 forks = []
 fork = os.fork
 
@@ -1186,6 +1205,9 @@ finally:
         left = "no child is left"
     with open(findings, "w") as fh:
         fh.write("%d forks, %s" % (len(forks), left))
+    with open(findings + ".modules", "w") as fh:
+        fh.write("workers %s" % ("loaded" if "snellfagnano.workers"
+                                 in sys.modules else "not loaded"))
 """
 
 
@@ -1226,17 +1248,24 @@ def test_split_batch_relays_a_workers_traceback_in_order(tmp_path):
 
 
 def test_split_batch_survives_a_dead_worker(tmp_path):
-    """A worker that dies on a line leaves its complete reports trusted;
-    the parent runs the rest of its chunk, so every line gets its report,
-    in order, and the exit code (4, from a line only the dead worker ran)
-    is the serial run's.  Unbuffered, the worker's file holds every report
-    before the one it died on; buffered, it may hold fewer.  A line the
-    worker wrote only in part is dropped and run again."""
+    """A worker that dies on a line is not trusted for any of its chunk:
+    the parent drops its files and runs the chunk again whole, so every
+    line gets its report, in order, and stdout, stderr and the exit code
+    (4, from a line in the dead worker's chunk) are the serial run's.  So
+    it goes whatever the worker left in its files: every report before
+    the line it died on (unbuffered), fewer (buffered), a line written in
+    part, or a defect's traceback on stderr but not its report."""
     batch = split_batch()
-    serial = run_split_harness(tmp_path / "serial", batch, "main", "kill",
+    killed = run_split_harness(tmp_path / "serial", batch, "main", "kill",
                                "victim")
-    assert serial[2] == 4
-    for action, buffered in (("kill", False), ("kill", True), ("cut", False)):
+    defect = run_split_harness(tmp_path / "serial-defect", batch, "main",
+                               "tracekill", "victim")
+    assert killed[2] == defect[2] == 4
+    assert defect[1].count(b"Traceback") == 1
+    for action, buffered, serial in (("kill", False, killed),
+                                     ("kill", True, killed),
+                                     ("cut", False, killed),
+                                     ("tracekill", False, defect)):
         forked = run_split_harness(
             tmp_path / ("%s-%s" % (action, buffered)), batch, "console",
             action, "victim", buffered=buffered)
@@ -1285,20 +1314,27 @@ def test_batch_naming_one_svg_twice_stays_serial(tmp_path):
 
 
 def test_batch_forks_only_above_the_threshold(tmp_path):
-    """Through the process entry a batch below the threshold never forks;
-    a fork that fails leaves the parent to run the chunk itself."""
+    """Through the process entry a batch below the threshold never forks
+    and never loads `workers`, which a split batch does.  A fork or a
+    temporary file that fails leaves the parent to run the chunk itself."""
+    def workers_state(work):
+        return (work / "findings.modules").read_text()
+
     small = open(corpus_path("batch.jsonl"), "rb").read()
     out, err, code, findings, _ = run_split_harness(
         tmp_path / "small", small, "console", "nofork")
     with open(os.path.join(CORPUS, "expected", "batch.jsonl"), "rb") as fh:
         assert (out, err, code) == (fh.read(), b"", 2)
     assert findings == "0 forks, no child is left"
+    assert workers_state(tmp_path / "small") == "workers not loaded"
     batch = split_batch()
     serial = run_split_harness(tmp_path / "serial", batch, "main", "none")
-    failed = run_split_harness(tmp_path / "failed", batch, "console",
-                               "forkfails")
-    assert failed[3] == "0 forks, no child is left"
-    assert failed[:3] + failed[4:] == serial[:3] + serial[4:]
+    for action in ("forkfails", "tempfails"):
+        failed = run_split_harness(tmp_path / action, batch, "console",
+                                   action)
+        assert failed[3] == "0 forks, no child is left"
+        assert failed[:3] + failed[4:] == serial[:3] + serial[4:]
+        assert workers_state(tmp_path / action) == "workers loaded"
 
 
 @pytest.mark.skipif(shutil.which("sf") is None,
