@@ -10,19 +10,23 @@ and each line is decoded and reported on its own.  A job that hits a
 defect, on a batch line or alone from --input or stdin, still gets a
 report: the error report with exit code 1, its traceback on stderr.
 The check tolerances are fixed (TOLERANCES) and every report echoes them.
-Exit 2 also covers a top-level spec key that the command does not read
-(see each module's KEYS), a smallest weight below sys.float_info.min times
-the largest, a largest weight times the perimeter that overflows, a river
-crossing whose cost or coordinates overflow, render "layers" other than
+Exit 2 also covers, as the README lists them, a top-level spec key that
+the command does not read (see each module's KEYS), weights, triangles,
+tripolar scales and river crossings whose quantities leave the range of
+normal floats, an all-zero tripolar triple, render "layers" other than
 {"apollonius": true|false}, and --svg anywhere but on a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
-mapping of exceptions to exit codes.  Each command lives in its own module
-(`cmd_point` ... `cmd_render`, each with `run(spec)`), and the spec parsing
-and report helpers they share live in `jobs`.  A handler in `HANDLERS`
-imports its command's module by name when it is first called, so a cold
-process compiles only this core, `jobs`, the module of the command it runs
-and the modules that command uses.
+mapping of exceptions to exit codes.  A command raises CliError with its
+code (a failed simulate step is 4, a failed SVG write 5); `run_spec` maps
+NoSuchPoint, IdealPoint and OnSideLine to 3 and any other GeometryError to
+2, and any other exception, KeyError, TypeError, ValueError and OSError
+among them, is a defect (exit 1).  Each command lives in its own module
+(`cmd_point` ... `cmd_render`, each with `run(spec)`), and the spec
+parsing and report helpers they share live in `jobs`.  A handler in
+`HANDLERS` imports its command's module by name when it is first called,
+so a cold process compiles only this core, `jobs`, the module of the
+command it runs and the modules that command uses.
 `python -m snellfagnano.cli` runs this file as `__main__`, so no module of
 the package imports it: an import would run it a second time.
 
@@ -69,9 +73,9 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from . import __version__, billiards, coordinates, geometry, serialize
-from .jobs import (EXIT_DYNAMICS, EXIT_INTERNAL, EXIT_INVALID, EXIT_IO,
-                   EXIT_MISSING, EXIT_OK, CliError, check_keys, error_doc)
+from . import __version__, coordinates, geometry, serialize
+from .jobs import (EXIT_INTERNAL, EXIT_INVALID, EXIT_IO, EXIT_MISSING, EXIT_OK,
+                   CliError, check_keys, error_doc)
 
 
 def _handler(command: str):
@@ -190,30 +194,23 @@ def _loads(text: Union[str, bytes]) -> Any:
 
 
 def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
-    """Dispatch one job; never raises, always returns a report document."""
+    """The report of one job and its exit code.  A `CliError` and the
+    library's `GeometryError` family, the only errors an input can raise,
+    become an error report; any other exception is a defect in sf and
+    propagates to `_run_job`."""
     if not isinstance(spec, dict):
-        spec = {"_raw": spec}
-        err: Optional[Tuple[int, str]] = (EXIT_INVALID,
-                                          "job spec must be a JSON object")
-    else:
-        err = None
-    if err is None:
-        try:
-            return HANDLERS[command](spec)
-        except CliError as e:
-            err = (e.code, str(e))
-        except (coordinates.NoSuchPoint, coordinates.IdealPoint,
-                coordinates.OnSideLine) as e:
-            err = (EXIT_MISSING, str(e))
-        except (billiards.TotalInternalReflection, billiards.HitVertex) as e:
-            err = (EXIT_DYNAMICS, str(e))
-        except geometry.GeometryError as e:
-            err = (EXIT_INVALID, str(e))
-        except (KeyError, TypeError, ValueError) as e:
-            err = (EXIT_INVALID, "invalid job spec: %s" % e)
-        except OSError as e:
-            err = (EXIT_IO, str(e))
-    return error_doc(command, spec, err[1]), err[0]
+        return (error_doc(command, {"_raw": spec},
+                          "job spec must be a JSON object"), EXIT_INVALID)
+    try:
+        return HANDLERS[command](spec)
+    except CliError as e:
+        code, message = e.code, str(e)
+    except (coordinates.NoSuchPoint, coordinates.IdealPoint,
+            coordinates.OnSideLine) as e:
+        code, message = EXIT_MISSING, str(e)
+    except geometry.GeometryError as e:
+        code, message = EXIT_INVALID, str(e)
+    return error_doc(command, spec, message), code
 
 
 def _run_job(command: str, text: Union[str, bytes], batch: bool,

@@ -1,15 +1,18 @@
 """`sf convert`: a barycentric, trilinear or tripolar triple to points.
 
-A tripolar triple can name two points, one or none (exit 3).
+Every triple is homogeneous: multiplied by any factor it names the same
+points, bit for bit when the factor is a power of two.  A tripolar triple
+can name two points, one or none (exit 3); all zero, it is exit 2.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Tuple
 
 from . import coordinates
-from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, normalized,
-                   parse_triangle, point_block, triple)
+from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, parse_triangle,
+                   point_block, triple)
 
 
 # The top-level spec keys this command reads.
@@ -29,21 +32,28 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     doc = base_doc("convert", spec)
     doc["kind"] = kind
     doc["values"] = list(values)
-    doc["values_normalized"] = normalized(values)
+    doc["values_normalized"] = coordinates.normalized(values)
 
     points: List[Dict[str, Any]] = []
     if kind == "tripolar":
         if min(values) < 0.0:
             raise CliError(EXIT_INVALID, "tripolar distances must be >= 0")
+        if max(values) == 0.0:
+            raise CliError(EXIT_INVALID,
+                           "tripolar distances must not all be zero")
         for p, s in coordinates.tripolar_to_points(
                 coordinates.TripolarCoords(*values), t):
+            if math.isinf(s):
+                raise CliError(EXIT_INVALID, "the scale from the tripolar "
+                               "triple to the vertex distances overflows")
             block = point_block(p, t)
             block["scale"] = s
             points.append(block)
     else:
         bc = (coordinates.BarycentricCoords(*values) if kind == "barycentric"
               else coordinates.trilinear_to_barycentric(
-                  coordinates.TrilinearCoords(*values), t))
+                  coordinates.TrilinearCoords(
+                      *coordinates.unit_scaled(values)), t))
         p = coordinates.from_barycentric(bc, t)
         points.append(point_block(p, t))
     doc["points"] = points

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Dict, Tuple
 
 from . import construction, coordinates, geometry, optimize
-from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, normalized, parse_triangle,
+from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, parse_triangle,
                    parse_weights, point_block, xy)
 
 
@@ -53,7 +53,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     k = construction.coeffs_from_weights(w)
     doc = base_doc("point", spec)
     doc["status"] = res.status
-    doc["weights_normalized"] = normalized(w.triple)
+    doc["weights_normalized"] = coordinates.normalized(w.triple)
     doc["refraction_coefficients"] = list(k.triple)
     if res.conditions is not None:
         doc["interior_conditions"] = list(res.conditions)
@@ -72,7 +72,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
         doc["isogonal_conjugate"] = {
             "xy": xy(conj),
             "tripolar": list(ctp),
-            "tripolar_normalized": normalized(ctp),
+            "tripolar_normalized": coordinates.normalized(ctp),
         }
         if brute is not None:
             doc["brute_force_cost"] = brute

@@ -3,15 +3,16 @@
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
 triangle of side lengths (lam_A*a, lam_B*b, lam_C*c), which
-coordinates.tilde_triangle builds from the weights scaled by a power of
-two, so that only their ratios matter.  The three cevians joining each
-vertex to the opposite apex are concurrent.  By Ceva's theorem their
-meeting point has barycentrics
+coordinates.tilde_triangle builds from the weights and the sides each
+scaled by a power of two, so that only their ratios matter.  The three
+cevians joining each vertex to the opposite apex are concurrent.  By
+Ceva's theorem their meeting point has barycentrics
 
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
 s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
-same vertex; the construction computes the point from them.  When every
+same vertex; the construction computes the point from them, with the
+sides scaled the same way, so that no a^2 overflows.  When every
 V + V~ < pi the point lies strictly inside, and when its perpendicular feet
 also land strictly inside the sides, its pedal triangle is the closed
 3-bounce refractive billiard orbit and the minimizer of the weighted
@@ -35,7 +36,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        altitudes, inscribed_from_params, line_parameter,
-                       pedal_triangle, rotate)
+                       pedal_triangle, rotate, unit_scaled_points)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -161,15 +162,15 @@ def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
     return a1, b1, c1
 
 
-def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle,
-                        eps_angle: float = EPS_ANGLE) -> Tuple[bool, bool, bool]:
-    """Strict tests angle + tilde-angle < pi, one per vertex."""
+def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle
+                        ) -> Tuple[bool, bool, bool]:
+    """Strict tests angle + tilde-angle < pi - EPS_ANGLE, one per vertex."""
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
     at, bt, gt = tt.angles
-    return (t.alpha + at < math.pi - eps_angle,
-            t.beta + bt < math.pi - eps_angle,
-            t.gamma + gt < math.pi - eps_angle)
+    return (t.alpha + at < math.pi - EPS_ANGLE,
+            t.beta + bt < math.pi - EPS_ANGLE,
+            t.gamma + gt < math.pi - EPS_ANGLE)
 
 
 def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
@@ -188,9 +189,10 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     sB = math.sin(t.beta + bt)
     sC = math.sin(t.gamma + gt)
     top = max(w.triple)
-    bary = (w.lam_A / top * t.a ** 2 * sB * sC,
-            w.lam_B / top * t.b ** 2 * sC * sA,
-            w.lam_C / top * t.c ** 2 * sA * sB)
+    a, b, c = coordinates.unit_scaled(t.sides)
+    bary = (w.lam_A / top * a ** 2 * sB * sC,
+            w.lam_B / top * b ** 2 * sC * sA,
+            w.lam_C / top * c ** 2 * sA * sB)
     try:
         f = coordinates.from_barycentric(bary, t)
     except coordinates.IdealPoint:
@@ -208,11 +210,11 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
                               erected=erected, conditions=conds)
 
 
-def _sin_at(v: Point2, p: Point2, q: Point2) -> float:
+def _sin_at(v, p, q) -> float:
     """Sine of the (unsigned) angle at v between rays v->p and v->q."""
-    u1 = p - v
-    u2 = q - v
-    return abs(u1.cross(u2)) / (u1.norm() * u2.norm())
+    x1, y1 = p[0] - v[0], p[1] - v[1]
+    x2, y2 = q[0] - v[0], q[1] - v[1]
+    return abs(x1 * y2 - y1 * x2) / (math.hypot(x1, y1) * math.hypot(x2, y2))
 
 
 def verify_snell_point(f: Point2, t: Triangle,
@@ -220,15 +222,17 @@ def verify_snell_point(f: Point2, t: Triangle,
     """Residuals of the three sine-ratio characterizations of the point.
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
-    = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.
+    = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.  The
+    sines are taken of the unit-scaled points, so that no product of two
+    rays over- or underflows.
     """
-    f = Point2(*f)
     tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
     if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * max(map(abs, tl)):
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
-    r_a = _sin_at(t.vC, f, t.vA) / _sin_at(t.vB, f, t.vA)
-    r_b = _sin_at(t.vA, f, t.vB) / _sin_at(t.vC, f, t.vB)
-    r_c = _sin_at(t.vB, f, t.vC) / _sin_at(t.vA, f, t.vC)
+    _, (f, a, b, c) = unit_scaled_points(f, *t.vertices)
+    r_a = _sin_at(c, f, a) / _sin_at(b, f, a)
+    r_b = _sin_at(a, f, b) / _sin_at(c, f, b)
+    r_c = _sin_at(b, f, c) / _sin_at(a, f, c)
     return (abs(r_a - k.kap_a), abs(r_b - k.kap_b), abs(r_c - k.kap_c))
 
 

@@ -34,7 +34,12 @@ import sys
 from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
-                       circumcircle, dist, signed_area)
+                       circumcircle, dist, signed_area, unit_power,
+                       unit_scaled_points)
+
+# A homogeneous triple whose sum is within this fraction of its largest
+# magnitude names a point at infinity.
+IDEAL_SUM = 1e-14
 
 # Relative disagreement allowed between the two scales a vertex implies.
 VERTEX_SCALE_TOL = 1e-8
@@ -75,25 +80,46 @@ class TripolarCoords(NamedTuple):
 
 
 def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
-    """Normalized barycentric coordinates (ratios of signed subtriangle areas)."""
-    p = Point2(*p)
-    full = signed_area(t.vA, t.vB, t.vC)
+    """Normalized barycentric coordinates (ratios of signed subtriangle
+    areas), taken of the unit-scaled points, so that no area overflows."""
+    _, (p, a, b, c) = unit_scaled_points(p, *t.vertices)
+    full = signed_area(a, b, c)
     return BarycentricCoords(
-        signed_area(p, t.vB, t.vC) / full,
-        signed_area(p, t.vC, t.vA) / full,
-        signed_area(p, t.vA, t.vB) / full,
+        signed_area(p, b, c) / full,
+        signed_area(p, c, a) / full,
+        signed_area(p, a, b) / full,
     )
+
+
+def unit_scaled(triple) -> Tuple[float, float, float]:
+    """A homogeneous triple divided by the power of two that puts its
+    largest magnitude in [1, 2), an all-zero triple staying zero.  The
+    scaling is exact, so every ratio is kept and no sum, product or
+    reciprocal of the entries over- or underflows on account of their
+    common scale."""
+    x, y, z = triple
+    p = unit_power(max(abs(x), abs(y), abs(z)))
+    return x / p, y / p, z / p
+
+
+def normalized(triple) -> Optional[Tuple[float, float, float]]:
+    """The homogeneous triple divided by its sum, or None for a point at
+    infinity: an all-zero triple, or one whose sum is within IDEAL_SUM of
+    its largest magnitude."""
+    x, y, z = unit_scaled(triple)
+    s = x + y + z
+    if abs(s) <= IDEAL_SUM * max(abs(x), abs(y), abs(z)):
+        return None
+    return x / s, y / s, z / s
 
 
 def from_barycentric(bc: BarycentricCoords, t: Triangle) -> Point2:
     """Affine combination of the vertices after normalizing the triple."""
-    s = bc[0] + bc[1] + bc[2]
-    scale = max(abs(bc[0]), abs(bc[1]), abs(bc[2]))
-    if scale == 0.0:
-        raise IdealPoint("all-zero coordinate triple")
-    if abs(s) <= 1e-14 * scale:
-        raise IdealPoint("coordinate sum is zero: point at infinity")
-    u, v, w = bc[0] / s, bc[1] / s, bc[2] / s
+    n = normalized(bc)
+    if n is None:
+        raise IdealPoint("coordinate sum is zero: point at infinity"
+                         if any(bc) else "all-zero coordinate triple")
+    u, v, w = n
     return Point2(u * t.vA.x + v * t.vB.x + w * t.vC.x,
                   u * t.vA.y + v * t.vB.y + w * t.vC.y)
 
@@ -120,7 +146,7 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     In trilinear coordinates the map is componentwise inversion, so it is an
     involution wherever it is defined; it is undefined on the side lines.
     """
-    tl = barycentric_to_trilinear(bc, t)
+    tl = unit_scaled(barycentric_to_trilinear(bc, t))
     scale = max(abs(tl[0]), abs(tl[1]), abs(tl[2]))
     if scale == 0.0 or min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * scale:
         raise OnSideLine("isogonal conjugation is undefined on the side lines")
@@ -139,13 +165,12 @@ class TildeTriangle(NamedTuple):
 
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
-    """The "tilde" triangle of a positive triple (X : Y : Z), scaled by the
-    power of two that puts the largest entry in [1, 2): exactly, so that
-    every ratio is kept and no side over- or underflows."""
-    shift = 1 - math.frexp(max(triple))[1]
-    x, y, z = triple
-    p, q, r = (math.ldexp(x, shift) * t.a, math.ldexp(y, shift) * t.b,
-               math.ldexp(z, shift) * t.c)
+    """The "tilde" triangle of a positive triple (X : Y : Z), from the triple
+    and the sides each scaled as unit_scaled scales them, so that no side
+    or product of sides over- or underflows on account of either scale."""
+    x, y, z = unit_scaled(triple)
+    a, b, c = unit_scaled(t.sides)
+    p, q, r = x * a, y * b, z * c
     if p > q + r or q > r + p or r > p + q:
         return TildeTriangle((p, q, r), None, False)
     exists = p < q + r and q < r + p and r < p + q
@@ -157,8 +182,9 @@ def tripolar_to_points(tp: TripolarCoords,
     """All points whose vertex distances are proportional to the triple.
 
     Returns one or two (point, s) pairs with distances (s*X, s*Y, s*Z),
-    ordered by increasing s; raises NoSuchPoint when the scaled side triple
-    (Xa, Yb, Zc) strictly fails the triangle inequality.
+    ordered by increasing s, s being inf where it overflows; raises
+    NoSuchPoint when the scaled side triple (Xa, Yb, Zc) strictly fails the
+    triangle inequality.
     """
     X, Y, Z = tp
     if min(X, Y, Z) < 0.0 or max(X, Y, Z) == 0.0:
@@ -171,15 +197,18 @@ def tripolar_to_points(tp: TripolarCoords,
         zeros = [X <= 1e-12 * mx, Y <= 1e-12 * mx, Z <= 1e-12 * mx]
         if sum(zeros) > 1:
             raise NoSuchPoint("two zero distances cannot be realized")
+        # The scales are taken for the unit-scaled triple, so that no
+        # quotient overflows, and scaled back: only the result may.
+        x, y, z = unit_scaled(tp)
         if zeros[0]:
-            vertex, s1, s2 = t.vA, t.c / Y, t.b / Z
+            vertex, s1, s2 = t.vA, t.c / y, t.b / z
         elif zeros[1]:
-            vertex, s1, s2 = t.vB, t.c / X, t.a / Z
+            vertex, s1, s2 = t.vB, t.c / x, t.a / z
         else:
-            vertex, s1, s2 = t.vC, t.b / X, t.a / Y
+            vertex, s1, s2 = t.vC, t.b / x, t.a / y
         if abs(s1 - s2) > VERTEX_SCALE_TOL * max(s1, s2):
             raise NoSuchPoint("distance ratios are inconsistent with a vertex")
-        return [(vertex, 0.5 * (s1 + s2))]
+        return [(vertex, 0.5 * (s1 + s2) / unit_power(mx))]
 
     x, y, z = X / mx, Y / mx, Z / mx
     tt = tilde_triangle(t, (x, y, z))

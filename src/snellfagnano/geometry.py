@@ -9,7 +9,9 @@ side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple
+import sys
+from itertools import chain
+from typing import List, NamedTuple, Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -111,6 +113,8 @@ class Triangle:
     The constructor re-orients clockwise input to counterclockwise (swapping
     B and C) so that the whole package can assume positive orientation.
     Side lengths, angles, area and diameter are computed once and cached.
+    A triangle whose diameter squared is not a normal float is refused
+    (GeometryError), so that no squared side length over- or underflows.
     """
 
     __slots__ = ("vA", "vB", "vC", "a", "b", "c",
@@ -120,6 +124,12 @@ class Triangle:
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
         area2 = signed_area(vA, vB, vC)
         diam = max(dist(vA, vB), dist(vB, vC), dist(vC, vA))
+        if not math.isfinite(diam * diam):
+            raise GeometryError(
+                "triangle is too large: its diameter squared overflows")
+        if diam * diam < sys.float_info.min:
+            raise GeometryError(
+                "triangle is too small: its diameter squared underflows")
         if abs(area2) <= EPS_DEGENERATE * diam * diam:
             raise DegenerateTriangle(
                 f"vertices are collinear within tolerance (area {area2:g})")
@@ -164,17 +174,37 @@ def _angle_at(v, p, q) -> float:
     return math.atan2(abs(u1.cross(u2)), u1.dot(u2))
 
 
+def unit_power(m: float) -> float:
+    """The largest power of two not above a positive m: dividing by it
+    puts m in [1, 2) and keeps every bit."""
+    return math.ldexp(1.0, math.frexp(m)[1] - 1)
+
+
+def unit_scaled_points(*points) -> Tuple[float, List[Tuple[float, float]]]:
+    """The power of two s that puts the points' largest coordinate
+    magnitude in [1, 2), and the points divided by it, as (x, y) pairs.
+    The division is exact, so differences, cross products and their ratios
+    keep every bit, and none of them over- or underflows on account of the
+    common scale."""
+    s = unit_power(max(map(abs, chain.from_iterable(points))))
+    return s, [(x / s, y / s) for x, y in points]
+
+
 def heron_area(a: float, b: float, c: float) -> float:
     """Area of the triangle with side lengths a, b, c; 0 when flat.
 
     Kahan's ordering (Miscalculating Area and Angles of a Needle-like
     Triangle): with a >= b >= c and the parentheses kept, every factor is
     accurate, so needles and slivers keep their relative accuracy.  Sides
-    that fail the triangle inequality also give 0.
+    that fail the triangle inequality also give 0.  The product is taken of
+    the sides divided by unit_power(a), so that it cannot over- or
+    underflow, and the area is scaled back: exactly, bit for bit.
     """
     a, b, c = sorted((a, b, c), reverse=True)
+    s = unit_power(a)
+    a, b, c = a / s, b / s, c / s
     prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    return 0.25 * math.sqrt(prod) if prod > 0.0 else 0.0
+    return 0.25 * math.sqrt(prod) * s * s if prod > 0.0 else 0.0
 
 
 def angles_from_sides(a: float, b: float,
@@ -190,15 +220,17 @@ def angles_from_sides(a: float, b: float,
 
 
 def circumcircle(t: Triangle) -> Tuple[Point2, float]:
-    """Center equidistant from the three vertices, and that distance."""
-    ax, ay = t.vA
-    bx, by = t.vB
-    cx, cy = t.vC
+    """Center equidistant from the three vertices, and that distance.
+
+    It is taken of the unit-scaled vertices, so that no cube of a
+    coordinate over- or underflows, and scaled back: exactly, bit for bit.
+    """
+    s, ((ax, ay), (bx, by), (cx, cy)) = unit_scaled_points(*t.vertices)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    center = Point2(ux, uy)
+    center = Point2(ux * s, uy * s)
     return center, dist(center, t.vA)
 
 

@@ -12,7 +12,7 @@ snellfagnano.cli` runs as `__main__` and an import would run a second time.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from . import __version__, construction, coordinates, geometry
 
@@ -108,13 +108,6 @@ def xy(p) -> List[float]:
     return [float(p[0]), float(p[1])]
 
 
-def normalized(values) -> Optional[List[float]]:
-    s = sum(values)
-    if abs(s) <= 1e-12 * max(abs(v) for v in values):
-        return None
-    return [v / s for v in values]
-
-
 def point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
     bc = coordinates.to_barycentric(p, t)
     tl = coordinates.barycentric_to_trilinear(bc, t)
@@ -123,7 +116,7 @@ def point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
         "xy": xy(p),
         "barycentric": list(bc),
         "trilinear": list(tl),
-        "trilinear_normalized": normalized(tl),
+        "trilinear_normalized": coordinates.normalized(tl),
         "tripolar": list(tp),
     }
 

@@ -397,6 +397,128 @@ def test_convert_bad_kind(capsys, tmp_path):
     assert code == 2
 
 
+def test_convert_vertex_distances_give_the_vertex(capsys, tmp_path):
+    """The distances of each vertex convert back to that vertex with scale
+    1; a ratio off by 1e-6 names no point (exit 3)."""
+    vertices = [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]
+    for i, v in enumerate(vertices):
+        values = [math.dist(v, w) for w in vertices]
+        spec = {"triangle": {"vertices": vertices},
+                "coords": {"kind": "tripolar", "values": values}}
+        code, doc = run_doc(capsys, ["convert", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == 0
+        assert [(p["xy"], p["scale"]) for p in doc["points"]] == [(v, 1)]
+        values[(i + 1) % 3] *= 1.0 + 1e-6
+        code, doc = run_doc(capsys, ["convert", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert (code, doc["message"]) == (
+            3, "distance ratios are inconsistent with a vertex")
+
+
+def test_convert_tripolar_refusals_exit_2(capsys, tmp_path):
+    """An all-zero triple, and a scale to the vertex distances that
+    overflows: on a vertex (one zero) and off it."""
+    overflow = "the scale from the tripolar triple to the vertex distances " \
+        "overflows"
+    for sides, values, message in (
+            ([4, 5, 6], [0, 0, 0], "tripolar distances must not all be zero"),
+            ([4, 5, 6], [0, 6e-310, 5e-310], overflow),
+            ([4e12, 5e12, 6e12], [1e-301, 1e-301, 1e-301], overflow)):
+        spec = {"triangle": {"sides": sides},
+                "coords": {"kind": "tripolar", "values": values}}
+        code, doc = run_doc(capsys, ["convert", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert (code, doc["message"]) == (2, message)
+
+
+def test_homogeneous_triples_are_scale_free(capsys, tmp_path):
+    """A triple is summed or inverted only after it is scaled by the power
+    of two that puts its largest magnitude in [1, 2), so its scale changes
+    no point, and a power of two changes no bit."""
+    def run_ok(command, spec):
+        code, doc = run_doc(capsys, [command, "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == 0, doc.get("message")
+        return doc
+
+    def convert(kind, values):
+        return run_ok("convert", {"triangle": {"sides": [4, 5, 6]},
+                                  "coords": {"kind": kind, "values": values}})
+
+    doc = convert("barycentric", [1e308, 1e308, 1])
+    assert doc["points"][0]["xy"] == [1.6875, 2.4803918541230536]
+    assert doc["values_normalized"][:2] == [0.5, 0.5]
+    assert (convert("barycentric", [1e308] * 3)["points"]
+            == convert("barycentric", [1, 1, 1])["points"])
+    doc = convert("trilinear", [1e308, 1e308, 1])
+    assert doc["points"][0]["xy"] == [1.5, 2.2047927592204921]
+    assert (convert("barycentric", [1, -1, 1e-13])["values_normalized"]
+            == pytest.approx([1e13, -1e13, 1], rel=1e-15))
+
+    for kind, values in (("barycentric", [0.25, -0.5, 0.875]),
+                         ("trilinear", [0.3, 0.7, -0.1]),
+                         ("tripolar", [1.0, 1.2, 0.9])):
+        base = convert(kind, values)
+        for j in (-1000, -40, 1, 900):
+            doc = convert(kind, [math.ldexp(v, j) for v in values])
+            assert doc["values_normalized"] == base["values_normalized"]
+            for p in doc["points"]:
+                if kind == "tripolar":
+                    p["scale"] = math.ldexp(p["scale"], j)
+            assert doc["points"] == base["points"]
+
+    for k in (1.0, 5e153, 1.1e154):
+        doc = run_ok("point", {"triangle": {"vertices": [
+            [0, 0], [k, 0], [k / 2, 0.8660254037844386 * k]]},
+            "weights": [1, 1, 1]})
+        assert doc["status"] == "interior"
+        assert doc["point"]["xy"] == pytest.approx(
+            [0.5 * k, 0.28867513459481287 * k], rel=1e-14)
+    doc = run_ok("point", {"triangle": {"sides": [1e-10] * 3},
+                           "weights": [1e308] * 3})
+    assert doc["weights_normalized"] == [1 / 3] * 3
+
+
+def test_verdicts_keep_over_triangle_scales(capsys, tmp_path):
+    """A triangle, given by its vertices or its sides, scaled by 10^k,
+    |k| <= 150, gets the same exit code, status and point count from every
+    command that takes one, and the same points up to the scale."""
+    rng = random.Random(1901)
+    svg = str(tmp_path / "scaled.svg")
+    for command in ("point", "minimize", "simulate", "convert", "render"):
+        for i in range(6):
+            vertices = [[rng.uniform(-1, 1), rng.uniform(-1, 1)]
+                        for _ in "ABC"]
+            sides = [math.dist(vertices[j - 2], vertices[j - 1])
+                     for j in range(3)]
+            spec = {"weights": [10.0 ** rng.uniform(-1, 1) for _ in "abc"]}
+            if command == "convert":
+                spec = {"coords": {
+                    "kind": rng.choice(("barycentric", "trilinear",
+                                        "tripolar")),
+                    "values": [rng.uniform(0.1, 1.0) for _ in "abc"]}}
+            elif command == "render":
+                spec.update(svg_path=svg, layers={"apollonius": True})
+            verdicts = set()
+            for k in (1.0, 1e-150, 1e-100, 1e100, 1e150):
+                spec["triangle"] = (
+                    {"vertices": [[x * k, y * k] for x, y in vertices]}
+                    if i % 2 else {"sides": [v * k for v in sides]})
+                code, doc = run_doc(capsys, [command, "--input",
+                                             write_spec(tmp_path, spec)])
+                points = [p["xy"] for p in doc.get("points", [])]
+                if "point" in doc:
+                    points.append(doc["point"]["xy"])
+                verdicts.add((code, doc["status"], len(points)))
+                if k == 1.0:
+                    unit = points
+                for p, q in zip(points, unit):
+                    assert [v / k for v in p] == pytest.approx(q, rel=1e-9,
+                                                               abs=1e-9)
+            assert len(verdicts) == 1, (command, vertices, spec, verdicts)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -787,13 +909,52 @@ def test_batch_survives_an_internal_error(capsys, monkeypatch, tmp_path):
     assert "Traceback" in captured.err and "boom" in captured.err
 
 
+def test_a_handler_defect_is_exit_1_whatever_it_raises(capsys, monkeypatch,
+                                                      tmp_path):
+    """Only a CliError and the library's GeometryError family map to exit
+    codes 2 to 5.  Any other exception out of a handler, KeyError, TypeError,
+    ValueError and OSError among them, is a defect in sf: exit 1, one
+    traceback and an internal-error report, and a batch goes on."""
+    from snellfagnano import construction
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(spec) + "\n" for spec in (
+        dict(T456, id=1),
+        dict(corpus_spec("river_basic.json"), command="river", id=2),
+        dict(T456, id=3))))
+    for error in (KeyError, TypeError, ValueError, OSError):
+        def broken(t, w):
+            raise error("boom")
+
+        monkeypatch.setattr(construction, "snell_fagnano_point", broken)
+        message = "internal error: %s: %s" % (error.__name__, error("boom"))
+        code = cli.main(["point", "--input", write_spec(tmp_path, T456)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["message"] == message
+        assert captured.err.count("Traceback (most recent call last)") == 1
+        assert captured.err.endswith("sf: %s\n" % message)
+
+        code = cli.main(["point", "--batch", str(batch)])
+        captured = capsys.readouterr()
+        docs = [json.loads(ln) for ln in captured.out.splitlines()]
+        assert code == 1
+        assert [d["input"]["id"] for d in docs] == [1, 2, 3]
+        assert [d["exit_code"] for d in docs] == [1, 0, 1]
+        assert [d.get("message") for d in docs] == [message, None, message]
+        assert captured.err.count("Traceback (most recent call last)") == 2
+
+
 def test_invalid_triangles_exit_2_with_their_reason(capsys):
     for triangle, message in (
             ({"vertices": [[0, 0], [1, 1], [2, 2]]},
              "vertices are collinear within tolerance (area 0)"),
             ({"sides": [1, 2, 10]},
              "sides (1, 2, 10) violate the strict triangle inequality"),
-            ({"sides": [0, 1, 1]}, "side lengths must be positive")):
+            ({"sides": [0, 1, 1]}, "side lengths must be positive"),
+            ({"vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+             "triangle is too large: its diameter squared overflows"),
+            ({"sides": [1e-160, 1e-160, 1e-160]},
+             "triangle is too small: its diameter squared underflows")):
         doc, code = cli.run_spec("point", {"triangle": triangle,
                                            "weights": [1, 1, 1]})
         assert (code, doc["message"]) == (2, message)
@@ -803,7 +964,10 @@ def _fuzz_spec(rng):
     """A random job of any command but render: sides, vertices and river
     coordinates at scales 10^U(-12, 12), weights 10^U(-6, 6), river points
     placed on the line as q1 + u (q2 - q1), and now and then one river
-    coordinate up to 1e300."""
+    coordinate up to 1e300.  Now and then the triangle is the equilateral
+    one at a scale 10^U(-170, 170), a convert triple is all zero or has one
+    zero (a vertex's distances, for a tripolar triple on vertices), and a
+    convert triple or the weights are multiplied by 10^k, |k| <= 300."""
     command = rng.choice(("point", "convert", "simulate", "minimize", "river"))
     scale = 10.0 ** rng.uniform(-12.0, 12.0)
     if command == "river":
@@ -823,7 +987,12 @@ def _fuzz_spec(rng):
             "a": a, "b": b, "line": [q1, q2],
             "lam1": 10.0 ** rng.uniform(-6.0, 6.0),
             "lam2": 10.0 ** rng.uniform(-6.0, 6.0)}}
-    if rng.random() < 0.5:
+    shape = rng.random()
+    if shape < 0.1:
+        k = 10.0 ** rng.uniform(-170.0, 170.0)
+        triangle = {"vertices": [[0.0, 0.0], [k, 0.0],
+                                 [k / 2, 0.8660254037844386 * k]]}
+    elif shape < 0.55:
         triangle = {"sides": [scale * rng.uniform(0.1, 1.0) for _ in "abc"]}
     else:
         triangle = {"vertices": [[scale * rng.uniform(-1, 1) for _ in "xy"]
@@ -831,15 +1000,28 @@ def _fuzz_spec(rng):
     spec = {"triangle": triangle}
     if command == "convert":
         kind = rng.choice(("barycentric", "trilinear", "tripolar"))
-        spec["coords"] = {"kind": kind, "values": [
-            rng.uniform(-0.5, 1.0) * (scale if kind == "tripolar" else 1.0)
-            for _ in "abc"]}
+        values = [rng.uniform(-0.5, 1.0) * (scale if kind == "tripolar"
+                                            else 1.0) for _ in "abc"]
+        zeros = rng.random()
+        if zeros < 0.05:
+            values = [0.0, 0.0, 0.0]
+        elif zeros < 0.2:
+            i = rng.randrange(3)
+            if kind == "tripolar" and "vertices" in triangle:
+                vs = triangle["vertices"]
+                values = [math.dist(vs[i], v) for v in vs]
+            else:
+                values[i] = 0.0
+        spec["coords"] = {"kind": kind, "values": values}
     else:
         # Independent weights, or a common scale with bounded ratios.
         w = 10.0 ** rng.uniform(-6.0, 6.0)
-        spec["weights"] = [
-            (w * rng.uniform(0.5, 2.0) if rng.random() < 0.5
-             else 10.0 ** rng.uniform(-6.0, 6.0)) for _ in "abc"]
+        values = [(w * rng.uniform(0.5, 2.0) if rng.random() < 0.5
+                   else 10.0 ** rng.uniform(-6.0, 6.0)) for _ in "abc"]
+        spec["weights"] = values
+    if rng.random() < 0.2:
+        factor = 10.0 ** rng.randint(-300, 300)
+        values[:] = [v * factor for v in values]
     if command == "simulate":
         spec["steps"] = rng.randint(1, 12)
     return command, spec

@@ -215,6 +215,13 @@ def test_conditions_unit_weights():
     assert conds[2] is False
 
 
+def angle_sums_below_pi(t, tt):
+    """interior_conditions without its EPS_ANGLE margin: every angle plus
+    its tilde angle below pi."""
+    return all(v + vt < math.pi
+               for v, vt in zip((t.alpha, t.beta, t.gamma), tt.angles))
+
+
 def test_condition_flip_matches_barycentric_sign():
     """Bisect along a weight path: the angle-sum condition and the sign of
     F's smallest barycentric coordinate must flip at the same spot."""
@@ -225,7 +232,7 @@ def test_condition_flip_matches_barycentric_sign():
     while w1 is None:
         cand = sample_weights(rng, spread=1.4)
         tt = tilde_triangle(t, cand)
-        if tt.exists and not all(interior_conditions(t, tt, eps_angle=0.0)):
+        if tt.exists and not angle_sums_below_pi(t, tt):
             w1 = cand
 
     def at(s):
@@ -237,7 +244,7 @@ def test_condition_flip_matches_barycentric_sign():
 
     def angle_ok(s):
         tt = tilde_triangle(t, at(s))
-        return tt.exists and all(interior_conditions(t, tt, eps_angle=0.0))
+        return tt.exists and angle_sums_below_pi(t, tt)
 
     lo, hi = 0.0, 1.0
     assert angle_ok(lo) and not angle_ok(hi)

@@ -188,6 +188,29 @@ def test_two_zero_distances_rejected():
         sf.tripolar_to_points(TripolarCoords(0.0, 0.0, 0.0), T0)
 
 
+def test_each_vertex_distance_triple_gives_its_vertex():
+    """One zero distance pins the point to a vertex.  The distances of each
+    vertex convert back to it with scale 1; a ratio off by 1e-6, above
+    VERTEX_SCALE_TOL, names no point, and one off by 1e-10 still names it."""
+    assert sf.coordinates.VERTEX_SCALE_TOL == 1e-8
+    # counterclockwise, and clockwise (the constructor swaps B and C)
+    for t in (T0, Triangle(Point2(0.0, 0.0), Point2(1.0, 3.0),
+                           Point2(4.0, 0.0))):
+        for v in t.vertices:
+            tp = sf.tripolar_of_point(v, t)
+            assert sf.tripolar_to_points(tp, t) == [(v, 1.0)]
+            other = (tp.index(0.0) + 1) % 3
+            for rel, realized in ((1e-6, False), (1e-10, True)):
+                off = list(tp)
+                off[other] *= 1.0 + rel
+                if realized:
+                    [(p, s)] = sf.tripolar_to_points(TripolarCoords(*off), t)
+                    assert p == v and s == pytest.approx(1.0, rel=1e-9)
+                else:
+                    with pytest.raises(NoSuchPoint):
+                        sf.tripolar_to_points(TripolarCoords(*off), t)
+
+
 def test_unrealizable_triple_raises():
     t = triangle_from_sides(1.0, 1.0, 1.0)
     with pytest.raises(NoSuchPoint):
