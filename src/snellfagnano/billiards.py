@@ -165,7 +165,7 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
     def __new__(cls, a_pt: Point2, b_pt: Point2, line: Tuple[Point2, Point2],
                 lam1: float, lam2: float):
         if min(lam1, lam2) <= 0.0:
-            raise ValueError("leg weights must be positive")
+            raise GeometryError("leg weights must be positive")
         q1 = Point2(*line[0])
         d = Point2(*line[1]) - q1
         side_a = d.cross(Point2(*a_pt) - q1)
@@ -173,13 +173,13 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
         # signs, not the product, which underflows at small scale
         if (side_a == 0.0 or side_b == 0.0 or side_a < 0.0 < side_b
                 or side_b < 0.0 < side_a):
-            raise ValueError("both points must lie strictly on one side "
-                             "of the line")
+            raise GeometryError("both points must lie strictly on one "
+                                "side of the line")
         q1, e, ua, ha, ub, hb = _river_frame(a_pt, b_pt, line)
         if not all(map(math.isfinite, (
                 d.norm(), (lam1 + lam2) * (abs(ua - ub) + ha + hb),
                 *(q1 + ua * e), *(q1 + ub * e)))):
-            raise ValueError("the crossing's cost or coordinates overflow")
+            raise GeometryError("the crossing's cost or coordinates overflow")
         return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)
 
 

@@ -17,11 +17,12 @@ normal floats, an all-zero tripolar triple, render "layers" other than
 {"apollonius": true|false}, and --svg anywhere but on a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
-mapping of exceptions to exit codes.  A command raises CliError with its
-code (a failed simulate step is 4, a failed SVG write 5); `run_spec` maps
-NoSuchPoint, IdealPoint and OnSideLine to 3 and any other GeometryError to
-2, and any other exception, KeyError, TypeError, ValueError and OSError
-among them, is a defect (exit 1).  Each command lives in its own module
+mapping of exceptions to exit codes.  `run_spec` maps the library's
+refusals, GeometryErrors, to 3 (NoSuchPoint, IdealPoint, OnSideLine) or 2,
+so a command catches one only to add what only it knows, as CliError with
+its code (a failed simulate step is 4, a failed SVG write 5).  Any other
+exception, a ValueError outside GeometryError among them, is a defect
+(exit 1).  Each command lives in its own module
 (`cmd_point` ... `cmd_render`, each with `run(spec)`), and the spec
 parsing and report helpers they share live in `jobs`.  A handler in
 `HANDLERS` imports its command's module by name when it is first called,
@@ -196,8 +197,8 @@ def _loads(text: Union[str, bytes]) -> Any:
 def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
     """The report of one job and its exit code.  A `CliError` and the
     library's `GeometryError` family, the only errors an input can raise,
-    become an error report; any other exception is a defect in sf and
-    propagates to `_run_job`."""
+    become an error report; any other exception (a plain `ValueError` too)
+    is a defect in sf and propagates to `_run_job`."""
     if not isinstance(spec, dict):
         return (error_doc(command, {"_raw": spec},
                           "job spec must be a JSON object"), EXIT_INVALID)

@@ -36,11 +36,6 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
 
     points: List[Dict[str, Any]] = []
     if kind == "tripolar":
-        if min(values) < 0.0:
-            raise CliError(EXIT_INVALID, "tripolar distances must be >= 0")
-        if max(values) == 0.0:
-            raise CliError(EXIT_INVALID,
-                           "tripolar distances must not all be zero")
         for p, s in coordinates.tripolar_to_points(
                 coordinates.TripolarCoords(*values), t):
             if math.isinf(s):
@@ -52,8 +47,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     else:
         bc = (coordinates.BarycentricCoords(*values) if kind == "barycentric"
               else coordinates.trilinear_to_barycentric(
-                  coordinates.TrilinearCoords(
-                      *coordinates.unit_scaled(values)), t))
+                  coordinates.TrilinearCoords(*values), t))
         p = coordinates.from_barycentric(bc, t)
         points.append(point_block(p, t))
     doc["points"] = points

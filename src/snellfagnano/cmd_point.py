@@ -19,16 +19,16 @@ KEYS = ("triangle", "weights")
 
 def _failing_tilde_inequality(t: geometry.Triangle,
                               w: construction.Weights) -> str:
+    """The inequality the tilde sides fail, picked on the scaled sides the
+    verdict was taken on, so that no product under- or overflows."""
+    s = coordinates.tilde_triangle(t, w).sides
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
              ("lam_C*c", w.lam_C * t.c))
-    for i in range(3):
-        name, val = sides[i]
-        others = [sides[j] for j in range(3) if j != i]
-        if val >= others[0][1] + others[1][1]:
-            return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
-                    % (name, others[0][0], others[1][0],
-                       val, others[0][1], others[1][1]))
-    return "scaled side triple fails the triangle inequality"
+    i, j, k = next((i, j, k) for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+                   if s[i] >= s[j] + s[k])
+    return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
+            % (sides[i][0], sides[j][0], sides[k][0],
+               sides[i][1], sides[j][1], sides[k][1]))
 
 
 def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:

@@ -19,14 +19,11 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     line = node.get("line")
     if not isinstance(line, (list, tuple)) or len(line) != 2:
         raise CliError(EXIT_INVALID, "river.line must list two points")
-    try:
-        inst = billiards.RiverInstance(
-            pair(node.get("a"), "river.a"), pair(node.get("b"), "river.b"),
-            (pair(line[0], "river.line"), pair(line[1], "river.line")),
-            finite(node.get("lam1"), "river.lam1"),
-            finite(node.get("lam2"), "river.lam2"))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    inst = billiards.RiverInstance(
+        pair(node.get("a"), "river.a"), pair(node.get("b"), "river.b"),
+        (pair(line[0], "river.line"), pair(line[1], "river.line")),
+        finite(node.get("lam1"), "river.lam1"),
+        finite(node.get("lam2"), "river.lam2"))
     x, cost, residual = billiards.solve_river(inst)
     doc = base_doc("river", spec)
     doc["x"] = xy(x)

@@ -57,13 +57,13 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
 
     def __new__(cls, lam_A: float, lam_B: float, lam_C: float):
         if min(lam_A, lam_B, lam_C) <= 0.0:
-            raise ValueError("weights must be strictly positive")
+            raise GeometryError("weights must be strictly positive")
         # Every pairwise ratio (the refraction coefficients among them) must
         # be a normal float: none may overflow or go subnormal.
         ratio = min(lam_A, lam_B, lam_C) / max(lam_A, lam_B, lam_C)
         if ratio < sys.float_info.min:
-            raise ValueError("smallest / largest weight is %.17g, below %.17g"
-                             % (ratio, sys.float_info.min))
+            raise GeometryError("smallest / largest weight is %.17g, below "
+                                "%.17g" % (ratio, sys.float_info.min))
         return super().__new__(cls, lam_A, lam_B, lam_C)
 
     @property

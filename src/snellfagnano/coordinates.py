@@ -125,8 +125,9 @@ def from_barycentric(bc: BarycentricCoords, t: Triangle) -> Point2:
 
 
 def trilinear_to_barycentric(tl: TrilinearCoords, t: Triangle) -> BarycentricCoords:
-    """(l_a : l_b : l_c) -> (a l_a : b l_b : c l_c)."""
-    return BarycentricCoords(t.a * tl[0], t.b * tl[1], t.c * tl[2])
+    """(l_a : l_b : l_c) -> (a l_a : b l_b : c l_c), l unit-scaled first."""
+    l_a, l_b, l_c = unit_scaled(tl)
+    return BarycentricCoords(t.a * l_a, t.b * l_b, t.c * l_c)
 
 
 def barycentric_to_trilinear(bc: BarycentricCoords, t: Triangle) -> TrilinearCoords:
@@ -184,12 +185,14 @@ def tripolar_to_points(tp: TripolarCoords,
     Returns one or two (point, s) pairs with distances (s*X, s*Y, s*Z),
     ordered by increasing s, s being inf where it overflows; raises
     NoSuchPoint when the scaled side triple (Xa, Yb, Zc) strictly fails the
-    triangle inequality.
+    triangle inequality and GeometryError on a negative or all-zero triple.
     """
     X, Y, Z = tp
-    if min(X, Y, Z) < 0.0 or max(X, Y, Z) == 0.0:
-        raise ValueError("tripolar coordinates must be nonnegative, not all zero")
     mx = max(X, Y, Z)
+    if min(X, Y, Z) < 0.0:
+        raise GeometryError("tripolar distances must be >= 0")
+    if mx == 0.0:
+        raise GeometryError("tripolar distances must not all be zero")
     # A zero coordinate pins the point to a vertex; handle it directly so
     # rounding in the tilde inequality cannot reject an exactly-realizable
     # triple.

@@ -18,8 +18,8 @@ from typing import List, NamedTuple, Tuple
 EPS_DEGENERATE = 1e-12
 
 
-class GeometryError(Exception):
-    """Base class for all geometric failures in this package."""
+class GeometryError(ValueError):
+    """Base class of every input refusal in this package; a ValueError."""
 
 
 class DegenerateTriangle(GeometryError):

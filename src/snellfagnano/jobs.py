@@ -92,12 +92,10 @@ def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:
 
 def parse_weights(spec: Dict[str, Any],
                   t: geometry.Triangle) -> construction.Weights:
-    """The weights of spec on triangle t.  The largest weight times the
-    perimeter bounds every cost a report prices, so it must be finite."""
-    try:
-        w = construction.Weights(*triple(spec.get("weights"), "weights"))
-    except ValueError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    """The weights of spec on triangle t; `Weights` refuses those outside
+    the problem's domain.  The largest weight times the perimeter bounds
+    every cost a report prices, so it must be finite."""
+    w = construction.Weights(*triple(spec.get("weights"), "weights"))
     if not math.isfinite(max(w) * (t.a + t.b + t.c)):
         raise CliError(EXIT_INVALID,
                        "largest weight times the perimeter overflows")

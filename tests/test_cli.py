@@ -111,6 +111,19 @@ def test_point_no_tilde(capsys):
     assert ">=" in doc["message"]
 
 
+def test_no_tilde_message_names_the_long_side_at_small_scales(capsys,
+                                                              tmp_path):
+    """The failing inequality is picked on the scaled tilde sides, so it is
+    the one the verdict was taken on even where the raw products it prints
+    underflow to 0."""
+    spec = {"triangle": {"sides": [1e-150] * 3},
+            "weights": [1e-200, 1e-200, 1e-190]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["status"]) == (3, "no_tilde_triangle")
+    assert doc["message"] == "lam_C*c >= lam_A*a + lam_B*b (0 >= 0 + 0)"
+
+
 def test_point_needle_is_degenerate(capsys, tmp_path):
     spec = {"triangle": {"sides": [1, 1, 1.9999999]}, "weights": [1, 1, 1]}
     code, doc = run_doc(capsys, ["point", "--input",
@@ -960,15 +973,86 @@ def test_invalid_triangles_exit_2_with_their_reason(capsys):
         assert (code, doc["message"]) == (2, message)
 
 
-def _fuzz_spec(rng):
-    """A random job of any command but render: sides, vertices and river
-    coordinates at scales 10^U(-12, 12), weights 10^U(-6, 6), river points
-    placed on the line as q1 + u (q2 - q1), and now and then one river
-    coordinate up to 1e300.  Now and then the triangle is the equilateral
-    one at a scale 10^U(-170, 170), a convert triple is all zero or has one
-    zero (a vertex's distances, for a tripolar triple on vertices), and a
-    convert triple or the weights are multiplied by 10^k, |k| <= 300."""
-    command = rng.choice(("point", "convert", "simulate", "minimize", "river"))
+S456 = {"sides": [4, 5, 6]}
+RIVER = {"a": [0, 1], "b": [1, 1], "line": [[0, 0], [1, 0]],
+         "lam1": 1, "lam2": 1}
+
+# (command, spec, exit code, message) of refusals, spec checks and library
+# refusals alike, each to be reported the same way alone and in a batch.
+REFUSALS = (
+    ("point", {"triangle": S456, "weights": [1, "x", 1]},
+     2, "weights must be a number"),
+    ("point", {"triangle": {"vertices": [[0, 0], [1], [0, 1]]},
+               "weights": [1, 1, 1]},
+     2, "vertex must be an [x, y] pair"),
+    ("point", {"triangle": {"vertices": [[0, 0], [1, 0]]},
+               "weights": [1, 1, 1]},
+     2, "vertices must list three points"),
+    ("point", {"triangle": S456, "weights": [1, 0, 1]},
+     2, "weights must be strictly positive"),
+    ("minimize", {"triangle": S456, "weights": [1, 1, -2]},
+     2, "weights must be strictly positive"),
+    ("convert", {"triangle": S456}, 2, "spec needs a \"coords\" object"),
+    ("convert", {"triangle": S456,
+                 "coords": {"kind": "tripolar", "values": [1, -1, 1]}},
+     2, "tripolar distances must be >= 0"),
+    ("river", {"river": [1, 2]}, 2, "spec needs a \"river\" object"),
+    ("river", {"river": dict(RIVER, line=[[0, 0]])},
+     2, "river.line must list two points"),
+    ("river", {"river": dict(RIVER, lam1=0)},
+     2, "leg weights must be positive"),
+    ("river", {"river": dict(RIVER, lam2=-1)},
+     2, "leg weights must be positive"),
+    ("simulate", {"triangle": S456, "weights": [1, 1, 1], "steps": 0},
+     2, "steps must be a positive integer"),
+    ("simulate", {"triangle": S456, "weights": [1, 1, 1], "start": "a"},
+     2, "start must be an object"),
+    ("simulate", {"triangle": S456, "weights": [1, 1, 1], "start": {
+        "side": "a", "param": 1.5, "direction": [0, 1]}},
+     2, "start.param must lie in (0, 1)"),
+    ("simulate", {"triangle": S456, "weights": [1, 1, 1], "start": {
+        "side": "a", "param": 0.5, "direction": [0, 0]}},
+     2, "start.direction must be nonzero"),
+    ("simulate", {"triangle": S456, "weights": [1, 1, 1], "start": {
+        "side": "a", "param": 0.5, "direction": [0, -1]}},
+     2, "ray escaped the triangle (not an inward direction?)"),
+)
+
+
+def test_refusals_keep_their_exit_code_and_message(capsys, tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(dict(spec, command=command)) + "\n"
+                             for command, spec, _, _ in REFUSALS))
+    code, out = run(capsys, ["point", "--batch", str(batch)])
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [(d["exit_code"], d["message"]) for d in docs] == [
+        (c, m) for _, _, c, m in REFUSALS]
+    for command, spec, exit_code, message in REFUSALS:
+        assert cli.main([command, "--input", write_spec(tmp_path, spec)]) \
+            == exit_code, (command, spec)
+        assert capsys.readouterr().err == "sf: %s\n" % message
+    # JSON cannot hold a non-finite number: the decoder refuses it first.
+    doc, code = cli.run_spec("point", {"triangle": {"sides": [4, 5, math.inf]},
+                                       "weights": [1, 1, 1]})
+    assert (code, doc["message"]) == (2, "sides must be finite")
+    assert cli.main(["point", "--batch", str(tmp_path / "missing")]) == 5
+    assert capsys.readouterr().err.startswith("sf: cannot read batch file:")
+
+
+def _fuzz_spec(rng, svg_path):
+    """A random job of any command, a render writing to svg_path: sides,
+    vertices and river coordinates at scales 10^U(-12, 12), weights and leg
+    weights 10^U(-6, 6), river points placed on the line as q1 + u (q2 -
+    q1), and now and then one river coordinate up to 1e300.  Now and then
+    the triangle is the equilateral one at a scale 10^U(-170, 170), a
+    convert triple is all zero or has one zero (a vertex's distances, for a
+    tripolar triple on vertices), a weight or a leg weight is zero or
+    negative, the smallest/largest weight ratio is 10^-U(290, 330), about
+    the smallest normal float, and a convert triple or the weights are
+    multiplied by 10^k, |k| <= 300."""
+    command = rng.choice(("point", "convert", "simulate", "minimize", "river",
+                          "render"))
     scale = 10.0 ** rng.uniform(-12.0, 12.0)
     if command == "river":
         q1, q2 = ([rng.uniform(-10, 10) * scale for _ in "xy"] for _ in "12")
@@ -983,10 +1067,12 @@ def _fuzz_spec(rng):
         if rng.random() < 0.1:
             rng.choice((a, b, q1, q2))[rng.randrange(2)] = (
                 rng.choice((-1, 1)) * 10.0 ** rng.uniform(0.0, 300.0))
+        lams = [10.0 ** rng.uniform(-6.0, 6.0) for _ in "12"]
+        if rng.random() < 0.1:
+            lams[rng.randrange(2)] *= rng.choice((0.0, -1.0))
         return command, {"river": {
-            "a": a, "b": b, "line": [q1, q2],
-            "lam1": 10.0 ** rng.uniform(-6.0, 6.0),
-            "lam2": 10.0 ** rng.uniform(-6.0, 6.0)}}
+            "a": a, "b": b, "line": [q1, q2], "lam1": lams[0],
+            "lam2": lams[1]}}
     shape = rng.random()
     if shape < 0.1:
         k = 10.0 ** rng.uniform(-170.0, 170.0)
@@ -1018,21 +1104,31 @@ def _fuzz_spec(rng):
         w = 10.0 ** rng.uniform(-6.0, 6.0)
         values = [(w * rng.uniform(0.5, 2.0) if rng.random() < 0.5
                    else 10.0 ** rng.uniform(-6.0, 6.0)) for _ in "abc"]
+        odd = rng.random()
+        if odd < 0.05:
+            values[rng.randrange(3)] *= rng.choice((0.0, -1.0))
+        elif odd < 0.1:
+            ratio = 10.0 ** -rng.uniform(145.0, 165.0)
+            values = rng.sample([w / ratio, w, w * ratio], 3)
         spec["weights"] = values
     if rng.random() < 0.2:
         factor = 10.0 ** rng.randint(-300, 300)
         values[:] = [v * factor for v in values]
     if command == "simulate":
         spec["steps"] = rng.randint(1, 12)
+    elif command == "render":
+        spec["svg_path"] = svg_path
+        spec["layers"] = {"apollonius": rng.random() < 0.5}
     return command, spec
 
 
-def test_random_jobs_never_exit_1(capsys):
+def test_random_jobs_never_exit_1(capsys, tmp_path):
     """Exit 1 marks a defect in sf; no valid or invalid job may reach it."""
     rng = random.Random(1501)
+    svg_path = str(tmp_path / "fuzz.svg")
     internal = []
     for _ in range(3000):
-        command, spec = _fuzz_spec(rng)
+        command, spec = _fuzz_spec(rng, svg_path)
         if cli._run_job(command, json.dumps(spec), batch=True) == 1:
             internal.append((command, spec))
         capsys.readouterr()
