@@ -1,8 +1,10 @@
 """`sf convert`: a barycentric, trilinear or tripolar triple to points.
 
 Every triple is homogeneous: multiplied by any factor it names the same
-points, bit for bit when the factor is a power of two.  A tripolar triple
-can name two points, one or none (exit 3); all zero, it is exit 2.
+points, bit for bit when the factor is a power of two.  A barycentric or
+trilinear triple is its point's barycentrics, normalized; a tripolar triple
+can name two points, one or none (exit 3), whose barycentrics are read
+from their xy.  All zero, it is exit 2.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
             if math.isinf(s):
                 raise CliError(EXIT_INVALID, "the scale from the tripolar "
                                "triple to the vertex distances overflows")
-            block = point_block(p, t)
+            block = point_block(p, coordinates.to_barycentric(p, t), t)
             block["scale"] = s
             points.append(block)
     else:
@@ -49,7 +51,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
               else coordinates.trilinear_to_barycentric(
                   coordinates.TrilinearCoords(*values), t))
         p = coordinates.from_barycentric(bc, t)
-        points.append(point_block(p, t))
+        points.append(point_block(p, coordinates.normalized(bc), t))
     doc["points"] = points
     doc["count"] = len(points)
     return doc, EXIT_OK

@@ -1,7 +1,9 @@
 """`sf point`: the Snell-Fagnano point, its orbit and regime verdict.
 
-Where no closed orbit exists, the report adds the minimizer's constrained
-minimum as brute_force_cost; a failing tilde inequality is exit 3.
+The point's barycentrics are the construction's Ceva triple, normalized, and
+its isogonal conjugate is (s_A/lam_A : s_B/lam_B : s_C/lam_C) from the same
+sines.  Where no closed orbit exists, the report adds the minimizer's
+constrained minimum as brute_force_cost; a failing tilde inequality is exit 3.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, parse_triangle,
 KEYS = ("triangle", "weights")
 
 
-def _failing_tilde_inequality(t: geometry.Triangle,
-                              w: construction.Weights) -> str:
-    """The inequality the tilde sides fail, picked on the scaled sides the
+def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
+                              s: Tuple[float, float, float]) -> str:
+    """The inequality the tilde sides fail, picked on the scaled sides s the
     verdict was taken on, so that no product under- or overflows."""
-    s = coordinates.tilde_triangle(t, w).sides
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
              ("lam_C*c", w.lam_C * t.c))
     i, j, k = next((i, j, k) for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
@@ -60,14 +61,16 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     if res.erected is not None:
         doc["erected_apexes"] = [xy(p) for p in res.erected]
     if res.point is not None:
-        doc["point"] = point_block(res.point, t)
+        doc["point"] = point_block(
+            res.point, coordinates.normalized(res.barycentric), t)
     if res.orbit is not None:
         doc["orbit"] = _orbit_block(res)
     if res.status == construction.STATUS_INTERIOR:
         doc["snell_residuals"] = list(
             construction.verify_snell_point(res.point, t, k))
-        bc = coordinates.to_barycentric(res.point, t)
-        conj = coordinates.from_barycentric(coordinates.isogonal_conjugate(bc, t), t)
+        top = max(w.triple)
+        conj = coordinates.from_barycentric(
+            [s * (top / lam) for s, lam in zip(res.tilde.sines, w.triple)], t)
         ctp = coordinates.tripolar_of_point(conj, t)
         doc["isogonal_conjugate"] = {
             "xy": xy(conj),
@@ -80,6 +83,6 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     doc["degenerate_info"] = res.degenerate_info
     doc["brute_force_cost"] = brute
     if res.status == construction.STATUS_NO_TILDE:
-        doc["message"] = _failing_tilde_inequality(t, w)
+        doc["message"] = _failing_tilde_inequality(t, w, res.tilde.sides)
         return doc, EXIT_MISSING
     return doc, EXIT_OK

@@ -11,8 +11,9 @@ Ceva's theorem their meeting point has barycentrics
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
 s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
-same vertex; the construction computes the point from them, with the
-sides scaled the same way, so that no a^2 overflows.  When every
+same vertex, taken from tilde_triangle; the point is computed from them,
+with the sides scaled the same way so that no a^2 overflows, and the
+result keeps both the triple and the tilde triangle.  When every
 V + V~ < pi the point lies strictly inside, and when its perpendicular feet
 also land strictly inside the sides, its pedal triangle is the closed
 3-bounce refractive billiard orbit and the minimizer of the weighted
@@ -110,7 +111,8 @@ class SnellOrbitResult(NamedTuple):
     fills orbit/weighted_perimeter in the last two cases, with both the
     weighted and the plain altitude ranking reported in degenerate_info.
     point is None for no_tilde_triangle, and for degenerate when the
-    barycentric sum vanishes (a point at infinity).
+    barycentric sum vanishes (a point at infinity).  barycentric is the
+    point's Ceva triple, and tilde the tilde triangle with its sines.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
@@ -128,6 +130,8 @@ class SnellOrbitResult(NamedTuple):
     conditions: Optional[Tuple[bool, bool, bool]] = None
     orbit_in_sides: Optional[bool] = None
     degenerate_info: Optional[Dict[str, object]] = None
+    barycentric: Optional[Tuple[float, float, float]] = None
+    tilde: Optional[coordinates.TildeTriangle] = None
 
 
 def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
@@ -182,12 +186,9 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
-        return _degenerate_result(t, w, STATUS_NO_TILDE)
+        return _degenerate_result(t, w, STATUS_NO_TILDE, tilde=tt)
 
-    at, bt, gt = tt.angles
-    sA = math.sin(t.alpha + at)
-    sB = math.sin(t.beta + bt)
-    sC = math.sin(t.gamma + gt)
+    sA, sB, sC = tt.sines
     top = max(w.triple)
     a, b, c = coordinates.unit_scaled(t.sides)
     bary = (w.lam_A / top * a ** 2 * sB * sC,
@@ -205,9 +206,11 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
         return SnellOrbitResult(status=STATUS_INTERIOR,
                                 weighted_perimeter=w.perimeter(orbit),
                                 point=f, orbit=orbit, erected=erected,
-                                conditions=conds, orbit_in_sides=in_sides)
+                                conditions=conds, orbit_in_sides=in_sides,
+                                barycentric=bary, tilde=tt)
     return _degenerate_result(t, w, STATUS_DEGENERATE, point=f,
-                              erected=erected, conditions=conds)
+                              erected=erected, conditions=conds,
+                              barycentric=bary, tilde=tt)
 
 
 def _sin_at(v, p, q) -> float:
@@ -237,8 +240,7 @@ def verify_snell_point(f: Point2, t: Triangle,
 
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,
-                       point: Optional[Point2] = None,
-                       erected=None, conditions=None) -> SnellOrbitResult:
+                       **found) -> SnellOrbitResult:
     (fA, hA), (fB, hB), (fC, hC) = altitudes(t)
     cands = {
         "A": (inscribed_from_params(t, line_parameter(fA, t.vB, t.vC), 1.0, 0.0),
@@ -258,5 +260,4 @@ def _degenerate_result(t: Triangle, w: Weights, status: str,
         "shortest_altitude": min(heights, key=heights.get),
     }
     return SnellOrbitResult(status=status, weighted_perimeter=cost,
-                            point=point, orbit=orbit, erected=erected,
-                            conditions=conditions, degenerate_info=info)
+                            orbit=orbit, degenerate_info=info, **found)

@@ -158,11 +158,12 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
 class TildeTriangle(NamedTuple):
     """Sides proportional to (Xa, Yb, Zc), and the angles opposite them
     unless the sides strictly fail the triangle inequality; exists is the
-    strict inequality."""
+    strict inequality.  sines, set with angles, is sin(V + V~) per vertex."""
 
     sides: Tuple[float, float, float]
     angles: Optional[Tuple[float, float, float]]
     exists: bool
+    sines: Optional[Tuple[float, float, float]]
 
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
@@ -173,9 +174,12 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     a, b, c = unit_scaled(t.sides)
     p, q, r = x * a, y * b, z * c
     if p > q + r or q > r + p or r > p + q:
-        return TildeTriangle((p, q, r), None, False)
+        return TildeTriangle((p, q, r), None, False, None)
     exists = p < q + r and q < r + p and r < p + q
-    return TildeTriangle((p, q, r), angles_from_sides(p, q, r), exists)
+    angles = angles_from_sides(p, q, r)
+    sines = tuple(math.sin(v + vt)
+                  for v, vt in zip((t.alpha, t.beta, t.gamma), angles))
+    return TildeTriangle((p, q, r), angles, exists, sines)
 
 
 def tripolar_to_points(tp: TripolarCoords,
@@ -219,10 +223,8 @@ def tripolar_to_points(tp: TripolarCoords,
         raise NoSuchPoint(
             "no point attains these vertex-distance ratios "
             "(scaled side triple fails the triangle inequality)")
-    at, bt, ct = tt.angles
-    plus = from_barycentric((y * z * math.sin(t.alpha + at),
-                             z * x * math.sin(t.beta + bt),
-                             x * y * math.sin(t.gamma + ct)), t)
+    sa, sb, sc = tt.sines
+    plus = from_barycentric((y * z * sa, z * x * sb, x * y * sc), t)
     points = [plus]
     center, radius = circumcircle(t)
     d = dist(plus, center)

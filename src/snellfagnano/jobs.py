@@ -106,8 +106,10 @@ def xy(p) -> List[float]:
     return [float(p[0]), float(p[1])]
 
 
-def point_block(p: geometry.Point2, t: geometry.Triangle) -> Dict[str, Any]:
-    bc = coordinates.to_barycentric(p, t)
+def point_block(p: geometry.Point2, bc: Tuple[float, float, float],
+                t: geometry.Triangle) -> Dict[str, Any]:
+    """p in every coordinate system; bc is its normalized barycentrics as
+    the caller defined p, not read back from p's xy."""
     tl = coordinates.barycentric_to_trilinear(bc, t)
     tp = coordinates.tripolar_of_point(p, t)
     return {

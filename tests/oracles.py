@@ -7,8 +7,10 @@ the biquadratic in the squared scale of a tripolar triple), so that the
 tests can compare the two.  degenerate_minimizer runs the construction's
 doubled-altitude fallback on its own.  intersect_lines and ratio_residual
 are plane helpers that only the tests use.  river_reference solves the
-river crossing in 60-digit decimal arithmetic, and reference_dumps is the
-serializer that emitted every report before the one-pass encoder.
+river crossing in 60-digit decimal arithmetic, ceva_reference computes
+the orbit point's Ceva triple and its isogonal conjugate the same way, and
+reference_dumps is the serializer that emitted every report before the
+one-pass encoder.
 """
 
 from __future__ import annotations
@@ -241,6 +243,47 @@ def river_reference(r):
         u = (lo + hi) / 2
         ra, rb = legs(u)
         return q1x + u * ex, q1y + u * ey, l1 * ra + l2 * rb
+
+
+def ceva_reference(t: Triangle, w: Weights):
+    """The orbit point's Ceva barycentrics, normalized, and the (x, y) of
+    its isogonal conjugate (s_A/lam_A : s_B/lam_B : s_C/lam_C), to 50
+    digits from the floats of t's vertices and w, at 60 significant digits.
+
+    sin and cos of V + V~ follow from the sides by square roots alone: the
+    law of cosines gives cos V and twice the exact signed area gives
+    sin V = 2 [ABC] / (b c), and cyclic; Heron's formula does the same for
+    the tilde triangle of sides (lam_A a, lam_B b, lam_C c).
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (xa, ya), (xb, yb), (xc, yc) = ([D(c) for c in v] for v in t.vertices)
+        a2 = (xb - xc) ** 2 + (yb - yc) ** 2
+        b2 = (xc - xa) ** 2 + (yc - ya) ** 2
+        c2 = (xa - xb) ** 2 + (ya - yb) ** 2
+        area2 = abs((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa))
+        lam = [D(v) for v in w.triple]
+        p, q, r = lam[0] * a2.sqrt(), lam[1] * b2.sqrt(), lam[2] * c2.sqrt()
+        tilde4 = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
+        sines = []
+        for (u2, v2, w2), (tu, tv, tw) in (((a2, b2, c2), (p, q, r)),
+                                           ((b2, c2, a2), (q, r, p)),
+                                           ((c2, a2, b2), (r, p, q))):
+            vw = (v2 * w2).sqrt()
+            cos_v, sin_v = (v2 + w2 - u2) / (2 * vw), area2 / vw
+            cos_t = (tv * tv + tw * tw - tu * tu) / (2 * tv * tw)
+            sin_t = tilde4 / (2 * tv * tw)
+            sines.append(sin_v * cos_t + cos_v * sin_t)
+        sa, sb, sc = sines
+        ceva = (lam[0] * a2 * sb * sc, lam[1] * b2 * sc * sa,
+                lam[2] * c2 * sa * sb)
+        conj = (sa / lam[0], sb / lam[1], sc / lam[2])
+        ceva = [v / sum(ceva) for v in ceva]
+        conj = [v / sum(conj) for v in conj]
+        xy = (conj[0] * xa + conj[1] * xb + conj[2] * xc,
+              conj[0] * ya + conj[1] * yb + conj[2] * yc)
+        return ceva, xy
 
 
 def _reference_emit(value: Any, parts: list, indent: str, level: int) -> None:

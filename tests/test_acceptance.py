@@ -7,6 +7,7 @@ test, so the suite is red whenever a criterion is.
 """
 
 import contextlib
+import decimal
 import glob
 import io
 import json
@@ -23,14 +24,15 @@ from conftest import (altitude_feet_oracle, circumcenter_oracle,
                       orthocenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_degenerate, sample_triangle,
                       sample_weights, tilde_slack)
-from oracles import biquadratic_residual, intersect_lines
-from snellfagnano import Point2, Weights, cli, dist
+from oracles import biquadratic_residual, ceva_reference, intersect_lines
+from snellfagnano import Point2, Triangle, Weights, cli, dist
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
 from snellfagnano.billiards import (RiverInstance, is_periodic,
                                     orbit_start_state, solve_river)
 from snellfagnano.construction import (coeffs_from_weights, erect_similar,
                                        snell_fagnano_point)
 from snellfagnano.coordinates import tripolar_of_point, tripolar_to_points
+from snellfagnano.geometry import DegenerateTriangle
 from snellfagnano.optimize import minimize_inscribed
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
@@ -92,20 +94,70 @@ def test_criterion_2_concurrency_and_similarity():
            % (worst_meet, worst_prop))
 
 
+def point_report(t, w):
+    """The report of `sf point` on t, given by its (counterclockwise)
+    vertices, and w."""
+    return cli.run_spec("point", {
+        "triangle": {"vertices": [list(v) for v in t.vertices]},
+        "weights": list(w.triple)})[0]
+
+
 def test_criterion_3_isogonal_tripolar_ratios():
-    from snellfagnano.coordinates import (from_barycentric,
-                                          isogonal_conjugate, to_barycentric)
+    """The conjugate `sf point` reports, (s_A/lam_A : s_B/lam_B :
+    s_C/lam_C) in closed form, has vertex distances proportional to the
+    weights."""
     worst = 0.0
     for t, w in admissible_samples():
-        res = snell_fagnano_point(t, w)
-        conj = from_barycentric(
-            isogonal_conjugate(to_barycentric(res.point, t), t), t)
-        tp = tripolar_of_point(conj, t)
+        tp = point_report(t, w)["isogonal_conjugate"]["tripolar"]
         ratios = [d / l for d, l in zip(tp, w.triple)]
         worst = max(worst, (max(ratios) - min(ratios)) / max(ratios))
     ok = worst <= 1e-9
     report(3, "isogonal conjugate tripolar ratios on 200 samples", ok,
            "worst ratio spread %.2e vs 1e-9 rel" % worst)
+
+
+def test_point_report_matches_50_digit_ceva_reference():
+    """The reported point's barycentrics and its isogonal conjugate against
+    oracles.ceva_reference, on 400 interior cases of the random set-up:
+    vertices uniform in [-1, 1]^2, smallest angle at least 0.05 rad and
+    weights e^U(-1, 1).  Errors are in eps, relative to the largest entry
+    or to the diameter.  Worst measured: barycentric 9.72, conjugate xy
+    2.24, conjugate tripolar_normalized 4.08; each bound is about 2.5 to 3
+    times that."""
+    eps = sys.float_info.epsilon
+    D = decimal.Decimal
+
+    def rel(got, want):
+        return float(max(abs(D(g) - x) for g, x in zip(got, want))
+                     / max(abs(x) for x in want)) / eps
+
+    rng = random.Random(2)
+    done = 0
+    worst_bc = worst_xy = worst_tn = 0.0
+    while done < 400:
+        try:
+            t = Triangle(*(Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in range(3)))
+        except DegenerateTriangle:
+            continue
+        if min(t.alpha, t.beta, t.gamma) < 0.05:
+            continue
+        w = Weights(*(math.exp(rng.uniform(-1, 1)) for _ in range(3)))
+        doc = point_report(t, w)
+        if doc["status"] != "interior":
+            continue
+        done += 1
+        ceva, xy = ceva_reference(t, w)
+        worst_bc = max(worst_bc, rel(doc["point"]["barycentric"], ceva))
+        conj = doc["isogonal_conjugate"]
+        off = math.hypot(*(float(D(g) - x) for g, x in zip(conj["xy"], xy)))
+        worst_xy = max(worst_xy, off / t.diameter / eps)
+        total = sum(D(v) for v in w.triple)
+        worst_tn = max(worst_tn, rel(conj["tripolar_normalized"],
+                                     [D(v) / total for v in w.triple]))
+    assert worst_bc <= 25.0, worst_bc
+    assert worst_xy <= 6.0, worst_xy
+    assert worst_tn <= 12.0, worst_tn
 
 
 def test_criterion_4_three_periodicity():

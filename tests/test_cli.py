@@ -350,6 +350,21 @@ def test_convert_trilinear_incenter(capsys):
     assert bary[2] / bary[0] == pytest.approx(5 / 3, rel=1e-12)
 
 
+def test_convert_far_point_keeps_its_barycentrics(capsys, tmp_path):
+    """A barycentric or trilinear triple is reported as itself, normalized,
+    not read back from the point's xy: for a point 1e13 out, the read-back
+    lost most of its digits ([10001537079900.955, -10001537079900.955, 0]).
+    The trilinear triple is 60 times the barycentric one over the sides."""
+    for kind, values in (("barycentric", [1, -1, 1e-13]),
+                         ("trilinear", [15, -12, 1e-12])):
+        spec = {"triangle": {"sides": [4, 5, 6]},
+                "coords": {"kind": kind, "values": values}}
+        code, doc = run_doc(capsys, ["convert", "--input",
+                                     write_spec(tmp_path, spec)])
+        assert code == 0
+        assert doc["points"][0]["barycentric"] == [1e13, -1e13, 1], kind
+
+
 def test_convert_tripolar_two_points(capsys):
     code, doc = run_doc(capsys, ["convert", "--input",
                                  corpus_path("convert_tripolar_two.json")])

@@ -136,6 +136,17 @@ def test_equilateral_center_and_medial_perimeter():
     assert res.weighted_perimeter == pytest.approx(3.0, rel=1e-12)
 
 
+def _conjugates(res, t, w):
+    """The orbit point's isogonal conjugate, read back from its xy and in
+    closed form (s_A/lam_A : s_B/lam_B : s_C/lam_C) from the result's
+    sines."""
+    read_back = sf.from_barycentric(
+        sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
+    closed = sf.from_barycentric(
+        [s / lam for s, lam in zip(res.tilde.sines, w.triple)], t)
+    return read_back, closed
+
+
 def test_isogonal_image_proportional_to_weights():
     rng = random.Random(64)
     for _ in range(30):
@@ -143,11 +154,10 @@ def test_isogonal_image_proportional_to_weights():
         res = snell_fagnano_point(t, w)
         if res.status != STATUS_INTERIOR:
             continue
-        conj = sf.from_barycentric(
-            sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
-        tp = sf.tripolar_of_point(conj, t)
-        ratios = [d / l for d, l in zip(tp, w.triple)]
-        assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
+        for conj in _conjugates(res, t, w):
+            tp = sf.tripolar_of_point(conj, t)
+            ratios = [d / l for d, l in zip(tp, w.triple)]
+            assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
 
 
 def test_isogonal_image_is_apollonian_common_point():
@@ -159,10 +169,9 @@ def test_isogonal_image_is_apollonian_common_point():
         if res.status != STATUS_INTERIOR:
             continue
         done += 1
-        conj = sf.from_barycentric(
-            sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
         pts = apollonian_common_points(t, w)
-        assert min(dist(conj, p) for p in pts) <= 1e-8 * t.diameter
+        for conj in _conjugates(res, t, w):
+            assert min(dist(conj, p) for p in pts) <= 1e-8 * t.diameter
 
 
 def test_weight_scaling_invariance():
