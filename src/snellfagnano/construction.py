@@ -3,22 +3,22 @@
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
 triangle of side lengths (lam_A*a, lam_B*b, lam_C*c), which
-coordinates.tilde_triangle builds from the weights and the sides each
-scaled by a power of two, so that only their ratios matter.  The three
-cevians joining each vertex to the opposite apex are concurrent.  By
-Ceva's theorem their meeting point has barycentrics
+coordinates.tilde_triangle builds from the weights and the sides, each
+divided by a power of two (the sides by Triangle.scale), so that only their
+ratios matter.  The three cevians joining each vertex to the opposite apex
+are concurrent.  By Ceva's theorem their meeting point has barycentrics
 
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
 s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
 same vertex, taken from tilde_triangle; the point is computed from them,
-with the sides scaled the same way so that no a^2 overflows, and the
-result keeps both the triple and the tilde triangle.  When every
-V + V~ < pi the point lies strictly inside, and when its perpendicular feet
-also land strictly inside the sides, its pedal triangle is the closed
-3-bounce refractive billiard orbit and the minimizer of the weighted
-chord-length sum.  When an angle condition fails the minimizer collapses
-onto a doubled altitude.
+with the sides divided by the triangle's scale so that no a^2 over- or
+underflows, and the result keeps both the triple and the tilde triangle.
+When every V + V~ < pi the point lies strictly inside, and when its
+perpendicular feet also land strictly inside the sides, its pedal triangle
+is the closed 3-bounce refractive billiard orbit and the minimizer of the
+weighted chord-length sum.  When an angle condition fails the minimizer
+collapses onto a doubled altitude.
 
 The in-between regime exists only for obtuse triangles: the point can be
 interior while one pedal foot falls beyond a side endpoint, in which case
@@ -37,7 +37,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        altitudes, inscribed_from_params, line_parameter,
-                       pedal_triangle, rotate, unit_scaled_points)
+                       pedal_triangle, rotate)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -190,7 +190,7 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
 
     sA, sB, sC = tt.sines
     top = max(w.triple)
-    a, b, c = coordinates.unit_scaled(t.sides)
+    a, b, c = (v / t.scale for v in t.sides)
     bary = (w.lam_A / top * a ** 2 * sB * sC,
             w.lam_B / top * b ** 2 * sC * sA,
             w.lam_C / top * c ** 2 * sA * sB)
@@ -226,13 +226,14 @@ def verify_snell_point(f: Point2, t: Triangle,
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
     = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.  The
-    sines are taken of the unit-scaled points, so that no product of two
-    rays over- or underflows.
+    sines are taken of the points divided by t.scale, so that no product of
+    two rays of the triangle over- or underflows.
     """
     tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
     if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * max(map(abs, tl)):
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
-    _, (f, a, b, c) = unit_scaled_points(f, *t.vertices)
+    s = t.scale
+    f, a, b, c = ((x / s, y / s) for x, y in (f, *t.vertices))
     r_a = _sin_at(c, f, a) / _sin_at(b, f, a)
     r_b = _sin_at(a, f, b) / _sin_at(c, f, b)
     r_c = _sin_at(b, f, c) / _sin_at(a, f, c)

@@ -34,8 +34,7 @@ import sys
 from typing import List, NamedTuple, Optional, Tuple
 
 from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
-                       circumcircle, dist, signed_area, unit_power,
-                       unit_scaled_points)
+                       circumcircle, dist, signed_area, unit_power)
 
 # A homogeneous triple whose sum is within this fraction of its largest
 # magnitude names a point at infinity.
@@ -81,14 +80,17 @@ class TripolarCoords(NamedTuple):
 
 def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
     """Normalized barycentric coordinates (ratios of signed subtriangle
-    areas), taken of the unit-scaled points, so that no area overflows."""
-    _, (p, a, b, c) = unit_scaled_points(p, *t.vertices)
+    areas) of the points divided by t.scale, so that no area of the triangle
+    over- or underflows; a point whose areas overflow is refused."""
+    s = t.scale
+    p, a, b, c = ((x / s, y / s) for x, y in (p, *t.vertices))
     full = signed_area(a, b, c)
-    return BarycentricCoords(
-        signed_area(p, b, c) / full,
-        signed_area(p, c, a) / full,
-        signed_area(p, a, b) / full,
-    )
+    bc = BarycentricCoords(signed_area(p, b, c) / full,
+                           signed_area(p, c, a) / full,
+                           signed_area(p, a, b) / full)
+    if not all(map(math.isfinite, bc)):
+        raise GeometryError("point is too far out: its areas overflow")
+    return bc
 
 
 def unit_scaled(triple) -> Tuple[float, float, float]:
@@ -168,11 +170,9 @@ class TildeTriangle(NamedTuple):
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     """The "tilde" triangle of a positive triple (X : Y : Z), from the triple
-    and the sides each scaled as unit_scaled scales them, so that no side
-    or product of sides over- or underflows on account of either scale."""
-    x, y, z = unit_scaled(triple)
-    a, b, c = unit_scaled(t.sides)
-    p, q, r = x * a, y * b, z * c
+    as unit_scaled scales it and the sides divided by t.scale, so that no
+    side or product of sides over- or underflows on account of either."""
+    p, q, r = (u * (v / t.scale) for u, v in zip(unit_scaled(triple), t.sides))
     if p > q + r or q > r + p or r > p + q:
         return TildeTriangle((p, q, r), None, False, None)
     exists = p < q + r and q < r + p and r < p + q

@@ -3,15 +3,15 @@
 Everything downstream (coordinate systems, circle constructions, the
 billiard map) is built on the handful of operations in this module, so the
 conventions fixed here are global: triangles are stored counterclockwise,
-side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B.
+side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B, and
+only Triangle picks a triangle's scale and judges its degeneracy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -112,38 +112,32 @@ class Triangle:
 
     The constructor re-orients clockwise input to counterclockwise (swapping
     B and C) so that the whole package can assume positive orientation.
-    Side lengths, angles, area and diameter are computed once and cached.
-    A triangle whose diameter squared is not a normal float is refused
-    (GeometryError), so that no squared side length over- or underflows.
+    Sides, angles, area, diameter and scale, the power of two of the
+    diameter that unit-size computations divide by, are computed once.  A
+    diameter squared that is not a normal float is refused (GeometryError),
+    and an area at most EPS_DEGENERATE times it is degenerate.
     """
 
-    __slots__ = ("vA", "vB", "vC", "a", "b", "c",
-                 "alpha", "beta", "gamma", "area", "diameter")
+    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "alpha", "beta", "gamma",
+                 "area", "diameter", "scale")
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
-        area2 = signed_area(vA, vB, vC)
-        diam = max(dist(vA, vB), dist(vB, vC), dist(vC, vA))
-        if not math.isfinite(diam * diam):
-            raise GeometryError(
-                "triangle is too large: its diameter squared overflows")
-        if diam * diam < sys.float_info.min:
-            raise GeometryError(
-                "triangle is too small: its diameter squared underflows")
-        if abs(area2) <= EPS_DEGENERATE * diam * diam:
+        area = signed_area(vA, vB, vC)
+        a, b, c = dist(vB, vC), dist(vC, vA), dist(vA, vB)
+        diam = max(a, b, c)
+        _check_diameter(diam)
+        if abs(area) <= EPS_DEGENERATE * diam * diam:
             raise DegenerateTriangle(
-                f"vertices are collinear within tolerance (area {area2:g})")
-        if area2 < 0.0:
-            vB, vC = vC, vB
+                f"vertices are collinear within tolerance (area {area:g})")
+        if area < 0.0:
+            vB, vC, b, c = vC, vB, c, b
         self.vA, self.vB, self.vC = vA, vB, vC
-        self.a = dist(vB, vC)
-        self.b = dist(vC, vA)
-        self.c = dist(vA, vB)
-        self.alpha = _angle_at(vA, vB, vC)
-        self.beta = _angle_at(vB, vC, vA)
-        self.gamma = _angle_at(vC, vA, vB)
-        self.area = abs(area2)
-        self.diameter = max(self.a, self.b, self.c)
+        self.a, self.b, self.c = a, b, c
+        self.alpha, self.beta, self.gamma = (_angle_at(vA, vB, vC),
+                                             _angle_at(vB, vC, vA),
+                                             _angle_at(vC, vA, vB))
+        self.area, self.diameter, self.scale = abs(area), diam, unit_power(diam)
 
     @property
     def vertices(self):
@@ -167,6 +161,12 @@ class Triangle:
         return f"Triangle(A={tuple(self.vA)}, B={tuple(self.vB)}, C={tuple(self.vC)})"
 
 
+def _check_diameter(diam: float) -> None:
+    if not sys.float_info.min <= diam * diam < math.inf:
+        raise GeometryError("triangle is too %s: its diameter squared %s" % (
+            ("small", "underflows") if diam < 1.0 else ("large", "overflows")))
+
+
 def _angle_at(v, p, q) -> float:
     """Interior angle at vertex v of triangle (v, p, q)."""
     u1 = Point2(p[0] - v[0], p[1] - v[1])
@@ -178,16 +178,6 @@ def unit_power(m: float) -> float:
     """The largest power of two not above a positive m: dividing by it
     puts m in [1, 2) and keeps every bit."""
     return math.ldexp(1.0, math.frexp(m)[1] - 1)
-
-
-def unit_scaled_points(*points) -> Tuple[float, List[Tuple[float, float]]]:
-    """The power of two s that puts the points' largest coordinate
-    magnitude in [1, 2), and the points divided by it, as (x, y) pairs.
-    The division is exact, so differences, cross products and their ratios
-    keep every bit, and none of them over- or underflows on account of the
-    common scale."""
-    s = unit_power(max(map(abs, chain.from_iterable(points))))
-    return s, [(x / s, y / s) for x, y in points]
 
 
 def heron_area(a: float, b: float, c: float) -> float:
@@ -222,10 +212,11 @@ def angles_from_sides(a: float, b: float,
 def circumcircle(t: Triangle) -> Tuple[Point2, float]:
     """Center equidistant from the three vertices, and that distance.
 
-    It is taken of the unit-scaled vertices, so that no cube of a
+    It is taken of the vertices divided by t.scale, so that no cube of a
     coordinate over- or underflows, and scaled back: exactly, bit for bit.
     """
-    s, ((ax, ay), (bx, by), (cx, cy)) = unit_scaled_points(*t.vertices)
+    s = t.scale
+    (ax, ay), (bx, by), (cx, cy) = ((x / s, y / s) for x, y in t.vertices)
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
@@ -238,20 +229,20 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
     B goes to the origin, C to (a, 0) and A into the upper half-plane, at
-    height 2 area / a, so a sliver's height does not cancel.
+    height 2 area / a, so a sliver's height does not cancel.  Sides whose
+    heron_area is 0 are refused; others get the verdict of their vertices.
     """
     if min(a, b, c) <= 0.0:
         raise TriangleInequalityViolated("side lengths must be positive")
-    s = a + b + c
-    if (a >= b + c - EPS_DEGENERATE * s or
-            b >= c + a - EPS_DEGENERATE * s or
-            c >= a + b - EPS_DEGENERATE * s):
+    _check_diameter(max(a, b, c))
+    area = heron_area(a, b, c)
+    if area == 0.0:
         raise TriangleInequalityViolated(
-            f"sides ({a:g}, {b:g}, {c:g}) violate the strict triangle inequality")
+            "sides (%.17g, %.17g, %.17g) violate the strict triangle "
+            "inequality" % (a, b, c))
     # A is at distance c from B=(0,0) and b from C=(a,0).
     x = 0.5 * a + (c - b) * (c + b) / (2.0 * a)
-    y = 2.0 * heron_area(a, b, c) / a
-    return Triangle(Point2(x, y), Point2(0.0, 0.0), Point2(a, 0.0))
+    return Triangle(Point2(x, 2.0 * area / a), Point2(0.0, 0.0), Point2(a, 0.0))
 
 
 class InscribedTriangle(NamedTuple):

@@ -12,6 +12,7 @@ snellfagnano.cli` runs as `__main__` and an import would run a second time.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Dict, List, Tuple
 
 from . import __version__, construction, coordinates, geometry
@@ -92,13 +93,19 @@ def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:
 
 def parse_weights(spec: Dict[str, Any],
                   t: geometry.Triangle) -> construction.Weights:
-    """The weights of spec on triangle t; `Weights` refuses those outside
-    the problem's domain.  The largest weight times the perimeter bounds
-    every cost a report prices, so it must be finite."""
+    """The weights of spec on t, refused outside the problem's domain.  Each
+    cost a report prices weighs a triangle with a vertex on each side line,
+    pedal feet past a vertex included: at most max(w) perimeter, which must
+    be finite, and at least min(w) 2 area / diameter (a vertex on line BC is
+    d_b, d_c from CA, AB, b d_b + c d_c >= 2 area): half that must be normal."""
     w = construction.Weights(*triple(spec.get("weights"), "weights"))
     if not math.isfinite(max(w) * (t.a + t.b + t.c)):
         raise CliError(EXIT_INVALID,
                        "largest weight times the perimeter overflows")
+    low = min(w) * (t.area / t.diameter)
+    if low < sys.float_info.min:
+        raise CliError(EXIT_INVALID, "smallest weight times area / diameter "
+                       "is %.17g, below %.17g" % (low, sys.float_info.min))
     return w
 
 

@@ -26,16 +26,16 @@ def _fmt(x: float) -> str:
 
 
 class _Frame:
-    """World-to-canvas transform fitting a bounding box with 10% margin."""
+    """World-to-canvas transform fitting a bounding box with 10% margin; a
+    triangle's box is never flat, as its area is above 1e-12 diameter^2."""
 
     def __init__(self, pts: Sequence[Point2]):
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
-        w = max(x1 - x0, 1e-12)
-        h = max(y1 - y0, 1e-12)
-        self.scale = min(0.8 * CANVAS_W / w, 0.8 * CANVAS_H / h)
+        self.scale = min(0.8 * CANVAS_W / (x1 - x0),
+                         0.8 * CANVAS_H / (y1 - y0))
         self.cx = 0.5 * (x0 + x1)
         self.cy = 0.5 * (y0 + y1)
 
@@ -120,7 +120,7 @@ def render_scene(t: Triangle,
     if apollonius:
         parts.append('<g id="apollonius">')
         style = 'fill="none" stroke="#cc8800" stroke-width="1"'
-        span = 2.0 * max(t.a, t.b, t.c)
+        span = 2.0 * t.diameter
         for circ in apollonius:
             if circ.kind == "circle":
                 parts.append(_dot(frame, circ.center,

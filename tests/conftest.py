@@ -57,6 +57,20 @@ def sample_triangle(rng: random.Random, min_angle: float = 0.25) -> Triangle:
             return t
 
 
+def sample_random_setup(rng: random.Random):
+    """(triangle, weights) of the random set-up: vertices uniform in
+    [-1, 1]^2, smallest angle at least 0.05 rad, weights e^U(-1, 1)."""
+    while True:
+        try:
+            t = Triangle(*(Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in range(3)))
+        except DegenerateTriangle:
+            continue
+        if min(t.alpha, t.beta, t.gamma) >= 0.05:
+            break
+    return t, Weights(*(math.exp(rng.uniform(-1, 1)) for _ in range(3)))
+
+
 def _rigid_motion(rng: random.Random, t: Triangle) -> Triangle:
     ang = rng.uniform(0.0, 2.0 * math.pi)
     ca, sa = math.cos(ang), math.sin(ang)

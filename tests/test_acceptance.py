@@ -22,17 +22,17 @@ import numpy as np
 import conftest
 from conftest import (altitude_feet_oracle, circumcenter_oracle,
                       orthocenter_oracle, sample_acute_triangle,
-                      sample_admissible, sample_degenerate, sample_triangle,
-                      sample_weights, tilde_slack)
+                      sample_admissible, sample_degenerate,
+                      sample_random_setup, sample_triangle, sample_weights,
+                      tilde_slack)
 from oracles import biquadratic_residual, ceva_reference, intersect_lines
-from snellfagnano import Point2, Triangle, Weights, cli, dist
+from snellfagnano import Point2, Weights, cli, dist
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
 from snellfagnano.billiards import (RiverInstance, is_periodic,
                                     orbit_start_state, solve_river)
 from snellfagnano.construction import (coeffs_from_weights, erect_similar,
                                        snell_fagnano_point)
 from snellfagnano.coordinates import tripolar_of_point, tripolar_to_points
-from snellfagnano.geometry import DegenerateTriangle
 from snellfagnano.optimize import minimize_inscribed
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
@@ -135,14 +135,7 @@ def test_point_report_matches_50_digit_ceva_reference():
     done = 0
     worst_bc = worst_xy = worst_tn = 0.0
     while done < 400:
-        try:
-            t = Triangle(*(Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                           for _ in range(3)))
-        except DegenerateTriangle:
-            continue
-        if min(t.alpha, t.beta, t.gamma) < 0.05:
-            continue
-        w = Weights(*(math.exp(rng.uniform(-1, 1)) for _ in range(3)))
+        t, w = sample_random_setup(rng)
         doc = point_report(t, w)
         if doc["status"] != "interior":
             continue

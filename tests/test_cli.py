@@ -14,8 +14,8 @@ import sys
 import pytest
 
 import snellfagnano
-from conftest import SUBPROCESS_TIMEOUT, checkout_env
-from snellfagnano import cli, jobs
+from conftest import SUBPROCESS_TIMEOUT, checkout_env, sample_random_setup
+from snellfagnano import cli, jobs, triangle_from_sides
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -114,14 +114,21 @@ def test_point_no_tilde(capsys):
 def test_no_tilde_message_names_the_long_side_at_small_scales(capsys,
                                                               tmp_path):
     """The failing inequality is picked on the scaled tilde sides, so it is
-    the one the verdict was taken on even where the raw products it prints
-    underflow to 0."""
+    the one the verdict was taken on, and named with the raw products.
+    Weights so small that those products underflow to 0 are refused first:
+    min(weights) * area / diameter, below each product, must be normal."""
     spec = {"triangle": {"sides": [1e-150] * 3},
-            "weights": [1e-200, 1e-200, 1e-190]}
+            "weights": [1e-150, 1e-150, 1e-140]}
     code, doc = run_doc(capsys, ["point", "--input",
                                  write_spec(tmp_path, spec)])
     assert (code, doc["status"]) == (3, "no_tilde_triangle")
-    assert doc["message"] == "lam_C*c >= lam_A*a + lam_B*b (0 >= 0 + 0)"
+    assert doc["message"] == \
+        "lam_C*c >= lam_A*a + lam_B*b (1e-290 >= 1e-300 + 1e-300)"
+    spec["weights"] = [1e-200, 1e-200, 1e-190]
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 2
+    assert doc["message"].startswith("smallest weight times area / diameter")
 
 
 def test_point_needle_is_degenerate(capsys, tmp_path):
@@ -231,6 +238,31 @@ def test_weights_times_perimeter_must_stay_finite(capsys, tmp_path):
             err = capsys.readouterr().err
             if codes[-1] == 2:
                 assert "largest weight times the perimeter overflows" in err
+        assert codes == expect, (weights, codes)
+
+
+def test_smallest_weight_times_area_over_diameter_must_stay_normal(
+        capsys, tmp_path):
+    # min(weights) * area / diameter bounds every cost a report prices from
+    # below; where it is not a normal float, a cost could read 0, and each
+    # command that takes weights refuses the job.
+    svg = str(tmp_path / "w.svg")
+    sides = [4e-150, 5e-150, 6e-150]
+    for weights, expect in (([1e-200, 2e-200, 1.5e-200], [2, 2, 2, 2]),
+                            ([1e-150, 2e-150, 1.5e-150], [0, 0, 0, 0])):
+        spec = {"triangle": {"sides": sides}, "weights": weights}
+        codes = []
+        for command in ("point", "simulate", "minimize", "render"):
+            job = dict(spec, svg_path=svg) if command == "render" else spec
+            codes.append(cli.main([command, "--input",
+                                   write_spec(tmp_path, job)]))
+            captured = capsys.readouterr()
+            if codes[-1] == 2:
+                assert ("smallest weight times area / diameter is 0, below "
+                        "2.2250738585072014e-308") in captured.err
+            elif command == "point":
+                cost = json.loads(captured.out)["orbit"]["weighted_perimeter"]
+                assert cost == pytest.approx(9.56e-300, rel=1e-3)
         assert codes == expect, (weights, codes)
 
 
@@ -545,6 +577,84 @@ def test_verdicts_keep_over_triangle_scales(capsys, tmp_path):
                     assert [v / k for v in p] == pytest.approx(q, rel=1e-9,
                                                                abs=1e-9)
             assert len(verdicts) == 1, (command, vertices, spec, verdicts)
+
+
+def test_verdicts_keep_over_translations():
+    """500 `point` jobs of the random set-up, shifted by (1, -0.7) times
+    1e3, 1e6 and 1e9 diameters, keep their exit code, status and
+    `orbit.in_sides`: the triangle's scale does not depend on where it
+    sits."""
+    rng = random.Random(2201)
+    for _ in range(500):
+        t, w = sample_random_setup(rng)
+        verdicts = set()
+        for shift in (0.0, 1e3, 1e6, 1e9):
+            dx, dy = shift * t.diameter, -0.7 * shift * t.diameter
+            doc, code = cli.run_spec("point", {
+                "triangle": {"vertices": [[x + dx, y + dy]
+                                          for x, y in t.vertices]},
+                "weights": list(w)})
+            verdicts.add((code, doc["status"],
+                          doc.get("orbit", {}).get("in_sides")))
+        assert len(verdicts) == 1, (t, w, verdicts)
+
+
+def test_sides_get_the_verdict_of_the_vertices_placed_for_them(tmp_path):
+    """A triangle given by its sides and the same triangle given by the
+    vertices triangle_from_sides places for it get the same report from
+    `point`, `minimize`, `simulate` (explicit start), `convert` (tripolar)
+    and `render`, and the same SVG, none of them exit 1.  Half the triples
+    are slivers, relative slack (a + b - c) / (a + b) = 10^U(-15.5, -11):
+    Triangle's area rule alone decides whether they are degenerate."""
+    rng = random.Random(2202)
+    svg = tmp_path / "form.svg"
+    for i in range(200):
+        if i % 2:
+            a, b = math.exp(rng.uniform(-1, 1)), math.exp(rng.uniform(-1, 1))
+            sides = [a, b, (a + b) * (1.0 - 10.0 ** rng.uniform(-15.5, -11))]
+            rng.shuffle(sides)
+        else:
+            sides = list(sample_random_setup(rng)[0].sides)
+        vertices = [list(v) for v in triangle_from_sides(*sides).vertices]
+        weights = [math.exp(rng.uniform(-1, 1)) for _ in "abc"]
+        values = [math.exp(rng.uniform(-1, 1)) for _ in "abc"]
+        for command, spec in (
+                ("point", {"weights": weights}),
+                ("minimize", {"weights": weights}),
+                ("simulate", {"weights": weights, "steps": 6, "start": {
+                    "side": "a", "param": 0.5, "direction": [0, 1]}}),
+                ("convert", {"coords": {"kind": "tripolar",
+                                        "values": values}}),
+                ("render", {"weights": weights, "svg_path": str(svg),
+                            "layers": {"apollonius": True}})):
+            reports = []
+            for triangle in ({"sides": sides}, {"vertices": vertices}):
+                doc, code = cli.run_spec(command, dict(spec,
+                                                       triangle=triangle))
+                assert code != 1, (command, sides, doc)
+                doc.pop("input")
+                reports.append((code, doc, svg.read_bytes()
+                                if command == "render" and code == 0 else None))
+            assert reports[0] == reports[1], (command, sides, reports)
+
+
+def test_render_is_the_same_at_every_power_of_two_scale(tmp_path):
+    """The corpus renders, with the triangle scaled by 2^k down to 2^-500,
+    write the SVG that k = 0 writes: the canvas fits any accepted
+    triangle's box, whose width and height are never 0."""
+    for name in ("render_plain.json", "render_apollonius.json"):
+        spec = corpus_spec(name)
+        svgs = set()
+        for k in (0, -500, -70, 70, 400):
+            triangle = {key: [[v * 2.0 ** k for v in p] if isinstance(p, list)
+                              else p * 2.0 ** k for p in value]
+                        for key, value in spec["triangle"].items()}
+            path = tmp_path / ("%s.%d.svg" % (name, k))
+            doc, code = cli.run_spec("render", dict(
+                spec, triangle=triangle, svg_path=str(path)))
+            assert code == 0, (name, k, doc)
+            svgs.add(path.read_bytes())
+        assert len(svgs) == 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -978,6 +1088,9 @@ def test_invalid_triangles_exit_2_with_their_reason(capsys):
              "vertices are collinear within tolerance (area 0)"),
             ({"sides": [1, 2, 10]},
              "sides (1, 2, 10) violate the strict triangle inequality"),
+            ({"sides": [1, 1, 2.0000000001]},
+             "sides (1, 1, 2.0000000001) violate the strict triangle "
+             "inequality"),
             ({"sides": [0, 1, 1]}, "side lengths must be positive"),
             ({"vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
              "triangle is too large: its diameter squared overflows"),

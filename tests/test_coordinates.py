@@ -60,6 +60,25 @@ def test_barycentric_roundtrip():
         assert dist(sf.from_barycentric(bc, t), p) <= 1e-12 * t.diameter
 
 
+def test_a_point_whose_areas_overflow_is_refused():
+    """Divided by the triangle's scale, a point about 1e154 diameters out
+    has areas that overflow: to_barycentric, and verify_snell_point through
+    it, refuse it rather than return NaN.  At 1e100 both still answer,
+    finitely; their accuracy that far out is another matter."""
+    t = triangle_from_sides(4.0, 5.0, 6.0)
+    k = sf.coeffs_from_weights(sf.Weights(1.0, 1.0, 1.0))
+    far = Point2(1e200, 1e200)
+    for call in (lambda: sf.to_barycentric(far, t),
+                 lambda: sf.verify_snell_point(far, t, k)):
+        with pytest.raises(sf.GeometryError, match="too far out"):
+            call()
+    out = Point2(1e100, 1e100)
+    assert all(map(math.isfinite, sf.to_barycentric(out, t)))
+    assert sf.verify_snell_point(out, t, k) == pytest.approx(
+        (3.2268945096609984, 0.7357027152923155, 0.10487046023306157),
+        rel=1e-12)
+
+
 def test_trilinear_identity_is_incenter():
     rng = random.Random(4)
     for _ in range(10):
