@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Optional
 
 from .coordinates import NoSuchPoint, tripolar_to_points
 from .coordinates import TildeTriangle, tilde_triangle  # noqa: F401
-from .geometry import Point2, Triangle, dist
+from .geometry import GeometryError, Point2, Triangle, dist
 
 # Ratios this close to 1 are treated as the bisector degeneration.
 BISECTOR_EPS = 1e-12
@@ -48,10 +48,10 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
     """Locus of points with d(X, p1)/d(X, p2) = r."""
     p1, p2 = Point2(*p1), Point2(*p2)
     if r <= 0.0:
-        raise ValueError("ratio must be positive")
+        raise GeometryError("ratio must be positive")
     base = p2 - p1
     if base.norm() == 0.0:
-        raise ValueError("base points must be distinct")
+        raise GeometryError("base points must be distinct")
     if abs(r - 1.0) < BISECTOR_EPS:
         mid = Point2(0.5 * (p1.x + p2.x), 0.5 * (p1.y + p2.y))
         return ApollonianCircle(p1, p2, r, "bisector",

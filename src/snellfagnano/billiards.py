@@ -7,7 +7,8 @@ side of the normal (as a mirror ray would).  kappa = 1 is the classical
 billiard.  A closed 3-bounce orbit exists when the construction module
 produces an interior point whose pedal feet all land strictly inside the
 sides (orbit_in_sides on its result), and the orbit is that pedal triangle
-traversed foot-on-a -> foot-on-c -> foot-on-b.
+traversed foot-on-a -> foot-on-c -> foot-on-b.  A position on the wall is
+a side and a parameter, made a point by geometry.point_on_side.
 
 The one-wall crossing (`solve_river`) minimizes a weighted sum of two
 distances along a line by safeguarded Newton on the exact derivative in
@@ -21,7 +22,7 @@ from collections import namedtuple
 from typing import NamedTuple, Tuple
 
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       dist, line_parameter)
+                       dist, point_on_side)
 
 # Hitting this close (in side parameter) to an endpoint counts as a vertex hit.
 VERTEX_EPS = 1e-10
@@ -54,11 +55,6 @@ def inward_normal(t: Triangle, side: str) -> Point2:
     return (q2 - q1).unit().perp()
 
 
-def point_on_side(t: Triangle, side: str, param: float) -> Point2:
-    q1, q2 = t.side_segment(side)
-    return q1 + param * (q2 - q1)
-
-
 def snell_reflect(incoming: Point2, normal: Point2, kappa: float) -> Point2:
     """Bend the reflected ray so sin(in)/sin(out) equals kappa.
 
@@ -66,7 +62,7 @@ def snell_reflect(incoming: Point2, normal: Point2, kappa: float) -> Point2:
     normal); the result is a unit vector on the interior side.
     """
     if kappa <= 0.0:
-        raise ValueError("refraction coefficient must be positive")
+        raise GeometryError("refraction coefficient must be positive")
     n = Point2(*normal).unit()
     d = Point2(*incoming).unit()
     d_n = d.dot(n)
@@ -132,7 +128,7 @@ def is_periodic(start: BilliardState, t: Triangle, k, n: int,
                 tol: float) -> bool:
     """Whether n steps return to the starting side, parameter and direction."""
     if n < 1:
-        raise ValueError("need at least one step")
+        raise GeometryError("need at least one step")
     state = start
     for _ in range(n):
         state = billiard_step(state, t, k)

@@ -26,8 +26,8 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
         "flatness": rep.flatness,
     }
     res = construction.snell_fagnano_point(t, w)
-    gap = ((rep.cost - res.weighted_perimeter)
-           / max(abs(res.weighted_perimeter), 1e-300))
+    # parse_weights keeps every priced cost a positive normal float.
+    gap = (rep.cost - res.weighted_perimeter) / res.weighted_perimeter
     doc["constructed"] = {
         "status": res.status,
         "weighted_perimeter": res.weighted_perimeter,

@@ -23,7 +23,7 @@ def _state_block(t: geometry.Triangle,
     return {
         "side": s.side,
         "param": s.param,
-        "xy": xy(billiards.point_on_side(t, s.side, s.param)),
+        "xy": xy(geometry.point_on_side(t, s.side, s.param)),
         "direction": xy(s.direction),
     }
 

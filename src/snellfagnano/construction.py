@@ -36,8 +36,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       altitudes, inscribed_from_params, line_parameter,
-                       pedal_triangle, rotate)
+                       inscribed_from_params, line_parameter, pedal_triangle,
+                       rotate)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -84,10 +84,10 @@ class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
 
     def __new__(cls, kap_a: float, kap_b: float, kap_c: float):
         if min(kap_a, kap_b, kap_c) <= 0.0:
-            raise ValueError("coefficients must be strictly positive")
+            raise GeometryError("coefficients must be strictly positive")
         prod = kap_a * kap_b * kap_c
         if abs(prod - 1.0) > 1e-9:
-            raise ValueError(f"coefficient product must be 1, got {prod!r}")
+            raise GeometryError(f"coefficient product must be 1, got {prod!r}")
         return super().__new__(cls, kap_a, kap_b, kap_c)
 
     @property
@@ -242,16 +242,18 @@ def verify_snell_point(f: Point2, t: Triangle,
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,
                        **found) -> SnellOrbitResult:
-    (fA, hA), (fB, hB), (fC, hC) = altitudes(t)
+    """The cheapest doubled altitude, vertex V to its foot and back: the
+    foot's parameter is line_parameter of V, the length 2 area / opposite
+    side, and the cost that times the weights of the two chords on it."""
+    heights = {v: 2.0 * t.area / side for v, side in zip("ABC", t.sides)}
     cands = {
-        "A": (inscribed_from_params(t, line_parameter(fA, t.vB, t.vC), 1.0, 0.0),
-              (w.lam_B + w.lam_C) * hA),
-        "B": (inscribed_from_params(t, 0.0, line_parameter(fB, t.vC, t.vA), 1.0),
-              (w.lam_C + w.lam_A) * hB),
-        "C": (inscribed_from_params(t, 1.0, 0.0, line_parameter(fC, t.vA, t.vB)),
-              (w.lam_A + w.lam_B) * hC),
+        "A": (inscribed_from_params(t, line_parameter(t.vA, t.vB, t.vC), 1.0, 0.0),
+              (w.lam_B + w.lam_C) * heights["A"]),
+        "B": (inscribed_from_params(t, 0.0, line_parameter(t.vB, t.vC, t.vA), 1.0),
+              (w.lam_C + w.lam_A) * heights["B"]),
+        "C": (inscribed_from_params(t, 1.0, 0.0, line_parameter(t.vC, t.vA, t.vB)),
+              (w.lam_A + w.lam_B) * heights["C"]),
     }
-    heights = {"A": hA, "B": hB, "C": hC}
     best = min(cands, key=lambda v: cands[v][1])
     orbit, cost = cands[best]
     info: Dict[str, object] = {

@@ -1,10 +1,11 @@
-"""Planar primitives: points, signed areas, perpendicular feet, triangles.
+"""Planar primitives: points, signed areas, triangles and points on sides.
 
 Everything downstream (coordinate systems, circle constructions, the
 billiard map) is built on the handful of operations in this module, so the
 conventions fixed here are global: triangles are stored counterclockwise,
-side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B, and
-only Triangle picks a triangle's scale and judges its degeneracy.
+side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B, only
+Triangle picks a triangle's scale and judges its degeneracy, and only
+point_on_side makes a point at a parameter along a side.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ def rotate(v: Point2, angle: float) -> Point2:
     return Point2(c * v[0] - s * v[1], s * v[0] + c * v[1])
 
 
-def foot_of_perpendicular(p: Point2, q1: Point2, q2: Point2) -> Point2:
-    """Orthogonal projection of p onto the line through q1 and q2."""
-    t = line_parameter(p, q1, q2)
-    return Point2(q1[0] + t * (q2[0] - q1[0]), q1[1] + t * (q2[1] - q1[1]))
-
-
 def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
     """Affine parameter t of the projection of p, so foot = q1 + t*(q2-q1)."""
     d = Point2(q2[0] - q1[0], q2[1] - q1[1])
@@ -112,8 +107,10 @@ class Triangle:
 
     The constructor re-orients clockwise input to counterclockwise (swapping
     B and C) so that the whole package can assume positive orientation.
-    Sides, angles, area, diameter and scale, the power of two of the
-    diameter that unit-size computations divide by, are computed once.  A
+    Sides, area and angles come from the edge vectors B - A, C - B and
+    C - A, each taken once; each angle is the atan2 of the |cross| and dot
+    product of the two edges leaving its vertex.  So does the scale, the
+    power of two of the diameter that unit-size computations divide by.  A
     diameter squared that is not a normal float is refused (GeometryError),
     and an area at most EPS_DEGENERATE times it is degenerate.
     """
@@ -123,20 +120,23 @@ class Triangle:
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
-        area = signed_area(vA, vB, vC)
-        a, b, c = dist(vB, vC), dist(vC, vA), dist(vA, vB)
+        ab, bc, ac = vB - vA, vC - vB, vC - vA
+        a, b, c = bc.norm(), ac.norm(), ab.norm()
+        area = 0.5 * ab.cross(ac)
         diam = max(a, b, c)
         _check_diameter(diam)
         if abs(area) <= EPS_DEGENERATE * diam * diam:
             raise DegenerateTriangle(
                 f"vertices are collinear within tolerance (area {area:g})")
+        # Edges leaving A: ab, ac; B: bc, -ab; C: -ac, -bc.
+        alpha = math.atan2(abs(ab.cross(ac)), ab.dot(ac))
+        beta = math.atan2(abs(bc.cross(ab)), -bc.dot(ab))
+        gamma = math.atan2(abs(ac.cross(bc)), ac.dot(bc))
         if area < 0.0:
-            vB, vC, b, c = vC, vB, c, b
+            vB, vC, b, c, beta, gamma = vC, vB, c, b, gamma, beta
         self.vA, self.vB, self.vC = vA, vB, vC
-        self.a, self.b, self.c = a, b, c
-        self.alpha, self.beta, self.gamma = (_angle_at(vA, vB, vC),
-                                             _angle_at(vB, vC, vA),
-                                             _angle_at(vC, vA, vB))
+        self.a, self.b, self.c, self.alpha, self.beta, self.gamma = (
+            a, b, c, alpha, beta, gamma)
         self.area, self.diameter, self.scale = abs(area), diam, unit_power(diam)
 
     @property
@@ -155,7 +155,7 @@ class Triangle:
             return self.vC, self.vA
         if side == "c":
             return self.vA, self.vB
-        raise ValueError(f"unknown side {side!r}")
+        raise GeometryError(f"unknown side {side!r}")
 
     def __repr__(self):
         return f"Triangle(A={tuple(self.vA)}, B={tuple(self.vB)}, C={tuple(self.vC)})"
@@ -165,13 +165,6 @@ def _check_diameter(diam: float) -> None:
     if not sys.float_info.min <= diam * diam < math.inf:
         raise GeometryError("triangle is too %s: its diameter squared %s" % (
             ("small", "underflows") if diam < 1.0 else ("large", "overflows")))
-
-
-def _angle_at(v, p, q) -> float:
-    """Interior angle at vertex v of triangle (v, p, q)."""
-    u1 = Point2(p[0] - v[0], p[1] - v[1])
-    u2 = Point2(q[0] - v[0], q[1] - v[1])
-    return math.atan2(abs(u1.cross(u2)), u1.dot(u2))
 
 
 def unit_power(m: float) -> float:
@@ -229,17 +222,20 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
     B goes to the origin, C to (a, 0) and A into the upper half-plane, at
-    height 2 area / a, so a sliver's height does not cancel.  Sides whose
-    heron_area is 0 are refused; others get the verdict of their vertices.
+    height 2 area / a, so a sliver's height does not cancel.  Sides sorted
+    l >= m >= s are refused when Kahan's factor s - (l - m) is not positive
+    (no rounded sum can tell: 1 + 1e-200 == 1); others get the verdict of
+    their vertices, a needle whose heron_area underflows that of area 0.
     """
     if min(a, b, c) <= 0.0:
         raise TriangleInequalityViolated("side lengths must be positive")
     _check_diameter(max(a, b, c))
-    area = heron_area(a, b, c)
-    if area == 0.0:
+    l, m, s = sorted((a, b, c), reverse=True)
+    if not s - (l - m) > 0.0:
         raise TriangleInequalityViolated(
             "sides (%.17g, %.17g, %.17g) violate the strict triangle "
             "inequality" % (a, b, c))
+    area = heron_area(a, b, c)
     # A is at distance c from B=(0,0) and b from C=(a,0).
     x = 0.5 * a + (c - b) * (c + b) / (2.0 * a)
     return Triangle(Point2(x, 2.0 * area / a), Point2(0.0, 0.0), Point2(a, 0.0))
@@ -269,31 +265,36 @@ class InscribedTriangle(NamedTuple):
                 dist(self.pA, self.pB))
 
 
+def point_on_side(t: Triangle, side: str, param: float) -> Point2:
+    """q1 + param (q2 - q1) for (q1, q2) = t.side_segment(side): the one
+    constructor of a point on a side line, at its affine parameter."""
+    q1, q2 = t.side_segment(side)
+    return q1 + param * (q2 - q1)
+
+
 def inscribed_from_params(t: Triangle, tA: float, tB: float, tC: float) -> InscribedTriangle:
-    """Build an inscribed triangle from affine parameters along the sides."""
-    pA = t.vB + tA * (t.vC - t.vB)
-    pB = t.vC + tB * (t.vA - t.vC)
-    pC = t.vA + tC * (t.vB - t.vA)
-    return InscribedTriangle(pA, pB, pC, tA, tB, tC)
+    """The inscribed triangle whose vertices are point_on_side of sides a, b
+    and c at tA, tB and tC."""
+    return InscribedTriangle(point_on_side(t, "a", tA),
+                             point_on_side(t, "b", tB),
+                             point_on_side(t, "c", tC), tA, tB, tC)
 
 
 def pedal_triangle(p: Point2, t: Triangle) -> InscribedTriangle:
     """Perpendicular feet of p on the three side lines."""
     p = Point2(*p)
-    tA = line_parameter(p, t.vB, t.vC)
-    tB = line_parameter(p, t.vC, t.vA)
-    tC = line_parameter(p, t.vA, t.vB)
-    return inscribed_from_params(t, tA, tB, tC)
+    return inscribed_from_params(t, line_parameter(p, t.vB, t.vC),
+                                 line_parameter(p, t.vC, t.vA),
+                                 line_parameter(p, t.vA, t.vB))
 
 
 def altitudes(t: Triangle):
     """Feet and lengths of the three altitudes, in vertex order (A, B, C).
 
-    Each length satisfies length = 2*area / opposite side.
+    Each foot is point_on_side of the opposite side at the line_parameter
+    of the vertex, and each length is 2*area / opposite side.
     """
-    fA = foot_of_perpendicular(t.vA, t.vB, t.vC)
-    fB = foot_of_perpendicular(t.vB, t.vC, t.vA)
-    fC = foot_of_perpendicular(t.vC, t.vA, t.vB)
-    return ((fA, 2.0 * t.area / t.a),
-            (fB, 2.0 * t.area / t.b),
-            (fC, 2.0 * t.area / t.c))
+    return tuple(
+        (point_on_side(t, side, line_parameter(v, *t.side_segment(side))),
+         2.0 * t.area / length)
+        for v, side, length in zip(t.vertices, "abc", t.sides))

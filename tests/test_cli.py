@@ -786,6 +786,22 @@ def test_simulate_bad_start(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # minimize
 
+def test_relative_gap_is_the_same_at_every_scale():
+    # Both costs scale by the same power of two, so their relative gap
+    # keeps every bit; a floor under the divisor would move it.
+    sides = [3.7138938812756743, 4.632687675887856, 4.109865499644238]
+    weights = [1.1019600192980974, 1.112860152054027, 0.8327644296199066]
+    gaps = []
+    for side_exp, weight_exp in ((0, 0), (-500, -515)):
+        doc, code = cli.run_spec("minimize", {
+            "triangle": {"sides": [math.ldexp(s, side_exp) for s in sides]},
+            "weights": [math.ldexp(w, weight_exp) for w in weights]})
+        assert code == 0
+        gaps.append(doc["constructed"]["relative_gap"])
+    assert gaps[0] != 0.0
+    assert gaps[1] == gaps[0]
+
+
 def test_minimize_agrees_with_construction(capsys):
     code, doc = run_doc(capsys, ["minimize", "--input",
                                  corpus_path("minimize_interior.json")])
@@ -1091,6 +1107,10 @@ def test_invalid_triangles_exit_2_with_their_reason(capsys):
             ({"sides": [1, 1, 2.0000000001]},
              "sides (1, 1, 2.0000000001) violate the strict triangle "
              "inequality"),
+            # Its Heron area underflows to 0, but 1 + 1e-200 > 1 in exact
+            # arithmetic, so it is degenerate, not impossible.
+            ({"sides": [1, 1, 1e-200]},
+             "vertices are collinear within tolerance (area 0)"),
             ({"sides": [0, 1, 1]}, "side lengths must be positive"),
             ({"vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
              "triangle is too large: its diameter squared overflows"),

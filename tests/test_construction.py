@@ -14,12 +14,13 @@ from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        interior_conditions,
                                        snell_fagnano_point,
                                        verify_snell_point)
-from snellfagnano.geometry import altitudes, inscribed_from_params
+from snellfagnano.geometry import (altitudes, inscribed_from_params,
+                                   line_parameter)
 from snellfagnano.optimize import minimize_inscribed
 
 from conftest import (altitude_feet_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
-                      sample_triangle, sample_weights)
+                      sample_random_setup, sample_triangle, sample_weights)
 from oracles import (cevian_ratio, degenerate_minimizer, eta_concurrency_test,
                      intersect_lines)
 
@@ -386,6 +387,27 @@ def test_degenerate_candidate_is_argmin():
         assert res.weighted_perimeter <= min(costs.values()) + 1e-12
         assert costs[res.degenerate_info["weighted_argmin"]] == \
             res.weighted_perimeter
+
+
+def test_doubled_altitude_foot_is_the_projection_of_its_vertex():
+    # The free parameter is line_parameter of the vertex itself, not of a
+    # foot already rounded to a point.
+    rng = random.Random(24)
+    seen = 0
+    for _ in range(1200):
+        t, w = sample_random_setup(rng)
+        res = snell_fagnano_point(t, w)
+        if res.degenerate_info is None:
+            continue
+        seen += 1
+        o = res.orbit
+        argmin = res.degenerate_info["weighted_argmin"]
+        got, want = {
+            "A": (o.tA, line_parameter(t.vA, t.vB, t.vC)),
+            "B": (o.tB, line_parameter(t.vB, t.vC, t.vA)),
+            "C": (o.tC, line_parameter(t.vC, t.vA, t.vB))}[argmin]
+        assert got == want, (t, w)
+    assert seen > 900
 
 
 def test_degenerate_orbit_cost_consistent():

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snellfagnano import (DegenerateTriangle, Point2, Triangle,
-                          TriangleInequalityViolated, altitudes, dist,
-                          inscribed_from_params, pedal_triangle, signed_area,
-                          triangle_from_sides)
-from snellfagnano.geometry import (angles_from_sides, foot_of_perpendicular,
-                                   heron_area, line_parameter, rotate)
+from snellfagnano import (BilliardState, DegenerateTriangle, GeometryError,
+                          Point2, RefractionCoeffs, Triangle,
+                          TriangleInequalityViolated, altitudes,
+                          apollonian_circle, dist, inscribed_from_params,
+                          is_periodic, pedal_triangle, signed_area,
+                          snell_reflect, triangle_from_sides)
+from snellfagnano.geometry import (angles_from_sides, heron_area,
+                                   line_parameter, point_on_side, rotate)
 
 from conftest import sample_triangle
 from oracles import intersect_lines
@@ -82,6 +84,15 @@ def test_degenerate_triangle_rejected():
 def test_triangle_inequality_rejected():
     with pytest.raises(TriangleInequalityViolated):
         triangle_from_sides(1.0, 2.0, 3.5)
+
+
+def test_needle_whose_area_underflows_is_degenerate_not_impossible():
+    # 1 + 1e-200 rounds to 1, but Kahan's factor c - (a - b) is 1e-200.
+    with pytest.raises(DegenerateTriangle, match=r"collinear.*\(area 0\)"):
+        triangle_from_sides(1.0, 1.0, 1e-200)
+    for sides in ((1.0, 2.0, 1.0), (1.0, 1.0, 2.0 + 2.0 ** -51)):
+        with pytest.raises(TriangleInequalityViolated):
+            triangle_from_sides(*sides)
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,15 +183,46 @@ def test_inscribed_params_and_chords():
     assert it.tA == 0.5 and it.tB == 0.5 and it.tC == 0.5
 
 
+def test_inscribed_points_are_points_on_sides():
+    rng = random.Random(11)
+    for _ in range(200):
+        t = sample_triangle(rng, min_angle=0.05)
+        params = [rng.uniform(-0.5, 1.5) for _ in range(3)]
+        it = inscribed_from_params(t, *params)
+        assert it.points == tuple(point_on_side(t, side, p)
+                                  for side, p in zip("abc", params))
+
+
 def test_line_helpers():
     q1, q2 = Point2(0, 0), Point2(4, 0)
-    f = foot_of_perpendicular(Point2(1.0, 2.5), q1, q2)
+    t = Triangle(Point2(0, 3), q1, q2)  # side a runs from q1 to q2
+    f = point_on_side(t, "a", line_parameter(Point2(1.0, 2.5), q1, q2))
     assert dist(f, Point2(1.0, 0.0)) < 1e-14
     assert line_parameter(f, q1, q2) == pytest.approx(0.25)
     assert intersect_lines(Point2(0, 0), Point2(1, 1),
                            Point2(0, 1), Point2(1, 2)) is None  # parallel
     p = intersect_lines(Point2(0, 0), Point2(2, 2), Point2(0, 2), Point2(2, 0))
     assert dist(p, Point2(1, 1)) < 1e-14
+
+
+T345 = Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3))
+
+
+@pytest.mark.parametrize("refusal, args", [
+    (RefractionCoeffs, (0.0, 1.0, 1.0)),
+    (RefractionCoeffs, (1.0, 2.0, 1.0)),
+    (snell_reflect, (Point2(0, -1), Point2(0, 1), 0.0)),
+    (apollonian_circle, (Point2(0, 0), Point2(1, 0), 0.0)),
+    (apollonian_circle, (Point2(1, 0), Point2(1, 0), 2.0)),
+    (is_periodic, (BilliardState("a", 0.5, Point2(-0.6, -0.8)), T345,
+                   RefractionCoeffs(1.0, 1.0, 1.0), 0, 1e-8)),
+    (T345.side_segment, ("d",)),
+], ids=["coefficient-not-positive", "coefficient-product", "kappa",
+        "apollonius-ratio", "apollonius-base", "periodic-steps",
+        "unknown-side"])
+def test_library_refusals_are_geometry_errors(refusal, args):
+    with pytest.raises(GeometryError):
+        refusal(*args)
 
 
 def test_side_segment_lookup():
