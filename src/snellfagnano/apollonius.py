@@ -17,7 +17,8 @@ is re-exported here.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from collections import namedtuple
+from typing import List
 
 from .coordinates import NoSuchPoint, tripolar_to_points
 from .coordinates import TildeTriangle, tilde_triangle  # noqa: F401
@@ -27,21 +28,19 @@ from .geometry import GeometryError, Point2, Triangle, dist
 BISECTOR_EPS = 1e-12
 
 
-class ApollonianCircle(NamedTuple):
-    """Generalized circle for a base pair and a positive ratio.
+class ApollonianCircle(namedtuple(
+        "ApollonianCircle", "base1 base2 ratio kind center radius point "
+        "direction", defaults=(None,) * 4)):
+    """Generalized circle for a base pair of Point2s and a positive float
+    ratio.
 
-    kind is "circle" (center/radius set) or "bisector" (point/direction set,
-    the line through the midpoint perpendicular to the base segment).
+    kind is "circle" (center, a Point2, and the float radius set) or
+    "bisector" (point and direction set, Point2s: the line through the
+    midpoint perpendicular to the base segment).  The fields left unset
+    are None.
     """
 
-    base1: Point2
-    base2: Point2
-    ratio: float
-    kind: str
-    center: Optional[Point2] = None
-    radius: Optional[float] = None
-    point: Optional[Point2] = None
-    direction: Optional[Point2] = None
+    __slots__ = ()
 
 
 def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        dist, point_on_side)
@@ -36,17 +36,15 @@ class HitVertex(GeometryError):
     """The ray ran into a corner, where the reflection law is undefined."""
 
 
-class BilliardState(NamedTuple):
+class BilliardState(namedtuple("BilliardState", "side param direction")):
     """Position on the boundary plus the direction of the next flight.
 
-    side is "a", "b" or "c"; param is the affine coordinate along the side
-    taken in boundary orientation (a: B->C, b: C->A, c: A->B); direction is
-    a unit vector pointing into the interior.
+    side is "a", "b" or "c"; param is the float affine coordinate along the
+    side taken in boundary orientation (a: B->C, b: C->A, c: A->B);
+    direction is a unit Point2 pointing into the interior.
     """
 
-    side: str
-    param: float
-    direction: Point2
+    __slots__ = ()
 
 
 def inward_normal(t: Triangle, side: str) -> Point2:

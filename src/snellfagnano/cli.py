@@ -5,16 +5,19 @@ a fixed field layout and fixed float formatting, so identical inputs give
 byte-identical outputs.  Exit codes: 0 success, 1 internal error (a defect in
 sf), 2 invalid input, 3 requested object does not exist, 4 dynamics failure,
 5 I/O failure, a write to stdout that fails among them.  Every input is
-decoded as UTF-8; a batch file is split on "\n" alone, as JSON Lines is,
-and each line is decoded and reported on its own.  A job that hits a
-defect, on a batch line or alone from --input or stdin, still gets a
-report: the error report with exit code 1, its traceback on stderr.
+decoded as UTF-8 by the package's one JSON decoder, `jobs.loads`, which
+refuses NaN, Infinity and a float that overflows (exit 2); a batch file is
+split on "\n" alone, as JSON Lines is, and each line is decoded and
+reported on its own.  A job that hits a defect, on a batch line or alone
+from --input or stdin, still gets a report: the error report with exit
+code 1, its traceback on stderr.
 The check tolerances are fixed (TOLERANCES) and every report echoes them.
 Exit 2 also covers, as the README lists them, a top-level spec key that
 the command does not read (see each module's KEYS), weights, triangles,
 tripolar scales and river crossings whose quantities leave the range of
 normal floats, an all-zero tripolar triple, render "layers" other than
-{"apollonius": true|false}, and --svg anywhere but on a single render job.
+{"apollonius": true|false}, a render output path that is empty or holds a
+NUL character, and --svg anywhere but on a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
 mapping of exceptions to exit codes.  `run_spec` maps the library's
@@ -68,15 +71,13 @@ from __future__ import annotations
 
 import gc
 import importlib
-import json
-import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import __version__, coordinates, geometry, serialize
 from .jobs import (EXIT_INTERNAL, EXIT_INVALID, EXIT_IO, EXIT_MISSING, EXIT_OK,
-                   CliError, check_keys, error_doc)
+                   CliError, check_keys, error_doc, loads)
 
 
 def _handler(command: str):
@@ -164,36 +165,6 @@ def parse_args(argv: List[str]) -> Tuple[str, Dict[str, Any]]:
     return command, flags
 
 
-def _reject_const(name: str):
-    raise ValueError("non-finite number %r in input" % name)
-
-
-def _finite_float(text: str) -> float:
-    v = float(text)
-    if not math.isfinite(v):
-        _reject_const(text)
-    return v
-
-
-# One decoder for the process: json.loads with hooks builds a new one per call.
-_DECODER = json.JSONDecoder(parse_float=_finite_float,
-                            parse_constant=_reject_const)
-
-
-def _loads(text: Union[str, bytes]) -> Any:
-    """The JSON value of text, bytes being decoded as UTF-8; CliError(2) if
-    it is not one."""
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        if text.startswith("\ufeff"):  # as json.loads words it
-            raise json.JSONDecodeError(
-                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
-    except (ValueError, RecursionError) as e:
-        raise CliError(EXIT_INVALID, "invalid JSON: %s" % e)
-
-
 def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
     """The report of one job and its exit code.  A `CliError` and the
     library's `GeometryError` family, the only errors an input can raise,
@@ -235,7 +206,7 @@ def _run_job(command: str, text: Union[str, bytes], batch: bool,
 
     try:
         try:
-            spec = _loads(text)
+            spec = loads(text)
             if batch:
                 job = (spec.get("command", command) if isinstance(spec, dict)
                        else command)

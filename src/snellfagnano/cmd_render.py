@@ -1,8 +1,9 @@
 """`sf render`: an SVG of the triangle, the orbit and, on request, the
 Apollonius circles with their common points.
 
-"layers" is {"apollonius": true|false}; anything else is exit 2, and an
-unwritable output path is exit 5.
+"layers" is {"apollonius": true|false}; anything else is exit 2, as is an
+output path that is empty or holds a NUL character, which no file name
+can.  An unwritable output path is exit 5.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     if not isinstance(out, str) or not out:
         raise CliError(EXIT_INVALID,
                        "render needs an output path (--svg or \"svg_path\")")
+    if "\0" in out:
+        raise CliError(EXIT_INVALID, "output path %r holds a NUL character"
+                       % out)
     layers = spec.get("layers", {})
     if (not isinstance(layers, dict) or set(layers) - {"apollonius"}
             or not isinstance(layers.get("apollonius", False), bool)):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
@@ -102,17 +102,24 @@ def coeffs_from_weights(w: Weights) -> RefractionCoeffs:
                             w.lam_A / w.lam_B)
 
 
-class SnellOrbitResult(NamedTuple):
+class SnellOrbitResult(namedtuple(
+        "SnellOrbitResult", "status weighted_perimeter point orbit erected "
+        "conditions orbit_in_sides degenerate_info barycentric tilde",
+        defaults=(None,) * 8)):
     """Outcome of the orbit construction for one (triangle, weights) pair.
 
     status is "interior" (point valid), "degenerate" (minimizer collapses
     onto a doubled altitude) or "no_tilde_triangle" (the scaled side triple
     does not close up; also degenerate).  The doubled-altitude fallback
-    fills orbit/weighted_perimeter in the last two cases, with both the
-    weighted and the plain altitude ranking reported in degenerate_info.
-    point is None for no_tilde_triangle, and for degenerate when the
-    barycentric sum vanishes (a point at infinity).  barycentric is the
-    point's Ceva triple, and tilde the tilde triangle with its sines.
+    fills orbit (an InscribedTriangle) and weighted_perimeter (a float) in
+    the last two cases, with both the weighted and the plain altitude
+    ranking reported in the dict degenerate_info.  Every field after
+    weighted_perimeter defaults to None.  point, a Point2, is None for
+    no_tilde_triangle, and for degenerate when the barycentric sum vanishes
+    (a point at infinity).  erected is the three apexes (Point2s),
+    conditions the three interior_conditions (bools), barycentric the
+    point's Ceva triple (floats), and tilde the TildeTriangle with its
+    sines.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
@@ -122,16 +129,7 @@ class SnellOrbitResult(NamedTuple):
     minimum, which optimize.minimize_inscribed finds.
     """
 
-    status: str
-    weighted_perimeter: float
-    point: Optional[Point2] = None
-    orbit: Optional[InscribedTriangle] = None
-    erected: Optional[Tuple[Point2, Point2, Point2]] = None
-    conditions: Optional[Tuple[bool, bool, bool]] = None
-    orbit_in_sides: Optional[bool] = None
-    degenerate_info: Optional[Dict[str, object]] = None
-    barycentric: Optional[Tuple[float, float, float]] = None
-    tilde: Optional[coordinates.TildeTriangle] = None
+    __slots__ = ()
 
 
 def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
@@ -190,7 +188,7 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
 
     sA, sB, sC = tt.sines
     top = max(w.triple)
-    a, b, c = (v / t.scale for v in t.sides)
+    a, b, c = t.unit_sides
     bary = (w.lam_A / top * a ** 2 * sB * sC,
             w.lam_B / top * b ** 2 * sC * sA,
             w.lam_C / top * c ** 2 * sA * sB)
@@ -226,14 +224,14 @@ def verify_snell_point(f: Point2, t: Triangle,
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
     = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.  The
-    sines are taken of the points divided by t.scale, so that no product of
-    two rays of the triangle over- or underflows.
+    sines are taken of t.unit_vertices and f divided by t.scale, so that no
+    product of two rays of the triangle over- or underflows.
     """
     tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
     if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * max(map(abs, tl)):
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
-    s = t.scale
-    f, a, b, c = ((x / s, y / s) for x, y in (f, *t.vertices))
+    f = (f[0] / t.scale, f[1] / t.scale)
+    a, b, c = t.unit_vertices
     r_a = _sin_at(c, f, a) / _sin_at(b, f, a)
     r_b = _sin_at(a, f, b) / _sin_at(c, f, b)
     r_c = _sin_at(b, f, c) / _sin_at(a, f, c)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import List, Optional, Tuple
 
 from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
                        circumcircle, dist, signed_area, unit_power)
@@ -60,30 +61,31 @@ class NoSuchPoint(GeometryError):
     """The tripolar triple is not realized by any point of the plane."""
 
 
-class BarycentricCoords(NamedTuple):
-    rho_a: float
-    rho_b: float
-    rho_c: float
+class BarycentricCoords(namedtuple("BarycentricCoords", "rho_a rho_b rho_c")):
+    """Barycentric triple (rho_a : rho_b : rho_c) of floats."""
+
+    __slots__ = ()
 
 
-class TrilinearCoords(NamedTuple):
-    l_a: float
-    l_b: float
-    l_c: float
+class TrilinearCoords(namedtuple("TrilinearCoords", "l_a l_b l_c")):
+    """Trilinear triple (l_a : l_b : l_c) of floats."""
+
+    __slots__ = ()
 
 
-class TripolarCoords(NamedTuple):
-    r_A: float
-    r_B: float
-    r_C: float
+class TripolarCoords(namedtuple("TripolarCoords", "r_A r_B r_C")):
+    """Distances (r_A, r_B, r_C) to the vertices, floats."""
+
+    __slots__ = ()
 
 
 def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
     """Normalized barycentric coordinates (ratios of signed subtriangle
-    areas) of the points divided by t.scale, so that no area of the triangle
-    over- or underflows; a point whose areas overflow is refused."""
-    s = t.scale
-    p, a, b, c = ((x / s, y / s) for x, y in (p, *t.vertices))
+    areas) taken of t.unit_vertices and p divided by t.scale, so that no
+    area of the triangle over- or underflows; a point whose areas overflow
+    is refused."""
+    p = (p[0] / t.scale, p[1] / t.scale)
+    a, b, c = t.unit_vertices
     full = signed_area(a, b, c)
     bc = BarycentricCoords(signed_area(p, b, c) / full,
                            signed_area(p, c, a) / full,
@@ -157,22 +159,21 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     return trilinear_to_barycentric(inv, t)
 
 
-class TildeTriangle(NamedTuple):
+class TildeTriangle(namedtuple("TildeTriangle", "sides angles exists sines")):
     """Sides proportional to (Xa, Yb, Zc), and the angles opposite them
-    unless the sides strictly fail the triangle inequality; exists is the
-    strict inequality.  sines, set with angles, is sin(V + V~) per vertex."""
+    unless the sides strictly fail the triangle inequality, each three
+    floats, angles None otherwise; exists is the strict inequality, a
+    bool.  sines, set with angles, is sin(V + V~) per vertex, three floats
+    or None."""
 
-    sides: Tuple[float, float, float]
-    angles: Optional[Tuple[float, float, float]]
-    exists: bool
-    sines: Optional[Tuple[float, float, float]]
+    __slots__ = ()
 
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     """The "tilde" triangle of a positive triple (X : Y : Z), from the triple
-    as unit_scaled scales it and the sides divided by t.scale, so that no
-    side or product of sides over- or underflows on account of either."""
-    p, q, r = (u * (v / t.scale) for u, v in zip(unit_scaled(triple), t.sides))
+    as unit_scaled scales it and t.unit_sides, so that no side or product
+    of sides over- or underflows on account of either."""
+    p, q, r = (u * v for u, v in zip(unit_scaled(triple), t.unit_sides))
     if p > q + r or q > r + p or r > p + q:
         return TildeTriangle((p, q, r), None, False, None)
     exists = p < q + r and q < r + p and r < p + q

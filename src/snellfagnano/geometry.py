@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Tuple
+from collections import namedtuple
+from typing import Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -35,11 +36,10 @@ class DegenerateLine(GeometryError):
     """The two points defining a line coincide."""
 
 
-class Point2(NamedTuple):
-    """A point (or free vector) in the Cartesian plane."""
+class Point2(namedtuple("Point2", "x y")):
+    """A point (or free vector) in the Cartesian plane: floats x and y."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
     def __add__(self, other):
         return Point2(self.x + other[0], self.y + other[1])
@@ -110,13 +110,16 @@ class Triangle:
     Sides, area and angles come from the edge vectors B - A, C - B and
     C - A, each taken once; each angle is the atan2 of the |cross| and dot
     product of the two edges leaving its vertex.  So does the scale, the
-    power of two of the diameter that unit-size computations divide by.  A
-    diameter squared that is not a normal float is refused (GeometryError),
-    and an area at most EPS_DEGENERATE times it is degenerate.
+    power of two of the diameter.  The vertices and sides are kept divided
+    by it (unit_vertices, as (x, y) pairs, and unit_sides), once and
+    exactly, since it is a power of two: a unit-size computation reads
+    them and divides only its own query point.  A diameter squared that is
+    not a normal float is refused (GeometryError), and an area at most
+    EPS_DEGENERATE times it is degenerate.
     """
 
     __slots__ = ("vA", "vB", "vC", "a", "b", "c", "alpha", "beta", "gamma",
-                 "area", "diameter", "scale")
+                 "area", "diameter", "scale", "unit_vertices", "unit_sides")
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
@@ -137,7 +140,10 @@ class Triangle:
         self.vA, self.vB, self.vC = vA, vB, vC
         self.a, self.b, self.c, self.alpha, self.beta, self.gamma = (
             a, b, c, alpha, beta, gamma)
-        self.area, self.diameter, self.scale = abs(area), diam, unit_power(diam)
+        self.area, self.diameter = abs(area), diam
+        self.scale = s = unit_power(diam)
+        self.unit_vertices = tuple((x / s, y / s) for x, y in (vA, vB, vC))
+        self.unit_sides = (a / s, b / s, c / s)
 
     @property
     def vertices(self):
@@ -205,11 +211,11 @@ def angles_from_sides(a: float, b: float,
 def circumcircle(t: Triangle) -> Tuple[Point2, float]:
     """Center equidistant from the three vertices, and that distance.
 
-    It is taken of the vertices divided by t.scale, so that no cube of a
-    coordinate over- or underflows, and scaled back: exactly, bit for bit.
+    It is taken of t.unit_vertices, so that no cube of a coordinate over-
+    or underflows, and scaled back by t.scale: exactly, bit for bit.
     """
     s = t.scale
-    (ax, ay), (bx, by), (cx, cy) = ((x / s, y / s) for x, y in t.vertices)
+    (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
@@ -241,19 +247,15 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     return Triangle(Point2(x, 2.0 * area / a), Point2(0.0, 0.0), Point2(a, 0.0))
 
 
-class InscribedTriangle(NamedTuple):
+class InscribedTriangle(namedtuple("InscribedTriangle", "pA pB pC tA tB tC")):
     """Triangle with one vertex on each side line of a reference triangle.
 
-    pA lies on line BC (parameter tA along B->C), pB on line CA, pC on
-    line AB.  Parameters may leave [0, 1] for feet outside the segments.
+    The Point2 pA lies on line BC at the float parameter tA along B->C, pB
+    on line CA at tB, pC on line AB at tC.  Parameters may leave [0, 1] for
+    feet outside the segments.
     """
 
-    pA: Point2
-    pB: Point2
-    pC: Point2
-    tA: float
-    tB: float
-    tC: float
+    __slots__ = ()
 
     @property
     def points(self):

@@ -1,19 +1,26 @@
-"""What every `sf` command module shares: spec parsing and report blocks.
+"""What every `sf` job shares: the JSON decoder, spec parsing and report
+blocks.
 
-A job spec is parsed here into the package's own types (`Triangle`,
-`Weights`, `Point2`); a malformed field raises `CliError` with exit code
-2.  `base_doc` and `error_doc` start every report, so each one echoes the
+`loads` is the package's one JSON decoder: the CLI core decodes every job
+with it, and `workers` every line it checks for a repeated `svg_path`, so
+the two agree on which lines decode.  Its hooks refuse NaN, Infinity and
+a float that overflows, so the input a report echoes is finite.  A job
+spec is then parsed into the package's own types (`Triangle`, `Weights`,
+`Point2`) by helpers that check each field's type, for in-process callers
+of `run_spec` too; a malformed field raises `CliError` with exit code 2.
+`base_doc` and `error_doc` start every report, so each one echoes the
 version, the command, the input and the fixed `TOLERANCES`.  The command
-modules (`cmd_point` ... `cmd_render`) and the CLI core import this
-module; it imports none of them, nor `cli`, which `python -m
+modules (`cmd_point` ... `cmd_render`), `workers` and the CLI core import
+this module; it imports none of them, nor `cli`, which `python -m
 snellfagnano.cli` runs as `__main__` and an import would run a second time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple, Union
 
 from . import __version__, construction, coordinates, geometry
 
@@ -40,6 +47,36 @@ class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _reject_const(name: str):
+    raise ValueError("non-finite number %r in input" % name)
+
+
+def _finite_float(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        _reject_const(text)
+    return v
+
+
+# One decoder for the process: json.loads with hooks builds a new one per call.
+_DECODER = json.JSONDecoder(parse_float=_finite_float,
+                            parse_constant=_reject_const)
+
+
+def loads(text: Union[str, bytes]) -> Any:
+    """The JSON value of text, bytes being decoded as UTF-8; CliError(2) if
+    it is not one.  A float that overflows, NaN and Infinity are not."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as e:
+        raise CliError(EXIT_INVALID, "invalid JSON: %s" % e)
 
 
 def finite(x: Any, what: str) -> float:

@@ -21,11 +21,10 @@ such as tB = 1, tC = 0 (both feet at vertex A); the bounds pin those.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .construction import Weights, weighted_perimeter
-from .geometry import (InscribedTriangle, Triangle, inscribed_from_params,
-                       signed_area)
+from .geometry import Triangle, inscribed_from_params, signed_area
 
 # Smoothing radii in units of the diameter, one Newton stage each.  The
 # last one bounds the smoothing's cost bias; much below 1e-15 the
@@ -41,23 +40,22 @@ _MAX_HALVINGS = 40       # backtracking halvings per step
 _ARMIJO = 1e-4           # sufficient-decrease fraction
 
 
-class MinimizeReport(NamedTuple):
+class MinimizeReport(namedtuple("MinimizeReport",
+                                "best cost iterations converged flatness")):
     """Best inscribed triangle found, with convergence diagnostics.
 
-    iterations is the number of Newton steps over all continuation stages.
-    converged is true when the last stage stopped on a vanishing step, one
-    whose predicted decrease is below 1e-15 of largest weight times diameter;
-    stopping on the per-stage step cap, or on a step the line search cannot
-    make lower the objective, does not count.  flatness is
-    |area(best)| / area(reference); values below ~1e-3 indicate the
-    minimizer has collapsed onto a doubled segment.
+    best is the InscribedTriangle and cost, a float, its weighted
+    perimeter.  iterations (an int) is the number of Newton steps over all
+    continuation stages.  converged (a bool) is true when the last stage
+    stopped on a vanishing step, one whose predicted decrease is below
+    1e-15 of largest weight times diameter; stopping on the per-stage step
+    cap, or on a step the line search cannot make lower the objective, does
+    not count.  flatness is the float |area(best)| / area(reference);
+    values below ~1e-3 indicate the minimizer has collapsed onto a doubled
+    segment.
     """
 
-    best: InscribedTriangle
-    cost: float
-    iterations: int
-    converged: bool
-    flatness: float
+    __slots__ = ()
 
 
 def _chords(t: Triangle, w: Weights):

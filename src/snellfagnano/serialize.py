@@ -1,16 +1,16 @@
 """Deterministic JSON emission for reports.
 
-The stdlib encoder uses repr() for floats, whose output is already
-deterministic, but we want a single fixed rule (17 significant digits,
-no negative zero, no NaN/inf) so that identical computations always
-serialize to identical bytes regardless of interpreter details.  Keys
-keep insertion order; callers build documents with a fixed field layout.
+Every float, alone or in a list, is written by one rule, `format_float`:
+17 significant digits (`%.17g`), zero of either sign as `0`, and a NaN or
+an infinity refused with ValueError.  The stdlib encoder writes floats by
+repr() and takes no such rule, so it lends only its string escaping.  Keys
+keep insertion order and callers build documents with a fixed field
+layout, so identical computations serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from json.encoder import encode_basestring as _escape
 from typing import Any
 
@@ -22,14 +22,6 @@ def format_float(x: float) -> str:
     if x == 0.0:
         return "0"
     return "%.17g" % x
-
-
-@lru_cache(maxsize=256)
-def _float_list_format(n: int, sep: str) -> str:
-    return sep.join(("%.17g",) * n)
-
-
-_FLOAT = frozenset((float,))
 
 
 def _encode(value: Any, indent: str, pad: str) -> str:
@@ -44,19 +36,12 @@ def _encode(value: Any, indent: str, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # Nonzero floats whose sum is finite are all finite and print as
-        # "%.17g"; zero and non-finite values take format_float's path.
-        if (_FLOAT.issuperset(map(type, value)) and 0.0 not in value
-                and math.isfinite(sum(value))):
-            body = _float_list_format(len(value), sep) % tuple(value)
-        else:
-            # A loop, not a comprehension, so that each level of nesting
-            # takes one frame: echoed input may nest as deep as JSON allows.
-            items = []
-            for v in value:
-                items.append(_encode(v, indent, inner))
-            body = sep.join(items)
-        return "[" + inner + body + pad + "]"
+        # A loop, not a comprehension, so that each level of nesting takes
+        # one frame: echoed input may nest as deep as JSON allows.
+        items = []
+        for v in value:
+            items.append(_encode(v, indent, inner))
+        return "[" + inner + sep.join(items) + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"

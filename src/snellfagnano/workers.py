@@ -34,14 +34,13 @@ itself fails (a write to stdout, an exception).
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import sys
 import tempfile
 from typing import IO, Callable, List, Optional
 
-from .jobs import EXIT_IO, EXIT_OK
+from .jobs import EXIT_IO, EXIT_OK, CliError, loads
 
 # Exit status of a worker that failed outside its jobs, in a write to its
 # files say, and of a chunk with no worker; like any status outside EXIT_OK
@@ -56,19 +55,22 @@ def usable_cpus() -> int:
 
 
 def svg_paths_repeat(lines: List[bytes]) -> bool:
-    """Whether two lines may write the same SVG file.  Only a line that
-    spells "svg_path" out, or with a \\u escape, can name one."""
+    """Whether two lines may write the same SVG file.  Each line is decoded
+    by `jobs.loads`, as its job decodes it, so a line that the job refuses
+    as invalid JSON (a NaN or a float that overflows in it) names no file,
+    nor does a path that holds a NUL character.  Only a line that spells
+    "svg_path" out, or with a \\u escape, can name one."""
     seen = set()
     for line in lines:
         if b"svg_path" not in line and b"\\u" not in line:
             continue
         try:
-            spec = json.loads(line)
+            spec = loads(line)
             path = spec.get("svg_path") if isinstance(spec, dict) else None
             if not isinstance(path, str):
                 continue
             path = os.path.realpath(path)
-        except (ValueError, RecursionError):  # a line that writes no file
+        except (CliError, ValueError):  # a line that writes no file
             continue
         if path in seen:
             return True

@@ -929,10 +929,21 @@ def test_render_apollonius_near_equal_weights(capsys, tmp_path):
     assert doc["svg_bytes"] == len(out.read_bytes())
 
 
-def test_render_requires_path(capsys):
+def test_render_requires_path(capsys, tmp_path):
+    """A render job needs a path that a file can have: none, or one that
+    holds a NUL character, is invalid input, alone and as a batch line."""
     code, doc = run_doc(capsys, ["render", "--input",
                                  corpus_path("render_plain.json")])
     assert code == 2
+    spec = dict(corpus_spec("render_plain.json"), svg_path="x\u0000.svg")
+    message = "output path 'x\\x00.svg' holds a NUL character"
+    code, doc = run_doc(capsys, ["render", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["message"]) == (2, message)
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(json.dumps(dict(spec, command="render")) + "\n")
+    code, doc = run_doc(capsys, ["point", "--batch", str(batch)])
+    assert (code, doc["exit_code"], doc["message"]) == (2, 2, message)
 
 
 def test_render_unwritable_path(capsys, tmp_path):
@@ -1737,6 +1748,27 @@ def test_batch_naming_one_svg_twice_stays_serial(tmp_path):
     assert b'"sides":[3,4,5]' in serial[0]
     with open(corpus_path("expected/render_plain.svg"), "rb") as fh:
         assert serial[4]["same.svg"] != fh.read()  # the [4, 5, 6] drawing
+
+
+def test_split_reads_svg_paths_as_the_jobs_decode_them(tmp_path):
+    """The SVG check before a split decodes each line as its job does, so
+    a line whose job refuses its JSON (a NaN, a number that overflows)
+    writes no file and keeps no batch serial.  Here the only repeated
+    svg_path is on two such lines, and the batch splits, byte for byte
+    the serial run."""
+    lines = split_batch().split(b"\n")[:-1]
+    for at, weights in ((100, b"NaN"), (110, b"1e400")):
+        lines.insert(at, b'{"command": "render", "svg_path": '
+                     b'"0-render_plain.svg", "triangle": {"sides": [3, 4, 5]}, '
+                     b'"weights": [1, %s, 1]}' % weights)
+    batch = b"\n".join(lines) + b"\n"
+    serial = run_split_harness(tmp_path / "serial", batch, "main", "none")
+    forked = run_split_harness(tmp_path / "forked", batch, "console", "none")
+    assert forked[3] == "1 forks, no child is left"
+    assert forked[:3] + forked[4:] == serial[:3] + serial[4:]
+    for number in (b"NaN", b"1e400"):
+        assert (b"invalid JSON: non-finite number '%s' in input" % number
+                in serial[0])
 
 
 def test_batch_forks_only_above_the_threshold(tmp_path):
