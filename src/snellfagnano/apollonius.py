@@ -18,7 +18,6 @@ is re-exported here.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List
 
 from .coordinates import NoSuchPoint, tripolar_to_points
 from .coordinates import TildeTriangle, tilde_triangle  # noqa: F401
@@ -62,7 +61,7 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
                             center=center, radius=0.5 * dist(m, n))
 
 
-def apollonian_common_points(t: Triangle, w) -> List[Point2]:
+def apollonian_common_points(t: Triangle, w) -> list[Point2]:
     """Points lying on all three weight-ratio circles, sorted by (x, y)."""
     try:
         pts = [p for p, _ in tripolar_to_points(w.triple, t)]

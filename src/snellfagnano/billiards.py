@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Tuple
 
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        dist, point_on_side)
@@ -112,7 +111,7 @@ def billiard_step(s: BilliardState, t: Triangle, k) -> BilliardState:
 
 
 def closure(start: BilliardState, end: BilliardState,
-            tol: float) -> Tuple[bool, float, float, bool]:
+            tol: float) -> tuple[bool, float, float, bool]:
     """How far end is from start: (side_match, param_error, direction_error,
     periodic), periodic when the sides match and both errors are below tol."""
     side_match = end.side == start.side
@@ -156,7 +155,7 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
 
     __slots__ = ()
 
-    def __new__(cls, a_pt: Point2, b_pt: Point2, line: Tuple[Point2, Point2],
+    def __new__(cls, a_pt: Point2, b_pt: Point2, line: tuple[Point2, Point2],
                 lam1: float, lam2: float):
         if min(lam1, lam2) <= 0.0:
             raise GeometryError("leg weights must be positive")
@@ -177,7 +176,7 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
         return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)
 
 
-def solve_river(r: RiverInstance) -> Tuple[Point2, float, float]:
+def solve_river(r: RiverInstance) -> tuple[Point2, float, float]:
     """Minimize lam1*d(A,X) + lam2*d(B,X) over X = q1 + u*e on the line.
 
     In the frame of `_river_frame`, with r_A, r_B the leg lengths at u,

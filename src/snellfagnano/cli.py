@@ -73,7 +73,6 @@ import gc
 import importlib
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple, Union
 
 from . import __version__, coordinates, geometry, serialize
 from .jobs import (EXIT_INTERNAL, EXIT_INVALID, EXIT_IO, EXIT_MISSING, EXIT_OK,
@@ -120,7 +119,7 @@ def _usage_error(reason: str):
     raise SystemExit(EXIT_INVALID)
 
 
-def parse_args(argv: List[str]) -> Tuple[str, Dict[str, Any]]:
+def parse_args(argv: list[str]) -> tuple[str, dict[str, object]]:
     """The command word and {flag: value} of an `sf` command line.
 
     `--compact` maps to True.  `-h`/`--help` and `--version` print and
@@ -128,7 +127,7 @@ def parse_args(argv: List[str]) -> Tuple[str, Dict[str, Any]]:
     SystemExit(2) (see `_usage_error`).
     """
     command = None
-    flags: Dict[str, Any] = {}
+    flags: dict[str, object] = {}
     unknown = []
     args = iter(argv)
     for arg in args:
@@ -165,7 +164,7 @@ def parse_args(argv: List[str]) -> Tuple[str, Dict[str, Any]]:
     return command, flags
 
 
-def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
+def run_spec(command: str, spec: object) -> tuple[dict[str, object], int]:
     """The report of one job and its exit code.  A `CliError` and the
     library's `GeometryError` family, the only errors an input can raise,
     become an error report; any other exception (a plain `ValueError` too)
@@ -185,8 +184,8 @@ def run_spec(command: str, spec: Any) -> Tuple[Dict[str, Any], int]:
     return error_doc(command, spec, message), code
 
 
-def _run_job(command: str, text: Union[str, bytes], batch: bool,
-             indent: int = 0, svg: Optional[str] = None) -> int:
+def _run_job(command: str, text: str | bytes, batch: bool,
+             indent: int = 0, svg: str | None = None) -> int:
     """Write the report of one job to stdout; return its exit code.
 
     A batch line may name its own "command", and its report carries its
@@ -196,10 +195,10 @@ def _run_job(command: str, text: Union[str, bytes], batch: bool,
     serializer is a defect in sf: its traceback goes to stderr and the job
     gets an exit-1 error report.  Only a failed write raises (OSError).
     """
-    spec: Any = {}
+    spec: object = {}
     cmd = command
 
-    def report(doc: Dict[str, Any], code: int) -> str:
+    def report(doc: dict[str, object], code: int) -> str:
         if batch:
             doc["exit_code"] = code
         return serialize.dumps(doc, indent=indent) + ("" if indent else "\n")
@@ -236,12 +235,13 @@ def _run_job(command: str, text: Union[str, bytes], batch: bool,
 
 # Lines per worker below which a split does not pay: each worker compiles
 # and warms up the code its lines use again, and copies the pages it
-# writes, about 40 ms of CPU on construct-batch lines.  Measured as sf
-# --batch over the first N construct-batch lines of an sfbench seed, split
-# in two against serial, median wall of 15 alternating runs, 2-core x86-64
-# Linux, Python 3.11, PYTHONDONTWRITEBYTECODE=1.  Seed 7: N = 64 -2.2 %,
-# 96 -0.2 %, 128 +4.5 % (split faster in 13 of 15), 192 +7.1 %.  Seed 8:
-# N = 64 -6.8 %, 96 +1.3 %, 128 +1.2 % (9 of 15), 160 +4.4 % (11 of 15).
+# writes, about 15-17 ms of CPU on construct-batch lines (wait4 CPU of
+# split against serial, reaped workers included).  Measured as sf --batch
+# over the first N construct-batch lines of an sfbench seed, split in two
+# against serial, median wall of 15 alternating runs, 2-core x86-64 Linux,
+# Python 3.11, PYTHONDONTWRITEBYTECODE=1.  Seed 7: N = 64 -1.3 %, 96
+# +0.3 % (split faster in 8 of 15), 128 +4.9 % (13 of 15), 192 +9.0 %.
+# Seed 8: N = 64 -3.4 %, 96 +4.1 % (14 of 15), 128 +4.4 % (15 of 15).
 LINES_PER_WORKER = 64
 
 
@@ -256,7 +256,7 @@ def _run_batch(command: str, path: str, split: bool = False) -> int:
         sys.stderr.write("sf: cannot read batch file: %s\n" % e)
         return EXIT_IO
 
-    def run_lines(chunk: List[bytes]) -> int:
+    def run_lines(chunk: list[bytes]) -> int:
         worst = EXIT_OK
         for line in chunk:
             worst = max(worst, _run_job(command, line, batch=True))
@@ -268,7 +268,7 @@ def _run_batch(command: str, path: str, split: bool = False) -> int:
     return run_lines(lines)
 
 
-def main(argv: Optional[List[str]] = None, *, split: bool = False) -> int:
+def main(argv: list[str] | None = None, *, split: bool = False) -> int:
     """Run one `sf` command line; return its exit code.  `split` lets a
     large batch run in forked workers; only the process entry sets it."""
     command, flags = parse_args(sys.argv[1:] if argv is None else argv)
@@ -285,7 +285,7 @@ def main(argv: Optional[List[str]] = None, *, split: bool = False) -> int:
     if path is not None:
         try:
             with open(path, "rb") as fh:
-                text: Union[str, bytes] = fh.read()
+                text: str | bytes = fh.read()
         except OSError as e:
             sys.stderr.write("sf: cannot read input: %s\n" % e)
             return EXIT_IO

@@ -10,7 +10,6 @@ from their xy.  All zero, it is exit 2.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Tuple
 
 from . import coordinates
 from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, parse_triangle,
@@ -21,7 +20,7 @@ from .jobs import (EXIT_INVALID, EXIT_OK, CliError, base_doc, parse_triangle,
 KEYS = ("triangle", "coords")
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     node = spec.get("coords")
     if not isinstance(node, dict):
@@ -36,7 +35,7 @@ def run(spec) -> Tuple[Dict[str, Any], int]:
     doc["values"] = list(values)
     doc["values_normalized"] = coordinates.normalized(values)
 
-    points: List[Dict[str, Any]] = []
+    points: list[dict[str, object]] = []
     if kind == "tripolar":
         for p, s in coordinates.tripolar_to_points(
                 coordinates.TripolarCoords(*values), t):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from . import construction, optimize
 from .jobs import EXIT_OK, base_doc, parse_triangle, parse_weights, xy
 
@@ -12,7 +10,7 @@ from .jobs import EXIT_OK, base_doc, parse_triangle, parse_weights, xy
 KEYS = ("triangle", "weights")
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec, t)
     rep = optimize.minimize_inscribed(t, w)

@@ -8,8 +8,6 @@ constrained minimum as brute_force_cost; a failing tilde inequality is exit 3.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from . import construction, coordinates, geometry, optimize
 from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, parse_triangle,
                    parse_weights, point_block, xy)
@@ -20,7 +18,7 @@ KEYS = ("triangle", "weights")
 
 
 def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
-                              s: Tuple[float, float, float]) -> str:
+                              s: tuple[float, float, float]) -> str:
     """The inequality the tilde sides fail, picked on the scaled sides s the
     verdict was taken on, so that no product under- or overflows."""
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
@@ -32,7 +30,7 @@ def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
                sides[i][1], sides[j][1], sides[k][1]))
 
 
-def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
+def _orbit_block(res: construction.SnellOrbitResult) -> dict[str, object]:
     orbit = res.orbit
     block = {
         "params": [orbit.tA, orbit.tB, orbit.tC],
@@ -44,7 +42,7 @@ def _orbit_block(res: construction.SnellOrbitResult) -> Dict[str, Any]:
     return block
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec, t)
     res = construction.snell_fagnano_point(t, w)

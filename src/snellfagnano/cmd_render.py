@@ -8,8 +8,6 @@ can.  An unwritable output path is exit 5.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from . import apollonius, construction, render
 from .jobs import (EXIT_INVALID, EXIT_IO, EXIT_OK, CliError, base_doc,
                    parse_triangle, parse_weights)
@@ -19,7 +17,7 @@ from .jobs import (EXIT_INVALID, EXIT_IO, EXIT_OK, CliError, base_doc,
 KEYS = ("triangle", "weights", "svg_path", "layers")
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec, t)
     out = spec.get("svg_path")

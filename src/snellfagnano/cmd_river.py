@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from . import billiards
 from .jobs import EXIT_INVALID, EXIT_OK, CliError, base_doc, finite, pair, xy
 
@@ -12,7 +10,7 @@ from .jobs import EXIT_INVALID, EXIT_OK, CliError, base_doc, finite, pair, xy
 KEYS = ("river",)
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     node = spec.get("river")
     if not isinstance(node, dict):
         raise CliError(EXIT_INVALID, "spec needs a \"river\" object")

@@ -6,8 +6,6 @@ closure errors and the periodicity verdict at TOLERANCES["periodicity"].
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
-
 from . import billiards, construction, geometry
 from .jobs import (EXIT_DYNAMICS, EXIT_INVALID, EXIT_MISSING, EXIT_OK,
                    MAX_SIMULATE_STEPS, TOLERANCES, CliError, base_doc, finite,
@@ -19,7 +17,7 @@ KEYS = ("triangle", "weights", "steps", "start")
 
 
 def _state_block(t: geometry.Triangle,
-                 s: billiards.BilliardState) -> Dict[str, Any]:
+                 s: billiards.BilliardState) -> dict[str, object]:
     return {
         "side": s.side,
         "param": s.param,
@@ -28,7 +26,7 @@ def _state_block(t: geometry.Triangle,
     }
 
 
-def run(spec) -> Tuple[Dict[str, Any], int]:
+def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec, t)
     k = construction.coeffs_from_weights(w)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Dict, Tuple
 
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
@@ -142,7 +141,7 @@ def weighted_perimeter(it: InscribedTriangle, w: Weights) -> float:
 
 
 def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
-                  ) -> Tuple[Point2, Point2, Point2]:
+                  ) -> tuple[Point2, Point2, Point2]:
     """Apex points of the outward erected triangles, one per side.
 
     On side a the erected triangle has the second tilde angle at B and the
@@ -165,7 +164,7 @@ def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
 
 
 def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle
-                        ) -> Tuple[bool, bool, bool]:
+                        ) -> tuple[bool, bool, bool]:
     """Strict tests angle + tilde-angle < pi - EPS_ANGLE, one per vertex."""
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
@@ -219,7 +218,7 @@ def _sin_at(v, p, q) -> float:
 
 
 def verify_snell_point(f: Point2, t: Triangle,
-                       k: RefractionCoeffs) -> Tuple[float, float, float]:
+                       k: RefractionCoeffs) -> tuple[float, float, float]:
     """Residuals of the three sine-ratio characterizations of the point.
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
@@ -228,7 +227,7 @@ def verify_snell_point(f: Point2, t: Triangle,
     product of two rays of the triangle over- or underflows.
     """
     tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
-    if min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * max(map(abs, tl)):
+    if coordinates.on_side_line(tl):
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
     f = (f[0] / t.scale, f[1] / t.scale)
     a, b, c = t.unit_vertices
@@ -254,7 +253,7 @@ def _degenerate_result(t: Triangle, w: Weights, status: str,
     }
     best = min(cands, key=lambda v: cands[v][1])
     orbit, cost = cands[best]
-    info: Dict[str, object] = {
+    info: dict[str, object] = {
         "weighted_costs": {v: cands[v][1] for v in "ABC"},
         "altitude_lengths": heights,
         "weighted_argmin": best,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import List, Optional, Tuple
 
 from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
                        circumcircle, dist, signed_area, unit_power)
@@ -95,7 +94,7 @@ def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
     return bc
 
 
-def unit_scaled(triple) -> Tuple[float, float, float]:
+def unit_scaled(triple) -> tuple[float, float, float]:
     """A homogeneous triple divided by the power of two that puts its
     largest magnitude in [1, 2), an all-zero triple staying zero.  The
     scaling is exact, so every ratio is kept and no sum, product or
@@ -106,7 +105,15 @@ def unit_scaled(triple) -> Tuple[float, float, float]:
     return x / p, y / p, z / p
 
 
-def normalized(triple) -> Optional[Tuple[float, float, float]]:
+def on_side_line(tl) -> bool:
+    """Whether the point of trilinear triple tl is on a side line: its
+    smallest magnitude is below 1e-12 of its largest, taken of the
+    unit_scaled triple.  An all-zero triple names no point and is not."""
+    x, y, z = map(abs, unit_scaled(tl))
+    return min(x, y, z) < 1e-12 * max(x, y, z)
+
+
+def normalized(triple) -> tuple[float, float, float] | None:
     """The homogeneous triple divided by its sum, or None for a point at
     infinity: an all-zero triple, or one whose sum is within IDEAL_SUM of
     its largest magnitude."""
@@ -152,8 +159,7 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     involution wherever it is defined; it is undefined on the side lines.
     """
     tl = unit_scaled(barycentric_to_trilinear(bc, t))
-    scale = max(abs(tl[0]), abs(tl[1]), abs(tl[2]))
-    if scale == 0.0 or min(abs(tl[0]), abs(tl[1]), abs(tl[2])) < 1e-12 * scale:
+    if not any(tl) or on_side_line(tl):
         raise OnSideLine("isogonal conjugation is undefined on the side lines")
     inv = TrilinearCoords(1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2])
     return trilinear_to_barycentric(inv, t)
@@ -184,7 +190,7 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
 
 
 def tripolar_to_points(tp: TripolarCoords,
-                       t: Triangle) -> List[Tuple[Point2, float]]:
+                       t: Triangle) -> list[tuple[Point2, float]]:
     """All points whose vertex distances are proportional to the triple.
 
     Returns one or two (point, s) pairs with distances (s*X, s*Y, s*Z),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Tuple
 
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
@@ -186,18 +185,26 @@ def heron_area(a: float, b: float, c: float) -> float:
     Triangle): with a >= b >= c and the parentheses kept, every factor is
     accurate, so needles and slivers keep their relative accuracy.  Sides
     that fail the triangle inequality also give 0.  The product is taken of
-    the sides divided by unit_power(a), so that it cannot over- or
-    underflow, and the area is scaled back: exactly, bit for bit.
+    the sides divided by unit_power(a), so that it cannot overflow, and the
+    area is scaled back: exactly, bit for bit.  A needle's product can
+    still leave the normal range (sides 1, 1, 1e-200); there the root is
+    taken of its two pairs, each of which holds one factor of at least 1.
     """
     a, b, c = sorted((a, b, c), reverse=True)
     s = unit_power(a)
     a, b, c = a / s, b / s, c / s
-    prod = (a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c))
-    return 0.25 * math.sqrt(prod) * s * s if prod > 0.0 else 0.0
+    p = (a + (b + c)) * (c - (a - b))
+    prod = p * (c + (a - b)) * (a + (b - c))
+    if prod >= sys.float_info.min:
+        return 0.25 * math.sqrt(prod) * s * s
+    if not p > 0.0:
+        return 0.0
+    q = (c + (a - b)) * (a + (b - c))
+    return 0.25 * math.sqrt(p) * math.sqrt(q) * s * s
 
 
 def angles_from_sides(a: float, b: float,
-                      c: float) -> Tuple[float, float, float]:
+                      c: float) -> tuple[float, float, float]:
     """Angles opposite a, b, c: atan2(4 area, b^2 + c^2 - a^2) and cyclic.
 
     On a flat triple the longest side's angle is pi and the others 0.
@@ -208,7 +215,7 @@ def angles_from_sides(a: float, b: float,
             math.atan2(k, a * a + b * b - c * c))
 
 
-def circumcircle(t: Triangle) -> Tuple[Point2, float]:
+def circumcircle(t: Triangle) -> tuple[Point2, float]:
     """Center equidistant from the three vertices, and that distance.
 
     It is taken of t.unit_vertices, so that no cube of a coordinate over-
@@ -231,7 +238,7 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     height 2 area / a, so a sliver's height does not cancel.  Sides sorted
     l >= m >= s are refused when Kahan's factor s - (l - m) is not positive
     (no rounded sum can tell: 1 + 1e-200 == 1); others get the verdict of
-    their vertices, a needle whose heron_area underflows that of area 0.
+    their vertices, so a needle too thin for Triangle is degenerate.
     """
     if min(a, b, c) <= 0.0:
         raise TriangleInequalityViolated("side lengths must be positive")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Any, Dict, List, Tuple, Union
 
 from . import __version__, construction, coordinates, geometry
 
@@ -65,7 +64,7 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float,
                             parse_constant=_reject_const)
 
 
-def loads(text: Union[str, bytes]) -> Any:
+def loads(text: str | bytes) -> object:
     """The JSON value of text, bytes being decoded as UTF-8; CliError(2) if
     it is not one.  A float that overflows, NaN and Infinity are not."""
     try:
@@ -79,7 +78,7 @@ def loads(text: Union[str, bytes]) -> Any:
         raise CliError(EXIT_INVALID, "invalid JSON: %s" % e)
 
 
-def finite(x: Any, what: str) -> float:
+def finite(x: object, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise CliError(EXIT_INVALID, "%s must be a number" % what)
     try:
@@ -91,19 +90,19 @@ def finite(x: Any, what: str) -> float:
     return v
 
 
-def triple(node: Any, what: str) -> Tuple[float, float, float]:
+def triple(node: object, what: str) -> tuple[float, float, float]:
     if not isinstance(node, (list, tuple)) or len(node) != 3:
         raise CliError(EXIT_INVALID, "%s must be a list of three numbers" % what)
     return tuple(finite(v, what) for v in node)  # type: ignore[return-value]
 
 
-def pair(node: Any, what: str) -> geometry.Point2:
+def pair(node: object, what: str) -> geometry.Point2:
     if not isinstance(node, (list, tuple)) or len(node) != 2:
         raise CliError(EXIT_INVALID, "%s must be an [x, y] pair" % what)
     return geometry.Point2(finite(node[0], what), finite(node[1], what))
 
 
-def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
+def parse_triangle(spec: dict[str, object]) -> geometry.Triangle:
     node = spec.get("triangle")
     if not isinstance(node, dict):
         raise CliError(EXIT_INVALID, "spec needs a \"triangle\" object")
@@ -120,7 +119,7 @@ def parse_triangle(spec: Dict[str, Any]) -> geometry.Triangle:
     return geometry.triangle_from_sides(*triple(node["sides"], "sides"))
 
 
-def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:
+def check_keys(spec: dict[str, object], keys: tuple[str, ...]) -> None:
     """Refuse a top-level key that the command does not read; "id" and
     "command" are allowed everywhere."""
     for key in spec:
@@ -128,7 +127,7 @@ def check_keys(spec: Dict[str, Any], keys: Tuple[str, ...]) -> None:
             raise CliError(EXIT_INVALID, "unknown key %r in job spec" % key)
 
 
-def parse_weights(spec: Dict[str, Any],
+def parse_weights(spec: dict[str, object],
                   t: geometry.Triangle) -> construction.Weights:
     """The weights of spec on t, refused outside the problem's domain.  Each
     cost a report prices weighs a triangle with a vertex on each side line,
@@ -146,12 +145,12 @@ def parse_weights(spec: Dict[str, Any],
     return w
 
 
-def xy(p) -> List[float]:
+def xy(p) -> list[float]:
     return [float(p[0]), float(p[1])]
 
 
-def point_block(p: geometry.Point2, bc: Tuple[float, float, float],
-                t: geometry.Triangle) -> Dict[str, Any]:
+def point_block(p: geometry.Point2, bc: tuple[float, float, float],
+                t: geometry.Triangle) -> dict[str, object]:
     """p in every coordinate system; bc is its normalized barycentrics as
     the caller defined p, not read back from p's xy."""
     tl = coordinates.barycentric_to_trilinear(bc, t)
@@ -165,7 +164,7 @@ def point_block(p: geometry.Point2, bc: Tuple[float, float, float],
     }
 
 
-def base_doc(command: str, spec: Dict[str, Any]) -> Dict[str, Any]:
+def base_doc(command: str, spec: dict[str, object]) -> dict[str, object]:
     return {
         "version": __version__,
         "command": command,
@@ -175,7 +174,7 @@ def base_doc(command: str, spec: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def error_doc(command: str, spec: Any, message: str) -> Dict[str, Any]:
+def error_doc(command: str, spec: object, message: str) -> dict[str, object]:
     doc = base_doc(command, spec)
     doc["status"] = "error"
     doc["message"] = message

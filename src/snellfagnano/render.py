@@ -8,13 +8,7 @@ involved.  Canvas is 800x600 with the reference triangle fitted inside a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
-
 from .geometry import Point2, Triangle
-
-if TYPE_CHECKING:  # annotations only: a plain render runs no apollonius
-    from .apollonius import ApollonianCircle
-    from .construction import SnellOrbitResult
 
 CANVAS_W = 800
 CANVAS_H = 600
@@ -29,7 +23,7 @@ class _Frame:
     """World-to-canvas transform fitting a bounding box with 10% margin; a
     triangle's box is never flat, as its area is above 1e-12 diameter^2."""
 
-    def __init__(self, pts: Sequence[Point2]):
+    def __init__(self, pts: tuple[Point2, ...]):
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         x0, x1 = min(xs), max(xs)
@@ -68,13 +62,15 @@ def _label(frame, p, text: str, dx: float, dy: float) -> str:
             f'font-family="monospace" font-size="14">{text}</text>')
 
 
-def render_scene(t: Triangle,
-                 result: Optional[SnellOrbitResult] = None,
-                 apollonius: Optional[Sequence[ApollonianCircle]] = None,
-                 common_points: Optional[Sequence[Point2]] = None) -> str:
-    """Compose the figure as an SVG 1.1 document string."""
+def render_scene(t: Triangle, result: tuple | None = None,
+                 apollonius: list[tuple] | None = None,
+                 common_points: list[Point2] | None = None) -> str:
+    """Compose the figure as an SVG 1.1 document string.  result is a
+    `construction.SnellOrbitResult` and apollonius a list of
+    `apollonius.ApollonianCircle`s; both are tuples, annotated as such so
+    that this module imports neither."""
     frame = _Frame(t.vertices)
-    parts: List[str] = [
+    parts: list[str] = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS_W}" height="{CANVAS_H}" '

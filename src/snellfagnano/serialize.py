@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring as _escape
-from typing import Any
 
 
 def format_float(x: float) -> str:
@@ -24,7 +23,7 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _encode(value: Any, indent: str, pad: str) -> str:
+def _encode(value: object, indent: str, pad: str) -> str:
     """The text of value, its container lines starting with pad (a newline
     and the current indentation, or "" in the compact form)."""
     if isinstance(value, float):
@@ -63,7 +62,7 @@ def _encode(value: Any, indent: str, pad: str) -> str:
     raise TypeError("cannot serialize %r" % type(value))
 
 
-def dumps(doc: Any, indent: int = 2) -> str:
+def dumps(doc: object, indent: int = 2) -> str:
     """Serialize a document; indent=0 gives the compact one-line form."""
     if indent:
         return _encode(doc, " " * indent, "\n") + "\n"

@@ -38,7 +38,6 @@ import os
 import signal
 import sys
 import tempfile
-from typing import IO, Callable, List, Optional
 
 from .jobs import EXIT_IO, EXIT_OK, CliError, loads
 
@@ -54,7 +53,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def svg_paths_repeat(lines: List[bytes]) -> bool:
+def svg_paths_repeat(lines: list[bytes]) -> bool:
     """Whether two lines may write the same SVG file.  Each line is decoded
     by `jobs.loads`, as its job decodes it, so a line that the job refuses
     as invalid JSON (a NaN or a float that overflows in it) names no file,
@@ -83,13 +82,12 @@ class Worker:
     until it is forked, and when its fork or its files fail) and the
     unlinked files of its stdout and stderr."""
 
-    def __init__(self, chunk: List[bytes]):
+    def __init__(self, chunk: list[bytes]):
         self.chunk = chunk
-        self.pid: Optional[int] = None
-        self.files: List[IO[bytes]] = []
+        self.pid: int | None = None
+        self.files = []
 
-    def start(self, run_lines: Callable[[List[bytes]], int],
-              fds: List[int]) -> None:
+    def start(self, run_lines, fds: list[int]) -> None:
         """Fork the worker.  It writes its chunk's stdout and stderr into
         its files (fds are the parent's stdout and stderr descriptors) and
         ends with os._exit, its status the chunk's largest exit code."""
@@ -128,8 +126,7 @@ class Worker:
         except ChildProcessError:  # reaped elsewhere: status unknown
             return FAILED
 
-    def finish(self, run_lines: Callable[[List[bytes]], int],
-               fds: List[int]) -> int:
+    def finish(self, run_lines, fds: list[int]) -> int:
         """Reap the worker; copy its files whole to the parent's stdout and
         stderr if it ended with an exit code, else run its chunk whole.
         Return the chunk's largest exit code."""
@@ -155,7 +152,7 @@ def write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def run(lines: List[bytes], run_lines: Callable[[List[bytes]], int],
+def run(lines: list[bytes], run_lines,
         lines_per_worker: int) -> int:
     """Run the batch lines by run_lines (which writes their reports and
     returns their largest exit code), in forked workers where that pays;

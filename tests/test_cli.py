@@ -1118,10 +1118,13 @@ def test_invalid_triangles_exit_2_with_their_reason(capsys):
             ({"sides": [1, 1, 2.0000000001]},
              "sides (1, 1, 2.0000000001) violate the strict triangle "
              "inequality"),
-            # Its Heron area underflows to 0, but 1 + 1e-200 > 1 in exact
-            # arithmetic, so it is degenerate, not impossible.
+            # 1 + 1e-200 > 1 in exact arithmetic, so these needles are
+            # degenerate, not impossible; Kahan's product of four factors
+            # leaves the normal range on both, their areas do not.
+            ({"sides": [1, 1, 1e-160]},
+             "vertices are collinear within tolerance (area 5e-161)"),
             ({"sides": [1, 1, 1e-200]},
-             "vertices are collinear within tolerance (area 0)"),
+             "vertices are collinear within tolerance (area 5e-201)"),
             ({"sides": [0, 1, 1]}, "side lengths must be positive"),
             ({"vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
              "triangle is too large: its diameter squared overflows"),
@@ -1816,7 +1819,9 @@ def test_installed_sf_script(tmp_path):
 # Imports the CLI and runs the command line given to it, if any; then
 # prints the modules it imported that a cold start does not use, the
 # snellfagnano modules whose bodies have run, and the command modules
-# present in sys.modules, run or not.
+# present in sys.modules, run or not.  It runs under `python -S`, so that
+# no `site` step (a .pth file that loads typing, say) imports a module
+# before it looks.
 COLD_START_PROBE = """
 import contextlib, io, json, sys, types
 before = set(sys.modules)
@@ -1831,7 +1836,8 @@ if sys.argv[1:]:
 added = set(sys.modules) - before
 print(json.dumps({
     "unused": sorted(added & {"numpy", "dataclasses", "concurrent.futures",
-                              "argparse", "gettext", "locale", "textwrap"}),
+                              "argparse", "gettext", "locale", "textwrap",
+                              "typing"}),
     "ran": sorted(name for name, module in sys.modules.items()
                   if name.split(".")[0] == "snellfagnano"
                   and type(module) is types.ModuleType),
@@ -1843,12 +1849,14 @@ print(json.dumps({
 def test_cli_import_leaves_numpy_out(tmp_path):
     """The CLI imports nothing its cold start does not use: numpy is a test
     dependency only, the records and the batch loop need neither
-    dataclasses nor a thread pool, and the hand-written argument parser
-    needs none of argparse and what it loads.  Submodules load on first
-    use, so importing the CLI runs only the CLI core (cli and jobs) and
-    registers no command module; a cold job adds its command's module and
-    the modules that command calls.  A closed orbit draws no circles, so
-    point, simulate and a render without layers leave apollonius out."""
+    dataclasses nor a thread pool, the hand-written argument parser
+    needs none of argparse and what it loads, and every annotation is a
+    builtin left unevaluated, so no module imports typing.  Submodules
+    load on first use, so importing the CLI runs only the CLI core (cli
+    and jobs) and registers no command module; a cold job adds its
+    command's module and the modules that command calls.  A closed orbit
+    draws no circles, so point, simulate and a render without layers
+    leave apollonius out."""
     cases = (
         ([], []),
         (["--version"], []),
@@ -1866,9 +1874,17 @@ def test_cli_import_leaves_numpy_out(tmp_path):
           "--svg", str(tmp_path / "plain.svg")],
          ["cmd_render", "construction", "coordinates", "geometry", "render",
           "serialize"]),
+        (["render", "--input", corpus_path("render_apollonius.json"),
+          "--svg", str(tmp_path / "apollonius.svg")],
+         ["cmd_render", "apollonius", "construction", "coordinates",
+          "geometry", "render", "serialize"]),
+        (["minimize", "--input", corpus_path("minimize_interior.json")],
+         ["cmd_minimize", "construction", "coordinates", "geometry",
+          "optimize", "serialize"]),
     )
     for argv, used in cases:
-        proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE] + argv,
+        proc = subprocess.run([sys.executable, "-S", "-c", COLD_START_PROBE]
+                              + argv,
                               capture_output=True, text=True,
                               env=checkout_env(), timeout=SUBPROCESS_TIMEOUT)
         assert proc.returncode == 0, proc.stderr

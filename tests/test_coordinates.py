@@ -8,7 +8,7 @@ import snellfagnano as sf
 from snellfagnano import (BarycentricCoords, NoSuchPoint, Point2, Triangle,
                           TrilinearCoords, TripolarCoords, dist,
                           triangle_from_sides)
-from snellfagnano.coordinates import IdealPoint, OnSideLine
+from snellfagnano.coordinates import IdealPoint, OnSideLine, on_side_line
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_triangle)
@@ -173,6 +173,24 @@ def test_isogonal_undefined_on_side_lines():
     mid_bc = Point2((T0.vB.x + T0.vC.x) / 2, (T0.vB.y + T0.vC.y) / 2)
     with pytest.raises(OnSideLine):
         sf.isogonal_conjugate(sf.to_barycentric(mid_bc, T0), T0)
+
+
+def test_one_side_line_rule():
+    """isogonal_conjugate and verify_snell_point refuse a point by the same
+    rule, coordinates.on_side_line, which reads a triple at any scale the
+    same way.  An all-zero triple is not on a side line, but the conjugate,
+    which inverts it, refuses it too."""
+    k = sf.coeffs_from_weights(sf.Weights(1.0, 1.0, 1.0))
+    mid_bc = Point2((T0.vB.x + T0.vC.x) / 2, (T0.vB.y + T0.vC.y) / 2)
+    with pytest.raises(OnSideLine, match="sine ratios"):
+        sf.verify_snell_point(mid_bc, T0, k)
+    assert not on_side_line((0.0, 0.0, 0.0))
+    with pytest.raises(OnSideLine, match="isogonal"):
+        sf.isogonal_conjugate(BarycentricCoords(0.0, 0.0, 0.0), T0)
+    for tl, on in (((1.0, 2.0, 0.0), True), ((1.0, 2.0, 1.9e-12), True),
+                   ((1.0, 2.0, 2.1e-12), False), ((-1.0, 2.0, 3.0), False)):
+        for scale in (1.0, 3.0, 1e-300, 1e300):
+            assert on_side_line([x * scale for x in tl]) is on, (tl, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,8 @@ def test_triangle_inequality_rejected():
 
 def test_needle_whose_area_underflows_is_degenerate_not_impossible():
     # 1 + 1e-200 rounds to 1, but Kahan's factor c - (a - b) is 1e-200.
-    with pytest.raises(DegenerateTriangle, match=r"collinear.*\(area 0\)"):
+    with pytest.raises(DegenerateTriangle,
+                       match=r"collinear.*\(area 5e-201\)"):
         triangle_from_sides(1.0, 1.0, 1e-200)
     for sides in ((1.0, 2.0, 1.0), (1.0, 1.0, 2.0 + 2.0 ** -51)):
         with pytest.raises(TriangleInequalityViolated):
@@ -128,13 +129,16 @@ def _exact_area(a, b, c):
 
 def test_heron_area_needles_and_flat():
     assert heron_area(5.0, 3.0, 4.0) == 6.0
-    # Kahan's needles: the naive formula loses most digits on these
+    # Kahan's needles: the naive formula loses most digits on these.  On
+    # the last two Kahan's product of four factors is subnormal or 0; the
+    # area itself is a normal float.
     for sides in ((100000.0, 99999.99979, 0.00029), (1.0, 1.0, 1e-12),
                   (0.6595322558449519, 5.440659001432983e-06,
-                   0.6595362667903908)):
+                   0.6595362667903908), (1.0, 1.0, 1e-160),
+                  (1.0, 1.0, 1e-200)):
         for perm in (sides, sides[::-1], sides[1:] + sides[:1]):
             assert heron_area(*perm) == pytest.approx(_exact_area(*sides),
-                                                      rel=1e-13)
+                                                      rel=1e-13, abs=0.0)
     assert heron_area(1.0, 1.0, 2.0) == 0.0
     assert heron_area(1.0, 1.0, 3.0) == 0.0
 
