@@ -16,6 +16,8 @@ objective sum lam * sqrt(|r|^2 + eps^2), with eps lowered by continuation
 SIAM J. Sci. Comput. 2000).  The true objective is not smooth where a
 chord has length zero, which inside the cube happens only at corner pairs
 such as tB = 1, tC = 0 (both feet at vertex A); the bounds pin those.
+Each Newton step prices, differentiates and solves in one pass over the
+chords; its line search prices only the trial points.
 """
 
 from __future__ import annotations
@@ -59,127 +61,123 @@ class MinimizeReport(namedtuple("MinimizeReport",
 
 
 def _chords(t: Triangle, w: Weights):
-    """Each chord as (lam, i, u, j, v) with r = (p[i] - 1) u + p[j] v.
-
-    Lengths are in units of the diameter and weights in units of the
-    largest one, so the smoothing radius and the tolerances need no
-    rescaling.
+    """Each chord as (lam, i, ux, uy, j, vx, vy, uu, vv, uv) with r =
+    (p[i] - 1) u + p[j] v and the products u.u, v.v, u.v every Hessian uses.
+    Lengths are in units of the diameter and weights in units of the largest
+    one, so the smoothing radius and the tolerances need no rescaling.
     """
     k = 1.0 / t.diameter
     sides = ((t.vC - t.vB) * k, (t.vA - t.vC) * k, (t.vB - t.vA) * k)
     top = max(w.triple)
-    return tuple((lam / top, (n + 1) % 3, sides[(n + 1) % 3],
-                  (n + 2) % 3, sides[(n + 2) % 3] * -1.0)
-                 for n, lam in enumerate(w.triple))
+    chords = []
+    for n, lam in enumerate(w.triple):
+        i, j = (n + 1) % 3, (n + 2) % 3
+        (ux, uy), (vx, vy) = sides[i], sides[j] * -1.0
+        chords.append((lam / top, i, ux, uy, j, vx, vy, ux * ux + uy * uy,
+                       vx * vx + vy * vy, ux * vx + uy * vy))
+    return chords
 
 
 def _smoothed(chords, p, eps2: float) -> float:
     total = 0.0
-    for lam, i, (ux, uy), j, (vx, vy) in chords:
+    for lam, i, ux, uy, j, vx, vy, _, _, _ in chords:
         rx = (p[i] - 1.0) * ux + p[j] * vx
         ry = (p[i] - 1.0) * uy + p[j] * vy
         total += lam * math.sqrt(rx * rx + ry * ry + eps2)
     return total
 
 
-def _derivatives(chords, p, eps2: float):
-    """Analytic gradient and Hessian of the smoothed objective.
-
-    The Hessian of sqrt(|r|^2 + eps^2) in r is (r_perp r_perp^T + eps^2 I)
-    / n^3, written through the cross products r x u so that it stays
-    positive semidefinite in floating point.
-    """
-    g = [0.0, 0.0, 0.0]
-    h = [[0.0] * 3 for _ in range(3)]
-    for lam, i, (ux, uy), j, (vx, vy) in chords:
-        rx = (p[i] - 1.0) * ux + p[j] * vx
-        ry = (p[i] - 1.0) * uy + p[j] * vy
-        n2 = rx * rx + ry * ry + eps2
-        a = lam / math.sqrt(n2)
-        g[i] += a * (rx * ux + ry * uy)
-        g[j] += a * (rx * vx + ry * vy)
-        k = a / n2
-        cu = rx * uy - ry * ux
-        cv = rx * vy - ry * vx
-        h[i][i] += k * (cu * cu + eps2 * (ux * ux + uy * uy))
-        h[j][j] += k * (cv * cv + eps2 * (vx * vx + vy * vy))
-        off = k * (cu * cv + eps2 * (ux * vx + uy * vy))
-        h[i][j] += off
-        h[j][i] += off
-    return g, h
-
-
-def _solve(m, rhs):
-    """Solve the small dense system m x = rhs by Gaussian elimination.
-
-    Returns None when a pivot vanishes.
-    """
-    n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(m, rhs)]
+def _solve(a):
+    """Solve in place, by Gaussian elimination, the small dense system given
+    as augmented rows [m | rhs]; each pivot is the first entry of largest
+    magnitude in its column.  Returns None when a pivot vanishes."""
+    n = len(a)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0.0:
-            return None
-        a[col], a[piv] = a[piv], a[col]
+        piv = col
         for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
+            if abs(a[r][col]) > abs(a[piv][col]):
+                piv = r
+        top = a[piv]
+        if top[col] == 0.0:
+            return None
+        a[piv], a[col] = a[col], top
+        for row in a[col + 1:]:
+            # the entry in column col is never read again, so is not zeroed
+            f = row[col] / top[col]
+            for c in range(col + 1, n + 1):
+                row[c] -= f * top[c]
     x = [0.0] * n
-    for r in reversed(range(n)):
-        x[r] = (a[r][n] - sum(a[r][c] * x[c] for c in range(r + 1, n))) \
-            / a[r][r]
+    for r in range(n - 1, -1, -1):
+        row, s = a[r], 0
+        for c in range(r + 1, n):
+            s += row[c] * x[c]
+        x[r] = (row[n] - s) / row[r]
     return x
-
-
-def _direction(p, g, h):
-    """Newton direction on the coordinates free to move.
-
-    A coordinate on a bound that the Newton step would push outward is
-    held there and the step is solved again without it; left in, the clip
-    would bend even the shortest step away from the solved direction.
-    Should a block solve fail, its coordinates take a diagonally scaled
-    gradient step.
-    A coordinate without curvature (its chords' weights underflow against
-    the largest one) has no gradient either, and does not move.
-    """
-    free = [i for i in range(3) if h[i][i] > 0.0]
-    while True:
-        d = [0.0, 0.0, 0.0]
-        x = _solve([[h[r][c] for c in free] for r in free],
-                   [-g[r] for r in free])
-        for i, v in zip(free, x or [-g[i] / h[i][i] for i in free]):
-            d[i] = v
-        held = [i for i in free
-                if (p[i] == 0.0 and d[i] < 0.0) or (p[i] == 1.0 and d[i] > 0.0)]
-        if not held:
-            return d
-        free = [i for i in free if i not in held]
 
 
 def _newton_step(chords, p, eps2: float):
     """One projected Newton step on the box; returns (new point, vanished).
 
+    One pass over the chords prices p and gives the analytic gradient and
+    Hessian; the Hessian of sqrt(|r|^2 + eps^2) in r, (r_perp r_perp^T +
+    eps^2 I) / n^3, is written through the cross products r x u so that it
+    stays positive semidefinite in floating point.  The Newton direction is
+    solved on the coordinates free to move: one without curvature (its
+    chords' weighted curvature underflows) does not move, and one on a bound
+    that the step would push outward is held there and the rest solved
+    again, since the clip would bend even the shortest step.  Should a
+    block solve fail, its coordinates take a diagonally scaled gradient step.
     A step whose predicted decrease -g.d is below _DECREMENT_TOL has
     vanished: rounding hides its effect on the value, so it is taken in
-    full, which settles the position to gradient precision.
-    Any other step is backtracked along the clipped path until it strictly
-    lowers the smoothed objective by the Armijo fraction; if none does, p
-    itself is returned.
+    full, which settles the position to gradient precision.  Any other step
+    is backtracked along the clipped path until it strictly lowers the
+    smoothed objective by the Armijo fraction; if none does, p is returned.
     """
-    g, h = _derivatives(chords, p, eps2)
-    d = _direction(p, g, h)
-    slope = sum(g[i] * d[i] for i in range(3))
-
-    def clipped(alpha):
-        return [min(1.0, max(0.0, p[i] + alpha * d[i])) for i in range(3)]
-
-    if -slope <= _DECREMENT_TOL:
-        return clipped(1.0), True
-    f0 = _smoothed(chords, p, eps2)
+    f0 = 0.0
+    g = [0.0, 0.0, 0.0]
+    h = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    for lam, i, ux, uy, j, vx, vy, uu, vv, uv in chords:
+        rx = (p[i] - 1.0) * ux + p[j] * vx
+        ry = (p[i] - 1.0) * uy + p[j] * vy
+        n2 = rx * rx + ry * ry + eps2
+        s = math.sqrt(n2)
+        f0 += lam * s
+        a = lam / s
+        g[i] += a * (rx * ux + ry * uy)
+        g[j] += a * (rx * vx + ry * vy)
+        k = a / n2
+        cu = rx * uy - ry * ux
+        cv = rx * vy - ry * vx
+        h[i][i] += k * (cu * cu + eps2 * uu)
+        h[j][j] += k * (cv * cv + eps2 * vv)
+        off = k * (cu * cv + eps2 * uv)
+        h[i][j] += off
+        h[j][i] += off
+    free = [i for i in range(3) if h[i][i] > 0.0]
+    while True:
+        x = _solve([[h[r][c] for c in free] + [-g[r]] for r in free])
+        if x is None:
+            x = [-g[i] / h[i][i] for i in free]
+        kept = [i for i, v in zip(free, x)
+                if not (p[i] == 0.0 and v < 0.0 or p[i] == 1.0 and v > 0.0)]
+        if len(kept) == len(free):
+            break
+        free = kept
+    d = [0.0, 0.0, 0.0]
+    for i, v in zip(free, x):
+        d[i] = v
+    slope = 0
+    for i in range(3):
+        slope += g[i] * d[i]
+    vanished = -slope <= _DECREMENT_TOL
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
-        q = clipped(alpha)
+        q = []
+        for pi, di in zip(p, d):
+            y = pi + alpha * di
+            q.append(y if 0.0 < y < 1.0 else 1.0 if y >= 1.0 else 0.0)
+        if vanished:
+            return q, True
         fq = _smoothed(chords, q, eps2)
         if fq < f0 and fq <= f0 + _ARMIJO * alpha * slope:
             return q, False

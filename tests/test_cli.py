@@ -262,7 +262,7 @@ def test_smallest_weight_times_area_over_diameter_must_stay_normal(
                         "2.2250738585072014e-308") in captured.err
             elif command == "point":
                 cost = json.loads(captured.out)["orbit"]["weighted_perimeter"]
-                assert cost == pytest.approx(9.56e-300, rel=1e-3)
+                assert cost == pytest.approx(9.56e-300, rel=1e-3, abs=0.0)
         assert codes == expect, (weights, codes)
 
 

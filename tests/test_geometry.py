@@ -114,7 +114,7 @@ def test_triangle_from_sides_places_slivers():
     for sides in ((1.0, 1e-6, 1.0), (1.0, 1e-8, 1.0)):
         t = triangle_from_sides(*sides)
         for got, want in zip(t.sides, sides):
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _exact_area(a, b, c):
