@@ -64,8 +64,11 @@ def run(spec) -> tuple[dict[str, object], int]:
     if res.orbit is not None:
         doc["orbit"] = _orbit_block(res)
     if res.status == construction.STATUS_INTERIOR:
-        doc["snell_residuals"] = list(
-            construction.verify_snell_point(res.point, t, k))
+        try:
+            doc["snell_residuals"] = list(
+                construction.verify_snell_point(res.point, t, k))
+        except coordinates.OnSideLine:  # the xy rounds onto a side line
+            doc["snell_residuals"] = None
         top = max(w.triple)
         conj = coordinates.from_barycentric(
             [s * (top / lam) for s, lam in zip(res.tilde.sines, w.triple)], t)

@@ -211,10 +211,11 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
 
 
 def _sin_at(v, p, q) -> float:
-    """Sine of the (unsigned) angle at v between rays v->p and v->q."""
+    """|sin| of the angle at v between rays v->p and v->q; 0 for a null ray."""
     x1, y1 = p[0] - v[0], p[1] - v[1]
     x2, y2 = q[0] - v[0], q[1] - v[1]
-    return abs(x1 * y2 - y1 * x2) / (math.hypot(x1, y1) * math.hypot(x2, y2))
+    norms = math.hypot(x1, y1) * math.hypot(x2, y2)
+    return abs(x1 * y2 - y1 * x2) / norms if norms else 0.0
 
 
 def verify_snell_point(f: Point2, t: Triangle,
@@ -224,17 +225,20 @@ def verify_snell_point(f: Point2, t: Triangle,
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
     = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.  The
     sines are taken of t.unit_vertices and f divided by t.scale, so that no
-    product of two rays of the triangle over- or underflows.
+    product of two rays of the triangle over- or underflows.  A divisor sine
+    of 0 is OnSideLine; a sine or residual that is not finite is refused.
     """
-    tl = coordinates.barycentric_to_trilinear(coordinates.to_barycentric(f, t), t)
-    if coordinates.on_side_line(tl):
-        raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
     f = (f[0] / t.scale, f[1] / t.scale)
     a, b, c = t.unit_vertices
-    r_a = _sin_at(c, f, a) / _sin_at(b, f, a)
-    r_b = _sin_at(a, f, b) / _sin_at(c, f, b)
-    r_c = _sin_at(b, f, c) / _sin_at(a, f, c)
-    return (abs(r_a - k.kap_a), abs(r_b - k.kap_b), abs(r_c - k.kap_c))
+    num = (_sin_at(c, f, a), _sin_at(a, f, b), _sin_at(b, f, c))
+    div = (_sin_at(b, f, a), _sin_at(c, f, b), _sin_at(a, f, c))
+    if 0.0 in div:
+        raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
+    res = tuple(abs(n / d - kap) for n, d, kap in zip(num, div, k.triple))
+    if not all(map(math.isfinite, num + div + res)):
+        raise GeometryError("point is too far out or too near a side line: "
+                            "a sine or a sine ratio overflows")
+    return res
 
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,

@@ -105,14 +105,6 @@ def unit_scaled(triple) -> tuple[float, float, float]:
     return x / p, y / p, z / p
 
 
-def on_side_line(tl) -> bool:
-    """Whether the point of trilinear triple tl is on a side line: its
-    smallest magnitude is below 1e-12 of its largest, taken of the
-    unit_scaled triple.  An all-zero triple names no point and is not."""
-    x, y, z = map(abs, unit_scaled(tl))
-    return min(x, y, z) < 1e-12 * max(x, y, z)
-
-
 def normalized(triple) -> tuple[float, float, float] | None:
     """The homogeneous triple divided by its sum, or None for a point at
     infinity: an all-zero triple, or one whose sum is within IDEAL_SUM of
@@ -156,10 +148,11 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     """Reflect the three cevians in the angle bisectors.
 
     In trilinear coordinates the map is componentwise inversion, so it is an
-    involution wherever it is defined; it is undefined on the side lines.
+    involution where it is defined: where every entry of the unit_scaled
+    trilinear triple has a finite inverse, which is off the side lines.
     """
     tl = unit_scaled(barycentric_to_trilinear(bc, t))
-    if not any(tl) or on_side_line(tl):
+    if min(map(abs, tl)) <= 1.0 / sys.float_info.max:
         raise OnSideLine("isogonal conjugation is undefined on the side lines")
     inv = TrilinearCoords(1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2])
     return trilinear_to_barycentric(inv, t)

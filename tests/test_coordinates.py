@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ import snellfagnano as sf
 from snellfagnano import (BarycentricCoords, NoSuchPoint, Point2, Triangle,
                           TrilinearCoords, TripolarCoords, dist,
                           triangle_from_sides)
-from snellfagnano.coordinates import IdealPoint, OnSideLine, on_side_line
+from snellfagnano.coordinates import IdealPoint, OnSideLine, unit_scaled
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_triangle)
@@ -62,21 +63,28 @@ def test_barycentric_roundtrip():
 
 def test_a_point_whose_areas_overflow_is_refused():
     """Divided by the triangle's scale, a point about 1e154 diameters out
-    has areas that overflow: to_barycentric, and verify_snell_point through
-    it, refuse it rather than return NaN.  At 1e100 both still answer,
-    finitely; their accuracy that far out is another matter."""
+    has areas that overflow: to_barycentric refuses it rather than return
+    NaN.  At 1e100 it still answers, finitely; its accuracy that far out is
+    another matter.  verify_snell_point reads no area: out to 1e300 its
+    residuals agree with those at 1e100, and it refuses a point only where
+    a sine overflows, as the point at 1e200 does on a triangle 1e-150 the
+    size, once divided by that triangle's scale."""
     t = triangle_from_sides(4.0, 5.0, 6.0)
     k = sf.coeffs_from_weights(sf.Weights(1.0, 1.0, 1.0))
-    far = Point2(1e200, 1e200)
-    for call in (lambda: sf.to_barycentric(far, t),
-                 lambda: sf.verify_snell_point(far, t, k)):
-        with pytest.raises(sf.GeometryError, match="too far out"):
-            call()
+    with pytest.raises(sf.GeometryError, match="too far out"):
+        sf.to_barycentric(Point2(1e200, 1e200), t)
     out = Point2(1e100, 1e100)
     assert all(map(math.isfinite, sf.to_barycentric(out, t)))
-    assert sf.verify_snell_point(out, t, k) == pytest.approx(
+    near = sf.verify_snell_point(out, t, k)
+    assert near == pytest.approx(
         (3.2268945096609984, 0.7357027152923155, 0.10487046023306157),
         rel=1e-12)
+    for x in (1e155, 1e200, 1e300):
+        far = sf.verify_snell_point(Point2(x, x), t, k)
+        assert max(abs(u - v) for u, v in zip(far, near)) <= 1e-15, x
+    small = triangle_from_sides(4e-150, 5e-150, 6e-150)
+    with pytest.raises(sf.GeometryError, match="too far out"):
+        sf.verify_snell_point(Point2(1e200, 1e200), small, k)
 
 
 def test_trilinear_identity_is_incenter():
@@ -175,22 +183,49 @@ def test_isogonal_undefined_on_side_lines():
         sf.isogonal_conjugate(sf.to_barycentric(mid_bc, T0), T0)
 
 
-def test_one_side_line_rule():
-    """isogonal_conjugate and verify_snell_point refuse a point by the same
-    rule, coordinates.on_side_line, which reads a triple at any scale the
-    same way.  An all-zero triple is not on a side line, but the conjugate,
-    which inverts it, refuses it too."""
+def test_side_lines_are_refused_where_the_arithmetic_fails():
+    """verify_snell_point refuses a point whose divisor sine is 0, and
+    isogonal_conjugate a triple with an entry that has no finite inverse:
+    exactly on a side line (a vertex among them), and the all-zero triple,
+    but not 1e-13 of the diameter off that line, nor a triple whose entry
+    is 1e-300.  A sine ratio that overflows is refused too."""
     k = sf.coeffs_from_weights(sf.Weights(1.0, 1.0, 1.0))
     mid_bc = Point2((T0.vB.x + T0.vC.x) / 2, (T0.vB.y + T0.vC.y) / 2)
-    with pytest.raises(OnSideLine, match="sine ratios"):
-        sf.verify_snell_point(mid_bc, T0, k)
-    assert not on_side_line((0.0, 0.0, 0.0))
-    with pytest.raises(OnSideLine, match="isogonal"):
-        sf.isogonal_conjugate(BarycentricCoords(0.0, 0.0, 0.0), T0)
-    for tl, on in (((1.0, 2.0, 0.0), True), ((1.0, 2.0, 1.9e-12), True),
-                   ((1.0, 2.0, 2.1e-12), False), ((-1.0, 2.0, 3.0), False)):
-        for scale in (1.0, 3.0, 1e-300, 1e300):
-            assert on_side_line([x * scale for x in tl]) is on, (tl, scale)
+    for f in (mid_bc,) + tuple(T0.vertices):
+        with pytest.raises(OnSideLine, match="sine ratios"):
+            sf.verify_snell_point(f, T0, k)
+    for bc in ((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0)):
+        with pytest.raises(OnSideLine, match="isogonal"):
+            sf.isogonal_conjugate(BarycentricCoords(*bc), T0)
+    # 1e-13 diameters from mid_bc along the inward normal of side BC.
+    d = 1e-13 * T0.diameter / math.sqrt(2.0)
+    off = Point2(mid_bc.x - d, mid_bc.y - d)
+    assert all(map(math.isfinite, sf.verify_snell_point(off, T0, k)))
+    # Off side AB (the x-axis) by 1e-300 a ratio is finite; by 1e-310 it
+    # overflows, and the point is refused rather than given an inf.
+    assert all(map(math.isfinite,
+                   sf.verify_snell_point(Point2(2.0, 1e-300), T0, k)))
+    with pytest.raises(sf.GeometryError, match="too near a side line"):
+        sf.verify_snell_point(Point2(2.0, 1e-310), T0, k)
+    for bc in (sf.to_barycentric(off, T0), (1e-300, 1.0, 1.0)):
+        img = sf.isogonal_conjugate(BarycentricCoords(*bc), T0)
+        assert all(map(math.isfinite, img)), bc
+    # Around the entry 1 / sys.float_info.max, whose own inverse overflows,
+    # the conjugate is refused exactly where an inverse is not finite.
+    def first(x):
+        return unit_scaled(sf.barycentric_to_trilinear((x, 1.0, 1.0), T0))[0]
+
+    x0 = 1.0 / sys.float_info.max / (first(1e-300) / 1e-300)
+    seen = set()
+    for x in (x0 + i * 5e-324 for i in range(-20, 21)):
+        finite = math.isfinite(1.0 / first(x))
+        seen.add(finite)
+        if finite:
+            sf.isogonal_conjugate(BarycentricCoords(x, 1.0, 1.0), T0)
+        else:
+            with pytest.raises(OnSideLine):
+                sf.isogonal_conjugate(BarycentricCoords(x, 1.0, 1.0), T0)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
