@@ -3,7 +3,9 @@
 Construct the interior point whose pedal triangle is the unique 3-periodic
 trajectory of a refractive (Snell) billiard with per-side coefficients, and
 cross-check it against coordinate conversions, the Apollonius common
-points and a convex minimizer of the weighted perimeter.
+points and a convex minimizer of the weighted perimeter.  Every triple,
+weights and coordinates alike, is a plain 3-tuple; Weights and
+RefractionCoeffs are tuples that check their entries.
 
 Submodules load on first use: ``import snellfagnano`` puts a lazy module
 (``importlib.util.LazyLoader``) for each library module into
@@ -31,7 +33,6 @@ _PUBLIC = (
         "GeometryError", "DegenerateTriangle", "DegenerateLine",
         "TriangleInequalityViolated")),
     ("coordinates", (
-        "BarycentricCoords", "TrilinearCoords", "TripolarCoords",
         "to_barycentric", "from_barycentric", "trilinear_to_barycentric",
         "barycentric_to_trilinear", "tripolar_of_point", "tripolar_to_points",
         "isogonal_conjugate", "TildeTriangle", "tilde_triangle",

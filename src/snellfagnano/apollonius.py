@@ -64,7 +64,7 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
 def apollonian_common_points(t: Triangle, w) -> list[Point2]:
     """Points lying on all three weight-ratio circles, sorted by (x, y)."""
     try:
-        pts = [p for p, _ in tripolar_to_points(w.triple, t)]
+        pts = [p for p, _ in tripolar_to_points(w, t)]
     except NoSuchPoint:
         return []
     pts.sort(key=lambda p: (p.x, p.y))

@@ -76,12 +76,9 @@ def snell_reflect(incoming: Point2, normal: Point2, kappa: float) -> Point2:
                   cos_out * n.y + math.copysign(sin_out, d_t) * tang.y)
 
 
-def _side_coefficient(k, side: str) -> float:
-    return {"a": k.kap_a, "b": k.kap_b, "c": k.kap_c}[side]
-
-
 def billiard_step(s: BilliardState, t: Triangle, k) -> BilliardState:
-    """Fly to the next wall and apply the reflection law there."""
+    """Fly to the next wall and apply the reflection law there, with the
+    coefficient triple k in side order (a, b, c)."""
     p0 = point_on_side(t, s.side, s.param)
     d = s.direction
     best = None
@@ -106,7 +103,7 @@ def billiard_step(s: BilliardState, t: Triangle, k) -> BilliardState:
     _, side, v = best
     if v < VERTEX_EPS or v > 1.0 - VERTEX_EPS:
         raise HitVertex(f"trajectory hit an endpoint of side {side}")
-    out = snell_reflect(d, inward_normal(t, side), _side_coefficient(k, side))
+    out = snell_reflect(d, inward_normal(t, side), k["abc".index(side)])
     return BilliardState(side, v, out)
 
 

@@ -37,8 +37,7 @@ def run(spec) -> tuple[dict[str, object], int]:
 
     points: list[dict[str, object]] = []
     if kind == "tripolar":
-        for p, s in coordinates.tripolar_to_points(
-                coordinates.TripolarCoords(*values), t):
+        for p, s in coordinates.tripolar_to_points(values, t):
             if math.isinf(s):
                 raise CliError(EXIT_INVALID, "the scale from the tripolar "
                                "triple to the vertex distances overflows")
@@ -46,9 +45,8 @@ def run(spec) -> tuple[dict[str, object], int]:
             block["scale"] = s
             points.append(block)
     else:
-        bc = (coordinates.BarycentricCoords(*values) if kind == "barycentric"
-              else coordinates.trilinear_to_barycentric(
-                  coordinates.TrilinearCoords(*values), t))
+        bc = (values if kind == "barycentric"
+              else coordinates.trilinear_to_barycentric(values, t))
         p = coordinates.from_barycentric(bc, t)
         points.append(point_block(p, coordinates.normalized(bc), t))
     doc["points"] = points

@@ -52,8 +52,8 @@ def run(spec) -> tuple[dict[str, object], int]:
     k = construction.coeffs_from_weights(w)
     doc = base_doc("point", spec)
     doc["status"] = res.status
-    doc["weights_normalized"] = coordinates.normalized(w.triple)
-    doc["refraction_coefficients"] = list(k.triple)
+    doc["weights_normalized"] = coordinates.normalized(w)
+    doc["refraction_coefficients"] = list(k)
     if res.conditions is not None:
         doc["interior_conditions"] = list(res.conditions)
     if res.erected is not None:
@@ -69,9 +69,9 @@ def run(spec) -> tuple[dict[str, object], int]:
                 construction.verify_snell_point(res.point, t, k))
         except coordinates.OnSideLine:  # the xy rounds onto a side line
             doc["snell_residuals"] = None
-        top = max(w.triple)
+        top = max(w)
         conj = coordinates.from_barycentric(
-            [s * (top / lam) for s, lam in zip(res.tilde.sines, w.triple)], t)
+            [s * (top / lam) for s, lam in zip(res.tilde.sines, w)], t)
         ctp = coordinates.tripolar_of_point(conj, t)
         doc["isogonal_conjugate"] = {
             "xy": xy(conj),

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from . import billiards, construction, geometry
 from .jobs import (EXIT_DYNAMICS, EXIT_INVALID, EXIT_MISSING, EXIT_OK,
-                   MAX_SIMULATE_STEPS, TOLERANCES, CliError, base_doc, finite,
-                   pair, parse_triangle, parse_weights, xy)
+                   TOLERANCES, CliError, base_doc, finite, pair,
+                   parse_triangle, parse_weights, xy)
 
 
 # The top-level spec keys this command reads.
 KEYS = ("triangle", "weights", "steps", "start")
+
+# The report keeps every state; this bounds its time and memory.
+MAX_SIMULATE_STEPS = 10000
 
 
 def _state_block(t: geometry.Triangle,
@@ -74,7 +77,7 @@ def run(spec) -> tuple[dict[str, object], int]:
     side_match, param_error, direction_error, periodic = billiards.closure(
         start, states[-1], TOLERANCES["periodicity"])
     doc = base_doc("simulate", spec)
-    doc["kappa"] = list(k.triple)
+    doc["kappa"] = list(k)
     doc["steps"] = steps
     doc["trajectory"] = [_state_block(t, s) for s in states]
     doc["periodic"] = periodic

@@ -66,10 +66,6 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
                                 "%.17g" % (ratio, sys.float_info.min))
         return super().__new__(cls, lam_A, lam_B, lam_C)
 
-    @property
-    def triple(self):
-        return (self.lam_A, self.lam_B, self.lam_C)
-
     def perimeter(self, it: InscribedTriangle) -> float:
         """lam_A |pB pC| + lam_B |pC pA| + lam_C |pA pB|."""
         d1, d2, d3 = it.chord_lengths()
@@ -88,10 +84,6 @@ class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
         if abs(prod - 1.0) > 1e-9:
             raise GeometryError(f"coefficient product must be 1, got {prod!r}")
         return super().__new__(cls, kap_a, kap_b, kap_c)
-
-    @property
-    def triple(self):
-        return (self.kap_a, self.kap_b, self.kap_c)
 
 
 def coeffs_from_weights(w: Weights) -> RefractionCoeffs:
@@ -186,7 +178,7 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
         return _degenerate_result(t, w, STATUS_NO_TILDE, tilde=tt)
 
     sA, sB, sC = tt.sines
-    top = max(w.triple)
+    top = max(w)
     a, b, c = t.unit_sides
     bary = (w.lam_A / top * a ** 2 * sB * sC,
             w.lam_B / top * b ** 2 * sC * sA,
@@ -223,7 +215,8 @@ def verify_snell_point(f: Point2, t: Triangle,
     """Residuals of the three sine-ratio characterizations of the point.
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
-    = kap_b and sin(FBC)/sin(FAC) = kap_c, all residuals vanishing.  The
+    = kap_b and sin(FBC)/sin(FAC) = kap_c.  Each residual is relative,
+    |ratio / kap - 1|, so that it reads alike for every weight.  The
     sines are taken of t.unit_vertices and f divided by t.scale, so that no
     product of two rays of the triangle over- or underflows.  A divisor sine
     of 0 is OnSideLine; a sine or residual that is not finite is refused.
@@ -234,7 +227,7 @@ def verify_snell_point(f: Point2, t: Triangle,
     div = (_sin_at(b, f, a), _sin_at(c, f, b), _sin_at(a, f, c))
     if 0.0 in div:
         raise coordinates.OnSideLine("sine ratios are undefined on the side lines")
-    res = tuple(abs(n / d - kap) for n, d, kap in zip(num, div, k.triple))
+    res = tuple(abs(n / d / kap - 1.0) for n, d, kap in zip(num, div, k))
     if not all(map(math.isfinite, num + div + res)):
         raise GeometryError("point is too far out or too near a side line: "
                             "a sine or a sine ratio overflows")

@@ -1,5 +1,6 @@
 """Homogeneous coordinates relative to a triangle, and vertex-distance inversion.
 
+Every triple goes in and comes out as a plain 3-tuple of floats.
 Barycentric and trilinear triples are straightforward; the interesting part
 is going back from a tripolar triple (X : Y : Z), the ratios of the
 distances to the three vertices, to actual points.  Invert about such a
@@ -60,25 +61,7 @@ class NoSuchPoint(GeometryError):
     """The tripolar triple is not realized by any point of the plane."""
 
 
-class BarycentricCoords(namedtuple("BarycentricCoords", "rho_a rho_b rho_c")):
-    """Barycentric triple (rho_a : rho_b : rho_c) of floats."""
-
-    __slots__ = ()
-
-
-class TrilinearCoords(namedtuple("TrilinearCoords", "l_a l_b l_c")):
-    """Trilinear triple (l_a : l_b : l_c) of floats."""
-
-    __slots__ = ()
-
-
-class TripolarCoords(namedtuple("TripolarCoords", "r_A r_B r_C")):
-    """Distances (r_A, r_B, r_C) to the vertices, floats."""
-
-    __slots__ = ()
-
-
-def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
+def to_barycentric(p: Point2, t: Triangle) -> tuple[float, float, float]:
     """Normalized barycentric coordinates (ratios of signed subtriangle
     areas) taken of t.unit_vertices and p divided by t.scale, so that no
     area of the triangle over- or underflows; a point whose areas overflow
@@ -86,9 +69,8 @@ def to_barycentric(p: Point2, t: Triangle) -> BarycentricCoords:
     p = (p[0] / t.scale, p[1] / t.scale)
     a, b, c = t.unit_vertices
     full = signed_area(a, b, c)
-    bc = BarycentricCoords(signed_area(p, b, c) / full,
-                           signed_area(p, c, a) / full,
-                           signed_area(p, a, b) / full)
+    bc = (signed_area(p, b, c) / full, signed_area(p, c, a) / full,
+          signed_area(p, a, b) / full)
     if not all(map(math.isfinite, bc)):
         raise GeometryError("point is too far out: its areas overflow")
     return bc
@@ -116,7 +98,7 @@ def normalized(triple) -> tuple[float, float, float] | None:
     return x / s, y / s, z / s
 
 
-def from_barycentric(bc: BarycentricCoords, t: Triangle) -> Point2:
+def from_barycentric(bc, t: Triangle) -> Point2:
     """Affine combination of the vertices after normalizing the triple."""
     n = normalized(bc)
     if n is None:
@@ -127,24 +109,23 @@ def from_barycentric(bc: BarycentricCoords, t: Triangle) -> Point2:
                   u * t.vA.y + v * t.vB.y + w * t.vC.y)
 
 
-def trilinear_to_barycentric(tl: TrilinearCoords, t: Triangle) -> BarycentricCoords:
+def trilinear_to_barycentric(tl, t: Triangle) -> tuple[float, float, float]:
     """(l_a : l_b : l_c) -> (a l_a : b l_b : c l_c), l unit-scaled first."""
     l_a, l_b, l_c = unit_scaled(tl)
-    return BarycentricCoords(t.a * l_a, t.b * l_b, t.c * l_c)
+    return t.a * l_a, t.b * l_b, t.c * l_c
 
 
-def barycentric_to_trilinear(bc: BarycentricCoords, t: Triangle) -> TrilinearCoords:
+def barycentric_to_trilinear(bc, t: Triangle) -> tuple[float, float, float]:
     """(rho_a : rho_b : rho_c) -> (rho_a / a : rho_b / b : rho_c / c)."""
-    return TrilinearCoords(bc[0] / t.a, bc[1] / t.b, bc[2] / t.c)
+    return bc[0] / t.a, bc[1] / t.b, bc[2] / t.c
 
 
-def tripolar_of_point(p: Point2, t: Triangle) -> TripolarCoords:
+def tripolar_of_point(p: Point2, t: Triangle) -> tuple[float, float, float]:
     """Exact distances from p to the three vertices (not ratio-reduced)."""
-    p = Point2(*p)
-    return TripolarCoords(dist(p, t.vA), dist(p, t.vB), dist(p, t.vC))
+    return dist(p, t.vA), dist(p, t.vB), dist(p, t.vC)
 
 
-def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
+def isogonal_conjugate(bc, t: Triangle) -> tuple[float, float, float]:
     """Reflect the three cevians in the angle bisectors.
 
     In trilinear coordinates the map is componentwise inversion, so it is an
@@ -154,8 +135,8 @@ def isogonal_conjugate(bc: BarycentricCoords, t: Triangle) -> BarycentricCoords:
     tl = unit_scaled(barycentric_to_trilinear(bc, t))
     if min(map(abs, tl)) <= 1.0 / sys.float_info.max:
         raise OnSideLine("isogonal conjugation is undefined on the side lines")
-    inv = TrilinearCoords(1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2])
-    return trilinear_to_barycentric(inv, t)
+    return trilinear_to_barycentric(
+        (1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2]), t)
 
 
 class TildeTriangle(namedtuple("TildeTriangle", "sides angles exists sines")):
@@ -182,8 +163,7 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     return TildeTriangle((p, q, r), angles, exists, sines)
 
 
-def tripolar_to_points(tp: TripolarCoords,
-                       t: Triangle) -> list[tuple[Point2, float]]:
+def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
     """All points whose vertex distances are proportional to the triple.
 
     Returns one or two (point, s) pairs with distances (s*X, s*Y, s*Z),

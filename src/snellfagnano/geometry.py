@@ -77,8 +77,7 @@ class Point2(namedtuple("Point2", "x y")):
         return Point2(-self.y, self.x)
 
 
-def dist(p: Point2, q: Point2) -> float:
-    return math.dist(p, q)
+dist = math.dist
 
 
 def signed_area(p: Point2, q: Point2, r: Point2) -> float:

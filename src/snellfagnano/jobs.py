@@ -36,9 +36,6 @@ EXIT_IO = 5
 # periodicity is simulate's closure threshold.
 TOLERANCES = {"interior_angle": 1e-10, "periodicity": 1e-8}
 
-# simulate keeps every state in its report; this bounds its time and memory.
-MAX_SIMULATE_STEPS = 10000
-
 
 class CliError(Exception):
     """Failure with a designated process exit code."""

@@ -68,9 +68,9 @@ def _chords(t: Triangle, w: Weights):
     """
     k = 1.0 / t.diameter
     sides = ((t.vC - t.vB) * k, (t.vA - t.vC) * k, (t.vB - t.vA) * k)
-    top = max(w.triple)
+    top = max(w)
     chords = []
-    for n, lam in enumerate(w.triple):
+    for n, lam in enumerate(w):
         i, j = (n + 1) % 3, (n + 2) % 3
         (ux, uy), (vx, vy) = sides[i], sides[j] * -1.0
         chords.append((lam / top, i, ux, uy, j, vx, vy, ux * ux + uy * uy,

@@ -67,10 +67,9 @@ def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
     sA = math.sin(t.alpha + at)
     sB = math.sin(t.beta + bt)
     sC = math.sin(t.gamma + gt)
-    lam = w.triple
-    closed = (lam[1] * t.b ** 2 * sC / (lam[2] * t.c ** 2 * sB),
-              lam[2] * t.c ** 2 * sA / (lam[0] * t.a ** 2 * sC),
-              lam[0] * t.a ** 2 * sB / (lam[1] * t.b ** 2 * sA))
+    closed = (w.lam_B * t.b ** 2 * sC / (w.lam_C * t.c ** 2 * sB),
+              w.lam_C * t.c ** 2 * sA / (w.lam_A * t.a ** 2 * sC),
+              w.lam_A * t.a ** 2 * sB / (w.lam_B * t.b ** 2 * sA))
     a1, b1, c1 = erect_similar(t, tt)
     cev = ((t.vA, a1, t.vB, t.vC), (t.vB, b1, t.vC, t.vA), (t.vC, c1, t.vA, t.vB))
     for value, (v, apex, e1, e2) in zip(closed, cev):
@@ -263,7 +262,7 @@ def ceva_reference(t: Triangle, w: Weights):
         b2 = (xc - xa) ** 2 + (yc - ya) ** 2
         c2 = (xa - xb) ** 2 + (ya - yb) ** 2
         area2 = abs((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa))
-        lam = [D(v) for v in w.triple]
+        lam = [D(v) for v in w]
         p, q, r = lam[0] * a2.sqrt(), lam[1] * b2.sqrt(), lam[2] * c2.sqrt()
         tilde4 = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
         sines = []

@@ -97,7 +97,7 @@ def point_report(t, w):
     vertices, and w."""
     return cli.run_spec("point", {
         "triangle": {"vertices": [list(v) for v in t.vertices]},
-        "weights": list(w.triple)})[0]
+        "weights": list(w)})[0]
 
 
 def test_criterion_3_isogonal_tripolar_ratios():
@@ -107,7 +107,7 @@ def test_criterion_3_isogonal_tripolar_ratios():
     worst = 0.0
     for t, w in admissible_samples():
         tp = point_report(t, w)["isogonal_conjugate"]["tripolar"]
-        ratios = [d / l for d, l in zip(tp, w.triple)]
+        ratios = [d / l for d, l in zip(tp, w)]
         worst = max(worst, (max(ratios) - min(ratios)) / max(ratios))
     ok = worst <= 1e-9
     report(3, "isogonal conjugate tripolar ratios on 200 samples", ok,
@@ -143,9 +143,9 @@ def test_point_report_matches_50_digit_ceva_reference():
         conj = doc["isogonal_conjugate"]
         off = math.hypot(*(float(D(g) - x) for g, x in zip(conj["xy"], xy)))
         worst_xy = max(worst_xy, off / t.diameter / eps)
-        total = sum(D(v) for v in w.triple)
+        total = sum(D(v) for v in w)
         worst_tn = max(worst_tn, rel(conj["tripolar_normalized"],
-                                     [D(v) / total for v in w.triple]))
+                                     [D(v) / total for v in w]))
     assert worst_bc <= 25.0, worst_bc
     assert worst_xy <= 6.0, worst_xy
     assert worst_tn <= 12.0, worst_tn

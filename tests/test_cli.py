@@ -10,12 +10,13 @@ import random
 import shutil
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 
 import snellfagnano
 from conftest import SUBPROCESS_TIMEOUT, checkout_env, sample_random_setup
-from snellfagnano import cli, jobs, triangle_from_sides
+from snellfagnano import cli, cmd_simulate, jobs, triangle_from_sides
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -209,6 +210,32 @@ def test_no_verdict_is_lost_near_a_side_line():
         assert (code, doc["status"]) == (0, "interior"), spec
     assert doc["snell_residuals"] is None
     assert cli.run_spec("point", fixed)[0]["snell_residuals"] is not None
+
+
+def test_snell_residuals_are_relative():
+    """Each of snell_residuals is |sine ratio / kappa - 1| at the reported
+    xy, whatever the coefficient's size: on sides [4, 5, 6] with weights
+    [1e-11, 6, 5], where kappa_b = 5e11, every one agrees within 1e-15
+    with that quantity taken in 50-digit decimals."""
+    spec = {"triangle": {"sides": [4, 5, 6]}, "weights": [1e-11, 6, 5]}
+    doc, code = cli.run_spec("point", spec)
+    assert (code, doc["status"]) == (0, "interior")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c, f = ([Decimal(x) for x in p] for p in (
+            *triangle_from_sides(4, 5, 6).vertices, doc["point"]["xy"]))
+
+        def sine(v, p, q):
+            x1, y1, x2, y2 = p[0] - v[0], p[1] - v[1], q[0] - v[0], q[1] - v[1]
+            return abs(x1 * y2 - y1 * x2) / ((x1 * x1 + y1 * y1).sqrt()
+                                             * (x2 * x2 + y2 * y2).sqrt())
+
+        # sin(FCA)/sin(FBA), sin(FAB)/sin(FCB), sin(FBC)/sin(FAC)
+        exact = [abs(sine(v, f, p) / sine(w, f, p) / Decimal(kap) - 1)
+                 for (v, w, p), kap in zip(((c, b, a), (a, c, b), (b, a, c)),
+                                           doc["refraction_coefficients"])]
+    for got, want in zip(doc["snell_residuals"], exact):
+        assert abs(Decimal(got) - want) <= Decimal("1e-15"), (got, want)
 
 
 def test_point_reports_brute_force_cost_without_orbit(capsys, tmp_path):
@@ -748,7 +775,7 @@ def test_simulate_direction_length_is_irrelevant(capsys, tmp_path):
 
 
 def test_simulate_step_cap(capsys, tmp_path):
-    spec = dict(T456, steps=jobs.MAX_SIMULATE_STEPS + 1)
+    spec = dict(T456, steps=cmd_simulate.MAX_SIMULATE_STEPS + 1)
     code, doc = run_doc(capsys, ["simulate", "--input",
                                  write_spec(tmp_path, spec)])
     assert code == 2
@@ -1947,6 +1974,14 @@ def test_public_names_resolve():
     assert missing == []
     assert set(snellfagnano.__all__) <= set(dir(snellfagnano))
     assert not hasattr(snellfagnano, "degenerate_minimizer")
+    # A coordinate triple is a plain tuple: no record relabels it.
+    for name in ("BarycentricCoords", "TrilinearCoords", "TripolarCoords"):
+        assert not hasattr(snellfagnano, name)
+    t = triangle_from_sides(4, 5, 6)
+    for triple in (snellfagnano.to_barycentric((1.0, 1.0), t),
+                   snellfagnano.tripolar_of_point((1.0, 1.0), t),
+                   snellfagnano.trilinear_to_barycentric((1, 2, 3), t)):
+        assert type(triple) is tuple and len(triple) == 3
 
 
 def test_version_flag(capsys):

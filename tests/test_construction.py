@@ -49,7 +49,7 @@ def test_records_are_immutable_values():
 
 
 def test_coeffs_examples():
-    assert coeffs_from_weights(Weights(1, 1, 1)).triple == (1.0, 1.0, 1.0)
+    assert coeffs_from_weights(Weights(1, 1, 1)) == (1.0, 1.0, 1.0)
     k = coeffs_from_weights(Weights(2, 1, 1))
     assert k.kap_a == pytest.approx(1.0)
     assert k.kap_b == pytest.approx(0.5)
@@ -109,8 +109,11 @@ def test_erect_distance_identities():
 
 def test_erect_requires_tilde():
     t = triangle_from_sides(1.0, 1.0, 1.0)
+    tt = tilde_triangle(t, Weights(10, 1, 1))
     with pytest.raises(TildeDegenerate):
-        erect_similar(t, tilde_triangle(t, Weights(10, 1, 1)))
+        erect_similar(t, tt)
+    with pytest.raises(TildeDegenerate):
+        interior_conditions(t, tt)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +147,7 @@ def _conjugates(res, t, w):
     read_back = sf.from_barycentric(
         sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
     closed = sf.from_barycentric(
-        [s / lam for s, lam in zip(res.tilde.sines, w.triple)], t)
+        [s / lam for s, lam in zip(res.tilde.sines, w)], t)
     return read_back, closed
 
 
@@ -157,7 +160,7 @@ def test_isogonal_image_proportional_to_weights():
             continue
         for conj in _conjugates(res, t, w):
             tp = sf.tripolar_of_point(conj, t)
-            ratios = [d / l for d, l in zip(tp, w.triple)]
+            ratios = [d / l for d, l in zip(tp, w)]
             assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
 
 
@@ -349,7 +352,7 @@ def test_eta_pedal_of_any_interior_point():
     for _ in range(15):
         t = sample_triangle(rng)
         u, v = rng.uniform(0.1, 0.6), rng.uniform(0.1, 0.35)
-        p = sf.from_barycentric(sf.BarycentricCoords(u, v, 1 - u - v), t)
+        p = sf.from_barycentric((u, v, 1 - u - v), t)
         etas, ok = eta_concurrency_test(pedal_triangle(p, t), t)
         assert ok
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import snellfagnano as sf
-from snellfagnano import (BarycentricCoords, NoSuchPoint, Point2, Triangle,
-                          TrilinearCoords, TripolarCoords, dist,
+from snellfagnano import (NoSuchPoint, Point2, Triangle, dist,
                           triangle_from_sides)
 from snellfagnano.coordinates import IdealPoint, OnSideLine, unit_scaled
 
@@ -24,7 +23,7 @@ def random_interior(rng, t):
         u, v = rng.random(), rng.random()
         w = 1.0 - u - v
         if min(u, v, w) > 0.02:
-            return sf.from_barycentric(BarycentricCoords(u, v, w), t)
+            return sf.from_barycentric((u, v, w), t)
 
 
 # ---------------------------------------------------------------------------
@@ -40,15 +39,15 @@ def test_barycentric_of_named_points():
 
 
 def test_from_barycentric_examples():
-    assert dist(sf.from_barycentric(BarycentricCoords(1, 0, 0), T0), T0.vA) < 1e-14
+    assert dist(sf.from_barycentric((1, 0, 0), T0), T0.vA) < 1e-14
     t = Triangle(Point2(0, 0), Point2(3, 0), Point2(0, 3))
-    p = sf.from_barycentric(BarycentricCoords(1, 1, 1), t)
+    p = sf.from_barycentric((1, 1, 1), t)
     assert dist(p, Point2(1, 1)) < 1e-14
 
 
 def test_from_barycentric_ideal_point():
     with pytest.raises(IdealPoint):
-        sf.from_barycentric(BarycentricCoords(1.0, -0.5, -0.5), T0)
+        sf.from_barycentric((1.0, -0.5, -0.5), T0)
 
 
 def test_barycentric_roundtrip():
@@ -91,7 +90,7 @@ def test_trilinear_identity_is_incenter():
     rng = random.Random(4)
     for _ in range(10):
         t = sample_triangle(rng)
-        bc = sf.trilinear_to_barycentric(TrilinearCoords(1, 1, 1), t)
+        bc = sf.trilinear_to_barycentric((1, 1, 1), t)
         assert bc[0] / t.a == pytest.approx(bc[1] / t.b, rel=1e-12)
         assert bc[1] / t.b == pytest.approx(bc[2] / t.c, rel=1e-12)
         p = sf.from_barycentric(bc, t)
@@ -104,8 +103,7 @@ def test_trilinear_identity_is_incenter():
 
 
 def test_trilinear_reciprocal_sides_is_centroid():
-    bc = sf.trilinear_to_barycentric(
-        TrilinearCoords(1 / T0.a, 1 / T0.b, 1 / T0.c), T0)
+    bc = sf.trilinear_to_barycentric((1 / T0.a, 1 / T0.b, 1 / T0.c), T0)
     n = [v / sum(bc) for v in bc]
     assert n == pytest.approx([1 / 3] * 3, rel=1e-12)
 
@@ -113,7 +111,7 @@ def test_trilinear_reciprocal_sides_is_centroid():
 def test_trilinear_barycentric_inverse_maps():
     rng = random.Random(6)
     t = sample_triangle(rng)
-    tl = TrilinearCoords(0.4, 1.1, 0.7)
+    tl = (0.4, 1.1, 0.7)
     back = sf.barycentric_to_trilinear(sf.trilinear_to_barycentric(tl, t), t)
     ratio = [x / y for x, y in zip(back, tl)]
     assert max(ratio) == pytest.approx(min(ratio), rel=1e-12)
@@ -149,7 +147,7 @@ def test_tripolar_equilateral_midpoint():
 # isogonal conjugation
 
 def test_isogonal_fixes_incenter():
-    bc = sf.trilinear_to_barycentric(TrilinearCoords(1, 1, 1), T0)
+    bc = sf.trilinear_to_barycentric((1, 1, 1), T0)
     img = sf.isogonal_conjugate(bc, T0)
     n1 = [v / sum(bc) for v in bc]
     n2 = [v / sum(img) for v in img]
@@ -196,7 +194,7 @@ def test_side_lines_are_refused_where_the_arithmetic_fails():
             sf.verify_snell_point(f, T0, k)
     for bc in ((0.0, 0.0, 0.0), (5e-324, 1.0, 1.0)):
         with pytest.raises(OnSideLine, match="isogonal"):
-            sf.isogonal_conjugate(BarycentricCoords(*bc), T0)
+            sf.isogonal_conjugate(bc, T0)
     # 1e-13 diameters from mid_bc along the inward normal of side BC.
     d = 1e-13 * T0.diameter / math.sqrt(2.0)
     off = Point2(mid_bc.x - d, mid_bc.y - d)
@@ -208,7 +206,7 @@ def test_side_lines_are_refused_where_the_arithmetic_fails():
     with pytest.raises(sf.GeometryError, match="too near a side line"):
         sf.verify_snell_point(Point2(2.0, 1e-310), T0, k)
     for bc in (sf.to_barycentric(off, T0), (1e-300, 1.0, 1.0)):
-        img = sf.isogonal_conjugate(BarycentricCoords(*bc), T0)
+        img = sf.isogonal_conjugate(bc, T0)
         assert all(map(math.isfinite, img)), bc
     # Around the entry 1 / sys.float_info.max, whose own inverse overflows,
     # the conjugate is refused exactly where an inverse is not finite.
@@ -221,10 +219,10 @@ def test_side_lines_are_refused_where_the_arithmetic_fails():
         finite = math.isfinite(1.0 / first(x))
         seen.add(finite)
         if finite:
-            sf.isogonal_conjugate(BarycentricCoords(x, 1.0, 1.0), T0)
+            sf.isogonal_conjugate((x, 1.0, 1.0), T0)
         else:
             with pytest.raises(OnSideLine):
-                sf.isogonal_conjugate(BarycentricCoords(x, 1.0, 1.0), T0)
+                sf.isogonal_conjugate((x, 1.0, 1.0), T0)
     assert seen == {True, False}
 
 
@@ -235,7 +233,7 @@ def test_unit_triple_gives_circumcenter():
     rng = random.Random(23)
     for _ in range(10):
         t = sample_triangle(rng)
-        pts = sf.tripolar_to_points(TripolarCoords(1, 1, 1), t)
+        pts = sf.tripolar_to_points((1, 1, 1), t)
         o = circumcenter_oracle(t)
         assert any(dist(p, o) <= 1e-9 * t.diameter for p, s in pts)
 
@@ -244,7 +242,7 @@ def test_vertex_triple_gives_vertex():
     rng = random.Random(24)
     for _ in range(10):
         t = sample_triangle(rng)
-        pts = sf.tripolar_to_points(TripolarCoords(0.0, t.c, t.b), t)
+        pts = sf.tripolar_to_points((0.0, t.c, t.b), t)
         assert len(pts) == 1
         p, s = pts[0]
         assert dist(p, t.vA) <= 1e-12 * t.diameter
@@ -253,11 +251,11 @@ def test_vertex_triple_gives_vertex():
 
 def test_two_zero_distances_rejected():
     with pytest.raises(NoSuchPoint):
-        sf.tripolar_to_points(TripolarCoords(0.0, 0.0, 1.0), T0)
+        sf.tripolar_to_points((0.0, 0.0, 1.0), T0)
     with pytest.raises(ValueError):
-        sf.tripolar_to_points(TripolarCoords(-1.0, 1.0, 1.0), T0)
+        sf.tripolar_to_points((-1.0, 1.0, 1.0), T0)
     with pytest.raises(ValueError):
-        sf.tripolar_to_points(TripolarCoords(0.0, 0.0, 0.0), T0)
+        sf.tripolar_to_points((0.0, 0.0, 0.0), T0)
 
 
 def test_each_vertex_distance_triple_gives_its_vertex():
@@ -276,17 +274,17 @@ def test_each_vertex_distance_triple_gives_its_vertex():
                 off = list(tp)
                 off[other] *= 1.0 + rel
                 if realized:
-                    [(p, s)] = sf.tripolar_to_points(TripolarCoords(*off), t)
+                    [(p, s)] = sf.tripolar_to_points(off, t)
                     assert p == v and s == pytest.approx(1.0, rel=1e-9)
                 else:
                     with pytest.raises(NoSuchPoint):
-                        sf.tripolar_to_points(TripolarCoords(*off), t)
+                        sf.tripolar_to_points(off, t)
 
 
 def test_unrealizable_triple_raises():
     t = triangle_from_sides(1.0, 1.0, 1.0)
     with pytest.raises(NoSuchPoint):
-        sf.tripolar_to_points(TripolarCoords(10.0, 1.0, 1.0), t)
+        sf.tripolar_to_points((10.0, 1.0, 1.0), t)
 
 
 def test_reciprocal_side_triple_gives_isodynamic_points():
@@ -295,7 +293,7 @@ def test_reciprocal_side_triple_gives_isodynamic_points():
     the better conjugate must beat a dense grid scan."""
     rng = random.Random(26)
     t = sample_acute_triangle(rng)
-    pts = sf.tripolar_to_points(TripolarCoords(1 / t.a, 1 / t.b, 1 / t.c), t)
+    pts = sf.tripolar_to_points((1 / t.a, 1 / t.b, 1 / t.c), t)
     assert 1 <= len(pts) <= 2
 
     def total_dist(p):
@@ -306,7 +304,7 @@ def test_reciprocal_side_triple_gives_isodynamic_points():
     for i in range(1, n):
         for j in range(1, n - i):
             u, v = i / n, j / n
-            q = sf.from_barycentric(BarycentricCoords(u, v, 1 - u - v), t)
+            q = sf.from_barycentric((u, v, 1 - u - v), t)
             best_grid = min(best_grid, total_dist(q))
     conj_vals = []
     for p, s in pts:
@@ -339,7 +337,7 @@ def test_biquadratic_residual_at_roots_and_off_roots():
         t = sample_triangle(rng)
         p = random_interior(rng, t)
         X, Y, Z = sf.tripolar_of_point(p, t)
-        for q, s in sf.tripolar_to_points(TripolarCoords(X, Y, Z), t):
+        for q, s in sf.tripolar_to_points((X, Y, Z), t):
             assert biquadratic_residual(t, X, Y, Z, s * s) <= 1e-6
         # negative control: a perturbed scale is far off the curve
         assert biquadratic_residual(t, X, Y, Z, (1.07 * 1.07)) > 1e-4 or \
@@ -352,7 +350,7 @@ def test_roundtrip_property(u, v):
     if u + v >= 0.98:
         return
     t = T0
-    p = sf.from_barycentric(BarycentricCoords(u, v, 1 - u - v), t)
+    p = sf.from_barycentric((u, v, 1 - u - v), t)
     tp = sf.tripolar_of_point(p, t)
     pts = sf.tripolar_to_points(tp, t)
     assert min(dist(p, q) for q, s in pts) <= 1e-8 * t.diameter

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snellfagnano import (BilliardState, DegenerateTriangle, GeometryError,
-                          Point2, RefractionCoeffs, Triangle,
+from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
+                          GeometryError, Point2, RefractionCoeffs, Triangle,
                           TriangleInequalityViolated, altitudes,
                           apollonian_circle, dist, inscribed_from_params,
                           is_periodic, pedal_triangle, signed_area,
@@ -39,6 +39,14 @@ def test_point_algebra():
     u = Point2(1e308, 1.5e308).unit()
     assert u.x == pytest.approx(2 / math.sqrt(13), abs=2e-16)
     assert u.y == pytest.approx(3 / math.sqrt(13), abs=2e-16)
+
+
+def test_zero_vector_and_one_point_line_are_refused():
+    with pytest.raises(DegenerateLine):
+        Point2(0.0, 0.0).unit()
+    p = Point2(1.0, 2.0)
+    with pytest.raises(DegenerateLine):
+        line_parameter(Point2(3.0, 4.0), p, p)
 
 
 def test_rotate_quarter_turn():
