@@ -45,7 +45,7 @@ class ApollonianCircle(namedtuple(
 def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
     """Locus of points with d(X, p1)/d(X, p2) = r."""
     p1, p2 = Point2(*p1), Point2(*p2)
-    if r <= 0.0:
+    if not r > 0.0:
         raise GeometryError("ratio must be positive")
     base = p2 - p1
     if base.norm() == 0.0:

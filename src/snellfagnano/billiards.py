@@ -8,7 +8,8 @@ billiard.  A closed 3-bounce orbit exists when the construction module
 produces an interior point whose pedal feet all land strictly inside the
 sides (orbit_in_sides on its result), and the orbit is that pedal triangle
 traversed foot-on-a -> foot-on-c -> foot-on-b.  A position on the wall is
-a side and a parameter, made a point by geometry.point_on_side.
+a side and a parameter, made a point by geometry.point_on_side.  A flight
+leaves by the wall that one orientation test names (`billiard_step`).
 
 The one-wall crossing (`solve_river`) minimizes a weighted sum of two
 distances along a line by safeguarded Newton on the exact derivative in
@@ -58,7 +59,7 @@ def snell_reflect(incoming: Point2, normal: Point2, kappa: float) -> Point2:
     incoming must arrive at the wall (negative component along the inward
     normal); the result is a unit vector on the interior side.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise GeometryError("refraction coefficient must be positive")
     n = Point2(*normal).unit()
     d = Point2(*incoming).unit()
@@ -78,32 +79,28 @@ def snell_reflect(incoming: Point2, normal: Point2, kappa: float) -> Point2:
 
 def billiard_step(s: BilliardState, t: Triangle, k) -> BilliardState:
     """Fly to the next wall and apply the reflection law there, with the
-    coefficient triple k in side order (a, b, c)."""
+    coefficient triple k in side order (a, b, c).  From p0 on the side
+    (q1, q2) opposite V, a d with (q2 - q1) x d < 0 or NaN points out
+    (GeometryError); else the ray leaves through the side (w1, w2) that
+    ends at V if (V - p0) x d < 0 and starts there if not, at parameter
+    (w1 - p0) x d / (d x (w2 - w1)).  A tangent start, a parallel wall or
+    a parameter within VERTEX_EPS of an end is HitVertex."""
     p0 = point_on_side(t, s.side, s.param)
     d = s.direction
-    best = None
-    for side in "abc":
-        if side == s.side:
-            continue
-        q1, q2 = t.side_segment(side)
-        e = q2 - q1
-        den = d.cross(e)
-        if abs(den) <= 1e-15 * e.norm():
-            continue
-        u = (q1 - p0).cross(e) / den
-        v = (q1 - p0).cross(d) / den
-        if u <= 1e-12 * t.diameter:
-            continue
-        if v < -VERTEX_EPS or v > 1.0 + VERTEX_EPS:
-            continue
-        if best is None or u < best[0]:
-            best = (u, side, v)
-    if best is None:
+    i = "abc".index(s.side)
+    (q1, q2), apex = t.side_segment(s.side), t.vertices[i]
+    turn = (q2 - q1).cross(d)
+    if not turn >= 0.0:
         raise GeometryError("ray escaped the triangle (not an inward direction?)")
-    _, side, v = best
-    if v < VERTEX_EPS or v > 1.0 - VERTEX_EPS:
+    j, w1, w2 = ((i - 2, q2, apex) if (apex - p0).cross(d) < 0.0
+                 else (i - 1, apex, q1))
+    den = d.cross(w2 - w1)
+    # A tangent start or a parallel wall meets the wall at an end.
+    v = (w1 - p0).cross(d) / den if turn and den else 0.0
+    side = "abc"[j]
+    if not VERTEX_EPS <= v <= 1.0 - VERTEX_EPS:
         raise HitVertex(f"trajectory hit an endpoint of side {side}")
-    out = snell_reflect(d, inward_normal(t, side), k["abc".index(side)])
+    out = snell_reflect(d, inward_normal(t, side), k[j])
     return BilliardState(side, v, out)
 
 
@@ -154,7 +151,7 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
 
     def __new__(cls, a_pt: Point2, b_pt: Point2, line: tuple[Point2, Point2],
                 lam1: float, lam2: float):
-        if min(lam1, lam2) <= 0.0:
+        if not (lam1 > 0.0 and lam2 > 0.0):
             raise GeometryError("leg weights must be positive")
         q1 = Point2(*line[0])
         d = Point2(*line[1]) - q1

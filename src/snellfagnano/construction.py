@@ -56,7 +56,7 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
     __slots__ = ()
 
     def __new__(cls, lam_A: float, lam_B: float, lam_C: float):
-        if min(lam_A, lam_B, lam_C) <= 0.0:
+        if not (lam_A > 0.0 and lam_B > 0.0 and lam_C > 0.0):
             raise GeometryError("weights must be strictly positive")
         # Every pairwise ratio (the refraction coefficients among them) must
         # be a normal float: none may overflow or go subnormal.
@@ -78,7 +78,7 @@ class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
     __slots__ = ()
 
     def __new__(cls, kap_a: float, kap_b: float, kap_c: float):
-        if min(kap_a, kap_b, kap_c) <= 0.0:
+        if not (kap_a > 0.0 and kap_b > 0.0 and kap_c > 0.0):
             raise GeometryError("coefficients must be strictly positive")
         prod = kap_a * kap_b * kap_c
         if abs(prod - 1.0) > 1e-9:

@@ -173,7 +173,7 @@ def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
     """
     X, Y, Z = tp
     mx = max(X, Y, Z)
-    if min(X, Y, Z) < 0.0:
+    if not (X >= 0.0 and Y >= 0.0 and Z >= 0.0):
         raise GeometryError("tripolar distances must be >= 0")
     if mx == 0.0:
         raise GeometryError("tripolar distances must not all be zero")

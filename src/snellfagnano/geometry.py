@@ -239,7 +239,7 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     (no rounded sum can tell: 1 + 1e-200 == 1); others get the verdict of
     their vertices, so a needle too thin for Triangle is degenerate.
     """
-    if min(a, b, c) <= 0.0:
+    if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise TriangleInequalityViolated("side lengths must be positive")
     _check_diameter(max(a, b, c))
     l, m, s = sorted((a, b, c), reverse=True)

@@ -8,7 +8,8 @@ tests can compare the two.  degenerate_minimizer runs the construction's
 doubled-altitude fallback on its own.  intersect_lines and ratio_residual
 are plane helpers that only the tests use.  river_reference solves the
 river crossing in 60-digit decimal arithmetic, ceva_reference computes
-the orbit point's Ceva triple and its isogonal conjugate the same way, and
+the orbit point's Ceva triple and its isogonal conjugate the same way,
+first_wall_exact finds a billiard ray's next wall in rational arithmetic, and
 reference_dumps is the serializer that emitted every report before the
 one-pass encoder.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import decimal
 import math
+from fractions import Fraction
 from json.encoder import encode_basestring as _escape
 from typing import Any, Optional, Tuple
 
@@ -242,6 +244,29 @@ def river_reference(r):
         u = (lo + hi) / 2
         ra, rb = legs(u)
         return q1x + u * ex, q1y + u * ey, l1 * ra + l2 * rb
+
+
+def first_wall_exact(t: Triangle, p0: Point2, d: Point2, side: str):
+    """(inside, wall, v): whether the float point p0 lies in the closed
+    triangle t, and the first side other than `side` that the ray p0 + u d,
+    u > 0, meets at a parameter v in [0, 1], with that v, every float taken
+    as an exact rational; wall is None when the ray meets neither."""
+    F = Fraction
+    px, py, dx, dy = F(p0[0]), F(p0[1]), F(d[0]), F(d[1])
+    inside, best = True, None
+    for label in "abc":
+        (ax, ay), (bx, by) = ((F(x), F(y))
+                              for x, y in t.side_segment(label))
+        ex, ey, rx, ry = bx - ax, by - ay, ax - px, ay - py
+        if ey * rx - ex * ry < 0:
+            inside = False
+        den = dx * ey - dy * ex
+        if label == side or den == 0:
+            continue
+        u, v = (rx * ey - ry * ex) / den, (rx * dy - ry * dx) / den
+        if u > 0 and 0 <= v <= 1 and (best is None or u < best[0]):
+            best = (u, label, v)
+    return (inside,) + (best[1:] if best else (None, None))
 
 
 def ceva_reference(t: Triangle, w: Weights):

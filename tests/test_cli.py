@@ -799,6 +799,37 @@ def test_simulate_vertex_hit(capsys, tmp_path):
     assert doc["message"].startswith("step 1:")
 
 
+ESCAPED = "ray escaped the triangle (not an inward direction?)"
+
+
+def _first_step(vertices, param, direction):
+    doc, code = cli.run_spec("simulate", {
+        "triangle": {"vertices": vertices}, "weights": [1, 1, 1], "steps": 1,
+        "start": {"side": "a", "param": param, "direction": direction}})
+    if code:
+        return code, doc["message"]
+    return code, doc["trajectory"][1]["side"], doc["trajectory"][1]["param"]
+
+
+def test_simulate_step_leaves_through_the_wall_it_faces():
+    """A start 5e-13 up side a of a thin triangle, aimed at (-1, 1), meets
+    side c near A, and one 5.25e-13 up a needle meets it three quarters
+    along; a direction along side a runs into its end, and one that points
+    out of the triangle, by however little, is refused."""
+    thin = [[0, 1e-3], [0, 0], [1, 0]]
+    needle = [[0, 2.1e-12], [0, 0], [1, 0]]
+    assert _first_step(thin, 5e-13, [-1, 1]) == (0, "c", 0.9999999995000001)
+    assert _first_step(thin, 5e-12, [-1, 1]) == (0, "c", 0.9999999949999999)
+    assert _first_step(needle, 5.25e-13, [-1, 1]) == (0, "c", 0.75)
+    t = [[1, 3], [0, 0], [4, 0]]
+    for direction, want in (
+            ([1, 0], (4, "step 1: trajectory hit an endpoint of side b")),
+            ([-1, 0], (4, "step 1: trajectory hit an endpoint of side c")),
+            ([0, -1], (2, ESCAPED)),
+            ([1, -1e-20], (2, ESCAPED))):
+        assert _first_step(t, 0.25, direction) == want, direction
+
+
 def test_errors_raised_in_the_core_map_to_exit_codes(capsys, tmp_path):
     # IdealPoint reaches run_spec; TotalInternalReflection is caught per step
     cases = (
@@ -1247,7 +1278,7 @@ REFUSALS = (
      2, "start.direction must be nonzero"),
     ("simulate", {"triangle": S456, "weights": [1, 1, 1], "start": {
         "side": "a", "param": 0.5, "direction": [0, -1]}},
-     2, "ray escaped the triangle (not an inward direction?)"),
+     2, ESCAPED),
 )
 
 

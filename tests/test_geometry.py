@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
-                          GeometryError, Point2, RefractionCoeffs, Triangle,
-                          TriangleInequalityViolated, altitudes,
-                          apollonian_circle, dist, inscribed_from_params,
-                          is_periodic, pedal_triangle, signed_area,
-                          snell_reflect, triangle_from_sides)
+                          GeometryError, Point2, RefractionCoeffs,
+                          RiverInstance, Triangle, TriangleInequalityViolated,
+                          Weights, altitudes, apollonian_circle, dist,
+                          inscribed_from_params, is_periodic, pedal_triangle,
+                          signed_area, snell_reflect, triangle_from_sides,
+                          tripolar_to_points)
 from snellfagnano.geometry import (angles_from_sides, heron_area,
                                    line_parameter, point_on_side, rotate)
 
@@ -47,6 +48,33 @@ def test_zero_vector_and_one_point_line_are_refused():
     p = Point2(1.0, 2.0)
     with pytest.raises(DegenerateLine):
         line_parameter(Point2(3.0, 4.0), p, p)
+
+
+NAN = math.nan
+UNIT_RIGHT = Triangle(Point2(0.0, 1.0), Point2(0.0, 0.0), Point2(1.0, 0.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Weights(1.0, NAN, 1.0), "weights must be strictly positive"),
+    (lambda: RefractionCoeffs(1.0, NAN, 1.0),
+     "coefficients must be strictly positive"),
+    (lambda: apollonian_circle(Point2(0.0, 0.0), Point2(1.0, 0.0), NAN),
+     "ratio must be positive"),
+    (lambda: snell_reflect(Point2(0.0, -1.0), Point2(0.0, 1.0), NAN),
+     "refraction coefficient must be positive"),
+    (lambda: RiverInstance(Point2(0.0, 1.0), Point2(1.0, 1.0),
+                           (Point2(0.0, 0.0), Point2(1.0, 0.0)), NAN, 1.0),
+     "leg weights must be positive"),
+    (lambda: triangle_from_sides(1.0, NAN, 1.0),
+     "side lengths must be positive"),
+    (lambda: tripolar_to_points((1.0, NAN, 1.0), UNIT_RIGHT),
+     "tripolar distances must be >= 0"),
+], ids=["Weights", "RefractionCoeffs", "apollonian_circle", "snell_reflect",
+        "RiverInstance", "triangle_from_sides", "tripolar_to_points"])
+def test_nan_is_refused_as_not_positive(make, message):
+    """A NaN in any place fails the positivity check it meets."""
+    with pytest.raises(GeometryError, match=message):
+        make()
 
 
 def test_rotate_quarter_turn():
