@@ -11,6 +11,8 @@ vertices span a triangle similar to the scaled "tilde" triangle of side
 lengths (lam_A * a, lam_B * b, lam_C * c).  Two points, inverse in the
 circumcircle, exist when that triangle does, one on the circumcircle when
 it is flat, and none beyond; equal weights leave the circumcenter alone.
+The "+" point is (a^2 N_A : b^2 N_B : c^2 N_C), from the tilde triangle's
+numerators N_V = K2 X_V + d_V S of sin(V + V~), so no angle is taken.
 The tilde triangle itself lives with the inversion, in coordinates, and
 is re-exported here.
 """

@@ -1,9 +1,10 @@
 """`sf point`: the Snell-Fagnano point, its orbit and regime verdict.
 
 The point's barycentrics are the construction's Ceva triple, normalized, and
-its isogonal conjugate is (s_A/lam_A : s_B/lam_B : s_C/lam_C) from the same
-sines.  Where no closed orbit exists, the report adds the minimizer's
-constrained minimum as brute_force_cost; a failing tilde inequality is exit 3.
+its isogonal conjugate is (a^2 N_A : b^2 N_B : c^2 N_C) from the same tilde
+numerators: coordinates.plus_root, the "+" tripolar root of the weights.
+Where no closed orbit exists, the report adds the minimizer's constrained
+minimum as brute_force_cost; a failing tilde inequality is exit 3.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ def run(spec) -> tuple[dict[str, object], int]:
                 construction.verify_snell_point(res.point, t, k))
         except coordinates.OnSideLine:  # the xy rounds onto a side line
             doc["snell_residuals"] = None
-        top = max(w)
         conj = coordinates.from_barycentric(
-            [s * (top / lam) for s, lam in zip(res.tilde.sines, w)], t)
+            coordinates.plus_root(t, res.tilde), t)
         ctp = coordinates.tripolar_of_point(conj, t)
         doc["isogonal_conjugate"] = {
             "xy": xy(conj),

@@ -2,7 +2,7 @@
 
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
-triangle of side lengths (lam_A*a, lam_B*b, lam_C*c), which
+triangle of side lengths (p, q, r) = (lam_A*a, lam_B*b, lam_C*c), which
 coordinates.tilde_triangle builds from the weights and the sides, each
 divided by a power of two (the sides by Triangle.scale), so that only their
 ratios matter.  The three cevians joining each vertex to the opposite apex
@@ -11,14 +11,15 @@ are concurrent.  By Ceva's theorem their meeting point has barycentrics
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
 s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
-same vertex, taken from tilde_triangle; the point is computed from them,
-with the sides divided by the triangle's scale so that no a^2 over- or
-underflows, and the result keeps both the triple and the tilde triangle.
-When every V + V~ < pi the point lies strictly inside, and when its
-perpendicular feet also land strictly inside the sides, its pedal triangle
-is the closed 3-bounce refractive billiard orbit and the minimizer of the
-weighted chord-length sum.  When an angle condition fails the minimizer
-collapses onto a doubled altitude.
+same vertex.  No angle is computed: s_A = N_A / (2 b c q r) and cyclically,
+with tilde_triangle's numerators N_V = K2 X_V + d_V S, and the denominators
+make one symmetric factor, so the point is (N_B N_C : N_C N_A : N_A N_B);
+the result keeps both the triple and the tilde triangle.  When every
+V + V~ < pi, that is every N_V > 0, the point lies strictly inside, and
+when its perpendicular feet also land strictly inside the sides, its pedal
+triangle is the closed 3-bounce refractive billiard orbit and the
+minimizer of the weighted chord-length sum.  When an angle condition fails
+the minimizer collapses onto a doubled altitude.
 
 The in-between regime exists only for obtuse triangles: the point can be
 interior while one pedal foot falls beyond a side endpoint, in which case
@@ -35,8 +36,7 @@ from collections import namedtuple
 
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       inscribed_from_params, line_parameter, pedal_triangle,
-                       rotate)
+                       inscribed_from_params, line_parameter, pedal_triangle)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -110,7 +110,7 @@ class SnellOrbitResult(namedtuple(
     (a point at infinity).  erected is the three apexes (Point2s),
     conditions the three interior_conditions (bools), barycentric the
     point's Ceva triple (floats), and tilde the TildeTriangle with its
-    sines.
+    numerators.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
@@ -139,50 +139,53 @@ def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
     On side a the erected triangle has the second tilde angle at B and the
     third at C, so the apex A1 carries the first; with (p, q, r) the tilde
     sides, the law of sines gives d(B, A1) = a * r / p = c * lam_C / lam_A,
-    and cyclically.  Outward placement uses clockwise rotation of the side
-    direction, valid because the reference triangle is counterclockwise.
+    and cyclically.  The side vector e = C - B turns clockwise (outward,
+    since the reference triangle is counterclockwise) by B~, whose cosine
+    and sine are (X_B, S) / (2 r p), so A1 = B + (X_B e - S perp(e)) /
+    (2 p^2), with p divided out twice so that no p^2 underflows (_apex).
     """
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    at, bt, gt = tt.angles
-    p, q, r = tt.sides
-    uA = (t.vC - t.vB) * (1.0 / t.a)
-    uB = (t.vA - t.vC) * (1.0 / t.b)
-    uC = (t.vB - t.vA) * (1.0 / t.c)
-    a1 = t.vB + (t.a * r / p) * rotate(uA, -bt)
-    b1 = t.vC + (t.b * p / q) * rotate(uB, -gt)
-    c1 = t.vA + (t.c * q / r) * rotate(uC, -at)
-    return a1, b1, c1
+    (x_a, x_b, x_c), (p, q, r), s = tt.X, tt.sides, tt.S
+    return (_apex(t.vB, t.vC, x_b, s, p), _apex(t.vC, t.vA, x_c, s, q),
+            _apex(t.vA, t.vB, x_a, s, r))
+
+
+def _apex(v: Point2, w: Point2, x: float, s: float, u: float) -> Point2:
+    """v + (x e - s perp(e)) / (2 u^2) for e = w - v, u divided out twice."""
+    ex, ey, h = w.x - v.x, w.y - v.y, 0.5 / u
+    return Point2(v.x + (x * ex + s * ey) * h / u,
+                  v.y + (x * ey - s * ex) * h / u)
 
 
 def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle
                         ) -> tuple[bool, bool, bool]:
-    """Strict tests angle + tilde-angle < pi - EPS_ANGLE, one per vertex."""
+    """Strict tests angle + tilde-angle < pi - EPS_ANGLE, one per vertex,
+    as sin(V + V~) > 0 and sin(V + V~ + EPS_ANGLE) > 0: N_V > 0 and
+    N_V + EPS_ANGLE C_V > 0, EPS_ANGLE being its own sine and 1 its cosine
+    in floats."""
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    at, bt, gt = tt.angles
-    return (t.alpha + at < math.pi - EPS_ANGLE,
-            t.beta + bt < math.pi - EPS_ANGLE,
-            t.gamma + gt < math.pi - EPS_ANGLE)
+    (n_a, n_b, n_c), (c_a, c_b, c_c) = tt.N, tt.C
+    return (n_a > 0.0 and n_a + EPS_ANGLE * c_a > 0.0,
+            n_b > 0.0 and n_b + EPS_ANGLE * c_b > 0.0,
+            n_c > 0.0 and n_c + EPS_ANGLE * c_c > 0.0)
 
 
 def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
 
-    The point comes from its closed-form barycentrics; it is interior
-    exactly when all three interior_conditions hold, and then every
-    barycentric is positive.
+    The point comes from its closed-form barycentrics, the Ceva triple of
+    the tilde numerators, unit_scaled first so that no product over- or
+    underflows on account of their scale; it is interior exactly when all
+    three interior_conditions hold, and then every barycentric is positive.
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
         return _degenerate_result(t, w, STATUS_NO_TILDE, tilde=tt)
 
-    sA, sB, sC = tt.sines
-    top = max(w)
-    a, b, c = t.unit_sides
-    bary = (w.lam_A / top * a ** 2 * sB * sC,
-            w.lam_B / top * b ** 2 * sC * sA,
-            w.lam_C / top * c ** 2 * sA * sB)
+    n_a, n_b, n_c = coordinates.unit_scaled(tt.N)
+    bary = (n_b * n_c, n_c * n_a, n_a * n_b)
     try:
         f = coordinates.from_barycentric(bary, t)
     except coordinates.IdealPoint:

@@ -4,24 +4,21 @@ Every triple goes in and comes out as a plain 3-tuple of floats.
 Barycentric and trilinear triples are straightforward; the interesting part
 is going back from a tripolar triple (X : Y : Z), the ratios of the
 distances to the three vertices, to actual points.  Invert about such a
-point P: the images of A, B, C span a triangle with sides proportional to
-(Xa, Yb, Zc), the scaled "tilde" triangle, whose angles are the sums
-angle PBA + angle PCA and cyclic.  So angle BPC = A +- A~ (and cyclic), with
-A~, B~, C~ the tilde angles, and since the barycentrics of P are the signed
-areas [PBC] : [PCA] : [PAB], proportional to PB PC sin(angle BPC) and
-cyclic, the triple is realized by
-
-    (YZ sin(A +- A~) : ZX sin(B +- B~) : XY sin(C +- C~)),
-
-two points when the tilde triangle exists, one on its boundary and none
-otherwise; tilde_triangle builds that triangle here and for the orbit
-construction.  The "+" point is computed from these barycentrics.  The "-"
-point is not: its barycentrics nearly cancel as the triple approaches
-(1 : 1 : 1).  Each locus of a fixed distance ratio to two vertices is a
-circle orthogonal to the circumcircle, so inversion in the circumcircle
-swaps the two common points, and the "-" point is the circumcircle inverse
-of the "+" point.  With X = Y = Z the "+" point is the circumcenter and the
-other lies at infinity; on the tilde boundary both meet on the circumcircle.
+point P: the images of A, B, C span the "tilde" triangle, of sides
+proportional to (p, q, r) = (Xa, Yb, Zc), so angle BPC = A +- A~ (and
+cyclic) for its angles A~, B~, C~, and the barycentrics of P, the areas
+[PBC] : [PCA] : [PAB], are (YZ sin(A +- A~) : ...).  tilde_triangle takes
+the sines without an angle: with K2 = (B - A) x (C - A), the dot product
+d_A = (B - A).(C - A), X_A = q^2 + r^2 - p^2 and S four times the tilde
+area, sin(A + A~) = N_A / (2 b c q r) for N_A = K2 X_A + d_A S, and
+cyclically, so the "+" point is (a^2 N_A : b^2 N_B : c^2 N_C), plus_root.  There are two points
+when the tilde triangle exists, one on its boundary and none otherwise.
+The "-" numerators K2 X_V - d_V S nearly cancel as the triple approaches
+(1 : 1 : 1), so the "-" point is the circumcircle inverse of the "+" one:
+each locus of a fixed distance ratio to two vertices is a circle
+orthogonal to the circumcircle, so that inversion swaps the two common
+points.  With X = Y = Z the "+" point is the circumcenter and the other
+lies at infinity; on the tilde boundary both meet on the circumcircle.
 
 With the weights as the triple these are the Apollonius common points (see
 apollonius), the "+" one the isogonal conjugate of the orbit point; with
@@ -34,8 +31,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .geometry import (GeometryError, Point2, Triangle, angles_from_sides,
-                       circumcircle, dist, signed_area, unit_power)
+from .geometry import (GeometryError, Point2, Triangle, circumcircle, dist,
+                       heron_area, signed_area, unit_power)
 
 # A homogeneous triple whose sum is within this fraction of its largest
 # magnitude names a point at infinity.
@@ -139,28 +136,49 @@ def isogonal_conjugate(bc, t: Triangle) -> tuple[float, float, float]:
         (1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2]), t)
 
 
-class TildeTriangle(namedtuple("TildeTriangle", "sides angles exists sines")):
-    """Sides proportional to (Xa, Yb, Zc), and the angles opposite them
-    unless the sides strictly fail the triangle inequality, each three
-    floats, angles None otherwise; exists is the strict inequality, a
-    bool.  sines, set with angles, is sin(V + V~) per vertex, three floats
-    or None."""
+class TildeTriangle(namedtuple("TildeTriangle", "sides exists X S N C")):
+    """Sides (p, q, r) proportional to (Xa, Yb, Zc), three floats, and
+    exists, the strict triangle inequality, a bool.  Unless the sides
+    strictly fail it, X holds the law-of-cosines numerators (X_A, X_B,
+    X_C), S four times the tilde area, and N and C the numerators of
+    sin(V + V~) and cos(V + V~), one per vertex; else they are None."""
 
     __slots__ = ()
 
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
-    """The "tilde" triangle of a positive triple (X : Y : Z), from the triple
-    as unit_scaled scales it and t.unit_sides, so that no side or product
-    of sides over- or underflows on account of either."""
+    """The "tilde" triangle of a positive triple (X : Y : Z) and its
+    numerators, from the triple as unit_scaled scales it, t.unit_sides and
+    t.unit_vertices, so that no side or product of sides over- or
+    underflows on account of either."""
     p, q, r = (u * v for u, v in zip(unit_scaled(triple), t.unit_sides))
     if p > q + r or q > r + p or r > p + q:
-        return TildeTriangle((p, q, r), None, False, None)
+        return TildeTriangle((p, q, r), False, None, None, None, None)
     exists = p < q + r and q < r + p and r < p + q
-    angles = angles_from_sides(p, q, r)
-    sines = tuple(math.sin(v + vt)
-                  for v, vt in zip((t.alpha, t.beta, t.gamma), angles))
-    return TildeTriangle((p, q, r), angles, exists, sines)
+    # y^2 + z^2 - x^2 as (y - x)(y + x) + z^2, y the larger of y and z, so
+    # that a needle's numerator keeps its digits.
+    x_a, x_b, x_c = X = (
+        (q - p) * (q + p) + r * r if q > r else (r - p) * (r + p) + q * q,
+        (r - q) * (r + q) + p * p if r > p else (p - q) * (p + q) + r * r,
+        (p - r) * (p + r) + q * q if p > q else (q - r) * (q + r) + p * p)
+    S = 4.0 * heron_area(p, q, r)
+    (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    # K2 > 0, the vertices being counterclockwise; d_V is the dot product
+    # of the two edges leaving V.
+    k2 = ux * vy - uy * vx
+    d_a, d_b, d_c = ux * vx + uy * vy, -(wx * ux + wy * uy), vx * wx + vy * wy
+    return TildeTriangle(
+        (p, q, r), exists, X, S,
+        (k2 * x_a + d_a * S, k2 * x_b + d_b * S, k2 * x_c + d_c * S),
+        (d_a * x_a - k2 * S, d_b * x_b - k2 * S, d_c * x_c - k2 * S))
+
+def plus_root(t: Triangle, tt: TildeTriangle) -> tuple[float, float, float]:
+    """Barycentrics (a^2 N_A : b^2 N_B : c^2 N_C) of the "+" point of the
+    triple tt was built from, taken with t.unit_sides."""
+    a, b, c = t.unit_sides
+    n_a, n_b, n_c = tt.N
+    return a * a * n_a, b * b * n_b, c * c * n_c
 
 
 def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
@@ -197,14 +215,12 @@ def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
             raise NoSuchPoint("distance ratios are inconsistent with a vertex")
         return [(vertex, 0.5 * (s1 + s2) / unit_power(mx))]
 
-    x, y, z = X / mx, Y / mx, Z / mx
-    tt = tilde_triangle(t, (x, y, z))
-    if tt.angles is None:
+    tt = tilde_triangle(t, tp)
+    if tt.N is None:
         raise NoSuchPoint(
             "no point attains these vertex-distance ratios "
             "(scaled side triple fails the triangle inequality)")
-    sa, sb, sc = tt.sines
-    plus = from_barycentric((y * z * sa, z * x * sb, x * y * sc), t)
+    plus = from_barycentric(plus_root(t, tt), t)
     points = [plus]
     center, radius = circumcircle(t)
     d = dist(plus, center)

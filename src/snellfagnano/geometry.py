@@ -85,12 +85,6 @@ def signed_area(p: Point2, q: Point2, r: Point2) -> float:
     return 0.5 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
-def rotate(v: Point2, angle: float) -> Point2:
-    """Rotate the vector v by the given angle (radians, counterclockwise)."""
-    c, s = math.cos(angle), math.sin(angle)
-    return Point2(c * v[0] - s * v[1], s * v[0] + c * v[1])
-
-
 def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
     """Affine parameter t of the projection of p, so foot = q1 + t*(q2-q1)."""
     d = Point2(q2[0] - q1[0], q2[1] - q1[1])
@@ -105,22 +99,23 @@ class Triangle:
 
     The constructor re-orients clockwise input to counterclockwise (swapping
     B and C) so that the whole package can assume positive orientation.
-    Sides, area and angles come from the edge vectors B - A, C - B and
-    C - A, each taken once; each angle is the atan2 of the |cross| and dot
-    product of the two edges leaving its vertex.  So does the scale, the
-    power of two of the diameter.  The vertices and sides are kept divided
-    by it (unit_vertices, as (x, y) pairs, and unit_sides), once and
-    exactly, since it is a power of two: a unit-size computation reads
-    them and divides only its own query point.  A diameter squared that is
-    not a normal float is refused (GeometryError), and an area at most
-    EPS_DEGENERATE times it is degenerate.
+    Sides and area come from the edge vectors B - A, C - B and C - A, each
+    taken once.  So does the scale, the power of two of the diameter.  The
+    vertices and sides are kept divided by it (unit_vertices, as (x, y)
+    pairs, and unit_sides), once and exactly, since it is a power of two:
+    a unit-size computation reads them and divides only its own query
+    point.  A vertex coordinate that is not finite, or a diameter squared
+    that is not a normal float, is refused (GeometryError), and an area at
+    most EPS_DEGENERATE times it is degenerate.
     """
 
-    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "alpha", "beta", "gamma",
-                 "area", "diameter", "scale", "unit_vertices", "unit_sides")
+    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "area", "diameter",
+                 "scale", "unit_vertices", "unit_sides")
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
+        if not all(map(math.isfinite, (*vA, *vB, *vC))):
+            raise GeometryError("vertices must be finite")
         ab, bc, ac = vB - vA, vC - vB, vC - vA
         a, b, c = bc.norm(), ac.norm(), ab.norm()
         area = 0.5 * ab.cross(ac)
@@ -129,15 +124,10 @@ class Triangle:
         if abs(area) <= EPS_DEGENERATE * diam * diam:
             raise DegenerateTriangle(
                 f"vertices are collinear within tolerance (area {area:g})")
-        # Edges leaving A: ab, ac; B: bc, -ab; C: -ac, -bc.
-        alpha = math.atan2(abs(ab.cross(ac)), ab.dot(ac))
-        beta = math.atan2(abs(bc.cross(ab)), -bc.dot(ab))
-        gamma = math.atan2(abs(ac.cross(bc)), ac.dot(bc))
         if area < 0.0:
-            vB, vC, b, c, beta, gamma = vC, vB, c, b, gamma, beta
+            vB, vC, b, c = vC, vB, c, b
         self.vA, self.vB, self.vC = vA, vB, vC
-        self.a, self.b, self.c, self.alpha, self.beta, self.gamma = (
-            a, b, c, alpha, beta, gamma)
+        self.a, self.b, self.c = a, b, c
         self.area, self.diameter = abs(area), diam
         self.scale = s = unit_power(diam)
         self.unit_vertices = tuple((x / s, y / s) for x, y in (vA, vB, vC))
@@ -200,18 +190,6 @@ def heron_area(a: float, b: float, c: float) -> float:
         return 0.0
     q = (c + (a - b)) * (a + (b - c))
     return 0.25 * math.sqrt(p) * math.sqrt(q) * s * s
-
-
-def angles_from_sides(a: float, b: float,
-                      c: float) -> tuple[float, float, float]:
-    """Angles opposite a, b, c: atan2(4 area, b^2 + c^2 - a^2) and cyclic.
-
-    On a flat triple the longest side's angle is pi and the others 0.
-    """
-    k = 4.0 * heron_area(a, b, c)
-    return (math.atan2(k, b * b + c * c - a * a),
-            math.atan2(k, c * c + a * a - b * b),
-            math.atan2(k, a * a + b * b - c * c))
 
 
 def circumcircle(t: Triangle) -> tuple[Point2, float]:

@@ -30,6 +30,8 @@ from snellfagnano.construction import (STATUS_DEGENERATE, SnellOrbitResult,
 from snellfagnano.geometry import InscribedTriangle, Point2, Triangle, dist
 from snellfagnano.serialize import format_float
 
+from conftest import angles, side_angles
+
 
 def intersect_lines(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Optional[Point2]:
     """Intersection of line p1p2 with line q1q2, or None when parallel."""
@@ -65,10 +67,8 @@ def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
     """
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    at, bt, gt = tt.angles
-    sA = math.sin(t.alpha + at)
-    sB = math.sin(t.beta + bt)
-    sC = math.sin(t.gamma + gt)
+    sA, sB, sC = (math.sin(v + vt)
+                  for v, vt in zip(angles(t), side_angles(*tt.sides)))
     closed = (w.lam_B * t.b ** 2 * sC / (w.lam_C * t.c ** 2 * sB),
               w.lam_C * t.c ** 2 * sA / (w.lam_A * t.a ** 2 * sC),
               w.lam_A * t.a ** 2 * sB / (w.lam_B * t.b ** 2 * sA))

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from decimal import Decimal as D, localcontext
 
 import pytest
 
@@ -10,9 +12,9 @@ from snellfagnano.apollonius import (apollonian_circle,
                                      apollonian_common_points, tilde_triangle)
 from snellfagnano.geometry import circumcircle
 
-from conftest import (circumcenter_oracle, sample_acute_triangle,
-                      sample_admissible, sample_triangle, sample_weights,
-                      tilde_slack)
+from conftest import (angles, circumcenter_oracle, sample_acute_triangle,
+                      sample_admissible, sample_random_setup, sample_triangle,
+                      sample_weights, side_angles, tilde_slack)
 from oracles import ratio_residual
 
 
@@ -73,14 +75,18 @@ def test_circle_requires_positive_ratio():
 # tilde triangle
 
 def test_tilde_identity_weights_similar():
+    """With equal weights the tilde triangle is the reference one, so X_V is
+    2 x the two sides at V x cos V, and S is 2 x those sides x sin V."""
     rng = random.Random(43)
     t = sample_triangle(rng)
     tt = tilde_triangle(t, Weights(1, 1, 1))
     assert tt.exists
-    assert tt.angles[0] == pytest.approx(t.alpha, rel=1e-12)
-    assert tt.angles[1] == pytest.approx(t.beta, rel=1e-12)
-    assert tt.angles[2] == pytest.approx(t.gamma, rel=1e-12)
-    assert sum(tt.angles) == pytest.approx(math.pi, rel=1e-12)
+    assert tt.sides == t.unit_sides
+    a, b, c = t.unit_sides
+    for x, u, v, ang in zip(tt.X, (b, c, a), (c, a, b), angles(t)):
+        assert x == pytest.approx(2 * u * v * math.cos(ang), rel=1e-12)
+        assert tt.S == pytest.approx(2 * u * v * math.sin(ang), rel=1e-12)
+    assert sum(side_angles(*tt.sides)) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_tilde_boundary_fails():
@@ -90,15 +96,22 @@ def test_tilde_boundary_fails():
 
 
 def test_tilde_reciprocal_sides_equilateral():
+    """Weights (1/a : 1/b : 1/c): every tilde angle is pi/3, so X_V / (2 q r)
+    is 1/2 and S / (2 q r) is sqrt(3)/2."""
     rng = random.Random(44)
     t = sample_triangle(rng)
     tt = tilde_triangle(t, Weights(1 / t.a, 1 / t.b, 1 / t.c))
     assert tt.exists
-    for ang in tt.angles:
-        assert ang == pytest.approx(math.pi / 3, rel=1e-12)
+    p, q, r = tt.sides
+    for x, u, v in zip(tt.X, (q, r, p), (r, p, q)):
+        assert x / (2 * u * v) == pytest.approx(0.5, rel=1e-12)
+        assert tt.S / (2 * u * v) == pytest.approx(math.sqrt(3) / 2,
+                                                    rel=1e-12)
 
 
 def test_tilde_law_of_cosines_consistency():
+    """X_V^2 + S^2 = (2 x the two tilde sides at V)^2: the cosine and sine of
+    each tilde angle."""
     rng = random.Random(45)
     for _ in range(20):
         t = sample_triangle(rng)
@@ -106,10 +119,58 @@ def test_tilde_law_of_cosines_consistency():
         tt = tilde_triangle(t, w)
         if not tt.exists:
             continue
-        sa, sb, sc = tt.sides
-        at, bt, gt = tt.angles
-        assert sa * sa == pytest.approx(sb * sb + sc * sc
-                                        - 2 * sb * sc * math.cos(at), rel=1e-10)
+        p, q, r = tt.sides
+        for x, u, v in zip(tt.X, (q, r, p), (r, p, q)):
+            assert x * x + tt.S ** 2 == pytest.approx((2 * u * v) ** 2,
+                                                      rel=1e-10)
+
+
+def _numerators_reference(t, tt):
+    """X_V, S and N_V to 60 digits from the floats of tt.sides and
+    t.unit_vertices, the inputs tilde_triangle rounds them from."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q, r = (D(v) for v in tt.sides)
+        (xa, ya), (xb, yb), (xc, yc) = ((D(x), D(y)) for x, y in
+                                        t.unit_vertices)
+        k2 = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+        dots = ((xb - xa) * (xc - xa) + (yb - ya) * (yc - ya),
+                (xc - xb) * (xa - xb) + (yc - yb) * (ya - yb),
+                (xa - xc) * (xb - xc) + (ya - yc) * (yb - yc))
+        xs = (q * q + r * r - p * p, r * r + p * p - q * q,
+              p * p + q * q - r * r)
+        s = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
+        return xs, s, tuple(k2 * x + d * s for x, d in zip(xs, dots))
+
+
+def test_tilde_numerators_match_a_60_digit_reference():
+    """On the random set-up and on needle tilde triangles (p, 1, 1 + U(-0.99,
+    0.99) p, p = e^U(-35, 0)), against their exact values from the rounded
+    sides and vertices: S is within 2 ulps, and X_V / (2 x the two tilde
+    sides at V) = cos V~ and N_V / (2 x the two sides and the two tilde sides
+    at V) = sin(V + V~) are within 2 and 4 epsilon (1.37, 1.2 and 2.32 were
+    the worst over 9600 draws of four seeds)."""
+    rng = random.Random(46)
+    eps = D(sys.float_info.epsilon)
+    for i in range(600):
+        t, w = sample_random_setup(rng)
+        if i % 2:
+            pt = math.exp(rng.uniform(-35.0, 0.0))
+            tilde = [pt, 1.0, 1.0 + rng.uniform(-0.99, 0.99) * pt]
+            rng.shuffle(tilde)
+            w = Weights(*(u / v for u, v in zip(tilde, t.sides)))
+        tt = tilde_triangle(t, w)
+        if not tt.exists:
+            continue
+        xs, s, ns = _numerators_reference(t, tt)
+        assert abs(D(tt.S) - s) <= 2 * eps * s
+        p, q, r = map(D, tt.sides)
+        a, b, c = map(D, t.unit_sides)
+        for x, x_ref, n, n_ref, tilde2, sides2 in zip(
+                tt.X, xs, tt.N, ns, (q * r, r * p, p * q),
+                (b * c, c * a, a * b)):
+            assert abs(D(x) - x_ref) <= 2 * eps * 2 * tilde2
+            assert abs(D(n) - n_ref) <= 4 * eps * 2 * tilde2 * sides2
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from snellfagnano.billiards import (VERTEX_EPS, BilliardState, HitVertex,
                                     snell_reflect, solve_river)
 from snellfagnano.construction import (coeffs_from_weights,
                                        snell_fagnano_point)
-from snellfagnano.geometry import GeometryError, rotate
+from snellfagnano.geometry import GeometryError
 
-from conftest import (orthocenter_oracle, sample_acute_triangle,
+from conftest import (orthocenter_oracle, rotate, sample_acute_triangle,
                       sample_admissible, sample_random_setup)
 from oracles import (first_wall_exact, intersect_lines, river_frame,
                      river_reference)

@@ -199,11 +199,11 @@ def test_no_verdict_is_lost_near_a_side_line():
                 == "interior"]
     assert len(interior) >= 1000
     on_line = {"triangle": {"vertices": [
-        [0.9978170057962394, -0.7703450007535131],
-        [0.902641990056863, 0.19870425374155443],
-        [0.2585601990722395, -0.8426835827198085]]},
-        "weights": [7.618069066844988e-15, 1.3462797834807607,
-                    1.0269978880155302]}
+        [-0.2010463874839299, 0.4234215357851925],
+        [0.07797459004029728, -0.1256981625028255],
+        [0.1651090559649495, 0.9410772965194063]]},
+        "weights": [3.0515621043294606e-15, 1.5771275876987183,
+                    1.6235282009684788]}
     fixed = {"triangle": {"sides": [4, 5, 6]}, "weights": [1e-11, 6, 5]}
     for spec in interior + [fixed, on_line]:
         doc, code = cli.run_spec("point", spec)
@@ -236,6 +236,19 @@ def test_snell_residuals_are_relative():
                                            doc["refraction_coefficients"])]
     for got, want in zip(doc["snell_residuals"], exact):
         assert abs(Decimal(got) - want) <= Decimal("1e-15"), (got, want)
+
+
+def test_needle_tilde_point_meets_its_sine_ratios():
+    """Sides [4, 5, 6] with weights [1e-11, 6, 5] make a needle tilde
+    triangle (4e-11, 30, 30), whose numerator X_B = r^2 + p^2 - q^2 is
+    p^2 = 1.6e-21: a sum of the three squares rounds it to 0.  Taken as
+    (r - q)(r + q) + p^2 it is exact, and the point meets all three sine
+    ratios to 4 epsilon; from angles with the rounded numerator it missed
+    two of them by 1.65e-12."""
+    doc, code = cli.run_spec("point", {"triangle": {"sides": [4, 5, 6]},
+                                       "weights": [1e-11, 6, 5]})
+    assert (code, doc["status"]) == (0, "interior")
+    assert max(doc["snell_residuals"]) <= 4 * sys.float_info.epsilon
 
 
 def test_point_reports_brute_force_cost_without_orbit(capsys, tmp_path):

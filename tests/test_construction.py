@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ import snellfagnano as sf
 from snellfagnano import (Point2, RefractionCoeffs, Triangle, Weights, dist,
                           pedal_triangle, triangle_from_sides)
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
+from snellfagnano.coordinates import plus_root, unit_scaled
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        STATUS_NO_TILDE, TildeDegenerate,
                                        coeffs_from_weights, erect_similar,
@@ -18,9 +20,10 @@ from snellfagnano.geometry import (altitudes, inscribed_from_params,
                                    line_parameter)
 from snellfagnano.optimize import minimize_inscribed
 
-from conftest import (altitude_feet_oracle, orthocenter_oracle,
+from conftest import (altitude_feet_oracle, angles, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
-                      sample_random_setup, sample_triangle, sample_weights)
+                      sample_random_setup, sample_triangle, sample_weights,
+                      side_angles)
 from oracles import (cevian_ratio, degenerate_minimizer, eta_concurrency_test,
                      intersect_lines)
 
@@ -89,8 +92,9 @@ def test_erect_unit_weights_angles():
         u1, u2 = p - v, q - v
         return math.atan2(abs(u1.cross(u2)), u1.dot(u2))
 
-    assert angle(t.vB, a1, t.vC) == pytest.approx(t.beta, rel=1e-10)
-    assert angle(t.vC, a1, t.vB) == pytest.approx(t.gamma, rel=1e-10)
+    _, beta, gamma = angles(t)
+    assert angle(t.vB, a1, t.vC) == pytest.approx(beta, rel=1e-10)
+    assert angle(t.vC, a1, t.vB) == pytest.approx(gamma, rel=1e-10)
     # outward: across BC from A
     e = t.vC - t.vB
     assert (e.cross(t.vA - t.vB) > 0) != (e.cross(a1 - t.vB) > 0)
@@ -119,6 +123,34 @@ def test_erect_requires_tilde():
 # ---------------------------------------------------------------------------
 # the point itself
 
+def test_equal_weights_numerators_give_fagnanos_point():
+    """With equal weights lam the tilde triangle is the reference one scaled
+    by lam, so X_V = 2 d_V lam^2 and S = 2 K2 lam^2, and N_V = 4 K2 d_V lam^2
+    (lam as unit_scaled leaves it).  The Ceva triple (1/N_A : 1/N_B : 1/N_C)
+    is then (1/d_A : 1/d_B : 1/d_C), the orthocenter: Fagnano's point,
+    outside the triangle where it is obtuse."""
+    rng = random.Random(60)
+    eps = sys.float_info.epsilon
+    for _ in range(200):
+        t, _ = sample_random_setup(rng)
+        lam = math.exp(rng.uniform(-30.0, 30.0))
+        res = snell_fagnano_point(t, Weights(lam, lam, lam))
+        lam = unit_scaled((lam, lam, lam))[0]
+        (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
+        k2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        dots = ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay),
+                (cx - bx) * (ax - bx) + (cy - by) * (ay - by),
+                (ax - cx) * (bx - cx) + (ay - cy) * (by - cy))
+        # The numerators come from the rounded sides, the identity's right
+        # side from the vertices: 40 epsilon was the worst of 3000 draws.
+        squares = sum(side * side for side in t.unit_sides)
+        for n, d in zip(res.tilde.N, dots):
+            assert abs(n - 4 * k2 * d * lam ** 2) <= \
+                256 * eps * 4 * k2 * squares * lam ** 2
+        h = orthocenter_oracle(t)
+        assert dist(res.point, h) <= 1e-12 * max(t.diameter, dist(h, t.vA))
+
+
 def test_unit_weights_acute_gives_orthocenter():
     rng = random.Random(63)
     for _ in range(20):
@@ -140,14 +172,13 @@ def test_equilateral_center_and_medial_perimeter():
     assert res.weighted_perimeter == pytest.approx(3.0, rel=1e-12)
 
 
-def _conjugates(res, t, w):
+def _conjugates(res, t):
     """The orbit point's isogonal conjugate, read back from its xy and in
-    closed form (s_A/lam_A : s_B/lam_B : s_C/lam_C) from the result's
-    sines."""
+    closed form (a^2 N_A : b^2 N_B : c^2 N_C) from the result's
+    numerators."""
     read_back = sf.from_barycentric(
         sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
-    closed = sf.from_barycentric(
-        [s / lam for s, lam in zip(res.tilde.sines, w)], t)
+    closed = sf.from_barycentric(plus_root(t, res.tilde), t)
     return read_back, closed
 
 
@@ -158,7 +189,7 @@ def test_isogonal_image_proportional_to_weights():
         res = snell_fagnano_point(t, w)
         if res.status != STATUS_INTERIOR:
             continue
-        for conj in _conjugates(res, t, w):
+        for conj in _conjugates(res, t):
             tp = sf.tripolar_of_point(conj, t)
             ratios = [d / l for d, l in zip(tp, w)]
             assert max(ratios) - min(ratios) <= 1e-9 * max(ratios)
@@ -174,7 +205,7 @@ def test_isogonal_image_is_apollonian_common_point():
             continue
         done += 1
         pts = apollonian_common_points(t, w)
-        for conj in _conjugates(res, t, w):
+        for conj in _conjugates(res, t):
             assert min(dist(conj, p) for p in pts) <= 1e-8 * t.diameter
 
 
@@ -224,7 +255,7 @@ def test_conditions_unit_weights():
         (True, True, True)
     conds = interior_conditions(OBTUSE, tilde_triangle(OBTUSE, Weights(1, 1, 1)))
     # OBTUSE has its blunt angle at C (opposite the long side c)
-    assert OBTUSE.gamma > math.pi / 2
+    assert angles(OBTUSE)[2] > math.pi / 2
     assert conds[2] is False
 
 
@@ -232,7 +263,7 @@ def angle_sums_below_pi(t, tt):
     """interior_conditions without its EPS_ANGLE margin: every angle plus
     its tilde angle below pi."""
     return all(v + vt < math.pi
-               for v, vt in zip((t.alpha, t.beta, t.gamma), tt.angles))
+               for v, vt in zip(angles(t), side_angles(*tt.sides)))
 
 
 def test_condition_flip_matches_barycentric_sign():
@@ -289,11 +320,12 @@ def test_cevian_ratio_unit_weights_altitude_form():
     t = sample_acute_triangle(rng)
     w = Weights(1, 1, 1)
     r = cevian_ratio(t, w, tilde_triangle(t, w))
-    expect = (t.b ** 2 * math.sin(2 * t.gamma)) / (t.c ** 2 * math.sin(2 * t.beta))
+    _, beta, gamma = angles(t)
+    expect = (t.b ** 2 * math.sin(2 * gamma)) / (t.c ** 2 * math.sin(2 * beta))
     assert r[0] == pytest.approx(expect, rel=1e-10)
     # altitude-foot reading of the same ratio
-    assert r[0] == pytest.approx((t.b * math.cos(t.gamma))
-                                 / (t.c * math.cos(t.beta)), rel=1e-10)
+    assert r[0] == pytest.approx((t.b * math.cos(gamma))
+                                 / (t.c * math.cos(beta)), rel=1e-10)
 
 
 def test_cevian_ratio_product_is_one():
@@ -431,7 +463,7 @@ def test_interior_point_with_foot_outside_side():
                  Point2(-4.034728786434073, -1.4419054310523558),
                  Point2(3.8558641001898994, 3.442815546106077))
     w = Weights(0.5250328650960183, 0.777545135717788, 1.9512765204699702)
-    assert t.alpha > math.pi / 2
+    assert angles(t)[0] > math.pi / 2
     res = snell_fagnano_point(t, w)
     assert res.status == STATUS_INTERIOR
     assert min(sf.to_barycentric(res.point, t)) > 0.1

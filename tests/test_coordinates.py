@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from snellfagnano import (NoSuchPoint, Point2, Triangle, dist,
 from snellfagnano.coordinates import IdealPoint, OnSideLine, unit_scaled
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
-                      sample_acute_triangle, sample_triangle)
+                      sample_acute_triangle, sample_random_setup,
+                      sample_triangle)
 from oracles import biquadratic_residual, ratio_residual
 
 T0 = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0))
@@ -312,6 +314,57 @@ def test_reciprocal_side_triple_gives_isodynamic_points():
             sf.isogonal_conjugate(sf.to_barycentric(p, t), t), t)
         conj_vals.append(total_dist(img))
     assert min(conj_vals) <= best_grid + 1e-4 * t.diameter
+
+
+def _tripolar_roots_reference(t, tp):
+    """The "+" and "-" points of the tripolar triple tp, (a^2 N_A : ...)
+    with N_V = K2 X_V +- d_V S, to 60 digits from the floats of t's vertices
+    and tp."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (xa, ya), (xb, yb), (xc, yc) = v = [(Decimal(x), Decimal(y))
+                                            for x, y in t.vertices]
+        a2, b2, c2 = ((v[i][0] - v[j][0]) ** 2 + (v[i][1] - v[j][1]) ** 2
+                      for i, j in ((1, 2), (2, 0), (0, 1)))
+        p, q, r = (Decimal(x) * s2.sqrt() for x, s2 in zip(tp, (a2, b2, c2)))
+        k2 = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+        dots = ((xb - xa) * (xc - xa) + (yb - ya) * (yc - ya),
+                (xc - xb) * (xa - xb) + (yc - yb) * (ya - yb),
+                (xa - xc) * (xb - xc) + (ya - yc) * (yb - yc))
+        xs = (q * q + r * r - p * p, r * r + p * p - q * q,
+              p * p + q * q - r * r)
+        s = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
+        roots = []
+        for sign in (1, -1):
+            bc = [u * (k2 * x + sign * d * s)
+                  for u, x, d in zip((a2, b2, c2), xs, dots)]
+            roots.append((sum(u * x for u, (x, _) in zip(bc, v)) / sum(bc),
+                          sum(u * y for u, (_, y) in zip(bc, v)) / sum(bc)))
+        return roots
+
+
+@pytest.mark.parametrize("delta, bound", [(1e-4, 1.3e-10), (1e-6, 2.3e-8),
+                                          (1e-8, 3.3e-6)])
+def test_minus_root_near_unit_triple_keeps_its_accuracy(delta, bound):
+    """Tripolar triples at distance delta from (1, 1, 1), in a random
+    direction, on random set-up triangles: 150 of them, each with two
+    roots.  The "-" root, the circumcircle inverse of the "+" one, is
+    within bound of a 60-digit reference, relative to its distance from
+    A; bound is twice the worst of 750 draws (seeds 1-5: 6.5e-11, 1.1e-8
+    and 1.6e-6).  Its own numerators K2 X_V - d_V S cancel there: on the
+    same draws, taken in floats, they erred by up to 9e-7, 9.5e-3 and 35."""
+    rng = random.Random(1)
+    for _ in range(150):
+        t, _ = sample_random_setup(rng)
+        u = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        n = math.sqrt(sum(x * x for x in u))
+        tp = tuple(1.0 + delta * x / n for x in u)
+        (plus, _), (minus, _) = sf.tripolar_to_points(tp, t)
+        for got, (x, y) in zip((plus, minus),
+                               _tripolar_roots_reference(t, tp)):
+            err = math.hypot(Decimal(got[0]) - x, Decimal(got[1]) - y)
+            assert err <= bound * math.hypot(x - Decimal(t.vA[0]),
+                                             y - Decimal(t.vA[1]))
 
 
 def test_roundtrip_random_points():
