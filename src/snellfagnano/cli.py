@@ -11,7 +11,7 @@ split on "\n" alone, as JSON Lines is, and each line is decoded and
 reported on its own.  A job that hits a defect, on a batch line or alone
 from --input or stdin, still gets a report: the error report with exit
 code 1, its traceback on stderr.
-The check tolerances are fixed (TOLERANCES) and every report echoes them.
+The periodicity tolerance is fixed (TOLERANCES) and every report echoes it.
 Exit 2 also covers, as the README lists them, a top-level spec key that
 the command does not read (see each module's KEYS), weights, triangles,
 tripolar scales and river crossings whose quantities leave the range of

@@ -20,12 +20,13 @@ KEYS = ("triangle", "weights")
 
 def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
                               s: tuple[float, float, float]) -> str:
-    """The inequality the tilde sides fail, picked on the scaled sides s the
-    verdict was taken on, so that no product under- or overflows."""
+    """The inequality the tilde sides fail, named by the largest of the
+    scaled sides s the verdict was taken on, so that no product under- or
+    overflows."""
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
              ("lam_C*c", w.lam_C * t.c))
-    i, j, k = next((i, j, k) for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-                   if s[i] >= s[j] + s[k])
+    i = max(range(3), key=s.__getitem__)
+    j, k = (n for n in range(3) if n != i)
     return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
             % (sides[i][0], sides[j][0], sides[k][0],
                sides[i][1], sides[j][1], sides[k][1]))

@@ -15,11 +15,14 @@ same vertex.  No angle is computed: s_A = N_A / (2 b c q r) and cyclically,
 with tilde_triangle's numerators N_V = K2 X_V + d_V S, and the denominators
 make one symmetric factor, so the point is (N_B N_C : N_C N_A : N_A N_B);
 the result keeps both the triple and the tilde triangle.  When every
-V + V~ < pi, that is every N_V > 0, the point lies strictly inside, and
-when its perpendicular feet also land strictly inside the sides, its pedal
-triangle is the closed 3-bounce refractive billiard orbit and the
-minimizer of the weighted chord-length sum.  When an angle condition fails
-the minimizer collapses onto a doubled altitude.
+V + V~ < pi, that is every N_V > 0, the point lies strictly inside: the
+verdict is the sign of the numbers the point is built from, so it needs
+no tolerance, and the point's barycentrics, products of those numbers,
+are then positive unless a product underflows.  When its perpendicular
+feet also land strictly inside the sides, its pedal triangle is the
+closed 3-bounce refractive billiard orbit and the minimizer of the
+weighted chord-length sum.  When an angle condition fails the minimizer
+collapses onto a doubled altitude.
 
 The in-between regime exists only for obtuse triangles: the point can be
 interior while one pedal foot falls beyond a side endpoint, in which case
@@ -41,9 +44,6 @@ from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
 STATUS_NO_TILDE = "no_tilde_triangle"
-
-# Strictness margin for the angle-sum interior tests.
-EPS_ANGLE = 1e-10
 
 
 class TildeDegenerate(GeometryError):
@@ -160,16 +160,11 @@ def _apex(v: Point2, w: Point2, x: float, s: float, u: float) -> Point2:
 
 def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle
                         ) -> tuple[bool, bool, bool]:
-    """Strict tests angle + tilde-angle < pi - EPS_ANGLE, one per vertex,
-    as sin(V + V~) > 0 and sin(V + V~ + EPS_ANGLE) > 0: N_V > 0 and
-    N_V + EPS_ANGLE C_V > 0, EPS_ANGLE being its own sine and 1 its cosine
-    in floats."""
+    """The strict tests V + V~ < pi, one per vertex, as sin(V + V~) > 0:
+    N_V > 0, the sign of the numerator the point is built from."""
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    (n_a, n_b, n_c), (c_a, c_b, c_c) = tt.N, tt.C
-    return (n_a > 0.0 and n_a + EPS_ANGLE * c_a > 0.0,
-            n_b > 0.0 and n_b + EPS_ANGLE * c_b > 0.0,
-            n_c > 0.0 and n_c + EPS_ANGLE * c_c > 0.0)
+    return tuple(n > 0.0 for n in tt.N)
 
 
 def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
@@ -178,7 +173,8 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     The point comes from its closed-form barycentrics, the Ceva triple of
     the tilde numerators, unit_scaled first so that no product over- or
     underflows on account of their scale; it is interior exactly when all
-    three interior_conditions hold, and then every barycentric is positive.
+    three interior_conditions hold, that is when every N_V > 0, and then
+    every barycentric is positive or, where a product underflows, 0.
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:

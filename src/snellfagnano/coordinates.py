@@ -12,7 +12,8 @@ the sines without an angle: with K2 = (B - A) x (C - A), the dot product
 d_A = (B - A).(C - A), X_A = q^2 + r^2 - p^2 and S four times the tilde
 area, sin(A + A~) = N_A / (2 b c q r) for N_A = K2 X_A + d_A S, and
 cyclically, so the "+" point is (a^2 N_A : b^2 N_B : c^2 N_C), plus_root.  There are two points
-when the tilde triangle exists, one on its boundary and none otherwise.
+when the tilde triangle exists, that is when S > 0, one on its boundary
+and none otherwise.
 The "-" numerators K2 X_V - d_V S nearly cancel as the triple approaches
 (1 : 1 : 1), so the "-" point is the circumcircle inverse of the "+" one:
 each locus of a fixed distance ratio to two vertices is a circle
@@ -136,12 +137,12 @@ def isogonal_conjugate(bc, t: Triangle) -> tuple[float, float, float]:
         (1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2]), t)
 
 
-class TildeTriangle(namedtuple("TildeTriangle", "sides exists X S N C")):
+class TildeTriangle(namedtuple("TildeTriangle", "sides exists X S N")):
     """Sides (p, q, r) proportional to (Xa, Yb, Zc), three floats, and
-    exists, the strict triangle inequality, a bool.  Unless the sides
-    strictly fail it, X holds the law-of-cosines numerators (X_A, X_B,
-    X_C), S four times the tilde area, and N and C the numerators of
-    sin(V + V~) and cos(V + V~), one per vertex; else they are None."""
+    exists, a bool: S > 0, the strict triangle inequality.  Unless the
+    sides strictly fail it, X holds the law-of-cosines numerators (X_A,
+    X_B, X_C), S four times the tilde area, and N the numerators of
+    sin(V + V~), one per vertex; else they are None."""
 
     __slots__ = ()
 
@@ -150,11 +151,13 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     """The "tilde" triangle of a positive triple (X : Y : Z) and its
     numerators, from the triple as unit_scaled scales it, t.unit_sides and
     t.unit_vertices, so that no side or product of sides over- or
-    underflows on account of either."""
+    underflows on account of either.  Sides whose rounded sums strictly
+    fail the triangle inequality get no numerators; otherwise exists is
+    read off S, whose Kahan ordering keeps the sign of each factor, and a
+    flat triple keeps its numerators."""
     p, q, r = (u * v for u, v in zip(unit_scaled(triple), t.unit_sides))
     if p > q + r or q > r + p or r > p + q:
-        return TildeTriangle((p, q, r), False, None, None, None, None)
-    exists = p < q + r and q < r + p and r < p + q
+        return TildeTriangle((p, q, r), False, None, None, None)
     # y^2 + z^2 - x^2 as (y - x)(y + x) + z^2, y the larger of y and z, so
     # that a needle's numerator keeps its digits.
     x_a, x_b, x_c = X = (
@@ -169,9 +172,8 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     k2 = ux * vy - uy * vx
     d_a, d_b, d_c = ux * vx + uy * vy, -(wx * ux + wy * uy), vx * wx + vy * wy
     return TildeTriangle(
-        (p, q, r), exists, X, S,
-        (k2 * x_a + d_a * S, k2 * x_b + d_b * S, k2 * x_c + d_c * S),
-        (d_a * x_a - k2 * S, d_b * x_b - k2 * S, d_c * x_c - k2 * S))
+        (p, q, r), S > 0.0, X, S,
+        (k2 * x_a + d_a * S, k2 * x_b + d_b * S, k2 * x_c + d_c * S))
 
 def plus_root(t: Triangle, tt: TildeTriangle) -> tuple[float, float, float]:
     """Barycentrics (a^2 N_A : b^2 N_B : c^2 N_C) of the "+" point of the

@@ -30,11 +30,8 @@ EXIT_MISSING = 3
 EXIT_DYNAMICS = 4
 EXIT_IO = 5
 
-# Echoed by every report.  interior_angle is construction.EPS_ANGLE, which
-# snell_fagnano_point applies; it is written out so that jobs which never
-# construct the orbit (river, convert) need not load construction.
-# periodicity is simulate's closure threshold.
-TOLERANCES = {"interior_angle": 1e-10, "periodicity": 1e-8}
+# Echoed by every report.  periodicity is simulate's closure threshold.
+TOLERANCES = {"periodicity": 1e-8}
 
 
 class CliError(Exception):

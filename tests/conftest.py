@@ -99,6 +99,28 @@ def sample_random_setup(rng: random.Random):
     return t, Weights(*(math.exp(rng.uniform(-1, 1)) for _ in range(3)))
 
 
+def sample_boundary(rng: random.Random, needle: bool = False):
+    """(triangle, weights) of the boundary family: a random set-up triangle
+    whose weights put V + V~ at pi - delta at one vertex V, delta =
+    +-10^U(-13, -3).  The other two tilde angles split pi - V~ in a
+    uniform share of 5 to 95 %, or, for a needle tilde triangle, one of
+    them takes (pi - V~) 10^U(-14, -6).  The weight at each vertex is the
+    sine of its tilde angle over the opposite side, so that the tilde
+    sides are those sines."""
+    t, _ = sample_random_setup(rng)
+    v = rng.randrange(3)
+    delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13, -3)
+    tilde_v = math.pi - angles(t)[v] - delta
+    rest = math.pi - tilde_v
+    share = 10.0 ** rng.uniform(-14, -6) if needle else rng.uniform(0.05, 0.95)
+    i, j = (v + 1) % 3, (v + 2) % 3
+    if rng.random() < 0.5:
+        i, j = j, i
+    tilde = [0.0] * 3
+    tilde[v], tilde[i], tilde[j] = tilde_v, rest * share, rest * (1.0 - share)
+    return t, Weights(*(math.sin(x) / s for x, s in zip(tilde, t.sides)))
+
+
 def _rigid_motion(rng: random.Random, t: Triangle) -> Triangle:
     ang = rng.uniform(0.0, 2.0 * math.pi)
     ca, sa = math.cos(ang), math.sin(ang)

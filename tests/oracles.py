@@ -9,7 +9,8 @@ doubled-altitude fallback on its own.  intersect_lines and ratio_residual
 are plane helpers that only the tests use.  river_reference solves the
 river crossing in 60-digit decimal arithmetic, ceva_reference computes
 the orbit point's Ceva triple and its isogonal conjugate the same way,
-first_wall_exact finds a billiard ray's next wall in rational arithmetic, and
+first_wall_exact finds a billiard ray's next wall in rational arithmetic,
+exact_verdict decides the regime in rational arithmetic too, and
 reference_dumps is the serializer that emitted every report before the
 one-pass encoder.
 """
@@ -24,7 +25,8 @@ from typing import Any, Optional, Tuple
 
 from snellfagnano.apollonius import ApollonianCircle
 from snellfagnano.coordinates import TildeTriangle
-from snellfagnano.construction import (STATUS_DEGENERATE, SnellOrbitResult,
+from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
+                                       STATUS_NO_TILDE, SnellOrbitResult,
                                        TildeDegenerate, Weights,
                                        _degenerate_result, erect_similar)
 from snellfagnano.geometry import InscribedTriangle, Point2, Triangle, dist
@@ -267,6 +269,35 @@ def first_wall_exact(t: Triangle, p0: Point2, d: Point2, side: str):
         if u > 0 and 0 <= v <= 1 and (best is None or u < best[0]):
             best = (u, label, v)
     return (inside,) + (best[1:] if best else (None, None))
+
+
+def exact_verdict(t: Triangle, w: Weights):
+    """(status, conditions) of snell_fagnano_point, decided on the floats
+    of t's vertices and w taken as exact rationals.
+
+    With x = lam_A^2 |BC|^2 and cyclically, the tilde triangle exists when
+    2(xy + yz + zx) - x^2 - y^2 - z^2 > 0, sixteen times its squared area.
+    The squared gap at A is |lam_B (C - A) + lam_C (B - A)|^2 - x: with
+    the tilde sides (p, q, r) it is q^2 + r^2 - p^2 + 2 q r cos A =
+    2 q r (cos A~ + cos A), whose sign is that of pi - (A + A~), and
+    cyclically.  conditions is None where the tilde triangle does not
+    exist.
+    """
+    F = Fraction
+    vs = [(F(v.x), F(v.y)) for v in t.vertices]
+    lam = [F(v) for v in w]
+    sq = [(vs[(i + 2) % 3][0] - vs[(i + 1) % 3][0]) ** 2
+          + (vs[(i + 2) % 3][1] - vs[(i + 1) % 3][1]) ** 2 for i in range(3)]
+    x, y, z = (lam[i] ** 2 * sq[i] for i in range(3))
+    if 2 * (x * y + y * z + z * x) - x * x - y * y - z * z <= 0:
+        return STATUS_NO_TILDE, None
+    conds = []
+    for i in range(3):
+        (vx, vy), (ux, uy), (wx, wy) = vs[i], vs[(i + 1) % 3], vs[(i + 2) % 3]
+        lu, lw = lam[(i + 1) % 3], lam[(i + 2) % 3]
+        gx, gy = lu * (wx - vx) + lw * (ux - vx), lu * (wy - vy) + lw * (uy - vy)
+        conds.append(gx * gx + gy * gy - lam[i] ** 2 * sq[i] > 0)
+    return (STATUS_INTERIOR if all(conds) else STATUS_DEGENERATE), tuple(conds)
 
 
 def ceva_reference(t: Triangle, w: Weights):

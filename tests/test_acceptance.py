@@ -119,9 +119,9 @@ def test_point_report_matches_50_digit_ceva_reference():
     oracles.ceva_reference, on 400 interior cases of the random set-up:
     vertices uniform in [-1, 1]^2, smallest angle at least 0.05 rad and
     weights e^U(-1, 1).  Errors are in eps, relative to the largest entry
-    or to the diameter.  Worst measured: barycentric 9.72, conjugate xy
-    2.24, conjugate tripolar_normalized 4.08; each bound is about 2.5 to 3
-    times that."""
+    or to the diameter.  Worst measured: barycentric 11.91, conjugate xy
+    3.91, conjugate tripolar_normalized 4.44; each bound is about 1.5 to
+    2.7 times that."""
     eps = sys.float_info.epsilon
     D = decimal.Decimal
 

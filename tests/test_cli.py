@@ -16,6 +16,7 @@ import pytest
 
 import snellfagnano
 from conftest import SUBPROCESS_TIMEOUT, checkout_env, sample_random_setup
+from oracles import exact_verdict
 from snellfagnano import cli, cmd_simulate, jobs, triangle_from_sides
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -167,6 +168,27 @@ def test_point_tilde_angle_near_zero(capsys, tmp_path):
     assert doc["status"] == "degenerate"
     assert doc["brute_force_cost"] == pytest.approx(
         doc["orbit"]["weighted_perimeter"], rel=1e-9)
+
+
+def test_point_in_the_former_angle_band_is_interior(capsys, tmp_path):
+    """A boundary-family case with A + A~ = pi - 4.77e-11: the verdict is
+    the sign of the numerators, so it reads interior, with three positive
+    barycentrics, as the exact sign says; a margin of 1e-10 on the angle
+    sum would read it degenerate."""
+    spec = {"triangle": {"vertices": [
+        [0.24323240694650194, 0.30124788574405037],
+        [-0.017588627788451827, 0.37439014765873213],
+        [-0.650383126785198, -0.7223846477998832]]},
+        "weights": [0.7130767313100207, 0.3890058048813151,
+                    1.9908286858623536]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["status"]) == (0, "interior")
+    assert doc["interior_conditions"] == [True, True, True]
+    assert min(doc["point"]["barycentric"]) > 0.0
+    t = snellfagnano.Triangle(*spec["triangle"]["vertices"])
+    assert exact_verdict(t, snellfagnano.Weights(*spec["weights"])) == (
+        "interior", (True, True, True))
 
 
 def near_needle_specs(rng, draws):
@@ -1123,8 +1145,8 @@ def test_unknown_spec_keys_exit_2(capsys, tmp_path):
 # tolerances, batch
 
 def test_tolerances_are_constants(capsys, tmp_path):
-    assert jobs.TOLERANCES["interior_angle"] == \
-        snellfagnano.construction.EPS_ANGLE
+    # The regime verdict is a sign and needs no tolerance.
+    assert jobs.TOLERANCES == {"periodicity": 1e-8}
     for flag in (["--tol", "periodicity=0.01"], ["--config", "c.json"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["point", "--input", write_spec(tmp_path, T456)] + flag)
@@ -1897,7 +1919,8 @@ def test_batch_forks_only_above_the_threshold(tmp_path):
     def workers_state(work):
         return (work / "findings.modules").read_text()
 
-    small = open(corpus_path("batch.jsonl"), "rb").read()
+    with open(corpus_path("batch.jsonl"), "rb") as fh:
+        small = fh.read()
     out, err, code, findings, _ = run_split_harness(
         tmp_path / "small", small, "console", "nofork")
     with open(os.path.join(CORPUS, "expected", "batch.jsonl"), "rb") as fh:

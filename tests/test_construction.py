@@ -22,10 +22,10 @@ from snellfagnano.optimize import minimize_inscribed
 
 from conftest import (altitude_feet_oracle, angles, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
-                      sample_random_setup, sample_triangle, sample_weights,
-                      side_angles)
+                      sample_boundary, sample_random_setup, sample_triangle,
+                      sample_weights, side_angles)
 from oracles import (cevian_ratio, degenerate_minimizer, eta_concurrency_test,
-                     intersect_lines)
+                     exact_verdict, intersect_lines)
 
 OBTUSE = Triangle(Point2(0.0, 0.0), Point2(6.0, 0.0), Point2(5.2, 1.1))
 
@@ -259,9 +259,28 @@ def test_conditions_unit_weights():
     assert conds[2] is False
 
 
+@pytest.mark.parametrize("needle", [False, True])
+def test_verdict_is_the_sign_of_the_numerators(needle):
+    """On 3000 boundary-family draws (seed 5) every status and every
+    interior condition equals the exact sign, decided in rational
+    arithmetic on the input floats; the needle-tilde variant, whose float
+    numerators can carry the wrong sign, is held to the reported point
+    alone.  Either way the point is interior exactly when its three Ceva
+    barycentrics are positive."""
+    rng = random.Random(5)
+    for _ in range(3000):
+        t, w = sample_boundary(rng, needle)
+        res = snell_fagnano_point(t, w)
+        if not needle:
+            assert (res.status, res.conditions) == exact_verdict(t, w), (t, w)
+        if res.barycentric is not None:
+            assert (res.status == STATUS_INTERIOR) == \
+                (min(res.barycentric) > 0.0), (t, w)
+
+
 def angle_sums_below_pi(t, tt):
-    """interior_conditions without its EPS_ANGLE margin: every angle plus
-    its tilde angle below pi."""
+    """interior_conditions by the angles: every angle plus its tilde angle
+    below pi."""
     return all(v + vt < math.pi
                for v, vt in zip(angles(t), side_angles(*tt.sides)))
 
