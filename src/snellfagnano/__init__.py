@@ -4,8 +4,8 @@ Construct the interior point whose pedal triangle is the unique 3-periodic
 trajectory of a refractive (Snell) billiard with per-side coefficients, and
 cross-check it against coordinate conversions, the Apollonius common
 points and a convex minimizer of the weighted perimeter.  Every triple,
-weights and coordinates alike, is a plain 3-tuple; Weights and
-RefractionCoeffs are tuples that check their entries.
+weights and coordinates alike, is a plain 3-tuple; Weights is a tuple
+that checks its entries.
 
 Submodules load on first use: ``import snellfagnano`` puts a lazy module
 (``importlib.util.LazyLoader``) for each library module into
@@ -40,7 +40,7 @@ _PUBLIC = (
     ("apollonius", (
         "ApollonianCircle", "apollonian_circle", "apollonian_common_points")),
     ("construction", (
-        "Weights", "RefractionCoeffs", "coeffs_from_weights",
+        "Weights", "coeffs_from_weights",
         "SnellOrbitResult", "snell_fagnano_point", "erect_similar",
         "interior_conditions", "verify_snell_point")),
     ("billiards", (

@@ -126,7 +126,7 @@ def is_periodic(start: BilliardState, t: Triangle, k, n: int,
     return closure(start, state, tol)[3]
 
 
-def orbit_start_state(t: Triangle, it: InscribedTriangle) -> BilliardState:
+def orbit_start_state(it: InscribedTriangle) -> BilliardState:
     """Launch state of a closed inscribed orbit: foot on side a toward the
     foot on side c."""
     return BilliardState("a", it.tA, (it.pC - it.pA).unit())

@@ -52,7 +52,7 @@ def run(spec) -> tuple[dict[str, object], int]:
                            "no closed orbit to launch from (a foot of the "
                            "interior point lies outside its side); "
                            "provide an explicit start state")
-        start = billiards.orbit_start_state(t, res.orbit)
+        start = billiards.orbit_start_state(res.orbit)
     else:
         if not isinstance(node, dict):
             raise CliError(EXIT_INVALID, "start must be an object")

@@ -18,11 +18,11 @@ the result keeps both the triple and the tilde triangle.  When every
 V + V~ < pi, that is every N_V > 0, the point lies strictly inside: the
 verdict is the sign of the numbers the point is built from, so it needs
 no tolerance, and the point's barycentrics, products of those numbers,
-are then positive unless a product underflows.  When its perpendicular
-feet also land strictly inside the sides, its pedal triangle is the
-closed 3-bounce refractive billiard orbit and the minimizer of the
-weighted chord-length sum.  When an angle condition fails the minimizer
-collapses onto a doubled altitude.
+are then positive.  When its perpendicular feet also land strictly
+inside the sides, its pedal triangle is the closed 3-bounce refractive
+billiard orbit and the minimizer of the weighted chord-length sum.  When
+an angle condition fails the minimizer collapses onto a doubled
+altitude.
 
 The in-between regime exists only for obtuse triangles: the point can be
 interior while one pedal foot falls beyond a side endpoint, in which case
@@ -72,25 +72,10 @@ class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
         return self.lam_A * d1 + self.lam_B * d2 + self.lam_C * d3
 
 
-class RefractionCoeffs(namedtuple("RefractionCoeffs", "kap_a kap_b kap_c")):
-    """Per-side sine ratios; their product is 1 by construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, kap_a: float, kap_b: float, kap_c: float):
-        if not (kap_a > 0.0 and kap_b > 0.0 and kap_c > 0.0):
-            raise GeometryError("coefficients must be strictly positive")
-        prod = kap_a * kap_b * kap_c
-        if abs(prod - 1.0) > 1e-9:
-            raise GeometryError(f"coefficient product must be 1, got {prod!r}")
-        return super().__new__(cls, kap_a, kap_b, kap_c)
-
-
-def coeffs_from_weights(w: Weights) -> RefractionCoeffs:
-    """kap_a = lam_B/lam_C, kap_b = lam_C/lam_A, kap_c = lam_A/lam_B."""
-    return RefractionCoeffs(w.lam_B / w.lam_C,
-                            w.lam_C / w.lam_A,
-                            w.lam_A / w.lam_B)
+def coeffs_from_weights(w: Weights) -> tuple[float, float, float]:
+    """(kap_a, kap_b, kap_c) = (lam_B/lam_C, lam_C/lam_A, lam_A/lam_B):
+    Weights keeps every ratio a positive normal float."""
+    return w.lam_B / w.lam_C, w.lam_C / w.lam_A, w.lam_A / w.lam_B
 
 
 class SnellOrbitResult(namedtuple(
@@ -158,7 +143,7 @@ def _apex(v: Point2, w: Point2, x: float, s: float, u: float) -> Point2:
                   v.y + (x * ey - s * ex) * h / u)
 
 
-def interior_conditions(t: Triangle, tt: coordinates.TildeTriangle
+def interior_conditions(tt: coordinates.TildeTriangle
                         ) -> tuple[bool, bool, bool]:
     """The strict tests V + V~ < pi, one per vertex, as sin(V + V~) > 0:
     N_V > 0, the sign of the numerator the point is built from."""
@@ -172,22 +157,31 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
 
     The point comes from its closed-form barycentrics, the Ceva triple of
     the tilde numerators, unit_scaled first so that no product over- or
-    underflows on account of their scale; it is interior exactly when all
-    three interior_conditions hold, that is when every N_V > 0, and then
-    every barycentric is positive or, where a product underflows, 0.
+    underflows on account of their scale; where a product of two small
+    numerators still goes subnormal, the triple is the same point's
+    (m/N_A : m/N_B : m/N_C), m the smallest |N_V| signed as N_A N_B N_C.
+    It is interior exactly when all three interior_conditions hold, that
+    is when every N_V > 0, and then every barycentric is positive.  The
+    barycentric sum vanishes in exact arithmetic only with S, but on a
+    tilde triangle flat to rounding two numerators can be rounding noise
+    of opposite signs whose products cancel; that point at infinity is
+    reported as None, with a degenerate verdict.
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
         return _degenerate_result(t, w, STATUS_NO_TILDE, tilde=tt)
 
-    n_a, n_b, n_c = coordinates.unit_scaled(tt.N)
+    n_a, n_b, n_c = n = coordinates.unit_scaled(tt.N)
     bary = (n_b * n_c, n_c * n_a, n_a * n_b)
+    if min(map(abs, bary)) < sys.float_info.min and 0.0 not in n:
+        m = math.copysign(min(map(abs, n)), n_a * n_b * n_c)
+        bary = (m / n_a, m / n_b, m / n_c)
     try:
         f = coordinates.from_barycentric(bary, t)
     except coordinates.IdealPoint:
         f = None
     erected = erect_similar(t, tt)
-    conds = interior_conditions(t, tt)
+    conds = interior_conditions(tt)
     if all(conds):
         orbit = pedal_triangle(f, t)
         in_sides = all(0.0 < p < 1.0 for p in (orbit.tA, orbit.tB, orbit.tC))
@@ -210,16 +204,19 @@ def _sin_at(v, p, q) -> float:
 
 
 def verify_snell_point(f: Point2, t: Triangle,
-                       k: RefractionCoeffs) -> tuple[float, float, float]:
+                       k) -> tuple[float, float, float]:
     """Residuals of the three sine-ratio characterizations of the point.
 
     For the true orbit point: sin(FCA)/sin(FBA) = kap_a, sin(FAB)/sin(FCB)
     = kap_b and sin(FBC)/sin(FAC) = kap_c.  Each residual is relative,
     |ratio / kap - 1|, so that it reads alike for every weight.  The
     sines are taken of t.unit_vertices and f divided by t.scale, so that no
-    product of two rays of the triangle over- or underflows.  A divisor sine
-    of 0 is OnSideLine; a sine or residual that is not finite is refused.
+    product of two rays of the triangle over- or underflows.  A coefficient
+    that is not positive, a divisor sine of 0 (OnSideLine) and a sine or
+    residual that is not finite are refused.
     """
+    if not all(kap > 0.0 for kap in k):
+        raise GeometryError("coefficients must be strictly positive")
     f = (f[0] / t.scale, f[1] / t.scale)
     a, b, c = t.unit_vertices
     num = (_sin_at(c, f, a), _sin_at(a, f, b), _sin_at(b, f, c))

@@ -158,7 +158,7 @@ def test_criterion_4_three_periodicity():
         res = snell_fagnano_point(t, w)
         k = coeffs_from_weights(w)
         total += 1
-        if is_periodic(orbit_start_state(t, res.orbit), t, k, 3, 1e-8):
+        if is_periodic(orbit_start_state(res.orbit), t, k, 3, 1e-8):
             closed += 1
     ok = closed == total
     report(4, "3-step closure of launched orbits", ok,

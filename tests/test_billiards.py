@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from snellfagnano import (Point2, RefractionCoeffs, Triangle, Weights, dist,
-                          pedal_triangle, triangle_from_sides)
+from snellfagnano import (Point2, Triangle, dist, pedal_triangle,
+                          triangle_from_sides)
 from snellfagnano.billiards import (VERTEX_EPS, BilliardState, HitVertex,
                                     RiverInstance, TotalInternalReflection,
                                     billiard_step, inward_normal, is_periodic,
@@ -21,7 +21,7 @@ from conftest import (orthocenter_oracle, rotate, sample_acute_triangle,
 from oracles import (first_wall_exact, intersect_lines, river_frame,
                      river_reference)
 
-UNIT_K = RefractionCoeffs(1.0, 1.0, 1.0)
+UNIT_K = (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_orthic_vertex_to_vertex():
     rng = random.Random(82)
     t = sample_acute_triangle(rng)
     orbit = pedal_triangle(orthocenter_oracle(t), t)
-    s0 = orbit_start_state(t, orbit)
+    s0 = orbit_start_state(orbit)
     s1 = billiard_step(s0, t, UNIT_K)
     assert s1.side == "c"
     assert s1.param == pytest.approx(orbit.tC, abs=1e-12)
@@ -98,7 +98,7 @@ def test_equilateral_medial_closes():
     t = triangle_from_sides(2.0, 2.0, 2.0)
     orbit = pedal_triangle(orthocenter_oracle(t), t)
     assert all(abs(p - 0.5) < 1e-12 for p in (orbit.tA, orbit.tB, orbit.tC))
-    assert is_periodic(orbit_start_state(t, orbit), t, UNIT_K, 3, 1e-12)
+    assert is_periodic(orbit_start_state(orbit), t, UNIT_K, 3, 1e-12)
 
 
 def test_flight_lands_on_aimed_foot():
@@ -109,8 +109,7 @@ def test_flight_lands_on_aimed_foot():
         if res.status != "interior":
             continue
         orbit = res.orbit
-        s1 = billiard_step(orbit_start_state(t, orbit), t,
-                           coeffs_from_weights(w))
+        s1 = billiard_step(orbit_start_state(orbit), t, coeffs_from_weights(w))
         landed = point_on_side(t, s1.side, s1.param)
         assert dist(landed, orbit.pC) <= 1e-9 * t.diameter
 
@@ -197,7 +196,7 @@ def test_is_periodic_basics():
     rng = random.Random(84)
     t = sample_acute_triangle(rng)
     orbit = pedal_triangle(orthocenter_oracle(t), t)
-    s0 = orbit_start_state(t, orbit)
+    s0 = orbit_start_state(orbit)
     assert is_periodic(s0, t, UNIT_K, 3, 1e-10)
     assert not is_periodic(s0, t, UNIT_K, 1, 1e-10)
     with pytest.raises(ValueError):
@@ -213,7 +212,7 @@ def test_constructed_orbit_is_periodic():
         if res.status != "interior":
             continue
         count += 1
-        assert is_periodic(orbit_start_state(t, res.orbit), t,
+        assert is_periodic(orbit_start_state(res.orbit), t,
                            coeffs_from_weights(w), 3, 1e-8)
 
 
@@ -222,13 +221,13 @@ def test_step_sine_ratio_matches_coefficient():
     t, w = sample_admissible(rng)
     k = coeffs_from_weights(w)
     res = snell_fagnano_point(t, w)
-    state = orbit_start_state(t, res.orbit)
+    state = orbit_start_state(res.orbit)
     for _ in range(3):
         nxt = billiard_step(state, t, k)
         n = inward_normal(t, nxt.side)
         sin_in = abs(state.direction.cross(n))
         sin_out = abs(nxt.direction.cross(n))
-        kap = {"a": k.kap_a, "b": k.kap_b, "c": k.kap_c}[nxt.side]
+        kap = k["abc".index(nxt.side)]
         assert sin_in / sin_out == pytest.approx(kap, rel=1e-10)
         state = nxt
 
@@ -245,7 +244,7 @@ def test_time_reversal_with_reciprocal_coefficients():
             continue
         count += 1
         k = coeffs_from_weights(w)
-        k_rev = RefractionCoeffs(1.0 / k.kap_a, 1.0 / k.kap_b, 1.0 / k.kap_c)
+        k_rev = tuple(1.0 / kap for kap in k)
         orbit = res.orbit
         back = BilliardState("a", orbit.tA, (orbit.pB - orbit.pA).unit())
         s1 = billiard_step(back, t, k_rev)

@@ -170,6 +170,22 @@ def test_point_tilde_angle_near_zero(capsys, tmp_path):
         doc["orbit"]["weighted_perimeter"], rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [40, 300, 500, 540, 700, 1000])
+def test_needle_point_keeps_every_barycentric(capsys, tmp_path, k):
+    """On the isosceles triangle with |CA| = |AB| = 5 and weights
+    (2^-k, 1, 1), barycentric_A is lam_A sqrt(5)/10 for every k: two tiny
+    tilde numerators whose product underflows must not make it 0."""
+    lam = 2.0 ** -k
+    spec = {"triangle": {"vertices": [[0, 0], [5, 0], [3, 4]]},
+            "weights": [lam, 1, 1]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["status"]) == (0, "interior")
+    bary = doc["point"]["barycentric"]
+    assert min(bary) > 0.0
+    assert abs(bary[0] / lam / (math.sqrt(5) / 10) - 1.0) <= 4 * EPS
+
+
 def test_point_in_the_former_angle_band_is_interior(capsys, tmp_path):
     """A boundary-family case with A + A~ = pi - 4.77e-11: the verdict is
     the sign of the numerators, so it reads interior, with three positive

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
-                          GeometryError, Point2, RefractionCoeffs,
-                          RiverInstance, Triangle, TriangleInequalityViolated,
-                          Weights, altitudes, apollonian_circle, dist,
-                          inscribed_from_params, is_periodic, pedal_triangle,
-                          signed_area, snell_reflect, triangle_from_sides,
-                          tripolar_to_points)
+                          GeometryError, Point2, RiverInstance, Triangle,
+                          TriangleInequalityViolated, Weights, altitudes,
+                          apollonian_circle, dist, inscribed_from_params,
+                          is_periodic, pedal_triangle, signed_area,
+                          snell_reflect, triangle_from_sides,
+                          tripolar_to_points, verify_snell_point)
 from snellfagnano.geometry import heron_area, line_parameter, point_on_side
 
 from conftest import angles, sample_triangle
@@ -55,7 +55,8 @@ UNIT_RIGHT = Triangle(Point2(0.0, 1.0), Point2(0.0, 0.0), Point2(1.0, 0.0))
 
 @pytest.mark.parametrize("make, message", [
     (lambda: Weights(1.0, NAN, 1.0), "weights must be strictly positive"),
-    (lambda: RefractionCoeffs(1.0, NAN, 1.0),
+    (lambda: verify_snell_point(Point2(0.25, 0.25), UNIT_RIGHT,
+                                (1.0, NAN, 1.0)),
      "coefficients must be strictly positive"),
     (lambda: apollonian_circle(Point2(0.0, 0.0), Point2(1.0, 0.0), NAN),
      "ratio must be positive"),
@@ -68,7 +69,7 @@ UNIT_RIGHT = Triangle(Point2(0.0, 1.0), Point2(0.0, 0.0), Point2(1.0, 0.0))
      "side lengths must be positive"),
     (lambda: tripolar_to_points((1.0, NAN, 1.0), UNIT_RIGHT),
      "tripolar distances must be >= 0"),
-], ids=["Weights", "RefractionCoeffs", "apollonian_circle", "snell_reflect",
+], ids=["Weights", "verify_snell_point", "apollonian_circle", "snell_reflect",
         "RiverInstance", "triangle_from_sides", "tripolar_to_points"])
 def test_nan_is_refused_as_not_positive(make, message):
     """A NaN in any place fails the positivity check it meets."""
@@ -251,15 +252,14 @@ T345 = Triangle(Point2(0, 0), Point2(4, 0), Point2(0, 3))
 
 
 @pytest.mark.parametrize("refusal, args", [
-    (RefractionCoeffs, (0.0, 1.0, 1.0)),
-    (RefractionCoeffs, (1.0, 2.0, 1.0)),
+    (verify_snell_point, (Point2(1, 1), T345, (0.0, 1.0, 1.0))),
     (snell_reflect, (Point2(0, -1), Point2(0, 1), 0.0)),
     (apollonian_circle, (Point2(0, 0), Point2(1, 0), 0.0)),
     (apollonian_circle, (Point2(1, 0), Point2(1, 0), 2.0)),
     (is_periodic, (BilliardState("a", 0.5, Point2(-0.6, -0.8)), T345,
-                   RefractionCoeffs(1.0, 1.0, 1.0), 0, 1e-8)),
+                   (1.0, 1.0, 1.0), 0, 1e-8)),
     (T345.side_segment, ("d",)),
-], ids=["coefficient-not-positive", "coefficient-product", "kappa",
+], ids=["coefficient-not-positive", "kappa",
         "apollonius-ratio", "apollonius-base", "periodic-steps",
         "unknown-side"])
 def test_library_refusals_are_geometry_errors(refusal, args):
