@@ -31,12 +31,12 @@ _PUBLIC = (
         "inscribed_from_params", "pedal_triangle", "altitudes", "dist",
         "signed_area", "circumcircle",
         "GeometryError", "DegenerateTriangle", "DegenerateLine",
-        "TriangleInequalityViolated")),
+        "TriangleInequalityViolated", "IdealPoint", "NoSuchPoint")),
     ("coordinates", (
         "to_barycentric", "from_barycentric", "trilinear_to_barycentric",
         "barycentric_to_trilinear", "tripolar_of_point", "tripolar_to_points",
         "isogonal_conjugate", "TildeTriangle", "tilde_triangle",
-        "IdealPoint", "OnSideLine", "NoSuchPoint")),
+        "OnSideLine")),
     ("apollonius", (
         "ApollonianCircle", "apollonian_circle", "apollonian_common_points")),
     ("construction", (

@@ -21,9 +21,10 @@ NUL character, and --svg anywhere but on a single render job.
 
 This module is the CLI core: the argument parser, the batch loop and the
 mapping of exceptions to exit codes.  `run_spec` maps the library's
-refusals, GeometryErrors, to 3 (NoSuchPoint, IdealPoint) or 2, so a
-command catches one only to add what only it knows, as CliError with its
-code (a failed simulate step is 4, a failed SVG write 5).  Any other
+refusals, GeometryErrors, all in `geometry`, to 3 (NoSuchPoint,
+IdealPoint) or 2, so an error report loads no module its command did not;
+a command catches one only to add what only it knows, as CliError with
+its code (a failed simulate step is 4, a failed SVG write 5).  Any other
 exception, a ValueError outside GeometryError among them, is a defect
 (exit 1).  Each command lives in its own module
 (`cmd_point` ... `cmd_render`, each with `run(spec)`), and the spec
@@ -74,7 +75,7 @@ import importlib
 import os
 import sys
 
-from . import __version__, coordinates, geometry, serialize
+from . import __version__, geometry, serialize
 from .jobs import (EXIT_INTERNAL, EXIT_INVALID, EXIT_IO, EXIT_MISSING, EXIT_OK,
                    CliError, check_keys, error_doc, loads)
 
@@ -176,7 +177,7 @@ def run_spec(command: str, spec: object) -> tuple[dict[str, object], int]:
         return HANDLERS[command](spec)
     except CliError as e:
         code, message = e.code, str(e)
-    except (coordinates.NoSuchPoint, coordinates.IdealPoint) as e:
+    except (geometry.NoSuchPoint, geometry.IdealPoint) as e:
         code, message = EXIT_MISSING, str(e)
     except geometry.GeometryError as e:
         code, message = EXIT_INVALID, str(e)

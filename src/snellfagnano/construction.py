@@ -39,7 +39,7 @@ from collections import namedtuple
 
 from . import coordinates
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       inscribed_from_params, line_parameter, pedal_triangle)
+                       pedal_triangle)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -232,25 +232,19 @@ def verify_snell_point(f: Point2, t: Triangle,
 
 def _degenerate_result(t: Triangle, w: Weights, status: str,
                        **found) -> SnellOrbitResult:
-    """The cheapest doubled altitude, vertex V to its foot and back: the
-    foot's parameter is line_parameter of V, the length 2 area / opposite
-    side, and the cost that times the weights of the two chords on it."""
-    heights = {v: 2.0 * t.area / side for v, side in zip("ABC", t.sides)}
-    cands = {
-        "A": (inscribed_from_params(t, line_parameter(t.vA, t.vB, t.vC), 1.0, 0.0),
-              (w.lam_B + w.lam_C) * heights["A"]),
-        "B": (inscribed_from_params(t, 0.0, line_parameter(t.vB, t.vC, t.vA), 1.0),
-              (w.lam_C + w.lam_A) * heights["B"]),
-        "C": (inscribed_from_params(t, 1.0, 0.0, line_parameter(t.vC, t.vA, t.vB)),
-              (w.lam_A + w.lam_B) * heights["C"]),
-    }
-    best = min(cands, key=lambda v: cands[v][1])
-    orbit, cost = cands[best]
+    """The cheapest doubled altitude, vertex V to its foot and back: its cost
+    is t.heights' length times the weights of the two chords on it, and its
+    orbit the pedal triangle of V, whose other two feet are V itself."""
+    heights = dict(zip("ABC", t.heights))
+    pairs = (w.lam_B + w.lam_C, w.lam_C + w.lam_A, w.lam_A + w.lam_B)
+    costs = {v: lam * heights[v] for v, lam in zip("ABC", pairs)}
+    best = min(costs, key=costs.get)
     info: dict[str, object] = {
-        "weighted_costs": {v: cands[v][1] for v in "ABC"},
+        "weighted_costs": costs,
         "altitude_lengths": heights,
         "weighted_argmin": best,
         "shortest_altitude": min(heights, key=heights.get),
     }
-    return SnellOrbitResult(status=status, weighted_perimeter=cost,
+    orbit = pedal_triangle(t.vertices["ABC".index(best)], t)
+    return SnellOrbitResult(status=status, weighted_perimeter=costs[best],
                             orbit=orbit, degenerate_info=info, **found)

@@ -32,8 +32,9 @@ import math
 import sys
 from collections import namedtuple
 
-from .geometry import (GeometryError, Point2, Triangle, circumcircle, dist,
-                       heron_area, signed_area, unit_power)
+from .geometry import (GeometryError, IdealPoint, NoSuchPoint, Point2,
+                       Triangle, circumcircle, dist, heron_area, signed_area,
+                       unit_power)
 
 # A homogeneous triple whose sum is within this fraction of its largest
 # magnitude names a point at infinity.
@@ -47,16 +48,8 @@ VERTEX_SCALE_TOL = 1e-8
 ROUNDING = 64.0 * sys.float_info.epsilon
 
 
-class IdealPoint(GeometryError):
-    """Homogeneous coordinates sum to zero: the point lies at infinity."""
-
-
 class OnSideLine(GeometryError):
     """The operation is undefined for points on the side lines."""
-
-
-class NoSuchPoint(GeometryError):
-    """The tripolar triple is not realized by any point of the plane."""
 
 
 def to_barycentric(p: Point2, t: Triangle) -> tuple[float, float, float]:
@@ -66,7 +59,7 @@ def to_barycentric(p: Point2, t: Triangle) -> tuple[float, float, float]:
     is refused."""
     p = (p[0] / t.scale, p[1] / t.scale)
     a, b, c = t.unit_vertices
-    full = signed_area(a, b, c)
+    full = t.unit_area
     bc = (signed_area(p, b, c) / full, signed_area(p, c, a) / full,
           signed_area(p, a, b) / full)
     if not all(map(math.isfinite, bc)):
@@ -167,9 +160,9 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     S = 4.0 * heron_area(p, q, r)
     (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
-    # K2 > 0, the vertices being counterclockwise; d_V is the dot product
+    # K2 = (B - A) x (C - A) > 0 is twice the area; d_V is the dot product
     # of the two edges leaving V.
-    k2 = ux * vy - uy * vx
+    k2 = 2.0 * t.unit_area
     d_a, d_b, d_c = ux * vx + uy * vy, -(wx * ux + wy * uy), vx * wx + vy * wy
     return TildeTriangle(
         (p, q, r), S > 0.0, X, S,

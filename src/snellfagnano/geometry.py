@@ -4,8 +4,9 @@ Everything downstream (coordinate systems, circle constructions, the
 billiard map) is built on the handful of operations in this module, so the
 conventions fixed here are global: triangles are stored counterclockwise,
 side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B, only
-Triangle picks a triangle's scale and judges its degeneracy, and only
-point_on_side makes a point at a parameter along a side.
+Triangle picks a triangle's scale and judges its degeneracy, only
+point_on_side makes a point at a parameter along a side, and only
+pedal_triangle takes a perpendicular foot.
 """
 
 from __future__ import annotations
@@ -33,6 +34,14 @@ class TriangleInequalityViolated(GeometryError):
 
 class DegenerateLine(GeometryError):
     """The two points defining a line coincide."""
+
+
+class IdealPoint(GeometryError):
+    """Homogeneous coordinates sum to zero: the point lies at infinity."""
+
+
+class NoSuchPoint(GeometryError):
+    """The tripolar triple is not realized by any point of the plane."""
 
 
 class Point2(namedtuple("Point2", "x y")):
@@ -85,57 +94,55 @@ def signed_area(p: Point2, q: Point2, r: Point2) -> float:
     return 0.5 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
 
 
-def line_parameter(p: Point2, q1: Point2, q2: Point2) -> float:
-    """Affine parameter t of the projection of p, so foot = q1 + t*(q2-q1)."""
-    d = Point2(q2[0] - q1[0], q2[1] - q1[1])
-    den = d.dot(d)
-    if den <= 0.0:
-        raise DegenerateLine("projection target line is a single point")
-    return Point2(p[0] - q1[0], p[1] - q1[1]).dot(d) / den
-
-
 class Triangle:
     """Reference triangle with labeled vertices A, B, C.
 
     The constructor re-orients clockwise input to counterclockwise (swapping
     B and C) so that the whole package can assume positive orientation.
-    Sides and area come from the edge vectors B - A, C - B and C - A, each
-    taken once.  So does the scale, the power of two of the diameter.  The
+    Each side is the distance between its two vertices, taken once, and
+    the scale is the power of two of the largest side, the diameter.  The
     vertices and sides are kept divided by it (unit_vertices, as (x, y)
     pairs, and unit_sides), once and exactly, since it is a power of two:
     a unit-size computation reads them and divides only its own query
-    point.  A vertex coordinate that is not finite, or a diameter squared
-    that is not a normal float, is refused (GeometryError), and an area at
-    most EPS_DEGENERATE times it is degenerate.
+    point.  So does the area: area = unit_area * scale^2.  A vertex
+    coordinate that is not finite, or a diameter squared that is not a
+    normal float, is refused (GeometryError), and a unit area at most
+    EPS_DEGENERATE times the unit diameter squared is degenerate.
     """
 
     __slots__ = ("vA", "vB", "vC", "a", "b", "c", "area", "diameter",
-                 "scale", "unit_vertices", "unit_sides")
+                 "scale", "unit_vertices", "unit_sides", "unit_area")
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
         if not all(map(math.isfinite, (*vA, *vB, *vC))):
             raise GeometryError("vertices must be finite")
-        ab, bc, ac = vB - vA, vC - vB, vC - vA
-        a, b, c = bc.norm(), ac.norm(), ab.norm()
-        area = 0.5 * ab.cross(ac)
+        a, b, c = dist(vB, vC), dist(vC, vA), dist(vA, vB)
         diam = max(a, b, c)
         _check_diameter(diam)
-        if abs(area) <= EPS_DEGENERATE * diam * diam:
-            raise DegenerateTriangle(
-                f"vertices are collinear within tolerance (area {area:g})")
+        s = unit_power(diam)
+        ua, ub, uc = ((x / s, y / s) for x, y in (vA, vB, vC))
+        area, d = signed_area(ua, ub, uc), diam / s
+        if abs(area) <= EPS_DEGENERATE * d * d:
+            raise DegenerateTriangle("vertices are collinear within "
+                                     f"tolerance (area {area * s * s:g})")
         if area < 0.0:
-            vB, vC, b, c = vC, vB, c, b
+            vB, vC, ub, uc, b, c = vC, vB, uc, ub, c, b
         self.vA, self.vB, self.vC = vA, vB, vC
         self.a, self.b, self.c = a, b, c
-        self.area, self.diameter = abs(area), diam
-        self.scale = s = unit_power(diam)
-        self.unit_vertices = tuple((x / s, y / s) for x, y in (vA, vB, vC))
-        self.unit_sides = (a / s, b / s, c / s)
+        self.area, self.unit_area = abs(area) * s * s, abs(area)
+        self.diameter, self.scale = diam, s
+        self.unit_vertices, self.unit_sides = (ua, ub, uc), (a / s, b / s, c / s)
 
     @property
     def vertices(self):
         return (self.vA, self.vB, self.vC)
+
+    @property
+    def heights(self):
+        """Altitude lengths 2 unit_area / unit side, scaled back, A to C."""
+        h, s = 2.0 * self.unit_area, self.scale
+        return tuple(h / u * s for u in self.unit_sides)
 
     @property
     def sides(self):
@@ -266,21 +273,25 @@ def inscribed_from_params(t: Triangle, tA: float, tB: float, tC: float) -> Inscr
                              point_on_side(t, "c", tC), tA, tB, tC)
 
 
+def _foot(p, q1, q2) -> float:
+    """Parameter t of the foot of p on line q1 q2: q1 + t (q2 - q1)."""
+    dx, dy = q2[0] - q1[0], q2[1] - q1[1]
+    return ((p[0] - q1[0]) * dx + (p[1] - q1[1]) * dy) / (dx * dx + dy * dy)
+
+
 def pedal_triangle(p: Point2, t: Triangle) -> InscribedTriangle:
-    """Perpendicular feet of p on the three side lines."""
-    p = Point2(*p)
-    return inscribed_from_params(t, line_parameter(p, t.vB, t.vC),
-                                 line_parameter(p, t.vC, t.vA),
-                                 line_parameter(p, t.vA, t.vB))
+    """Perpendicular feet of p on the three side lines, each parameter
+    taken of t.unit_vertices and p divided by t.scale: a Triangle's unit
+    sides are at least about 2e-12, so no square underflows.  A vertex's
+    other two feet are itself, at parameters x/x = 1 and 0/x = 0."""
+    p = (p[0] / t.scale, p[1] / t.scale)
+    a, b, c = t.unit_vertices
+    return inscribed_from_params(t, _foot(p, b, c), _foot(p, c, a),
+                                 _foot(p, a, b))
 
 
 def altitudes(t: Triangle):
-    """Feet and lengths of the three altitudes, in vertex order (A, B, C).
-
-    Each foot is point_on_side of the opposite side at the line_parameter
-    of the vertex, and each length is 2*area / opposite side.
-    """
-    return tuple(
-        (point_on_side(t, side, line_parameter(v, *t.side_segment(side))),
-         2.0 * t.area / length)
-        for v, side, length in zip(t.vertices, "abc", t.sides))
+    """Feet and lengths of the three altitudes, in vertex order (A, B, C):
+    each vertex's own foot in its pedal_triangle, and t.heights."""
+    return tuple((pedal_triangle(v, t)[i], h)
+                 for i, (v, h) in enumerate(zip(t.vertices, t.heights)))

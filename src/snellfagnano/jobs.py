@@ -132,7 +132,7 @@ def parse_weights(spec: dict[str, object],
     if not math.isfinite(max(w) * (t.a + t.b + t.c)):
         raise CliError(EXIT_INVALID,
                        "largest weight times the perimeter overflows")
-    low = min(w) * (t.area / t.diameter)
+    low = min(w) * (t.unit_area / (t.diameter / t.scale)) * t.scale
     if low < sys.float_info.min:
         raise CliError(EXIT_INVALID, "smallest weight times area / diameter "
                        "is %.17g, below %.17g" % (low, sys.float_info.min))

@@ -52,9 +52,9 @@ class MinimizeReport(namedtuple("MinimizeReport",
     stopped on a vanishing step, one whose predicted decrease is below
     1e-15 of largest weight times diameter; stopping on the per-stage step
     cap, or on a step the line search cannot make lower the objective, does
-    not count.  flatness is the float |area(best)| / area(reference);
-    values below ~1e-3 indicate the minimizer has collapsed onto a doubled
-    segment.
+    not count.  flatness is the float |area(best)| / area(reference), both
+    taken at unit size (Triangle.unit_area); values below ~1e-3 indicate
+    the minimizer has collapsed onto a doubled segment.
     """
 
     __slots__ = ()
@@ -217,6 +217,6 @@ def minimize_inscribed(t: Triangle, w: Weights) -> MinimizeReport:
     snapped_cost = weighted_perimeter(snapped, w)
     if snapped_cost < cost:
         best, cost = snapped, snapped_cost
-    area = abs(signed_area(best.pA, best.pB, best.pC))
+    area = abs(signed_area(*(p * (1.0 / t.scale) for p in best.points)))
     return MinimizeReport(best=best, cost=cost, iterations=iterations,
-                          converged=converged, flatness=area / t.area)
+                          converged=converged, flatness=area / t.unit_area)

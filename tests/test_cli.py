@@ -700,6 +700,104 @@ def test_verdicts_keep_over_triangle_scales(capsys, tmp_path):
             assert len(verdicts) == 1, (command, vertices, spec, verdicts)
 
 
+# Report keys whose floats are lengths, and the one whose floats are
+# inverse lengths (a trilinear triple is a barycentric one over the sides);
+# a float under neither, nor under a key of either, is dimensionless.
+LENGTH_KEYS = {"xy", "vertices", "erected_apexes", "weighted_perimeter",
+               "cost", "brute_force_cost", "altitude_lengths",
+               "weighted_costs", "tripolar", "scale"}
+INVERSE_LENGTH_KEYS = {"trilinear"}
+
+
+def assert_scaled(unit, doc, f, factor=1.0, path="report"):
+    """doc is unit with each length times f, each inverse length over f
+    and every other leaf equal, bit for bit; messages, which print
+    lengths, are skipped."""
+    if isinstance(unit, dict):
+        assert list(doc) == list(unit), path
+        for key in unit:
+            if key != "message":
+                assert_scaled(unit[key], doc[key], f,
+                              f if key in LENGTH_KEYS else 1.0 / f
+                              if key in INVERSE_LENGTH_KEYS else factor,
+                              path + "." + key)
+    elif isinstance(unit, list):
+        assert len(doc) == len(unit), path
+        for i, (u, d) in enumerate(zip(unit, doc)):
+            assert_scaled(u, d, f, factor, "%s[%d]" % (path, i))
+    elif isinstance(unit, float):
+        assert doc == unit * factor, (path, unit, doc, factor)
+    else:
+        assert doc == unit, (path, unit, doc)
+
+
+def _sin_at(v, p, q):
+    """|sin| of the angle at v between the rays to p and to q."""
+    (x1, y1), (x2, y2) = (p[0] - v[0], p[1] - v[1]), (q[0] - v[0], q[1] - v[1])
+    return abs(x1 * y2 - y1 * x2) / math.hypot(x1, y1) / math.hypot(x2, y2)
+
+
+def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
+        tmp_path):
+    """The short-side family A = (0, 0), B = (r, 0), C = (u r, 1), r =
+    10^U(-11.5, -4), u = U(-0.5, 1.5), weights e^U(-2, 2), scaled by 2^k
+    for k in {-510, -492, 400, 500}, near both ends of the accepted
+    diameters: every command that takes a triangle gives the unit-scale
+    exit code and report, each length times 2^k and each dimensionless
+    field equal, and render the same SVG.  Those weights leave no closed
+    orbit, so 100 more draws take the weights that make a random interior
+    point F the orbit point (the sine ratios at F), and simulate launches
+    from the orbit.  A side's square in world units, about 1e-330 at
+    2^-510, would underflow; every foot, area and height is taken at unit
+    size."""
+    rng = random.Random(1)
+    svg = tmp_path / "scaled.svg"
+    for i in range(400):
+        r, u = 10.0 ** rng.uniform(-11.5, -4), rng.uniform(-0.5, 1.5)
+        A, B, C = vertices = [(0.0, 0.0), (r, 0.0), (u * r, 1.0)]
+        weights = [math.exp(rng.uniform(-2, 2)) for _ in "abc"]
+        side = rng.choice("abc")
+        q1, q2 = {"a": (B, C), "b": (C, A), "c": (A, B)}[side]
+        turn = rng.uniform(-1.2, 1.2)
+        nx, ny = q1[1] - q2[1], q2[0] - q1[0]    # inward: CCW vertices
+        simulate = {"weights": weights, "steps": 6, "start": {
+            "side": side, "param": rng.uniform(0.05, 0.95),
+            "direction": [nx * math.cos(turn) - ny * math.sin(turn),
+                          nx * math.sin(turn) + ny * math.cos(turn)]}}
+        if i >= 300:
+            g = [rng.expovariate(1.0) for _ in "abc"]
+            F = [sum(gi * v[j] for gi, v in zip(g, vertices)) / sum(g)
+                 for j in (0, 1)]
+            kap_c = _sin_at(B, F, C) / _sin_at(A, F, C)
+            kap_a = _sin_at(C, F, A) / _sin_at(B, F, A)
+            weights = [1.0, 1.0 / kap_c, 1.0 / kap_c / kap_a]
+            simulate = {"weights": weights, "steps": 6}
+        jobs = (
+            ("point", {"weights": weights}),
+            ("minimize", {"weights": weights}),
+            ("simulate", simulate),
+            ("convert", {"coords": {
+                "kind": rng.choice(("barycentric", "trilinear", "tripolar")),
+                "values": [rng.uniform(0.1, 1.0) for _ in "abc"]}}),
+            ("render", {"weights": weights, "svg_path": str(svg),
+                        "layers": {"apollonius": True}}))
+        for command, spec in jobs:
+            reports = []
+            for k in (0, -510, -492, 400, 500):
+                f = math.ldexp(1.0, k)
+                doc, code = cli.run_spec(command, dict(spec, triangle={
+                    "vertices": [[x * f, y * f] for x, y in vertices]}))
+                doc.pop("input")
+                reports.append((f, code, doc, svg.read_bytes()
+                                if command == "render" and code == 0
+                                else None))
+            _, code, unit, picture = reports[0]
+            for f, *scaled in reports[1:]:
+                assert (scaled[0], scaled[2]) == (code, picture), (
+                    command, vertices, weights, f, scaled[1])
+                assert_scaled(unit, scaled[1], f)
+
+
 def test_verdicts_keep_over_translations():
     """500 `point` jobs of the random set-up, shifted by (1, -0.7) times
     1e3, 1e6 and 1e9 diameters, keep their exit code, status and
@@ -1972,24 +2070,25 @@ def test_installed_sf_script(tmp_path):
 
 
 # Imports the CLI and runs the command line given to it, if any; then
-# prints the modules it imported that a cold start does not use, the
-# snellfagnano modules whose bodies have run, and the command modules
-# present in sys.modules, run or not.  It runs under `python -S`, so that
-# no `site` step (a .pth file that loads typing, say) imports a module
-# before it looks.
+# prints its exit code, the modules it imported that a cold start does not
+# use, the snellfagnano modules whose bodies have run, and the command
+# modules present in sys.modules, run or not.  It runs under `python -S`,
+# so that no `site` step (a .pth file that loads typing, say) imports a
+# module before it looks.
 COLD_START_PROBE = """
 import contextlib, io, json, sys, types
 before = set(sys.modules)
 import snellfagnano.cli
+code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = snellfagnano.cli.main(sys.argv[1:])
         except SystemExit as e:
             code = e.code
-    assert code == 0, code
 added = set(sys.modules) - before
 print(json.dumps({
+    "code": code,
     "unused": sorted(added & {"numpy", "dataclasses", "concurrent.futures",
                               "argparse", "gettext", "locale", "textwrap",
                               "typing"}),
@@ -2011,7 +2110,25 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     and jobs) and registers no command module; a cold job adds its
     command's module and the modules that command calls.  A closed orbit
     draws no circles, so point, simulate and a render without layers
-    leave apollonius out."""
+    leave apollonius out.  An error report loads no module its command
+    does not run: exit 2 from a river whose points straddle the line, or
+    from a simulate whose start points out of the triangle, leaves
+    coordinates out."""
+    straddle = tmp_path / "straddle.json"
+    straddle.write_text(json.dumps({"river": {
+        "a": [-1, 1], "b": [1, -1], "line": [[0, 0], [1, 0]],
+        "lam1": 1, "lam2": 2}}))
+    outward = tmp_path / "outward.json"
+    outward.write_text(json.dumps(dict(
+        corpus_spec("simulate_default.json"),
+        start={"side": "a", "param": 0.5, "direction": [0, -1]})))
+    errors = (
+        (["river", "--input", str(straddle)],
+         ["cmd_river", "billiards", "geometry", "serialize"]),
+        (["simulate", "--input", str(outward)],
+         ["cmd_simulate", "billiards", "construction", "geometry",
+          "serialize"]),
+    )
     cases = (
         ([], []),
         (["--version"], []),
@@ -2037,7 +2154,8 @@ def test_cli_import_leaves_numpy_out(tmp_path):
          ["cmd_minimize", "construction", "coordinates", "geometry",
           "optimize", "serialize"]),
     )
-    for argv, used in cases:
+    for argv, used, code in ([case + (0,) for case in cases]
+                             + [case + (2,) for case in errors]):
         proc = subprocess.run([sys.executable, "-S", "-c", COLD_START_PROBE]
                               + argv,
                               capture_output=True, text=True,
@@ -2046,9 +2164,38 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         expected = ["snellfagnano", "snellfagnano.cli", "snellfagnano.jobs"] + [
             "snellfagnano." + name for name in used]
         commands = [name for name in expected if ".cmd_" in name]
-        assert json.loads(proc.stdout) == {"unused": [],
+        assert json.loads(proc.stdout) == {"code": code, "unused": [],
                                            "ran": sorted(expected),
                                            "commands": commands}, argv
+
+
+def test_every_import_in_src_is_read():
+    """Every name a module of the package binds by an import is read in
+    that module: an import nothing reads costs a cold job its load.  An
+    import marked `# noqa: F401` is a declared re-export."""
+    unread = []
+    package = os.path.dirname(snellfagnano.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"
+                    or any("# noqa: F401" in line for line in
+                           lines[node.lineno - 1:node.end_lineno])):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    unread.append("%s:%d %s" % (name, node.lineno, bound))
+    assert unread == []
 
 
 def test_public_names_resolve():

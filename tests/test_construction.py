@@ -16,8 +16,7 @@ from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        interior_conditions,
                                        snell_fagnano_point,
                                        verify_snell_point)
-from snellfagnano.geometry import (altitudes, inscribed_from_params,
-                                   line_parameter)
+from snellfagnano.geometry import altitudes, inscribed_from_params
 from snellfagnano.optimize import minimize_inscribed
 
 from conftest import (altitude_feet_oracle, angles, orthocenter_oracle,
@@ -502,8 +501,10 @@ def test_degenerate_candidate_is_argmin():
 
 
 def test_doubled_altitude_foot_is_the_projection_of_its_vertex():
-    # The free parameter is line_parameter of the vertex itself, not of a
-    # foot already rounded to a point.
+    # The orbit is the pedal triangle of its vertex: the free parameter is
+    # the projection of the vertex itself, not of a foot already rounded to
+    # a point, and the other two feet sit at the vertex, at parameters
+    # exactly 1 and 0.
     rng = random.Random(24)
     seen = 0
     for _ in range(1200):
@@ -514,11 +515,10 @@ def test_doubled_altitude_foot_is_the_projection_of_its_vertex():
         seen += 1
         o = res.orbit
         argmin = res.degenerate_info["weighted_argmin"]
-        got, want = {
-            "A": (o.tA, line_parameter(t.vA, t.vB, t.vC)),
-            "B": (o.tB, line_parameter(t.vB, t.vC, t.vA)),
-            "C": (o.tC, line_parameter(t.vC, t.vA, t.vB))}[argmin]
-        assert got == want, (t, w)
+        assert o == pedal_triangle(t.vertices["ABC".index(argmin)], t)
+        others = {"A": (o.tB, o.tC), "B": (o.tC, o.tA),
+                  "C": (o.tA, o.tB)}[argmin]
+        assert others == (1.0, 0.0), (t, w, others)
     assert seen > 900
 
 

@@ -35,10 +35,10 @@ def test_weighted_perimeter_unit_chords():
 
 def test_weighted_perimeter_doubled_altitude_candidate():
     t = triangle_from_sides(3.0, 4.0, 5.0)
-    from snellfagnano.geometry import line_parameter
     (fA, hA), _, _ = altitudes(t)
     # foot on side a, the other two vertices collapsed onto A itself
-    cand = inscribed_from_params(t, line_parameter(fA, t.vB, t.vC), 1.0, 0.0)
+    cand = pedal_triangle(t.vA, t)
+    assert cand.pA == fA and cand[4:] == (1.0, 0.0)
     assert cand.chord_lengths()[0] <= 1e-14
     assert weighted_perimeter(cand, Weights(2, 3, 4)) == \
         pytest.approx((3 + 4) * hA, rel=1e-12)
