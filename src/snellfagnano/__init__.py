@@ -26,10 +26,10 @@ __version__ = "0.1.0"
 
 # Every library submodule, with the public names of the package it defines.
 _PUBLIC = (
+    ("exact", ()),
     ("geometry", (
         "Point2", "Triangle", "InscribedTriangle", "triangle_from_sides",
-        "inscribed_from_params", "pedal_triangle", "altitudes", "dist",
-        "signed_area", "circumcircle",
+        "inscribed_from_params", "pedal_triangle", "dist", "signed_area",
         "GeometryError", "DegenerateTriangle", "DegenerateLine",
         "TriangleInequalityViolated", "IdealPoint", "NoSuchPoint")),
     ("coordinates", (
@@ -45,7 +45,7 @@ _PUBLIC = (
         "interior_conditions", "verify_snell_point")),
     ("billiards", (
         "BilliardState", "RiverInstance", "snell_reflect", "billiard_step",
-        "is_periodic", "orbit_start_state", "solve_river",
+        "orbit_start_state", "solve_river",
         "TotalInternalReflection", "HitVertex")),
     ("optimize", ("MinimizeReport", "minimize_inscribed", "weighted_perimeter")),
     ("render", ()),

@@ -8,13 +8,12 @@ lam_C) meet where the vertex distances are proportional to the weights, so
 their common points are the tripolar inversion of the weight triple
 (coordinates.tripolar_to_points): invert about such a point and the
 vertices span a triangle similar to the scaled "tilde" triangle of side
-lengths (lam_A * a, lam_B * b, lam_C * c).  Two points, inverse in the
-circumcircle, exist when that triangle does, one on the circumcircle when
-it is flat, and none beyond; equal weights leave the circumcenter alone.
-The "+" point is (a^2 N_A : b^2 N_B : c^2 N_C), from the tilde triangle's
-numerators N_V = K2 X_V + d_V S of sin(V + V~), so no angle is taken.
-The tilde triangle itself lives with the inversion, in coordinates, and
-is re-exported here.
+lengths (lam_A * a, lam_B * b, lam_C * c).  Two points exist when that
+triangle does, one on the circumcircle when it is flat, and none beyond;
+equal weights leave the circumcenter alone.  The points are
+(lam_B lam_C sin(A +- A~) : ...), from the tilde triangle's exact
+integer numerators, so no angle is taken.  The tilde triangle itself
+lives with the inversion, in coordinates, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def apollonian_circle(p1: Point2, p2: Point2, r: float) -> ApollonianCircle:
 def apollonian_common_points(t: Triangle, w) -> list[Point2]:
     """Points lying on all three weight-ratio circles, sorted by (x, y)."""
     try:
-        pts = [p for p, _ in tripolar_to_points(w, t)]
+        pts = [p for p, _, _ in tripolar_to_points(w, t)]
     except NoSuchPoint:
         return []
     pts.sort(key=lambda p: (p.x, p.y))

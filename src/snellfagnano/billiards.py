@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import exact
 from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
                        dist, point_on_side)
 
@@ -115,17 +116,6 @@ def closure(start: BilliardState, end: BilliardState,
             side_match and param_error < tol and direction_error < tol)
 
 
-def is_periodic(start: BilliardState, t: Triangle, k, n: int,
-                tol: float) -> bool:
-    """Whether n steps return to the starting side, parameter and direction."""
-    if n < 1:
-        raise GeometryError("need at least one step")
-    state = start
-    for _ in range(n):
-        state = billiard_step(state, t, k)
-    return closure(start, state, tol)[3]
-
-
 def orbit_start_state(it: InscribedTriangle) -> BilliardState:
     """Launch state of a closed inscribed orbit: foot on side a toward the
     foot on side c."""
@@ -153,18 +143,14 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
                 lam1: float, lam2: float):
         if not (lam1 > 0.0 and lam2 > 0.0):
             raise GeometryError("leg weights must be positive")
-        q1 = Point2(*line[0])
-        d = Point2(*line[1]) - q1
-        side_a = d.cross(Point2(*a_pt) - q1)
-        side_b = d.cross(Point2(*b_pt) - q1)
-        # signs, not the product, which underflows at small scale
-        if (side_a == 0.0 or side_b == 0.0 or side_a < 0.0 < side_b
-                or side_b < 0.0 < side_a):
+        if not all(map(math.isfinite, (*a_pt, *b_pt, *line[0], *line[1]))):
+            raise GeometryError("points must be finite")
+        if exact.orient(*line, a_pt) * exact.orient(*line, b_pt) <= 0:
             raise GeometryError("both points must lie strictly on one "
                                 "side of the line")
         q1, e, ua, ha, ub, hb = _river_frame(a_pt, b_pt, line)
         if not all(map(math.isfinite, (
-                d.norm(), (lam1 + lam2) * (abs(ua - ub) + ha + hb),
+                dist(*line), (lam1 + lam2) * (abs(ua - ub) + ha + hb),
                 *(q1 + ua * e), *(q1 + ub * e)))):
             raise GeometryError("the crossing's cost or coordinates overflow")
         return super().__new__(cls, a_pt, b_pt, line, lam1, lam2)

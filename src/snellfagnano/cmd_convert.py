@@ -3,8 +3,8 @@
 Every triple is homogeneous: multiplied by any factor it names the same
 points, bit for bit when the factor is a power of two.  A barycentric or
 trilinear triple is its point's barycentrics, normalized; a tripolar triple
-can name two points, one or none (exit 3), whose barycentrics are read
-from their xy.  All zero, it is exit 2.
+can name two points, one or none (exit 3), each reported with the
+barycentrics it was built from.  All zero, it is exit 2.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ def run(spec) -> tuple[dict[str, object], int]:
 
     points: list[dict[str, object]] = []
     if kind == "tripolar":
-        for p, s in coordinates.tripolar_to_points(values, t):
+        for p, s, bc in coordinates.tripolar_to_points(values, t):
             if math.isinf(s):
                 raise CliError(EXIT_INVALID, "the scale from the tripolar "
                                "triple to the vertex distances overflows")
-            block = point_block(p, coordinates.to_barycentric(p, t), t)
+            block = point_block(p, coordinates.normalized(bc), t)
             block["scale"] = s
             points.append(block)
     else:

@@ -1,8 +1,8 @@
 """`sf point`: the Snell-Fagnano point, its orbit and regime verdict.
 
 The point's barycentrics are the construction's Ceva triple, normalized, and
-its isogonal conjugate is (a^2 N_A : b^2 N_B : c^2 N_C) from the same tilde
-numerators: coordinates.plus_root, the "+" tripolar root of the weights.
+its isogonal conjugate is (sin(A + A~) / lam_A : ...) from the same tilde
+sines: coordinates.plus_root, the "+" tripolar root of the weights.
 Where no closed orbit exists, the report adds the minimizer's constrained
 minimum as brute_force_cost; a failing tilde inequality is exit 3.
 """
@@ -19,13 +19,12 @@ KEYS = ("triangle", "weights")
 
 
 def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
-                              s: tuple[float, float, float]) -> str:
+                              squares: tuple[int, int, int]) -> str:
     """The inequality the tilde sides fail, named by the largest of the
-    scaled sides s the verdict was taken on, so that no product under- or
-    overflows."""
+    exact squared sides the verdict was taken on."""
     sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
              ("lam_C*c", w.lam_C * t.c))
-    i = max(range(3), key=s.__getitem__)
+    i = max(range(3), key=squares.__getitem__)
     j, k = (n for n in range(3) if n != i)
     return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
             % (sides[i][0], sides[j][0], sides[k][0],
@@ -71,8 +70,8 @@ def run(spec) -> tuple[dict[str, object], int]:
                 construction.verify_snell_point(res.point, t, k))
         except coordinates.OnSideLine:  # the xy rounds onto a side line
             doc["snell_residuals"] = None
-        conj = coordinates.from_barycentric(
-            coordinates.plus_root(t, res.tilde), t)
+        conj = coordinates.from_barycentric(coordinates.plus_root(res.tilde),
+                                            t)
         ctp = coordinates.tripolar_of_point(conj, t)
         doc["isogonal_conjugate"] = {
             "xy": xy(conj),
@@ -85,6 +84,7 @@ def run(spec) -> tuple[dict[str, object], int]:
     doc["degenerate_info"] = res.degenerate_info
     doc["brute_force_cost"] = brute
     if res.status == construction.STATUS_NO_TILDE:
-        doc["message"] = _failing_tilde_inequality(t, w, res.tilde.sides)
+        doc["message"] = _failing_tilde_inequality(
+            t, w, res.tilde.numerators.squares)
         return doc, EXIT_MISSING
     return doc, EXIT_OK

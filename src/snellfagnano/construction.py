@@ -3,24 +3,25 @@
 Given positive weights (lam_A, lam_B, lam_C), erect on each side of the
 reference triangle, outward, a triangle similar to the scaled "tilde"
 triangle of side lengths (p, q, r) = (lam_A*a, lam_B*b, lam_C*c), which
-coordinates.tilde_triangle builds from the weights and the sides, each
-divided by a power of two (the sides by Triangle.scale), so that only their
-ratios matter.  The three cevians joining each vertex to the opposite apex
-are concurrent.  By Ceva's theorem their meeting point has barycentrics
+coordinates.tilde_triangle builds from the weights and the vertices, each
+divided by a power of two (the vertices by Triangle.scale), so that only
+their ratios matter.  The three cevians joining each vertex to the
+opposite apex are concurrent.  By Ceva's theorem their meeting point has
+barycentrics
 
     (lam_A a^2 s_B s_C : lam_B b^2 s_C s_A : lam_C c^2 s_A s_B),
 
 s_V = sin(V + V~) for the reference angle V and the tilde angle V~ at the
-same vertex.  No angle is computed: s_A = N_A / (2 b c q r) and cyclically,
-with tilde_triangle's numerators N_V = K2 X_V + d_V S, and the denominators
-make one symmetric factor, so the point is (N_B N_C : N_C N_A : N_A N_B);
-the result keeps both the triple and the tilde triangle.  When every
-V + V~ < pi, that is every N_V > 0, the point lies strictly inside: the
+same vertex.  No angle is computed: each s_V is one exact quotient of
+integer polynomials in the input floats, rounded once (exact.sines), and
+its sign is that of the exact gap G_V = 2qr (cos V + cos V~).  When every
+V + V~ < pi, that is every G_V > 0, the point lies strictly inside: the
 verdict is the sign of the numbers the point is built from, so it needs
 no tolerance, and the point's barycentrics, products of those numbers,
-are then positive.  When its perpendicular feet also land strictly
-inside the sides, its pedal triangle is the closed 3-bounce refractive
-billiard orbit and the minimizer of the weighted chord-length sum.  When
+are then positive.  The result keeps both the triple and the tilde
+triangle.  When its perpendicular feet also land strictly inside the
+sides, its pedal triangle is the closed 3-bounce refractive billiard
+orbit and the minimizer of the weighted chord-length sum.  When
 an angle condition fails the minimizer collapses onto a doubled
 altitude.
 
@@ -91,10 +92,9 @@ class SnellOrbitResult(namedtuple(
     the last two cases, with both the weighted and the plain altitude
     ranking reported in the dict degenerate_info.  Every field after
     weighted_perimeter defaults to None.  point, a Point2, is None for
-    no_tilde_triangle, and for degenerate when the barycentric sum vanishes
-    (a point at infinity).  erected is the three apexes (Point2s),
-    conditions the three interior_conditions (bools), barycentric the
-    point's Ceva triple (floats), and tilde the TildeTriangle with its
+    no_tilde_triangle.  erected is the three apexes (Point2s), conditions
+    the three interior_conditions (bools), barycentric the point's Ceva
+    triple (floats), and tilde the TildeTriangle with its sines and exact
     numerators.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
@@ -127,59 +127,58 @@ def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
     and cyclically.  The side vector e = C - B turns clockwise (outward,
     since the reference triangle is counterclockwise) by B~, whose cosine
     and sine are (X_B, S) / (2 r p), so A1 = B + (X_B e - S perp(e)) /
-    (2 p^2), with p divided out twice so that no p^2 underflows (_apex).
+    (2 p^2), with p^2 = x, the exact numerators' own square (_apex).
     """
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    (x_a, x_b, x_c), (p, q, r), s = tt.X, tt.sides, tt.S
-    return (_apex(t.vB, t.vC, x_b, s, p), _apex(t.vC, t.vA, x_c, s, q),
-            _apex(t.vA, t.vB, x_a, s, r))
+    n = tt.numerators
+    (x_a, x_b, x_c), (x, y, z) = n.X, n.squares
+    return (_apex(t.vB, t.vC, x_b, n.root, x),
+            _apex(t.vC, t.vA, x_c, n.root, y),
+            _apex(t.vA, t.vB, x_a, n.root, z))
 
 
-def _apex(v: Point2, w: Point2, x: float, s: float, u: float) -> Point2:
-    """v + (x e - s perp(e)) / (2 u^2) for e = w - v, u divided out twice."""
-    ex, ey, h = w.x - v.x, w.y - v.y, 0.5 / u
-    return Point2(v.x + (x * ex + s * ey) * h / u,
-                  v.y + (x * ey - s * ex) * h / u)
+def _apex(v: Point2, w: Point2, x: int, root: int, u2: int) -> Point2:
+    """v + (x e - S perp(e)) / (2 u2) for e = w - v, from the exact ints x
+    and u2 and root = S 2^64, each coefficient rounded once."""
+    ex, ey = w.x - v.x, w.y - v.y
+    c, s = x / (2 * u2), root / (u2 << 65)
+    return Point2(v.x + c * ex + s * ey, v.y + c * ey - s * ex)
 
 
 def interior_conditions(tt: coordinates.TildeTriangle
                         ) -> tuple[bool, bool, bool]:
-    """The strict tests V + V~ < pi, one per vertex, as sin(V + V~) > 0:
-    N_V > 0, the sign of the numerator the point is built from."""
+    """The strict tests V + V~ < pi, one per vertex, as G+_V > 0: the exact
+    sign of the gap the point's sines are built from."""
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    return tuple(n > 0.0 for n in tt.N)
+    return tt.conditions
 
 
 def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
 
-    The point comes from its closed-form barycentrics, the Ceva triple of
-    the tilde numerators, unit_scaled first so that no product over- or
-    underflows on account of their scale; where a product of two small
-    numerators still goes subnormal, the triple is the same point's
-    (m/N_A : m/N_B : m/N_C), m the smallest |N_V| signed as N_A N_B N_C.
-    It is interior exactly when all three interior_conditions hold, that
-    is when every N_V > 0, and then every barycentric is positive.  The
-    barycentric sum vanishes in exact arithmetic only with S, but on a
-    tilde triangle flat to rounding two numerators can be rounding noise
-    of opposite signs whose products cancel; that point at infinity is
-    reported as None, with a degenerate verdict.
+    The point comes from its closed-form barycentrics, the Ceva triple
+    (lam_A a^2 s_B s_C : ...) of the tilde triangle's sines, taken of the
+    unit_scaled weights and t.unit_sides with each weight and sine split
+    into a mantissa and a power of two (math.frexp), and the powers summed
+    apart and scaled to the largest, so that no product over- or
+    underflows.  It is interior exactly when all three
+    interior_conditions hold, that is when every G+_V > 0, and then every
+    barycentric is positive.
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
         return _degenerate_result(t, w, STATUS_NO_TILDE, tilde=tt)
-
-    n_a, n_b, n_c = n = coordinates.unit_scaled(tt.N)
-    bary = (n_b * n_c, n_c * n_a, n_a * n_b)
-    if min(map(abs, bary)) < sys.float_info.min and 0.0 not in n:
-        m = math.copysign(min(map(abs, n)), n_a * n_b * n_c)
-        bary = (m / n_a, m / n_b, m / n_c)
-    try:
-        f = coordinates.from_barycentric(bary, t)
-    except coordinates.IdealPoint:
-        f = None
+    (ma, ea), (mb, eb), (mc, ec) = map(math.frexp, tt.sines)
+    (la, fa), (lb, fb), (lc, fc) = map(math.frexp, tt.triple)
+    a, b, c = t.unit_sides
+    rows = ((la * a * a * (mb * mc), fa + eb + ec),
+            (lb * b * b * (mc * ma), fb + ec + ea),
+            (lc * c * c * (ma * mb), fc + ea + eb))
+    top = max(e for _, e in rows)
+    bary = tuple(math.ldexp(m, e - top) for m, e in rows)
+    f = coordinates.from_barycentric(bary, t)
     erected = erect_similar(t, tt)
     conds = interior_conditions(tt)
     if all(conds):

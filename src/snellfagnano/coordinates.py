@@ -8,18 +8,13 @@ point P: the images of A, B, C span the "tilde" triangle, of sides
 proportional to (p, q, r) = (Xa, Yb, Zc), so angle BPC = A +- A~ (and
 cyclic) for its angles A~, B~, C~, and the barycentrics of P, the areas
 [PBC] : [PCA] : [PAB], are (YZ sin(A +- A~) : ...).  tilde_triangle takes
-the sines without an angle: with K2 = (B - A) x (C - A), the dot product
-d_A = (B - A).(C - A), X_A = q^2 + r^2 - p^2 and S four times the tilde
-area, sin(A + A~) = N_A / (2 b c q r) for N_A = K2 X_A + d_A S, and
-cyclically, so the "+" point is (a^2 N_A : b^2 N_B : c^2 N_C), plus_root.  There are two points
-when the tilde triangle exists, that is when S > 0, one on its boundary
-and none otherwise.
-The "-" numerators K2 X_V - d_V S nearly cancel as the triple approaches
-(1 : 1 : 1), so the "-" point is the circumcircle inverse of the "+" one:
-each locus of a fixed distance ratio to two vertices is a circle
-orthogonal to the circumcircle, so that inversion swaps the two common
-points.  With X = Y = Z the "+" point is the circumcenter and the other
-lies at infinity; on the tilde boundary both meet on the circumcircle.
+those sines without an angle, from the exact integer numerators of the
+input floats (see exact): H, sixteen times the squared tilde area, and the
+gaps G+-_V = 2qr (cos V~ +- cos V), so the "+" point (plus_root) and the
+"-" point come from G+ and G- alike.  There are two points when the tilde
+triangle exists, that is when H > 0, one on its boundary (H = 0) and none
+otherwise.  With X = Y = Z the "+" point is the circumcenter and the "-"
+point lies at infinity.
 
 With the weights as the triple these are the Apollonius common points (see
 apollonius), the "+" one the isogonal conjugate of the orbit point; with
@@ -32,9 +27,9 @@ import math
 import sys
 from collections import namedtuple
 
+from . import exact
 from .geometry import (GeometryError, IdealPoint, NoSuchPoint, Point2,
-                       Triangle, circumcircle, dist, heron_area, signed_area,
-                       unit_power)
+                       Triangle, dist, signed_area, unit_power)
 
 # A homogeneous triple whose sum is within this fraction of its largest
 # magnitude names a point at infinity.
@@ -42,10 +37,6 @@ IDEAL_SUM = 1e-14
 
 # Relative disagreement allowed between the two scales a vertex implies.
 VERTEX_SCALE_TOL = 1e-8
-
-# Distances within this fraction of the circumradius of the circumcenter or
-# of the circumcircle are rounding: a fixed multiple of machine epsilon.
-ROUNDING = 64.0 * sys.float_info.epsilon
 
 
 class OnSideLine(GeometryError):
@@ -130,59 +121,53 @@ def isogonal_conjugate(bc, t: Triangle) -> tuple[float, float, float]:
         (1.0 / tl[0], 1.0 / tl[1], 1.0 / tl[2]), t)
 
 
-class TildeTriangle(namedtuple("TildeTriangle", "sides exists X S N")):
-    """Sides (p, q, r) proportional to (Xa, Yb, Zc), three floats, and
-    exists, a bool: S > 0, the strict triangle inequality.  Unless the
-    sides strictly fail it, X holds the law-of-cosines numerators (X_A,
-    X_B, X_C), S four times the tilde area, and N the numerators of
-    sin(V + V~), one per vertex; else they are None."""
+class TildeTriangle(namedtuple("TildeTriangle",
+                               "exists conditions sines triple numerators")):
+    """exists, a bool: H > 0; conditions, the bools G+_V > 0 (V + V~ < pi),
+    and sines, the floats sin(V + V~), one per vertex; triple, the triple
+    as unit_scaled scales it; and numerators, the exact.Numerators all of
+    them come from.  conditions and sines are None where H < 0."""
 
     __slots__ = ()
 
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
-    """The "tilde" triangle of a positive triple (X : Y : Z) and its
-    numerators, from the triple as unit_scaled scales it, t.unit_sides and
-    t.unit_vertices, so that no side or product of sides over- or
-    underflows on account of either.  Sides whose rounded sums strictly
-    fail the triangle inequality get no numerators; otherwise exists is
-    read off S, whose Kahan ordering keeps the sign of each factor, and a
-    flat triple keeps its numerators."""
-    p, q, r = (u * v for u, v in zip(unit_scaled(triple), t.unit_sides))
-    if p > q + r or q > r + p or r > p + q:
-        return TildeTriangle((p, q, r), False, None, None, None)
-    # y^2 + z^2 - x^2 as (y - x)(y + x) + z^2, y the larger of y and z, so
-    # that a needle's numerator keeps its digits.
-    x_a, x_b, x_c = X = (
-        (q - p) * (q + p) + r * r if q > r else (r - p) * (r + p) + q * q,
-        (r - q) * (r + q) + p * p if r > p else (p - q) * (p + q) + r * r,
-        (p - r) * (p + r) + q * q if p > q else (q - r) * (q + r) + p * p)
-    S = 4.0 * heron_area(p, q, r)
-    (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
-    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
-    # K2 = (B - A) x (C - A) > 0 is twice the area; d_V is the dot product
-    # of the two edges leaving V.
-    k2 = 2.0 * t.unit_area
-    d_a, d_b, d_c = ux * vx + uy * vy, -(wx * ux + wy * uy), vx * wx + vy * wy
-    return TildeTriangle(
-        (p, q, r), S > 0.0, X, S,
-        (k2 * x_a + d_a * S, k2 * x_b + d_b * S, k2 * x_c + d_c * S))
-
-def plus_root(t: Triangle, tt: TildeTriangle) -> tuple[float, float, float]:
-    """Barycentrics (a^2 N_A : b^2 N_B : c^2 N_C) of the "+" point of the
-    triple tt was built from, taken with t.unit_sides."""
-    a, b, c = t.unit_sides
-    n_a, n_b, n_c = tt.N
-    return a * a * n_a, b * b * n_b, c * c * n_c
+    """The "tilde" triangle of a positive triple (X : Y : Z), from the
+    floats of t.unit_vertices and of the triple as unit_scaled scales it,
+    each taken exactly."""
+    triple = unit_scaled(triple)
+    n = exact.numerators(t.unit_vertices, triple)
+    if n.H < 0:
+        return TildeTriangle(False, None, None, triple, n)
+    return TildeTriangle(n.H > 0,
+                         tuple(x + u > 0 for x, u in zip(n.X, n.lift)),
+                         exact.sines(n), triple, n)
 
 
-def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
+def _root(sines, triple) -> tuple[float, float, float]:
+    """(YZ s_A : ZX s_B : XY s_C) = (s_A / X : s_B / Y : s_C / Z)."""
+    (s_a, s_b, s_c), (x, y, z) = sines, triple
+    return s_a / x, s_b / y, s_c / z
+
+
+def plus_root(tt: TildeTriangle) -> tuple[float, float, float]:
+    """Barycentrics (YZ sin(A + A~) : ...) of the "+" point of the triple
+    tt was built from; for weights, the isogonal conjugate of the orbit
+    point."""
+    return _root(tt.sines, tt.triple)
+
+
+def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float, tuple]]:
     """All points whose vertex distances are proportional to the triple.
 
-    Returns one or two (point, s) pairs with distances (s*X, s*Y, s*Z),
-    ordered by increasing s, s being inf where it overflows; raises
-    NoSuchPoint when the scaled side triple (Xa, Yb, Zc) strictly fails the
-    triangle inequality and GeometryError on a negative or all-zero triple.
+    Returns one or two (point, s, barycentric) triples, with distances
+    (s*X, s*Y, s*Z), ordered by increasing s, s being inf where it
+    overflows, and barycentric the triple the point was built from.  A
+    zero distance names a vertex, with its unit triple; otherwise the "+"
+    point (YZ sin(A + A~) : ...) and the "-" point (YZ sin(A - A~) : ...)
+    are the two, one where H = 0 and the "-" one dropped where it lies at
+    infinity.  Raises NoSuchPoint where H < 0 and GeometryError on a
+    negative or all-zero triple.
     """
     X, Y, Z = tp
     mx = max(X, Y, Z)
@@ -201,27 +186,30 @@ def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float]]:
         # quotient overflows, and scaled back: only the result may.
         x, y, z = unit_scaled(tp)
         if zeros[0]:
-            vertex, s1, s2 = t.vA, t.c / y, t.b / z
+            vertex, s1, s2, unit = t.vA, t.c / y, t.b / z, (1.0, 0.0, 0.0)
         elif zeros[1]:
-            vertex, s1, s2 = t.vB, t.c / x, t.a / z
+            vertex, s1, s2, unit = t.vB, t.c / x, t.a / z, (0.0, 1.0, 0.0)
         else:
-            vertex, s1, s2 = t.vC, t.b / x, t.a / y
+            vertex, s1, s2, unit = t.vC, t.b / x, t.a / y, (0.0, 0.0, 1.0)
         if abs(s1 - s2) > VERTEX_SCALE_TOL * max(s1, s2):
             raise NoSuchPoint("distance ratios are inconsistent with a vertex")
-        return [(vertex, 0.5 * (s1 + s2) / unit_power(mx))]
+        return [(vertex, 0.5 * (s1 + s2) / unit_power(mx), unit)]
 
     tt = tilde_triangle(t, tp)
-    if tt.N is None:
+    if tt.sines is None:
         raise NoSuchPoint(
             "no point attains these vertex-distance ratios "
             "(scaled side triple fails the triangle inequality)")
-    plus = from_barycentric(plus_root(t, tt), t)
-    points = [plus]
-    center, radius = circumcircle(t)
-    d = dist(plus, center)
-    if d > ROUNDING * radius and abs(d - radius) > ROUNDING * radius:
-        points.append(center + (plus - center) * (radius / d) ** 2)
+    roots = [plus_root(tt)]
+    minus = _root(exact.sines(tt.numerators, -1), tt.triple)
+    # The "-" point meets the "+" one where H = 0, and lies at infinity
+    # where X = Y = Z.
+    if tt.exists and normalized(minus) is not None:
+        roots.append(minus)
     # The largest coordinate is the one rounding perturbs least, relatively.
     vertex = t.vertices[(X, Y, Z).index(mx)]
-    return sorted(((pt, dist(pt, vertex) / mx) for pt in points),
-                  key=lambda ps: ps[1])
+    points = []
+    for bary in roots:
+        p = from_barycentric(bary, t)
+        points.append((p, dist(p, vertex) / mx, bary))
+    return sorted(points, key=lambda psb: psb[1])

@@ -1,0 +1,76 @@
+"""Exact tilde numerators and side signs, taken on the input floats.
+
+A float is an integer over a power of two (float.as_integer_ratio), so
+floats written over their largest denominator are ints, in which every
+polynomial of them is exact.  For a triangle's vertices and a triple
+(lam_A : lam_B : lam_C), numerators takes x = lam_A^2 |BC|^2 and
+cyclically, K2 = (B - A) x (C - A), d_V the dot product of the two edges
+leaving V, H = 2(xy + yz + zx) - x^2 - y^2 - z^2 = S^2 (S four times the
+tilde area), X_A = y + z - x and G+-_A = X_A +- 2 lam_B lam_C d_A =
+2qr (cos A~ +- cos A).  So the tilde triangle exists exactly when H > 0,
+and G+_A has the sign of pi - (A + A~).  sines takes sin(A +- A~) by the
+half-angle identity 2 G sigma / (G^2 + sigma^2), sigma = 2 lam_B lam_C K2
++ S = 2qr (sin A + sin A~), a sum of positive terms: one quotient of ints,
+rounded once.  orient is Shewchuk's orient2d, taken exactly.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from math import isqrt
+
+
+def _integers(values) -> list[int]:
+    """The floats as ints over one power of two, their largest denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    bits = max([d for _, d in ratios]).bit_length()
+    return [n << bits - d.bit_length() for n, d in ratios]
+
+
+def orient(p, q, r) -> int:
+    """The sign, -1, 0 or 1, of (q - p) x (r - p), exact."""
+    px, py, qx, qy, rx, ry = _integers((*p, *q, *r))
+    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (det > 0) - (det < 0)
+
+
+class Numerators(namedtuple("Numerators", "squares H X lift P root")):
+    """Exact ints at one unit: squares (x, y, z), H, X_V, lift 2 lam_B lam_C
+    d_V (so G+-_V = X_V +- lift_V) and P_V = 2 lam_B lam_C K2, one per
+    vertex; root is S times 2^64, rounded down, or None where H < 0."""
+
+    __slots__ = ()
+
+
+def numerators(vertices, triple) -> Numerators:
+    """The tilde numerators of the triple on the triangle with these
+    (counterclockwise) vertices."""
+    (ax, ay), (bx, by), (cx, cy) = vertices
+    ax, ay, bx, by, cx, cy = _integers((ax, ay, bx, by, cx, cy))
+    la, lb, lc = _integers(triple)
+    ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
+    x = la * la * (wx * wx + wy * wy)
+    y = lb * lb * (vx * vx + vy * vy)
+    z = lc * lc * (ux * ux + uy * uy)
+    x_c = x + y - z
+    h = 4 * x * y - x_c * x_c
+    k2 = ux * vy - uy * vx
+    u_a, u_b, u_c = 2 * lb * lc, 2 * lc * la, 2 * la * lb
+    return Numerators(
+        (x, y, z), h, (y + z - x, z + x - y, x_c),
+        (u_a * (ux * vx + uy * vy), -u_b * (wx * ux + wy * uy),
+         u_c * (vx * wx + vy * wy)),
+        (u_a * k2, u_b * k2, u_c * k2),
+        isqrt(h << 128) if h >= 0 else None)
+
+
+def sines(n: Numerators, sign: int = 1) -> tuple[float, float, float]:
+    """sin(V + V~) (sign 1) or sin(V - V~) (sign -1), one per vertex, each
+    the quotient 2 g sigma / (g^2 + sigma^2) of exact ints, rounded once:
+    g = G+-_V and sigma = P_V + S, every term taken times 2^64, as root
+    is.  H must not be negative."""
+    out = []
+    for x_v, lift, p in zip(n.X, n.lift, n.P):
+        g, sigma = x_v + sign * lift << 64, (p << 64) + n.root
+        out.append(2 * g * sigma / (g * g + sigma * sigma))
+    return tuple(out)

@@ -144,10 +144,6 @@ class Triangle:
         h, s = 2.0 * self.unit_area, self.scale
         return tuple(h / u * s for u in self.unit_sides)
 
-    @property
-    def sides(self):
-        return (self.a, self.b, self.c)
-
     def side_segment(self, side: str):
         """Endpoints of a side, oriented along the boundary (a: B->C, etc.)."""
         if side == "a":
@@ -157,9 +153,6 @@ class Triangle:
         if side == "c":
             return self.vA, self.vB
         raise GeometryError(f"unknown side {side!r}")
-
-    def __repr__(self):
-        return f"Triangle(A={tuple(self.vA)}, B={tuple(self.vB)}, C={tuple(self.vC)})"
 
 
 def _check_diameter(diam: float) -> None:
@@ -199,30 +192,17 @@ def heron_area(a: float, b: float, c: float) -> float:
     return 0.25 * math.sqrt(p) * math.sqrt(q) * s * s
 
 
-def circumcircle(t: Triangle) -> tuple[Point2, float]:
-    """Center equidistant from the three vertices, and that distance.
-
-    It is taken of t.unit_vertices, so that no cube of a coordinate over-
-    or underflows, and scaled back by t.scale: exactly, bit for bit.
-    """
-    s = t.scale
-    (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    center = Point2(ux * s, uy * s)
-    return center, dist(center, t.vA)
-
-
 def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
     B goes to the origin, C to (a, 0) and A into the upper half-plane, at
-    height 2 area / a, so a sliver's height does not cancel.  Sides sorted
-    l >= m >= s are refused when Kahan's factor s - (l - m) is not positive
-    (no rounded sum can tell: 1 + 1e-200 == 1); others get the verdict of
-    their vertices, so a needle too thin for Triangle is degenerate.
+    height 2 area / a, so a sliver's height does not cancel.  A is placed
+    from the sides divided by unit_power of the largest and scaled back,
+    exactly, so that no area or product of sides leaves the normal range
+    on account of their scale.  Sides sorted l >= m >= s are refused when
+    Kahan's factor s - (l - m) is not positive (no rounded sum can tell:
+    1 + 1e-200 == 1); others get the verdict of their vertices, so a needle
+    too thin for Triangle is degenerate.
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise TriangleInequalityViolated("side lengths must be positive")
@@ -232,10 +212,12 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
         raise TriangleInequalityViolated(
             "sides (%.17g, %.17g, %.17g) violate the strict triangle "
             "inequality" % (a, b, c))
-    area = heron_area(a, b, c)
+    u = unit_power(l)
+    ua, ub, uc = a / u, b / u, c / u
     # A is at distance c from B=(0,0) and b from C=(a,0).
-    x = 0.5 * a + (c - b) * (c + b) / (2.0 * a)
-    return Triangle(Point2(x, 2.0 * area / a), Point2(0.0, 0.0), Point2(a, 0.0))
+    x = 0.5 * ua + (uc - ub) * (uc + ub) / (2.0 * ua)
+    return Triangle(Point2(x * u, 2.0 * heron_area(ua, ub, uc) / ua * u),
+                    Point2(0.0, 0.0), Point2(a, 0.0))
 
 
 class InscribedTriangle(namedtuple("InscribedTriangle", "pA pB pC tA tB tC")):
@@ -289,9 +271,3 @@ def pedal_triangle(p: Point2, t: Triangle) -> InscribedTriangle:
     return inscribed_from_params(t, _foot(p, b, c), _foot(p, c, a),
                                  _foot(p, a, b))
 
-
-def altitudes(t: Triangle):
-    """Feet and lengths of the three altitudes, in vertex order (A, B, C):
-    each vertex's own foot in its pedal_triangle, and t.heights."""
-    return tuple((pedal_triangle(v, t)[i], h)
-                 for i, (v, h) in enumerate(zip(t.vertices, t.heights)))

@@ -12,6 +12,7 @@ import random
 
 import snellfagnano
 from snellfagnano import (Point2, Triangle, Weights, tilde_triangle)
+from snellfagnano.coordinates import unit_scaled
 from snellfagnano.geometry import DegenerateTriangle, heron_area
 
 # Lines appended by the acceptance suite; replayed after the run so each
@@ -61,6 +62,12 @@ def side_angles(a: float, b: float, c: float):
     return (math.atan2(k, b * b + c * c - a * a),
             math.atan2(k, c * c + a * a - b * b),
             math.atan2(k, a * a + b * b - c * c))
+
+
+def tilde_sides(t: Triangle, w):
+    """The tilde sides (lam_A a, lam_B b, lam_C c) of the unit_scaled
+    weights and t.unit_sides, as floats."""
+    return tuple(u * v for u, v in zip(unit_scaled(w), t.unit_sides))
 
 
 def rotate(v, angle: float) -> Point2:
@@ -118,7 +125,8 @@ def sample_boundary(rng: random.Random, needle: bool = False):
         i, j = j, i
     tilde = [0.0] * 3
     tilde[v], tilde[i], tilde[j] = tilde_v, rest * share, rest * (1.0 - share)
-    return t, Weights(*(math.sin(x) / s for x, s in zip(tilde, t.sides)))
+    return t, Weights(*(math.sin(x) / s
+                        for x, s in zip(tilde, (t.a, t.b, t.c))))
 
 
 def _rigid_motion(rng: random.Random, t: Triangle) -> Triangle:
@@ -182,7 +190,8 @@ def sample_admissible(rng: random.Random,
         if not tt.exists or tilde_slack(t, w) < 1e-4:
             continue
         if not all(v + vt < math.pi - angle_margin
-                   for v, vt in zip(angles(t), side_angles(*tt.sides))):
+                   for v, vt in zip(angles(t),
+                                    side_angles(*tilde_sides(t, w)))):
             continue
         res = snell_fagnano_point(t, w)
         if res.status != "interior":
@@ -231,8 +240,8 @@ def sample_degenerate(rng: random.Random, foot_margin: float = 1e-3):
             if tilde_slack(t, w) >= -1e-4:
                 continue
         else:
-            worst = max(v + vt for v, vt in zip(angles(t),
-                                                side_angles(*tt.sides)))
+            worst = max(v + vt for v, vt in zip(
+                angles(t), side_angles(*tilde_sides(t, w))))
             if worst <= math.pi + 1e-3:
                 continue
         u = _cheapest_altitude_foot_param(t, w)

@@ -12,7 +12,8 @@ the orbit point's Ceva triple and its isogonal conjugate the same way,
 first_wall_exact finds a billiard ray's next wall in rational arithmetic,
 exact_verdict decides the regime in rational arithmetic too, and
 reference_dumps is the serializer that emitted every report before the
-one-pass encoder.
+one-pass encoder.  is_periodic, circumcircle and altitudes are helpers
+that only the tests use.
 """
 
 from __future__ import annotations
@@ -24,15 +25,49 @@ from json.encoder import encode_basestring as _escape
 from typing import Any, Optional, Tuple
 
 from snellfagnano.apollonius import ApollonianCircle
+from snellfagnano.billiards import BilliardState, billiard_step, closure
 from snellfagnano.coordinates import TildeTriangle
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        STATUS_NO_TILDE, SnellOrbitResult,
                                        TildeDegenerate, Weights,
                                        _degenerate_result, erect_similar)
-from snellfagnano.geometry import InscribedTriangle, Point2, Triangle, dist
+from snellfagnano.geometry import (GeometryError, InscribedTriangle, Point2,
+                                   Triangle, dist, pedal_triangle)
 from snellfagnano.serialize import format_float
 
-from conftest import angles, side_angles
+from conftest import angles, side_angles, tilde_sides
+
+
+def is_periodic(start: BilliardState, t: Triangle, k, n: int,
+                tol: float) -> bool:
+    """Whether n billiard steps return to the starting side, parameter and
+    direction."""
+    if n < 1:
+        raise GeometryError("need at least one step")
+    state = start
+    for _ in range(n):
+        state = billiard_step(state, t, k)
+    return closure(start, state, tol)[3]
+
+
+def circumcircle(t: Triangle) -> Tuple[Point2, float]:
+    """Center equidistant from the three vertices, and that distance, taken
+    of t.unit_vertices and scaled back by t.scale."""
+    s = t.scale
+    (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    center = Point2(ux * s, uy * s)
+    return center, dist(center, t.vA)
+
+
+def altitudes(t: Triangle):
+    """Feet and lengths of the three altitudes, in vertex order (A, B, C):
+    each vertex's own foot in its pedal_triangle, and t.heights."""
+    return tuple((pedal_triangle(v, t)[i], h)
+                 for i, (v, h) in enumerate(zip(t.vertices, t.heights)))
 
 
 def intersect_lines(p1: Point2, p2: Point2, q1: Point2, q2: Point2) -> Optional[Point2]:
@@ -70,7 +105,7 @@ def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
     if not tt.exists:
         raise TildeDegenerate("scaled side triple fails the triangle inequality")
     sA, sB, sC = (math.sin(v + vt)
-                  for v, vt in zip(angles(t), side_angles(*tt.sides)))
+                  for v, vt in zip(angles(t), side_angles(*tilde_sides(t, w))))
     closed = (w.lam_B * t.b ** 2 * sC / (w.lam_C * t.c ** 2 * sB),
               w.lam_C * t.c ** 2 * sA / (w.lam_A * t.a ** 2 * sC),
               w.lam_A * t.a ** 2 * sB / (w.lam_B * t.b ** 2 * sA))

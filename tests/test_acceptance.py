@@ -23,11 +23,12 @@ from conftest import (altitude_feet_oracle, circumcenter_oracle,
                       sample_admissible, sample_degenerate,
                       sample_random_setup, sample_triangle, sample_weights,
                       tilde_slack)
-from oracles import biquadratic_residual, ceva_reference, intersect_lines
+from oracles import (biquadratic_residual, ceva_reference, intersect_lines,
+                     is_periodic)
 from snellfagnano import Point2, Weights, cli, dist
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
-from snellfagnano.billiards import (RiverInstance, is_periodic,
-                                    orbit_start_state, solve_river)
+from snellfagnano.billiards import (RiverInstance, orbit_start_state,
+                                    solve_river)
 from snellfagnano.construction import (coeffs_from_weights, erect_similar,
                                        snell_fagnano_point)
 from snellfagnano.coordinates import tripolar_of_point, tripolar_to_points
@@ -196,9 +197,9 @@ def test_criterion_6_tripolar_roundtrip():
             n_points += 1
             tp = tripolar_of_point(p, t)
             cands = tripolar_to_points(tp, t)
-            best = min(dist(q, p) for q, _ in cands)
+            best = min(dist(q, p) for q, _, _ in cands)
             worst_pos = max(worst_pos, best / t.diameter)
-            for _, s in cands:
+            for _, s, _ in cands:
                 r = biquadratic_residual(t, tp[0], tp[1], tp[2], s * s)
                 worst_biq = max(worst_biq, r)
     ok = worst_pos <= 1e-8 and worst_biq <= 1e-6

@@ -10,12 +10,12 @@ from snellfagnano import (Point2, Triangle, Weights, dist,
                           triangle_from_sides)
 from snellfagnano.apollonius import (apollonian_circle,
                                      apollonian_common_points, tilde_triangle)
-from snellfagnano.geometry import circumcircle
+from snellfagnano.coordinates import unit_scaled
 
 from conftest import (angles, circumcenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_random_setup, sample_triangle,
                       sample_weights, side_angles, tilde_slack)
-from oracles import ratio_residual
+from oracles import circumcircle, ratio_residual
 
 
 # ---------------------------------------------------------------------------
@@ -75,81 +75,81 @@ def test_circle_requires_positive_ratio():
 # tilde triangle
 
 def test_tilde_identity_weights_similar():
-    """With equal weights the tilde triangle is the reference one, so X_V is
-    2 x the two sides at V x cos V, and S is 2 x those sides x sin V."""
+    """With equal weights the tilde triangle is the reference one, so each
+    V + V~ = 2V and sin(V + V~) = sin 2V, and lift_V = X_V, so the gap
+    G+_V is 2 X_V."""
     rng = random.Random(43)
     t = sample_triangle(rng)
     tt = tilde_triangle(t, Weights(1, 1, 1))
     assert tt.exists
-    assert tt.sides == t.unit_sides
-    a, b, c = t.unit_sides
-    for x, u, v, ang in zip(tt.X, (b, c, a), (c, a, b), angles(t)):
-        assert x == pytest.approx(2 * u * v * math.cos(ang), rel=1e-12)
-        assert tt.S == pytest.approx(2 * u * v * math.sin(ang), rel=1e-12)
-    assert sum(side_angles(*tt.sides)) == pytest.approx(math.pi, rel=1e-12)
+    n = tt.numerators
+    assert n.lift == n.X
+    for s, ang in zip(tt.sines, angles(t)):
+        assert s == pytest.approx(math.sin(2.0 * ang), rel=1e-12, abs=0.0)
 
 
 def test_tilde_boundary_fails():
-    t = triangle_from_sides(1.0, 1.0, 1.0)
-    tt = tilde_triangle(t, Weights(1.0, 1.0, 2.0))  # sides (1,1,2): flat
+    """Sides 3, 4, 5 are exact, so weights (1, 1, 2) make the flat tilde
+    sides (5, 3, 8): H = 0, no tilde triangle."""
+    t = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0))
+    tt = tilde_triangle(t, Weights(1.0, 1.0, 2.0))
+    assert tt.numerators.H == 0
     assert not tt.exists
 
 
 def test_tilde_reciprocal_sides_equilateral():
-    """Weights (1/a : 1/b : 1/c): every tilde angle is pi/3, so X_V / (2 q r)
-    is 1/2 and S / (2 q r) is sqrt(3)/2."""
+    """Weights (1/a : 1/b : 1/c): every tilde angle is pi/3, so
+    sin(V + V~) = sin(V + pi/3)."""
     rng = random.Random(44)
     t = sample_triangle(rng)
     tt = tilde_triangle(t, Weights(1 / t.a, 1 / t.b, 1 / t.c))
     assert tt.exists
-    p, q, r = tt.sides
-    for x, u, v in zip(tt.X, (q, r, p), (r, p, q)):
-        assert x / (2 * u * v) == pytest.approx(0.5, rel=1e-12)
-        assert tt.S / (2 * u * v) == pytest.approx(math.sqrt(3) / 2,
-                                                    rel=1e-12)
+    for s, ang in zip(tt.sines, angles(t)):
+        assert s == pytest.approx(math.sin(ang + math.pi / 3.0), rel=1e-12,
+                                  abs=0.0)
 
 
 def test_tilde_law_of_cosines_consistency():
-    """X_V^2 + S^2 = (2 x the two tilde sides at V)^2: the cosine and sine of
-    each tilde angle."""
+    """X_A^2 + H = 4yz, the cosine and sine of each tilde angle, holds
+    exactly in the integers, and cyclically."""
     rng = random.Random(45)
     for _ in range(20):
         t = sample_triangle(rng)
         w = sample_weights(rng)
-        tt = tilde_triangle(t, w)
-        if not tt.exists:
-            continue
-        p, q, r = tt.sides
-        for x, u, v in zip(tt.X, (q, r, p), (r, p, q)):
-            assert x * x + tt.S ** 2 == pytest.approx((2 * u * v) ** 2,
-                                                      rel=1e-10)
+        n = tilde_triangle(t, w).numerators
+        x, y, z = n.squares
+        for xv, u, v in zip(n.X, (y, z, x), (z, x, y)):
+            assert xv * xv + n.H == 4 * u * v
 
 
-def _numerators_reference(t, tt):
-    """X_V, S and N_V to 60 digits from the floats of tt.sides and
-    t.unit_vertices, the inputs tilde_triangle rounds them from."""
+def _sines_reference(t, w):
+    """sin(V + V~), one per vertex, to 60 digits from the floats of
+    t.unit_vertices and the unit_scaled weights."""
     with localcontext() as ctx:
         ctx.prec = 60
-        p, q, r = (D(v) for v in tt.sides)
-        (xa, ya), (xb, yb), (xc, yc) = ((D(x), D(y)) for x, y in
-                                        t.unit_vertices)
-        k2 = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
-        dots = ((xb - xa) * (xc - xa) + (yb - ya) * (yc - ya),
-                (xc - xb) * (xa - xb) + (yc - yb) * (ya - yb),
-                (xa - xc) * (xb - xc) + (ya - yc) * (yb - yc))
-        xs = (q * q + r * r - p * p, r * r + p * p - q * q,
-              p * p + q * q - r * r)
-        s = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
-        return xs, s, tuple(k2 * x + d * s for x, d in zip(xs, dots))
+        v = [(D(x), D(y)) for x, y in t.unit_vertices]
+        lam = [D(u) for u in unit_scaled(w)]
+        sq = [(v[(i + 2) % 3][0] - v[(i + 1) % 3][0]) ** 2
+              + (v[(i + 2) % 3][1] - v[(i + 1) % 3][1]) ** 2 for i in range(3)]
+        p, q, r = (u * s.sqrt() for u, s in zip(lam, sq))
+        area4 = ((p + q + r) * (q + r - p) * (r + p - q) * (p + q - r)).sqrt()
+        k2 = abs((v[1][0] - v[0][0]) * (v[2][1] - v[0][1])
+                 - (v[1][1] - v[0][1]) * (v[2][0] - v[0][0]))
+        out = []
+        for i, (u, wv) in enumerate(((q, r), (r, p), (p, q))):
+            a2, b2, c2 = sq[i], sq[(i + 1) % 3], sq[(i + 2) % 3]
+            bc = (b2 * c2).sqrt()
+            tu = (p, q, r)[i]
+            out.append(k2 / bc * (u * u + wv * wv - tu * tu) / (2 * u * wv)
+                       + (b2 + c2 - a2) / (2 * bc) * area4 / (2 * u * wv))
+        return out
 
 
-def test_tilde_numerators_match_a_60_digit_reference():
+def test_tilde_sines_match_a_60_digit_reference():
     """On the random set-up and on needle tilde triangles (p, 1, 1 + U(-0.99,
-    0.99) p, p = e^U(-35, 0)), against their exact values from the rounded
-    sides and vertices: S is within 2 ulps, and X_V / (2 x the two tilde
-    sides at V) = cos V~ and N_V / (2 x the two sides and the two tilde sides
-    at V) = sin(V + V~) are within 2 and 4 epsilon (1.37, 1.2 and 2.32 were
-    the worst over 9600 draws of four seeds)."""
+    0.99) p, p = e^U(-35, 0)), each sin(V + V~) is within 1.5 epsilon of
+    its exact value from the same floats: it is one rounding of an exact
+    quotient (0.49 was the worst over 600 draws)."""
     rng = random.Random(46)
     eps = D(sys.float_info.epsilon)
     for i in range(600):
@@ -158,19 +158,12 @@ def test_tilde_numerators_match_a_60_digit_reference():
             pt = math.exp(rng.uniform(-35.0, 0.0))
             tilde = [pt, 1.0, 1.0 + rng.uniform(-0.99, 0.99) * pt]
             rng.shuffle(tilde)
-            w = Weights(*(u / v for u, v in zip(tilde, t.sides)))
+            w = Weights(*(u / v for u, v in zip(tilde, (t.a, t.b, t.c))))
         tt = tilde_triangle(t, w)
         if not tt.exists:
             continue
-        xs, s, ns = _numerators_reference(t, tt)
-        assert abs(D(tt.S) - s) <= 2 * eps * s
-        p, q, r = map(D, tt.sides)
-        a, b, c = map(D, t.unit_sides)
-        for x, x_ref, n, n_ref, tilde2, sides2 in zip(
-                tt.X, xs, tt.N, ns, (q * r, r * p, p * q),
-                (b * c, c * a, a * b)):
-            assert abs(D(x) - x_ref) <= 2 * eps * 2 * tilde2
-            assert abs(D(n) - n_ref) <= 4 * eps * 2 * tilde2 * sides2
+        for s, ref in zip(tt.sines, _sines_reference(t, w)):
+            assert abs(D(s) - ref) <= D(1.5) * eps * abs(ref), (t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,9 @@ def test_existence_matches_tilde_triangle():
 
 
 def test_boundary_tilde_tangency_on_circumcircle():
-    t = triangle_from_sides(1.0, 1.0, 1.0)
+    """The flat tilde triangle (5, 3, 8) of the exact 3-4-5 sides: H = 0,
+    so the two points meet, on the circumcircle."""
+    t = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(0.0, 3.0))
     pts = apollonian_common_points(t, Weights(1.0, 1.0, 2.0))
     assert len(pts) == 1
     o, radius = circumcircle(t)

@@ -9,7 +9,7 @@ from snellfagnano import (Point2, Triangle, dist, pedal_triangle,
                           triangle_from_sides)
 from snellfagnano.billiards import (VERTEX_EPS, BilliardState, HitVertex,
                                     RiverInstance, TotalInternalReflection,
-                                    billiard_step, inward_normal, is_periodic,
+                                    billiard_step, inward_normal,
                                     orbit_start_state, point_on_side,
                                     snell_reflect, solve_river)
 from snellfagnano.construction import (coeffs_from_weights,
@@ -18,8 +18,8 @@ from snellfagnano.geometry import GeometryError
 
 from conftest import (orthocenter_oracle, rotate, sample_acute_triangle,
                       sample_admissible, sample_random_setup)
-from oracles import (first_wall_exact, intersect_lines, river_frame,
-                     river_reference)
+from oracles import (first_wall_exact, intersect_lines, is_periodic,
+                     river_frame, river_reference)
 
 UNIT_K = (1.0, 1.0, 1.0)
 

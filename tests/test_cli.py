@@ -3,6 +3,7 @@ import gc
 import importlib.metadata
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -115,8 +116,9 @@ def test_point_no_tilde(capsys):
 
 def test_no_tilde_message_names_the_long_side_at_small_scales(capsys,
                                                               tmp_path):
-    """The failing inequality is picked on the scaled tilde sides, so it is
-    the one the verdict was taken on, and named with the raw products.
+    """The failing inequality is picked on the exact squared tilde sides,
+    so it is the one the verdict was taken on, and named with the raw
+    products.
     Weights so small that those products underflow to 0 are refused first:
     min(weights) * area / diameter, below each product, must be normal."""
     spec = {"triangle": {"sides": [1e-150] * 3},
@@ -131,6 +133,24 @@ def test_no_tilde_message_names_the_long_side_at_small_scales(capsys,
                                  write_spec(tmp_path, spec)])
     assert code == 2
     assert doc["message"].startswith("smallest weight times area / diameter")
+
+
+def test_no_tilde_verdict_is_exact_on_the_input_vertices(capsys, tmp_path):
+    """The rounded sides of these vertices are exactly 5 and 6, so the
+    rounded tilde sides (4e-20, 30, 30) form a triangle; the exact ones,
+    5 - 9.7e-17 and 6 - 8.1e-17 times the weights, do not:
+    lam_C |AB| - lam_B |CA| = 1.8e-16 exceeds lam_A |BC| = 4e-20.  The
+    verdict and the named inequality follow the exact sides."""
+    spec = {"triangle": {"vertices": [[3.375, 4.960783708246107], [0, 0],
+                                      [4, 0]]},
+            "weights": [1e-20, 6, 5]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["status"]) == (3, "no_tilde_triangle")
+    assert doc["message"].startswith("lam_C*c >= lam_A*a + lam_B*b ")
+    t = snellfagnano.Triangle(*spec["triangle"]["vertices"])
+    assert exact_verdict(t, snellfagnano.Weights(*spec["weights"])) == (
+        "no_tilde_triangle", None)
 
 
 def test_point_needle_is_degenerate(capsys, tmp_path):
@@ -173,8 +193,8 @@ def test_point_tilde_angle_near_zero(capsys, tmp_path):
 @pytest.mark.parametrize("k", [40, 300, 500, 540, 700, 1000])
 def test_needle_point_keeps_every_barycentric(capsys, tmp_path, k):
     """On the isosceles triangle with |CA| = |AB| = 5 and weights
-    (2^-k, 1, 1), barycentric_A is lam_A sqrt(5)/10 for every k: two tiny
-    tilde numerators whose product underflows must not make it 0."""
+    (2^-k, 1, 1), barycentric_A is lam_A sqrt(5)/10 for every k: a Ceva
+    product whose factors underflow together must not make it 0."""
     lam = 2.0 ** -k
     spec = {"triangle": {"vertices": [[0, 0], [5, 0], [3, 4]]},
             "weights": [lam, 1, 1]}
@@ -224,7 +244,8 @@ def near_needle_specs(rng, draws):
                                   snellfagnano.Point2(bx, by),
                                   snellfagnano.Point2(cx, cy))
         yield t, {"triangle": {"vertices": [list(v) for v in t.vertices]},
-                  "weights": [s / side for s, side in zip(tilde, t.sides)]}
+                  "weights": [s / side
+                              for s, side in zip(tilde, (t.a, t.b, t.c))]}
 
 
 def test_no_verdict_is_lost_near_a_side_line():
@@ -237,11 +258,11 @@ def test_no_verdict_is_lost_near_a_side_line():
                 == "interior"]
     assert len(interior) >= 1000
     on_line = {"triangle": {"vertices": [
-        [-0.2010463874839299, 0.4234215357851925],
-        [0.07797459004029728, -0.1256981625028255],
-        [0.1651090559649495, 0.9410772965194063]]},
-        "weights": [3.0515621043294606e-15, 1.5771275876987183,
-                    1.6235282009684788]}
+        [-0.3979036444918598, 0.20235861760644092],
+        [0.7903109941124875, 0.6221380579417004],
+        [0.8471846144940389, 0.7344038786744758]]},
+        "weights": [7.945967245912888, 7.273884381728949e-16,
+                    0.79353364014532]}
     fixed = {"triangle": {"sides": [4, 5, 6]}, "weights": [1e-11, 6, 5]}
     for spec in interior + [fixed, on_line]:
         doc, code = cli.run_spec("point", spec)
@@ -279,10 +300,10 @@ def test_snell_residuals_are_relative():
 def test_needle_tilde_point_meets_its_sine_ratios():
     """Sides [4, 5, 6] with weights [1e-11, 6, 5] make a needle tilde
     triangle (4e-11, 30, 30), whose numerator X_B = r^2 + p^2 - q^2 is
-    p^2 = 1.6e-21: a sum of the three squares rounds it to 0.  Taken as
-    (r - q)(r + q) + p^2 it is exact, and the point meets all three sine
-    ratios to 4 epsilon; from angles with the rounded numerator it missed
-    two of them by 1.65e-12."""
+    p^2 = 1.6e-21: a sum of the three rounded squares rounds it to 0.
+    Taken exactly in integers it is kept, and the point meets all three
+    sine ratios to 4 epsilon; from angles with the rounded numerator it
+    missed two of them by 1.65e-12."""
     doc, code = cli.run_spec("point", {"triangle": {"sides": [4, 5, 6]},
                                        "weights": [1e-11, 6, 5]})
     assert (code, doc["status"]) == (0, "interior")
@@ -747,9 +768,11 @@ def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
     field equal, and render the same SVG.  Those weights leave no closed
     orbit, so 100 more draws take the weights that make a random interior
     point F the orbit point (the sine ratios at F), and simulate launches
-    from the orbit.  A side's square in world units, about 1e-330 at
+    from the orbit.  Each draw is given by its vertices and, as a second
+    input form, by its three side lengths, each form against its own
+    unit-scale report.  A side's square in world units, about 1e-330 at
     2^-510, would underflow; every foot, area and height is taken at unit
-    size."""
+    size, and triangle_from_sides places A at unit size too."""
     rng = random.Random(1)
     svg = tmp_path / "scaled.svg"
     for i in range(400):
@@ -781,12 +804,18 @@ def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
                 "values": [rng.uniform(0.1, 1.0) for _ in "abc"]}}),
             ("render", {"weights": weights, "svg_path": str(svg),
                         "layers": {"apollonius": True}}))
-        for command, spec in jobs:
+        sides = [math.dist(B, C), math.dist(C, A), math.dist(A, B)]
+        for (command, spec), form in itertools.product(jobs, ("vertices",
+                                                              "sides")):
             reports = []
             for k in (0, -510, -492, 400, 500):
                 f = math.ldexp(1.0, k)
-                doc, code = cli.run_spec(command, dict(spec, triangle={
-                    "vertices": [[x * f, y * f] for x, y in vertices]}))
+                triangle = (
+                    {"vertices": [[x * f, y * f] for x, y in vertices]}
+                    if form == "vertices"
+                    else {"sides": [v * f for v in sides]})
+                doc, code = cli.run_spec(command,
+                                         dict(spec, triangle=triangle))
                 doc.pop("input")
                 reports.append((f, code, doc, svg.read_bytes()
                                 if command == "render" and code == 0
@@ -794,7 +823,7 @@ def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
             _, code, unit, picture = reports[0]
             for f, *scaled in reports[1:]:
                 assert (scaled[0], scaled[2]) == (code, picture), (
-                    command, vertices, weights, f, scaled[1])
+                    command, form, vertices, weights, f, scaled[1])
                 assert_scaled(unit, scaled[1], f)
 
 
@@ -833,7 +862,8 @@ def test_sides_get_the_verdict_of_the_vertices_placed_for_them(tmp_path):
             sides = [a, b, (a + b) * (1.0 - 10.0 ** rng.uniform(-15.5, -11))]
             rng.shuffle(sides)
         else:
-            sides = list(sample_random_setup(rng)[0].sides)
+            t = sample_random_setup(rng)[0]
+            sides = [t.a, t.b, t.c]
         vertices = [list(v) for v in triangle_from_sides(*sides).vertices]
         weights = [math.exp(rng.uniform(-1, 1)) for _ in "abc"]
         values = [math.exp(rng.uniform(-1, 1)) for _ in "abc"]
@@ -1081,6 +1111,25 @@ def test_river_opposite_sides(capsys, tmp_path):
     code, doc = run_doc(capsys, ["river", "--input",
                                  write_spec(tmp_path, spec)])
     assert code == 2
+
+
+def test_river_side_test_is_exact(capsys, tmp_path):
+    """A lies 8.3e-10 (in cross product units) on the far side of the
+    line, against +9.2e7 for B: the side test is the exact sign of each
+    cross product on the input floats, so the points straddle the line and
+    the job is exit 2.  The rounded cross products put both on one side,
+    and the job read exit 0 with snell_residual 0.0505."""
+    spec = {"river": {
+        "a": [1467.0780077894767, -4396.342012091518],
+        "b": [8924.620290203851, 3170.270262139071],
+        "line": [[-86.09692429383054, -48.9567763695413],
+                 [3133.1301142147818, -9059.673990867223]],
+        "lam1": 1, "lam2": 2}}
+    code, doc = run_doc(capsys, ["river", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert code == 2
+    assert doc["message"] == ("both points must lie strictly on one side "
+                              "of the line")
 
 
 # A lies on the line in floating point, so the optimum is a kink at A.
@@ -2110,10 +2159,11 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     and jobs) and registers no command module; a cold job adds its
     command's module and the modules that command calls.  A closed orbit
     draws no circles, so point, simulate and a render without layers
-    leave apollonius out.  An error report loads no module its command
-    does not run: exit 2 from a river whose points straddle the line, or
-    from a simulate whose start points out of the triangle, leaves
-    coordinates out."""
+    leave apollonius out.  The exact kernel loads with a tilde triangle
+    and for river's side test alone.  An error report loads no module its
+    command does not run: exit 2 from a river whose points straddle the
+    line, or from a simulate whose start points out of the triangle,
+    leaves coordinates out."""
     straddle = tmp_path / "straddle.json"
     straddle.write_text(json.dumps({"river": {
         "a": [-1, 1], "b": [1, -1], "line": [[0, 0], [1, 0]],
@@ -2124,7 +2174,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         start={"side": "a", "param": 0.5, "direction": [0, -1]})))
     errors = (
         (["river", "--input", str(straddle)],
-         ["cmd_river", "billiards", "geometry", "serialize"]),
+         ["cmd_river", "billiards", "exact", "geometry", "serialize"]),
         (["simulate", "--input", str(outward)],
          ["cmd_simulate", "billiards", "construction", "geometry",
           "serialize"]),
@@ -2133,26 +2183,26 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         ([], []),
         (["--version"], []),
         (["river", "--input", corpus_path("river_basic.json")],
-         ["cmd_river", "billiards", "geometry", "serialize"]),
+         ["cmd_river", "billiards", "exact", "geometry", "serialize"]),
         (["convert", "--input", corpus_path("convert_trilinear_incenter.json")],
          ["cmd_convert", "coordinates", "geometry", "serialize"]),
         (["point", "--input", corpus_path("point_interior.json")],
-         ["cmd_point", "construction", "coordinates", "geometry",
+         ["cmd_point", "construction", "coordinates", "exact", "geometry",
           "serialize"]),
         (["simulate", "--input", corpus_path("simulate_default.json")],
          ["cmd_simulate", "billiards", "construction", "coordinates",
-          "geometry", "serialize"]),
+          "exact", "geometry", "serialize"]),
         (["render", "--input", corpus_path("render_plain.json"),
           "--svg", str(tmp_path / "plain.svg")],
-         ["cmd_render", "construction", "coordinates", "geometry", "render",
-          "serialize"]),
+         ["cmd_render", "construction", "coordinates", "exact", "geometry",
+          "render", "serialize"]),
         (["render", "--input", corpus_path("render_apollonius.json"),
           "--svg", str(tmp_path / "apollonius.svg")],
          ["cmd_render", "apollonius", "construction", "coordinates",
-          "geometry", "render", "serialize"]),
+          "exact", "geometry", "render", "serialize"]),
         (["minimize", "--input", corpus_path("minimize_interior.json")],
-         ["cmd_minimize", "construction", "coordinates", "geometry",
-          "optimize", "serialize"]),
+         ["cmd_minimize", "construction", "coordinates", "exact",
+          "geometry", "optimize", "serialize"]),
     )
     for argv, used, code in ([case + (0,) for case in cases]
                              + [case + (2,) for case in errors]):
@@ -2167,6 +2217,87 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         assert json.loads(proc.stdout) == {"code": code, "unused": [],
                                            "ran": sorted(expected),
                                            "commands": commands}, argv
+
+
+def _benchmark_traced_names():
+    """The names sfbench/spans.py traces or counts, read from its source
+    (TRACED and COUNTED) without importing it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "sfbench", "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    values = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("TRACED", "COUNTED")}
+    return ({name for names in values["TRACED"].values() for name in names}
+            | {values["COUNTED"][1]})
+
+
+def _jobs_of_every_command(rng, svg):
+    """Seeded (command, spec) pairs: every command, every input form of a
+    triangle and of convert's coords, both kinds of simulate start and
+    render with and without the Apollonius layer."""
+    for i in range(12):
+        t, w = sample_random_setup(rng)
+        triangle = ({"vertices": [list(v) for v in t.vertices]} if i % 2
+                    else {"sides": [t.a, t.b, t.c]})
+        weights = list(w)
+        yield "point", {"triangle": triangle, "weights": weights}
+        yield "minimize", {"triangle": triangle, "weights": weights}
+        yield "simulate", {"triangle": triangle, "weights": weights}
+        yield "simulate", {"triangle": triangle, "weights": weights,
+                           "steps": 4, "start": {"side": "a", "param": 0.5,
+                                                 "direction": [0.1, 1.0]}}
+        for kind in ("barycentric", "trilinear", "tripolar"):
+            yield "convert", {"triangle": triangle, "coords": {
+                "kind": kind, "values": [rng.uniform(0.5, 1.5)
+                                         for _ in "abc"]}}
+        yield "render", {"triangle": triangle, "weights": weights,
+                         "svg_path": svg, "layers": {"apollonius": i < 6}}
+        a, b, q1, q2 = ([rng.uniform(-5, 5) for _ in "xy"] for _ in "abqq")
+        yield "river", {"river": {"a": a, "b": b, "line": [q1, q2],
+                                  "lam1": weights[0], "lam2": weights[1]}}
+
+
+def test_every_public_function_is_run_by_some_job(tmp_path):
+    """Every function the package lists as public (`_PUBLIC`) is entered by
+    some job: the corpus and seeded jobs of every command, run through
+    cli.run_spec under sys.setprofile.  A public function that no command
+    runs belongs with the tests (tests/oracles.py) or nowhere.  The names
+    sfbench/spans.py traces are exempt, since the benchmark looks them
+    up."""
+    public = {}
+    for module, names in snellfagnano._PUBLIC:
+        for name in names:
+            obj = getattr(snellfagnano, name)
+            if inspect.isfunction(obj):
+                public[obj.__code__] = module + "." + name
+    jobs = []
+    for path in sorted(os.listdir(CORPUS)):
+        if path.endswith(".json"):
+            spec = corpus_spec(path)
+            spec.pop("svg_path", None)
+            if path.startswith("render"):
+                spec["svg_path"] = str(tmp_path / "corpus.svg")
+            jobs.append((path.split("_")[0], spec))
+    jobs += _jobs_of_every_command(random.Random(5), str(tmp_path / "j.svg"))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for command, spec in jobs:
+            cli.run_spec(command, spec)
+    finally:
+        sys.setprofile(None)
+    unused = sorted(name for code, name in public.items()
+                    if code not in entered
+                    and name.split(".")[1] not in _benchmark_traced_names())
+    assert unused == []
 
 
 def test_every_import_in_src_is_read():

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,21 +10,22 @@ import snellfagnano as sf
 from snellfagnano import (Point2, Triangle, Weights, dist,
                           pedal_triangle, triangle_from_sides)
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
-from snellfagnano.coordinates import plus_root, unit_scaled
+from snellfagnano.coordinates import plus_root
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        STATUS_NO_TILDE, TildeDegenerate,
                                        coeffs_from_weights, erect_similar,
                                        interior_conditions,
                                        snell_fagnano_point,
                                        verify_snell_point)
-from snellfagnano.geometry import altitudes, inscribed_from_params
+from snellfagnano.geometry import inscribed_from_params
 from snellfagnano.optimize import minimize_inscribed
 
 from conftest import (altitude_feet_oracle, angles, orthocenter_oracle,
                       sample_acute_triangle, sample_admissible,
                       sample_boundary, sample_random_setup, sample_triangle,
-                      sample_weights, side_angles)
-from oracles import (cevian_ratio, degenerate_minimizer, eta_concurrency_test,
+                      sample_weights, side_angles, tilde_sides)
+from oracles import (altitudes, ceva_reference, cevian_ratio,
+                     degenerate_minimizer, eta_concurrency_test,
                      exact_verdict, intersect_lines)
 
 OBTUSE = Triangle(Point2(0.0, 0.0), Point2(6.0, 0.0), Point2(5.2, 1.1))
@@ -114,29 +116,28 @@ def test_erect_requires_tilde():
 # the point itself
 
 def test_equal_weights_numerators_give_fagnanos_point():
-    """With equal weights lam the tilde triangle is the reference one scaled
-    by lam, so X_V = 2 d_V lam^2 and S = 2 K2 lam^2, and N_V = 4 K2 d_V lam^2
-    (lam as unit_scaled leaves it).  The Ceva triple (1/N_A : 1/N_B : 1/N_C)
-    is then (1/d_A : 1/d_B : 1/d_C), the orthocenter: Fagnano's point,
-    outside the triangle where it is obtuse."""
+    """With equal weights the tilde triangle is the reference one, so
+    sin(V + V~) = sin 2V = 2 K2 d_V / (b^2 c^2) at A, and cyclically.  The
+    Ceva triple (a^2 s_B s_C : ...) is then (1/d_A : 1/d_B : 1/d_C), the
+    orthocenter: Fagnano's point, outside the triangle where it is
+    obtuse."""
     rng = random.Random(60)
     eps = sys.float_info.epsilon
     for _ in range(200):
         t, _ = sample_random_setup(rng)
         lam = math.exp(rng.uniform(-30.0, 30.0))
         res = snell_fagnano_point(t, Weights(lam, lam, lam))
-        lam = unit_scaled((lam, lam, lam))[0]
         (ax, ay), (bx, by), (cx, cy) = t.unit_vertices
         k2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         dots = ((bx - ax) * (cx - ax) + (by - ay) * (cy - ay),
                 (cx - bx) * (ax - bx) + (cy - by) * (ay - by),
                 (ax - cx) * (bx - cx) + (ay - cy) * (by - cy))
-        # The numerators come from the rounded sides, the identity's right
-        # side from the vertices: 40 epsilon was the worst of 3000 draws.
-        squares = sum(side * side for side in t.unit_sides)
-        for n, d in zip(res.tilde.N, dots):
-            assert abs(n - 4 * k2 * d * lam ** 2) <= \
-                256 * eps * 4 * k2 * squares * lam ** 2
+        a2, b2, c2 = (side * side for side in t.unit_sides)
+        # The sines are exact quotients, the identity's right side is taken
+        # in floats: 2.5 epsilon was the worst of 600 vertices.
+        for s, d, u, v in zip(res.tilde.sines, dots, (b2, c2, a2),
+                              (c2, a2, b2)):
+            assert abs(s - 2 * k2 * d / (u * v)) <= 5 * eps
         h = orthocenter_oracle(t)
         assert dist(res.point, h) <= 1e-12 * max(t.diameter, dist(h, t.vA))
 
@@ -164,11 +165,11 @@ def test_equilateral_center_and_medial_perimeter():
 
 def _conjugates(res, t):
     """The orbit point's isogonal conjugate, read back from its xy and in
-    closed form (a^2 N_A : b^2 N_B : c^2 N_C) from the result's
-    numerators."""
+    closed form (s_A / lam_A : s_B / lam_B : s_C / lam_C) from the
+    result's sines."""
     read_back = sf.from_barycentric(
         sf.isogonal_conjugate(sf.to_barycentric(res.point, t), t), t)
-    closed = sf.from_barycentric(plus_root(t, res.tilde), t)
+    closed = sf.from_barycentric(plus_root(res.tilde), t)
     return read_back, closed
 
 
@@ -251,21 +252,69 @@ def test_conditions_unit_weights():
 
 @pytest.mark.parametrize("needle", [False, True])
 def test_verdict_is_the_sign_of_the_numerators(needle):
-    """On 3000 boundary-family draws (seed 5) every status and every
-    interior condition equals the exact sign, decided in rational
-    arithmetic on the input floats; the needle-tilde variant, whose float
-    numerators can carry the wrong sign, is held to the reported point
-    alone.  Either way the point is interior exactly when its three Ceva
-    barycentrics are positive."""
+    """On 3000 boundary-family draws (seed 5), and on as many of its
+    needle-tilde variant, the point is interior exactly when its three
+    Ceva barycentrics are positive: the verdict is the sign of the gaps
+    the point's sines are built from (test_every_verdict_is_exact holds
+    it to the exact sign)."""
     rng = random.Random(5)
     for _ in range(3000):
         t, w = sample_boundary(rng, needle)
         res = snell_fagnano_point(t, w)
-        if not needle:
-            assert (res.status, res.conditions) == exact_verdict(t, w), (t, w)
         if res.barycentric is not None:
             assert (res.status == STATUS_INTERIOR) == \
                 (min(res.barycentric) > 0.0), (t, w)
+
+
+FAMILIES = {"random": (2, sample_random_setup),
+            "boundary": (5, sample_boundary),
+            "needle": (5, lambda rng: sample_boundary(rng, True))}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_verdict_is_exact(family):
+    """On 3000 draws of the random set-up (seed 2), of the boundary family
+    and of its needle-tilde variant (seed 5 each), every status and every
+    interior condition equals exact_verdict's, decided in rational
+    arithmetic on the input floats.  The signs of the float numerators
+    N_V = K2 X_V + d_V S that decided it before got 285 needle-tilde
+    verdicts wrong."""
+    seed, sample = FAMILIES[family]
+    rng = random.Random(seed)
+    wrong = []
+    for _ in range(3000):
+        t, w = sample(rng)
+        res = snell_fagnano_point(t, w)
+        if (res.status, res.conditions) != exact_verdict(t, w):
+            wrong.append((t.vertices, w))
+    assert wrong == []
+
+
+# Twice the worst Ceva-triple error, in epsilon relative to its largest
+# entry, over the 1000 draws of each family below: 25.9 (random, where
+# the Ceva sum can cancel), 1.13 (boundary) and 1.34 (needle-tilde).
+CEVA_BOUND = {"random": 51.8, "boundary": 2.26, "needle": 2.68}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ceva_triple_meets_the_60_digit_reference(family):
+    """The normalized Ceva triple of every draw with a tilde triangle is
+    within CEVA_BOUND[family] epsilon, relative to its largest entry, of
+    ceva_reference.  The float numerators N_V = K2 X_V + d_V S that built
+    it before read 138, 1.21e3 and 1.05e15 on the same draws."""
+    seed, sample = FAMILIES[family]
+    rng = random.Random(seed)
+    eps = Decimal(sys.float_info.epsilon)
+    for _ in range(1000):
+        t, w = sample(rng)
+        res = snell_fagnano_point(t, w)
+        if res.status == STATUS_NO_TILDE:
+            continue
+        ref, _ = ceva_reference(t, w)
+        got = sf.coordinates.normalized(res.barycentric)
+        err = max(abs(Decimal(g) - r) for g, r in zip(got, ref))
+        assert err <= Decimal(CEVA_BOUND[family]) * eps * max(map(abs, ref)), \
+            (t, w)
 
 
 def near_flat_tilde(rng):
@@ -279,10 +328,11 @@ def near_flat_tilde(rng):
 
     def gap(lam_i):
         lam[i] = lam_i
-        p = tilde_triangle(t, Weights(*lam)).sides
+        p = tilde_sides(t, lam)
         return p[j] + p[k] - p[i]
 
-    lam_i = (lam[j] * t.sides[j] + lam[k] * t.sides[k]) / t.sides[i]
+    sides = (t.a, t.b, t.c)
+    lam_i = (lam[j] * sides[j] + lam[k] * sides[k]) / sides[i]
     while gap(lam_i) < 0.0:
         lam_i = math.nextafter(lam_i, 0.0)
     while gap(math.nextafter(lam_i, math.inf)) >= 0.0:
@@ -295,12 +345,11 @@ def near_flat_tilde(rng):
 
 @pytest.mark.parametrize("family", ["near_flat", "needle"])
 def test_ceva_sum_stays_clear_of_zero(family):
-    """In exact arithmetic the Ceva sum N_B N_C + N_C N_A + N_A N_B
-    vanishes only with S.  On 3000 tilde triangles 0 to 5 ulps from flat
-    (seed 11; at least 1.6e-9 measured) and on 3000 needle-tilde draws
-    (seed 5; at least 0.2) the float sum stays above 1e-10 of its largest
-    term, so the point is finite; the sliver of the next test is where it
-    does not."""
+    """In exact arithmetic the Ceva sum vanishes only with H.  On 3000
+    tilde triangles 0 to 5 ulps from flat (seed 11; at least 6.9e-10
+    measured) and on 3000 needle-tilde draws (seed 5; at least 0.126) the
+    float sum stays above 1e-10 of its largest term, so the point is
+    finite; the sliver of the next test comes within 1e-8."""
     rng = random.Random(11 if family == "near_flat" else 5)
     for _ in range(3000):
         t, w = (near_flat_tilde(rng) if family == "near_flat"
@@ -313,24 +362,29 @@ def test_ceva_sum_stays_clear_of_zero(family):
         assert abs(sum(bary)) > 1e-10 * max(map(abs, bary)), (t, w)
 
 
-def test_flat_tilde_over_a_sliver_is_degenerate_at_infinity():
-    """A tilde triangle that exists (S = 2e-22 > 0) but is flat to
-    rounding, over a 1e-8 sliver: two numerators are rounding noise of
-    opposite signs, so the Ceva sum cancels to 2e-16 of its largest term
-    and the point lies at infinity.  The verdict is degenerate with no
-    point, not an IdealPoint raised."""
+def test_flat_tilde_over_a_sliver_gets_a_finite_point():
+    """A tilde triangle that exists, flat to float rounding, over a 1e-8
+    sliver: its exact H and gaps give every sine its sign, so the verdict
+    is exact_verdict's and the point is finite.  Its Ceva sum cancels to
+    1e-8 of its largest term, so the point carries about 8 fewer digits:
+    1.3e-8 from the 60-digit reference, which a bound of 1e-7 keeps."""
     t = Triangle(Point2(0.0, 0.0), Point2(1e-8, 0.0), Point2(2e-8, 1.0))
-    res = snell_fagnano_point(t, Weights(1.0, 1.0, 2.2204460492505348e-08))
+    w = Weights(1.0, 1.0, 2.2204460492505348e-08)
+    res = snell_fagnano_point(t, w)
     assert res.tilde.exists
-    assert (res.status, res.point, res.conditions) == (
-        STATUS_DEGENERATE, None, (True, False, True))
+    assert (res.status, res.conditions) == exact_verdict(t, w) == (
+        STATUS_DEGENERATE, (True, False, True))
+    ceva, _ = ceva_reference(t, w)
+    x, y = (float(sum(u * Decimal(v[i]) for u, v in zip(ceva, t.vertices)))
+            for i in (0, 1))
+    assert math.hypot(res.point.x - x, res.point.y - y) <= 1e-7
 
 
-def angle_sums_below_pi(t, tt):
+def angle_sums_below_pi(t, w):
     """interior_conditions by the angles: every angle plus its tilde angle
     below pi."""
     return all(v + vt < math.pi
-               for v, vt in zip(angles(t), side_angles(*tt.sides)))
+               for v, vt in zip(angles(t), side_angles(*tilde_sides(t, w))))
 
 
 def test_condition_flip_matches_barycentric_sign():
@@ -343,7 +397,7 @@ def test_condition_flip_matches_barycentric_sign():
     while w1 is None:
         cand = sample_weights(rng, spread=1.4)
         tt = tilde_triangle(t, cand)
-        if tt.exists and not angle_sums_below_pi(t, tt):
+        if tt.exists and not angle_sums_below_pi(t, cand):
             w1 = cand
 
     def at(s):
@@ -354,8 +408,8 @@ def test_condition_flip_matches_barycentric_sign():
                        (1 - s) * w0.lam_C + s * w1.lam_C)
 
     def angle_ok(s):
-        tt = tilde_triangle(t, at(s))
-        return tt.exists and angle_sums_below_pi(t, tt)
+        w = at(s)
+        return tilde_triangle(t, w).exists and angle_sums_below_pi(t, w)
 
     lo, hi = 0.0, 1.0
     assert angle_ok(lo) and not angle_ok(hi)

@@ -237,7 +237,7 @@ def test_unit_triple_gives_circumcenter():
         t = sample_triangle(rng)
         pts = sf.tripolar_to_points((1, 1, 1), t)
         o = circumcenter_oracle(t)
-        assert any(dist(p, o) <= 1e-9 * t.diameter for p, s in pts)
+        assert any(dist(p, o) <= 1e-9 * t.diameter for p, _, _ in pts)
 
 
 def test_vertex_triple_gives_vertex():
@@ -246,9 +246,10 @@ def test_vertex_triple_gives_vertex():
         t = sample_triangle(rng)
         pts = sf.tripolar_to_points((0.0, t.c, t.b), t)
         assert len(pts) == 1
-        p, s = pts[0]
+        p, s, bary = pts[0]
         assert dist(p, t.vA) <= 1e-12 * t.diameter
         assert s == pytest.approx(1.0, rel=1e-12)
+        assert bary == (1.0, 0.0, 0.0)
 
 
 def test_two_zero_distances_rejected():
@@ -270,13 +271,14 @@ def test_each_vertex_distance_triple_gives_its_vertex():
                            Point2(4.0, 0.0))):
         for v in t.vertices:
             tp = sf.tripolar_of_point(v, t)
-            assert sf.tripolar_to_points(tp, t) == [(v, 1.0)]
+            unit = tuple(float(u == v) for u in t.vertices)
+            assert sf.tripolar_to_points(tp, t) == [(v, 1.0, unit)]
             other = (tp.index(0.0) + 1) % 3
             for rel, realized in ((1e-6, False), (1e-10, True)):
                 off = list(tp)
                 off[other] *= 1.0 + rel
                 if realized:
-                    [(p, s)] = sf.tripolar_to_points(off, t)
+                    [(p, s, _)] = sf.tripolar_to_points(off, t)
                     assert p == v and s == pytest.approx(1.0, rel=1e-9)
                 else:
                     with pytest.raises(NoSuchPoint):
@@ -309,7 +311,7 @@ def test_reciprocal_side_triple_gives_isodynamic_points():
             q = sf.from_barycentric((u, v, 1 - u - v), t)
             best_grid = min(best_grid, total_dist(q))
     conj_vals = []
-    for p, s in pts:
+    for p, _, _ in pts:
         img = sf.from_barycentric(
             sf.isogonal_conjugate(sf.to_barycentric(p, t), t), t)
         conj_vals.append(total_dist(img))
@@ -318,8 +320,8 @@ def test_reciprocal_side_triple_gives_isodynamic_points():
 
 def _tripolar_roots_reference(t, tp):
     """The "+" and "-" points of the tripolar triple tp, (a^2 N_A : ...)
-    with N_V = K2 X_V +- d_V S, to 60 digits from the floats of t's vertices
-    and tp."""
+    with N_V = K2 X_V +- d_V S = 2 b c q r sin(V +- V~), to 60 digits from
+    the floats of t's vertices and tp."""
     with localcontext() as ctx:
         ctx.prec = 60
         (xa, ya), (xb, yb), (xc, yc) = v = [(Decimal(x), Decimal(y))
@@ -348,18 +350,20 @@ def _tripolar_roots_reference(t, tp):
 def test_minus_root_near_unit_triple_keeps_its_accuracy(delta, bound):
     """Tripolar triples at distance delta from (1, 1, 1), in a random
     direction, on random set-up triangles: 150 of them, each with two
-    roots.  The "-" root, the circumcircle inverse of the "+" one, is
-    within bound of a 60-digit reference, relative to its distance from
-    A; bound is twice the worst of 750 draws (seeds 1-5: 6.5e-11, 1.1e-8
-    and 1.6e-6).  Its own numerators K2 X_V - d_V S cancel there: on the
-    same draws, taken in floats, they erred by up to 9e-7, 9.5e-3 and 35."""
+    roots.  The "-" root, (YZ sin(A - A~) : ...) from the exact gaps
+    G-_V, is within bound of a 60-digit reference, relative to its
+    distance from A; bound is twice the worst of 750 draws (seeds 1-5)
+    when the "-" root was the circumcircle inverse of the "+" one: 6.5e-11,
+    1.1e-8 and 1.6e-6.  The exact gaps read 2.8e-11, 4.7e-9 and 5.0e-7.
+    The float numerators K2 X_V - d_V S cancel there: on the same draws
+    they erred by up to 9e-7, 9.5e-3 and 35."""
     rng = random.Random(1)
     for _ in range(150):
         t, _ = sample_random_setup(rng)
         u = [rng.gauss(0.0, 1.0) for _ in range(3)]
         n = math.sqrt(sum(x * x for x in u))
         tp = tuple(1.0 + delta * x / n for x in u)
-        (plus, _), (minus, _) = sf.tripolar_to_points(tp, t)
+        (plus, _, _), (minus, _, _) = sf.tripolar_to_points(tp, t)
         for got, (x, y) in zip((plus, minus),
                                _tripolar_roots_reference(t, tp)):
             err = math.hypot(Decimal(got[0]) - x, Decimal(got[1]) - y)
@@ -374,8 +378,8 @@ def test_roundtrip_random_points():
         p = random_interior(rng, t)
         tp = sf.tripolar_of_point(p, t)
         pts = sf.tripolar_to_points(tp, t)
-        assert min(dist(p, q) for q, s in pts) <= 1e-8 * t.diameter
-        for q, s in pts:
+        assert min(dist(p, q) for q, _, _ in pts) <= 1e-8 * t.diameter
+        for q, _, _ in pts:
             # every candidate lies on all three ratio circles
             for (v1, v2, x1, x2) in ((t.vA, t.vB, tp[0], tp[1]),
                                      (t.vB, t.vC, tp[1], tp[2]),
@@ -390,7 +394,7 @@ def test_biquadratic_residual_at_roots_and_off_roots():
         t = sample_triangle(rng)
         p = random_interior(rng, t)
         X, Y, Z = sf.tripolar_of_point(p, t)
-        for q, s in sf.tripolar_to_points((X, Y, Z), t):
+        for q, s, _ in sf.tripolar_to_points((X, Y, Z), t):
             assert biquadratic_residual(t, X, Y, Z, s * s) <= 1e-6
         # negative control: a perturbed scale is far off the curve
         assert biquadratic_residual(t, X, Y, Z, (1.07 * 1.07)) > 1e-4 or \
@@ -406,4 +410,4 @@ def test_roundtrip_property(u, v):
     p = sf.from_barycentric((u, v, 1 - u - v), t)
     tp = sf.tripolar_of_point(p, t)
     pts = sf.tripolar_to_points(tp, t)
-    assert min(dist(p, q) for q, s in pts) <= 1e-8 * t.diameter
+    assert min(dist(p, q) for q, _, _ in pts) <= 1e-8 * t.diameter

@@ -7,14 +7,14 @@ import pytest
 from snellfagnano import (Point2, Triangle, Weights, dist, optimize,
                           pedal_triangle, triangle_from_sides)
 from snellfagnano.construction import snell_fagnano_point
-from snellfagnano.geometry import (DegenerateTriangle, altitudes,
-                                   inscribed_from_params)
+from snellfagnano.geometry import DegenerateTriangle, inscribed_from_params
 from snellfagnano.jobs import parse_weights
 from snellfagnano.optimize import minimize_inscribed, weighted_perimeter
 
 from conftest import (orthocenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_degenerate,
                       sample_random_setup)
+from oracles import altitudes
 
 
 def test_weighted_perimeter_medial_equilateral():
