@@ -9,6 +9,8 @@ minimum as brute_force_cost; a failing tilde inequality is exit 3.
 
 from __future__ import annotations
 
+import math
+
 from . import construction, coordinates, geometry, optimize
 from .jobs import (EXIT_MISSING, EXIT_OK, base_doc, parse_triangle,
                    parse_weights, point_block, xy)
@@ -19,16 +21,27 @@ KEYS = ("triangle", "weights")
 
 
 def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
-                              squares: tuple[int, int, int]) -> str:
+                              tt: coordinates.TildeTriangle) -> str:
     """The inequality the tilde sides fail, named by the largest of the
-    exact squared sides the verdict was taken on."""
-    sides = (("lam_A*a", w.lam_A * t.a), ("lam_B*b", w.lam_B * t.b),
-             ("lam_C*c", w.lam_C * t.c))
-    i = max(range(3), key=squares.__getitem__)
-    j, k = (n for n in range(3) if n != i)
-    return ("%s >= %s + %s (%.12g >= %.12g + %.12g)"
-            % (sides[i][0], sides[j][0], sides[k][0],
-               sides[i][1], sides[j][1], sides[k][1]))
+    exact squared sides the verdict was taken on.  Its relative gap (long -
+    other two) / long is -H over a product of positive terms of those
+    squares, so it does not cancel.  A gap of at least 1e-11, far above the
+    12 digits printed, is shown by the products lam_V * side, which then
+    read true; a narrower one is printed itself."""
+    n = tt.numerators
+    i = max(range(3), key=n.squares.__getitem__)
+    order = (i, *(m for m in range(3) if m != i))
+    r2, p2, q2 = (n.squares[m] for m in order)
+    u, v = math.sqrt(p2 / r2), math.sqrt(q2 / r2)
+    gap = -n.H / (r2 * r2) / ((1.0 + u + v) * (u + (r2 - q2) / r2 / (1.0 + v))
+                              * (v + (r2 - p2) / r2 / (1.0 + u)))
+    long, a, b = (("lam_A*a", "lam_B*b", "lam_C*c")[m] for m in order)
+    if gap >= 1e-11:
+        sides = (w.lam_A * t.a, w.lam_B * t.b, w.lam_C * t.c)
+        shown = "%.12g >= %.12g + %.12g" % tuple(sides[m] for m in order)
+    else:
+        shown = "%s - %s - %s = %.12g %s" % (long, a, b, gap, long)
+    return "%s >= %s + %s (%s)" % (long, a, b, shown)
 
 
 def _orbit_block(res: construction.SnellOrbitResult) -> dict[str, object]:
@@ -84,7 +97,6 @@ def run(spec) -> tuple[dict[str, object], int]:
     doc["degenerate_info"] = res.degenerate_info
     doc["brute_force_cost"] = brute
     if res.status == construction.STATUS_NO_TILDE:
-        doc["message"] = _failing_tilde_inequality(
-            t, w, res.tilde.numerators.squares)
+        doc["message"] = _failing_tilde_inequality(t, w, res.tilde)
         return doc, EXIT_MISSING
     return doc, EXIT_OK

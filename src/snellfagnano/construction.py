@@ -39,8 +39,8 @@ import sys
 from collections import namedtuple
 
 from . import coordinates
-from .geometry import (GeometryError, InscribedTriangle, Point2, Triangle,
-                       pedal_triangle)
+from .geometry import (GeometryError, IdealPoint, InscribedTriangle, Point2,
+                       Triangle, pedal_triangle)
 
 STATUS_INTERIOR = "interior"
 STATUS_DEGENERATE = "degenerate"
@@ -92,10 +92,11 @@ class SnellOrbitResult(namedtuple(
     the last two cases, with both the weighted and the plain altitude
     ranking reported in the dict degenerate_info.  Every field after
     weighted_perimeter defaults to None.  point, a Point2, is None for
-    no_tilde_triangle.  erected is the three apexes (Point2s), conditions
-    the three interior_conditions (bools), barycentric the point's Ceva
-    triple (floats), and tilde the TildeTriangle with its sines and exact
-    numerators.
+    no_tilde_triangle and for a degenerate point at infinity, whose Ceva
+    triple sums to zero (coordinates.IDEAL_SUM).  erected is the three
+    apexes (Point2s), conditions the three interior_conditions (bools),
+    barycentric the point's Ceva triple (floats), and tilde the
+    TildeTriangle with its sines and exact numerators.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
@@ -178,7 +179,10 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
             (lc * c * c * (ma * mb), fc + ea + eb))
     top = max(e for _, e in rows)
     bary = tuple(math.ldexp(m, e - top) for m, e in rows)
-    f = coordinates.from_barycentric(bary, t)
+    try:
+        f = coordinates.from_barycentric(bary, t)
+    except IdealPoint:  # an interior point's barycentrics are positive
+        f = None
     erected = erect_similar(t, tt)
     conds = interior_conditions(tt)
     if all(conds):

@@ -11,7 +11,8 @@ tilde area), X_A = y + z - x and G+-_A = X_A +- 2 lam_B lam_C d_A =
 and G+_A has the sign of pi - (A + A~).  sines takes sin(A +- A~) by the
 half-angle identity 2 G sigma / (G^2 + sigma^2), sigma = 2 lam_B lam_C K2
 + S = 2qr (sin A + sin A~), a sum of positive terms: one quotient of ints,
-rounded once.  orient is Shewchuk's orient2d, taken exactly.
+rounded once.  heron takes H and S of any three squared sides.  orient
+is Shewchuk's orient2d, taken exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ def orient(p, q, r) -> int:
     return (det > 0) - (det < 0)
 
 
+def heron(x: int, y: int, z: int) -> tuple[int, int | None]:
+    """H = 2(xy + yz + zx) - x^2 - y^2 - z^2 of the squares x, y, z of a
+    triangle's sides, and S = sqrt(H) times 2^64, rounded down, or None
+    where H < 0.  H is sixteen times the squared area, so it is positive
+    exactly when the sides satisfy the strict triangle inequality."""
+    h = 4 * x * y - (x + y - z) ** 2
+    return h, isqrt(h << 128) if h >= 0 else None
+
+
 class Numerators(namedtuple("Numerators", "squares H X lift P root")):
     """Exact ints at one unit: squares (x, y, z), H, X_V, lift 2 lam_B lam_C
     d_V (so G+-_V = X_V +- lift_V) and P_V = 2 lam_B lam_C K2, one per
@@ -52,16 +62,14 @@ def numerators(vertices, triple) -> Numerators:
     x = la * la * (wx * wx + wy * wy)
     y = lb * lb * (vx * vx + vy * vy)
     z = lc * lc * (ux * ux + uy * uy)
-    x_c = x + y - z
-    h = 4 * x * y - x_c * x_c
+    h, root = heron(x, y, z)
     k2 = ux * vy - uy * vx
     u_a, u_b, u_c = 2 * lb * lc, 2 * lc * la, 2 * la * lb
     return Numerators(
-        (x, y, z), h, (y + z - x, z + x - y, x_c),
+        (x, y, z), h, (y + z - x, z + x - y, x + y - z),
         (u_a * (ux * vx + uy * vy), -u_b * (wx * ux + wy * uy),
          u_c * (vx * wx + vy * wy)),
-        (u_a * k2, u_b * k2, u_c * k2),
-        isqrt(h << 128) if h >= 0 else None)
+        (u_a * k2, u_b * k2, u_c * k2), root)
 
 
 def sines(n: Numerators, sign: int = 1) -> tuple[float, float, float]:

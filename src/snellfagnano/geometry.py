@@ -15,6 +15,8 @@ import math
 import sys
 from collections import namedtuple
 
+from . import exact
+
 # Relative tolerance below which a triangle counts as degenerate
 # (|signed area| compared against the squared diameter).
 EPS_DEGENERATE = 1e-12
@@ -167,56 +169,29 @@ def unit_power(m: float) -> float:
     return math.ldexp(1.0, math.frexp(m)[1] - 1)
 
 
-def heron_area(a: float, b: float, c: float) -> float:
-    """Area of the triangle with side lengths a, b, c; 0 when flat.
-
-    Kahan's ordering (Miscalculating Area and Angles of a Needle-like
-    Triangle): with a >= b >= c and the parentheses kept, every factor is
-    accurate, so needles and slivers keep their relative accuracy.  Sides
-    that fail the triangle inequality also give 0.  The product is taken of
-    the sides divided by unit_power(a), so that it cannot overflow, and the
-    area is scaled back: exactly, bit for bit.  A needle's product can
-    still leave the normal range (sides 1, 1, 1e-200); there the root is
-    taken of its two pairs, each of which holds one factor of at least 1.
-    """
-    a, b, c = sorted((a, b, c), reverse=True)
-    s = unit_power(a)
-    a, b, c = a / s, b / s, c / s
-    p = (a + (b + c)) * (c - (a - b))
-    prod = p * (c + (a - b)) * (a + (b - c))
-    if prod >= sys.float_info.min:
-        return 0.25 * math.sqrt(prod) * s * s
-    if not p > 0.0:
-        return 0.0
-    q = (c + (a - b)) * (a + (b - c))
-    return 0.25 * math.sqrt(p) * math.sqrt(q) * s * s
-
-
 def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     """Canonical placement of the triangle with side lengths (a, b, c).
 
-    B goes to the origin, C to (a, 0) and A into the upper half-plane, at
-    height 2 area / a, so a sliver's height does not cancel.  A is placed
-    from the sides divided by unit_power of the largest and scaled back,
-    exactly, so that no area or product of sides leaves the normal range
-    on account of their scale.  Sides sorted l >= m >= s are refused when
-    Kahan's factor s - (l - m) is not positive (no rounded sum can tell:
-    1 + 1e-200 == 1); others get the verdict of their vertices, so a needle
-    too thin for Triangle is degenerate.
+    B goes to the origin, C to (a, 0) and A into the upper half-plane.
+    The sides are exact ints over one power of two d (exact._integers), in
+    which H = exact.heron of their squares is exact: sides with H <= 0 are
+    refused (1 + 1e-200 == 1 cannot tell), and others get their vertices'
+    verdict, so a needle too thin for Triangle is degenerate.  A's x =
+    (a^2 + c^2 - b^2) / (2a) and height S / (2a) are each one quotient of
+    ints rounded once, which no scale makes cancel, over- or underflow.
     """
     if not (a > 0.0 and b > 0.0 and c > 0.0):
         raise TriangleInequalityViolated("side lengths must be positive")
     _check_diameter(max(a, b, c))
-    l, m, s = sorted((a, b, c), reverse=True)
-    if not s - (l - m) > 0.0:
+    ia, ib, ic, d = exact._integers((a, b, c, 1.0))
+    h, root = exact.heron(ia * ia, ib * ib, ic * ic)
+    if h <= 0:
         raise TriangleInequalityViolated(
             "sides (%.17g, %.17g, %.17g) violate the strict triangle "
             "inequality" % (a, b, c))
-    u = unit_power(l)
-    ua, ub, uc = a / u, b / u, c / u
-    # A is at distance c from B=(0,0) and b from C=(a,0).
-    x = 0.5 * ua + (uc - ub) * (uc + ub) / (2.0 * ua)
-    return Triangle(Point2(x * u, 2.0 * heron_area(ua, ub, uc) / ua * u),
+    den = 2 * ia * d
+    return Triangle(Point2((ia * ia + ic * ic - ib * ib) / den,
+                           root / (den << 64)),
                     Point2(0.0, 0.0), Point2(a, 0.0))
 
 

@@ -10,7 +10,8 @@ are plane helpers that only the tests use.  river_reference solves the
 river crossing in 60-digit decimal arithmetic, ceva_reference computes
 the orbit point's Ceva triple and its isogonal conjugate the same way,
 first_wall_exact finds a billiard ray's next wall in rational arithmetic,
-exact_verdict decides the regime in rational arithmetic too, and
+exact_verdict decides the regime in rational arithmetic too, side_apex
+and side_area place a triangle given by its sides in 60-digit decimals, and
 reference_dumps is the serializer that emitted every report before the
 one-pass encoder.  is_periodic, circumcircle and altitudes are helpers
 that only the tests use.
@@ -333,6 +334,33 @@ def exact_verdict(t: Triangle, w: Weights):
         gx, gy = lu * (wx - vx) + lw * (ux - vx), lu * (wy - vy) + lw * (uy - vy)
         conds.append(gx * gx + gy * gy - lam[i] ** 2 * sq[i] > 0)
     return (STATUS_INTERIOR if all(conds) else STATUS_DEGENERATE), tuple(conds)
+
+
+def side_apex(a: float, b: float, c: float):
+    """A's x and height, as 60-digit decimals, where triangle_from_sides
+    places the triangle with sides a, b, c (B at the origin, C at (a, 0)),
+    from the floats taken as exact rationals: x = (a^2 + c^2 - b^2) / (2a)
+    and the height 4 area / (2a), with sixteen times the squared area
+    2(a^2 b^2 + b^2 c^2 + c^2 a^2) - a^4 - b^4 - c^4 taken exactly and as
+    0 where the sides do not form a triangle."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    h16 = 2 * (a * a * b * b + b * b * c * c + c * c * a * a) \
+        - (a ** 4 + b ** 4 + c ** 4)
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, h16 = (a * a + c * c - b * b) / (2 * a), max(h16, Fraction(0))
+        return (D(x.numerator) / D(x.denominator),
+                (D(h16.numerator) / D(h16.denominator)).sqrt()
+                / D(2 * a.numerator) * D(a.denominator))
+
+
+def side_area(a: float, b: float, c: float) -> float:
+    """The area of the triangle with sides a, b, c, a times side_apex's
+    height over 2, rounded once; 0 where they do not form a triangle."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(side_apex(a, b, c)[1] * decimal.Decimal(a) / 2)
 
 
 def ceva_reference(t: Triangle, w: Weights):

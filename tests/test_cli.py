@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -153,12 +154,125 @@ def test_no_tilde_verdict_is_exact_on_the_input_vertices(capsys, tmp_path):
         "no_tilde_triangle", None)
 
 
+def _reads_true(message):
+    """Assert that the numbers a no-tilde message prints satisfy the
+    inequality it names: the products r >= p + q, taken as exact decimals,
+    or a relative gap (r - p - q) / r of at least 0.  Return that gap, or
+    None where the message prints the products."""
+    numbers = message[:-1].split(" (")[1]
+    if " = " in numbers:
+        gap = float(numbers.split(" = ")[1].split()[0])
+        assert gap >= 0.0, message
+        return gap
+    r, rest = numbers.split(" >= ")
+    p, q = rest.split(" + ")
+    assert Fraction(r) >= Fraction(p) + Fraction(q), message
+    return None
+
+
+def _tilde_gap_reference(vertices, weights, long):
+    """(r - p - q) / r for the tilde sides lam_V |opposite side| of the
+    input floats, r the one at index long, in 60-digit decimals."""
+    vs = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sides = []
+        for i in range(3):
+            (ux, uy), (vx, vy) = vs[(i + 1) % 3], vs[(i + 2) % 3]
+            sq = (ux - vx) ** 2 + (uy - vy) ** 2
+            sides.append(Decimal(weights[i]) * (
+                Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt())
+        r = sides.pop(long)
+        return float((r - sum(sides)) / r)
+
+
+def test_no_tilde_message_reads_true():
+    """The numbers a no-tilde message prints satisfy the inequality it
+    names.  Where the products lam_V * side would round onto a sum their
+    12 digits cannot tell from the long side (the input of
+    test_no_tilde_verdict_is_exact_on_the_input_vertices: 30 >= 4e-20 +
+    30), the message prints the relative gap, taken of the exact squared
+    sides, within 1e-9 of its 60-digit value; and on sides [4, 5, 6] with
+    lam_C c short of lam_A a + lam_B b by 10^-k, the gap is printed for
+    the narrow k and the products for the wide ones."""
+    vertices = [[3.375, 4.960783708246107], [0, 0], [4, 0]]
+    cases = [(vertices, [1e-20, 6, 5])]
+    t = triangle_from_sides(4, 5, 6)
+    placed = [list(v) for v in t.vertices]
+    for k in range(1, 16):
+        cases.append((placed, [1, 1, (t.a + t.b) * (1 + 10.0 ** -k) / t.c]))
+    gaps = []
+    for vs, weights in cases:
+        spec = {"triangle": {"vertices": vs}, "weights": weights}
+        doc, code = cli.run_spec("point", spec)
+        if doc["status"] != "no_tilde_triangle":
+            continue
+        assert code == 3
+        gaps.append(_reads_true(doc["message"]))
+        if gaps[-1] is not None:
+            long = ["lam_A*a", "lam_B*b", "lam_C*c"].index(
+                doc["message"].split()[0])
+            assert gaps[-1] == pytest.approx(
+                _tilde_gap_reference(vs, weights, long), rel=1e-9, abs=0.0)
+    assert gaps[0] is not None and None in gaps
+
+
 def test_point_needle_is_degenerate(capsys, tmp_path):
     spec = {"triangle": {"sides": [1, 1, 1.9999999]}, "weights": [1, 1, 1]}
     code, doc = run_doc(capsys, ["point", "--input",
                                  write_spec(tmp_path, spec)])
     assert code == 0
     assert doc["status"] == "degenerate"
+
+
+def _flat_family(rng):
+    """A (triangle, weights) spec near a flat triangle: sides (1, 1, 2 -
+    10^U(-16, -4)) or vertices (U(-2, 3), 10^U(-10, -3)), (0, 0), (1, 0),
+    each weight e^U(-1, 1) or, with probability 0.3, 1."""
+    if rng.random() < 0.5:
+        triangle = {"sides": [1.0, 1.0, 2.0 - 10.0 ** rng.uniform(-16, -4)]}
+    else:
+        triangle = {"vertices": [[rng.uniform(-2, 3),
+                                  10.0 ** rng.uniform(-10, -3)],
+                                 [0.0, 0.0], [1.0, 0.0]]}
+    return {"triangle": triangle,
+            "weights": [1.0 if rng.random() < 0.3
+                        else math.exp(rng.uniform(-1, 1)) for _ in "abc"]}
+
+
+def test_degenerate_point_at_infinity_has_no_point_block(tmp_path):
+    """The equal-weight orbit point of an obtuse needle is its orthocenter,
+    far out, and its Ceva triple can sum to rounding noise: a point at
+    infinity.  The verdict stays degenerate, with no point: point,
+    minimize and render exit 0, and simulate has no orbit to launch from.
+    Over 20000 draws of the flat family, no construction raises
+    IdealPoint."""
+    spec = {"triangle": {"sides": [1, 1, 1.9999999999999998]},
+            "weights": [1, 1, 1]}
+    doc, code = cli.run_spec("point", spec)
+    assert (code, doc["status"]) == (0, "degenerate")
+    assert doc["interior_conditions"] == [True, True, False]
+    assert "point" not in doc and "orbit" in doc
+    doc, code = cli.run_spec("minimize", spec)
+    assert (code, doc["status"]) == (0, "ok")
+    doc, code = cli.run_spec("render", dict(
+        spec, svg_path=str(tmp_path / "needle.svg")))
+    assert (code, doc["construction_status"]) == (0, "degenerate")
+    doc, code = cli.run_spec("simulate", spec)
+    assert code == 3
+    assert doc["message"].startswith("no interior orbit to launch from "
+                                     "(status degenerate)")
+    rng = random.Random(7)
+    statuses = set()
+    for _ in range(20000):
+        node = _flat_family(rng)
+        try:
+            t = jobs.parse_triangle(node)
+        except snellfagnano.GeometryError:
+            continue
+        w = snellfagnano.Weights(*node["weights"])
+        statuses.add(snellfagnano.snell_fagnano_point(t, w).status)
+    assert statuses == {"degenerate", "no_tilde_triangle"}
 
 
 def test_point_sliver_sides_are_placed(capsys, tmp_path):
@@ -772,7 +886,8 @@ def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
     input form, by its three side lengths, each form against its own
     unit-scale report.  A side's square in world units, about 1e-330 at
     2^-510, would underflow; every foot, area and height is taken at unit
-    size, and triangle_from_sides places A at unit size too."""
+    size, and triangle_from_sides places A by quotients of exact ints,
+    which no scale over- or underflows."""
     rng = random.Random(1)
     svg = tmp_path / "scaled.svg"
     for i in range(400):
@@ -1418,8 +1533,8 @@ def test_invalid_triangles_exit_2_with_their_reason(capsys):
              "sides (1, 1, 2.0000000001) violate the strict triangle "
              "inequality"),
             # 1 + 1e-200 > 1 in exact arithmetic, so these needles are
-            # degenerate, not impossible; Kahan's product of four factors
-            # leaves the normal range on both, their areas do not.
+            # degenerate, not impossible: the exact H of their sides is
+            # positive, and their areas stay in the normal range.
             ({"sides": [1, 1, 1e-160]},
              "vertices are collinear within tolerance (area 5e-161)"),
             ({"sides": [1, 1, 1e-200]},
@@ -1594,6 +1709,27 @@ def test_random_jobs_never_exit_1(capsys, tmp_path):
             internal.append((command, spec))
         capsys.readouterr()
     assert internal == []
+
+
+def test_only_a_missing_tilde_triangle_exits_3(tmp_path):
+    """A point job exits 3 only with status no_tilde_triangle, and a
+    minimize or render job never does: over random jobs of every command
+    and over the flat family, whose equal-weight needles put the orbit
+    point at infinity."""
+    svg_path = str(tmp_path / "fuzz.svg")
+    rng = random.Random(1502)
+    jobs_run = [_fuzz_spec(rng, svg_path) for _ in range(1500)]
+    rng = random.Random(7)
+    for _ in range(600):
+        spec = _flat_family(rng)
+        jobs_run += [("point", spec), ("minimize", spec),
+                     ("render", dict(spec, svg_path=svg_path))]
+    for command, spec in jobs_run:
+        doc, code = cli.run_spec(command, spec)
+        if command == "point":
+            assert code != 3 or doc["status"] == "no_tilde_triangle", spec
+        elif command in ("minimize", "render"):
+            assert code != 3, (command, spec, doc["message"])
 
 
 def test_batch_rejects_unhashable_command(capsys, tmp_path):
@@ -2159,8 +2295,8 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     and jobs) and registers no command module; a cold job adds its
     command's module and the modules that command calls.  A closed orbit
     draws no circles, so point, simulate and a render without layers
-    leave apollonius out.  The exact kernel loads with a tilde triangle
-    and for river's side test alone.  An error report loads no module its
+    leave apollonius out.  The exact kernel loads with a tilde triangle,
+    with a triangle given by its sides and for river's side test alone.  An error report loads no module its
     command does not run: exit 2 from a river whose points straddle the
     line, or from a simulate whose start points out of the triangle,
     leaves coordinates out."""
@@ -2176,7 +2312,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         (["river", "--input", str(straddle)],
          ["cmd_river", "billiards", "exact", "geometry", "serialize"]),
         (["simulate", "--input", str(outward)],
-         ["cmd_simulate", "billiards", "construction", "geometry",
+         ["cmd_simulate", "billiards", "construction", "exact", "geometry",
           "serialize"]),
     )
     cases = (
@@ -2185,7 +2321,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         (["river", "--input", corpus_path("river_basic.json")],
          ["cmd_river", "billiards", "exact", "geometry", "serialize"]),
         (["convert", "--input", corpus_path("convert_trilinear_incenter.json")],
-         ["cmd_convert", "coordinates", "geometry", "serialize"]),
+         ["cmd_convert", "coordinates", "exact", "geometry", "serialize"]),
         (["point", "--input", corpus_path("point_interior.json")],
          ["cmd_point", "construction", "coordinates", "exact", "geometry",
           "serialize"]),

@@ -1,7 +1,7 @@
 import math
 import random
-from decimal import Decimal, localcontext
-from fractions import Fraction
+import re
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +13,11 @@ from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
                           pedal_triangle, signed_area, snell_reflect,
                           triangle_from_sides, tripolar_to_points,
                           verify_snell_point)
-from snellfagnano.geometry import heron_area, point_on_side
+from snellfagnano.geometry import point_on_side
 
 from conftest import angles, sample_triangle
-from oracles import altitudes, intersect_lines, is_periodic
+from oracles import (altitudes, intersect_lines, is_periodic, side_apex,
+                     side_area)
 
 
 def test_signed_area_right_triangle():
@@ -156,7 +157,8 @@ def test_triangle_inequality_rejected():
 
 
 def test_needle_whose_area_underflows_is_degenerate_not_impossible():
-    # 1 + 1e-200 rounds to 1, but Kahan's factor c - (a - b) is 1e-200.
+    # 1 + 1e-200 rounds to 1, but the exact H of the sides is positive;
+    # a product of Heron's four factors in floats would underflow.
     with pytest.raises(DegenerateTriangle,
                        match=r"collinear.*\(area 5e-201\)"):
         triangle_from_sides(1.0, 1.0, 1e-200)
@@ -186,30 +188,74 @@ def test_triangle_from_sides_places_slivers():
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _exact_area(a, b, c):
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    h16 = 2 * (a * a * b * b + b * b * c * c + c * c * a * a) \
-        - (a ** 4 + b ** 4 + c ** 4)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        root = (Decimal(h16.numerator) / Decimal(h16.denominator)).sqrt()
-        return float(root / 4)
-
-
-def test_heron_area_needles_and_flat():
-    assert heron_area(5.0, 3.0, 4.0) == 6.0
-    # Kahan's needles: the naive formula loses most digits on these.  On
-    # the last two Kahan's product of four factors is subnormal or 0; the
-    # area itself is a normal float.
+def test_triangle_from_sides_places_kahan_needles():
+    """Kahan's needles, on which the naive Heron formula loses most digits,
+    get the exact area (oracles.side_area): the two Triangle accepts as
+    a times A's height over 2, the thinner ones in the message that
+    refuses them as collinear.  Flat and impossible sides are
+    refused before any placement."""
     for sides in ((100000.0, 99999.99979, 0.00029), (1.0, 1.0, 1e-12),
                   (0.6595322558449519, 5.440659001432983e-06,
                    0.6595362667903908), (1.0, 1.0, 1e-160),
                   (1.0, 1.0, 1e-200)):
         for perm in (sides, sides[::-1], sides[1:] + sides[:1]):
-            assert heron_area(*perm) == pytest.approx(_exact_area(*sides),
-                                                      rel=1e-13, abs=0.0)
-    assert heron_area(1.0, 1.0, 2.0) == 0.0
-    assert heron_area(1.0, 1.0, 3.0) == 0.0
+            try:
+                t = triangle_from_sides(*perm)
+            except DegenerateTriangle as e:
+                area = float(re.search(r"\(area (.*)\)", str(e)).group(1))
+                assert area == pytest.approx(side_area(*perm), rel=1e-5)
+                continue
+            assert t.vA.y * perm[0] / 2 == pytest.approx(
+                side_area(*perm), rel=1e-13, abs=0.0)
+    for sides in ((1.0, 1.0, 2.0), (1.0, 1.0, 3.0)):
+        with pytest.raises(TriangleInequalityViolated):
+            triangle_from_sides(*sides)
+
+
+def _side_triples(rng):
+    """Side triples: random ones, needles whose short side is down to
+    1e-12 of the others, slivers whose longest side is short of the other
+    two's sum by down to 1e-12 of it, and the short-side family of
+    test_cli (vertices (0, 0), (r, 0), (u r, 1)) scaled by 2^-510 and
+    2^500, each in a random order."""
+    for _ in range(2000):
+        yield [rng.uniform(0.1, 1.0) for _ in "abc"]
+    for _ in range(1500):
+        m = rng.uniform(0.5, 1.0)
+        s = m * 10.0 ** rng.uniform(-12.0, -1.0)
+        if rng.random() < 0.5:
+            yield rng.sample([m + s * rng.uniform(-1.0, 1.0), m, s], 3)
+        else:
+            yield rng.sample([(m + s) * (1.0 - 10.0 ** rng.uniform(-12.0, -2.0)),
+                              m, s], 3)
+    for _ in range(400):
+        r, u = 10.0 ** rng.uniform(-11.5, -4), rng.uniform(-0.5, 1.5)
+        sides = [math.hypot(u * r - r, 1.0), math.hypot(u * r, 1.0), r]
+        for k in (-510, 500):
+            yield rng.sample([math.ldexp(v, k) for v in sides], 3)
+
+
+def test_triangle_from_sides_places_a_within_an_ulp():
+    """A's x and height are each within an ulp of the 60-digit placement
+    of the input floats (oracles.side_apex), on random sides, needles,
+    slivers and the short-side family at both ends of the accepted
+    diameters.  Sides the exact area refuses are refused, and only the
+    degenerate ones are not placed."""
+    rng = random.Random(37)
+    placed = 0
+    for sides in _side_triples(rng):
+        x, h = side_apex(*sides)
+        try:
+            t = triangle_from_sides(*sides)
+        except TriangleInequalityViolated:
+            assert h == 0, sides
+            continue
+        except DegenerateTriangle:
+            continue
+        for got, want in zip(t.vA, (x, h)):
+            assert abs(Decimal(got) - want) <= Decimal(math.ulp(got)), sides
+        placed += 1
+    assert placed >= 3000
 
 
 def test_law_of_sines():
