@@ -42,7 +42,7 @@ _PUBLIC = (
     ("construction", (
         "Weights", "coeffs_from_weights",
         "SnellOrbitResult", "snell_fagnano_point", "erect_similar",
-        "interior_conditions", "verify_snell_point")),
+        "verify_snell_point")),
     ("billiards", (
         "BilliardState", "RiverInstance", "snell_reflect", "billiard_step",
         "orbit_start_state", "solve_river",

@@ -13,7 +13,8 @@ triangle does, one on the circumcircle when it is flat, and none beyond;
 equal weights leave the circumcenter alone.  The points are
 (lam_B lam_C sin(A +- A~) : ...), from the tilde triangle's exact
 integer numerators, so no angle is taken.  The tilde triangle itself
-lives with the inversion, in coordinates, and is re-exported here.
+lives with the inversion, in coordinates; tilde_triangle is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .coordinates import NoSuchPoint, tripolar_to_points
-from .coordinates import TildeTriangle, tilde_triangle  # noqa: F401
+from .coordinates import tilde_triangle  # noqa: F401
 from .geometry import GeometryError, Point2, Triangle, dist
 
 # Ratios this close to 1 are treated as the bisector degeneration.

@@ -47,10 +47,6 @@ STATUS_DEGENERATE = "degenerate"
 STATUS_NO_TILDE = "no_tilde_triangle"
 
 
-class TildeDegenerate(GeometryError):
-    """The scaled side triple does not form a triangle."""
-
-
 class Weights(namedtuple("Weights", "lam_A lam_B lam_C")):
     """Stiffness triple: lam_A weights the chord opposite vertex A."""
 
@@ -94,9 +90,9 @@ class SnellOrbitResult(namedtuple(
     weighted_perimeter defaults to None.  point, a Point2, is None for
     no_tilde_triangle and for a degenerate point at infinity, whose Ceva
     triple sums to zero (coordinates.IDEAL_SUM).  erected is the three
-    apexes (Point2s), conditions the three interior_conditions (bools),
-    barycentric the point's Ceva triple (floats), and tilde the
-    TildeTriangle with its sines and exact numerators.
+    apexes (Point2s), conditions tilde.conditions, the three strict tests
+    V + V~ < pi (bools), barycentric the point's Ceva triple (floats), and
+    tilde the TildeTriangle with its sines and exact numerators.
 
     orbit_in_sides qualifies the interior case: True when every pedal foot
     lies strictly inside its side, so the orbit is a genuine closed billiard
@@ -131,7 +127,7 @@ def erect_similar(t: Triangle, tt: coordinates.TildeTriangle
     (2 p^2), with p^2 = x, the exact numerators' own square (_apex).
     """
     if not tt.exists:
-        raise TildeDegenerate("scaled side triple fails the triangle inequality")
+        raise GeometryError("scaled side triple fails the triangle inequality")
     n = tt.numerators
     (x_a, x_b, x_c), (x, y, z) = n.X, n.squares
     return (_apex(t.vB, t.vC, x_b, n.root, x),
@@ -147,15 +143,6 @@ def _apex(v: Point2, w: Point2, x: int, root: int, u2: int) -> Point2:
     return Point2(v.x + c * ex + s * ey, v.y + c * ey - s * ex)
 
 
-def interior_conditions(tt: coordinates.TildeTriangle
-                        ) -> tuple[bool, bool, bool]:
-    """The strict tests V + V~ < pi, one per vertex, as G+_V > 0: the exact
-    sign of the gap the point's sines are built from."""
-    if not tt.exists:
-        raise TildeDegenerate("scaled side triple fails the triangle inequality")
-    return tt.conditions
-
-
 def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     """Construct the orbit point, or the degenerate fallback.
 
@@ -164,9 +151,9 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     unit_scaled weights and t.unit_sides with each weight and sine split
     into a mantissa and a power of two (math.frexp), and the powers summed
     apart and scaled to the largest, so that no product over- or
-    underflows.  It is interior exactly when all three
-    interior_conditions hold, that is when every G+_V > 0, and then every
-    barycentric is positive.
+    underflows.  It is interior exactly when all three tilde.conditions
+    hold, that is when every G+_V > 0, and then every barycentric is
+    positive.
     """
     tt = coordinates.tilde_triangle(t, w)
     if not tt.exists:
@@ -184,7 +171,7 @@ def snell_fagnano_point(t: Triangle, w: Weights) -> SnellOrbitResult:
     except IdealPoint:  # an interior point's barycentrics are positive
         f = None
     erected = erect_similar(t, tt)
-    conds = interior_conditions(tt)
+    conds = tt.conditions
     if all(conds):
         orbit = pedal_triangle(f, t)
         in_sides = all(0.0 < p < 1.0 for p in (orbit.tA, orbit.tB, orbit.tC))

@@ -106,13 +106,15 @@ class Triangle:
     vertices and sides are kept divided by it (unit_vertices, as (x, y)
     pairs, and unit_sides), once and exactly, since it is a power of two:
     a unit-size computation reads them and divides only its own query
-    point.  So does the area: area = unit_area * scale^2.  A vertex
-    coordinate that is not finite, or a diameter squared that is not a
-    normal float, is refused (GeometryError), and a unit area at most
-    EPS_DEGENERATE times the unit diameter squared is degenerate.
+    point.  So is the area, unit_area, a cross product taken at the vertex
+    opposite the diameter, whose two edges are the short ones, so that a
+    needle's does not cancel.  A vertex coordinate that is not finite, or
+    a diameter squared that is not a normal float, is refused
+    (GeometryError), and a unit area at most EPS_DEGENERATE times the unit
+    diameter squared is degenerate.
     """
 
-    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "area", "diameter",
+    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "diameter",
                  "scale", "unit_vertices", "unit_sides", "unit_area")
 
     def __init__(self, vA, vB, vC):
@@ -123,8 +125,9 @@ class Triangle:
         diam = max(a, b, c)
         _check_diameter(diam)
         s = unit_power(diam)
-        ua, ub, uc = ((x / s, y / s) for x, y in (vA, vB, vC))
-        area, d = signed_area(ua, ub, uc), diam / s
+        u = ua, ub, uc = tuple((x / s, y / s) for x, y in (vA, vB, vC))
+        k = (a, b, c).index(diam)
+        area, d = signed_area(u[k], u[k - 2], u[k - 1]), diam / s
         if abs(area) <= EPS_DEGENERATE * d * d:
             raise DegenerateTriangle("vertices are collinear within "
                                      f"tolerance (area {area * s * s:g})")
@@ -132,8 +135,7 @@ class Triangle:
             vB, vC, ub, uc, b, c = vC, vB, uc, ub, c, b
         self.vA, self.vB, self.vC = vA, vB, vC
         self.a, self.b, self.c = a, b, c
-        self.area, self.unit_area = abs(area) * s * s, abs(area)
-        self.diameter, self.scale = diam, s
+        self.unit_area, self.diameter, self.scale = abs(area), diam, s
         self.unit_vertices, self.unit_sides = (ua, ub, uc), (a / s, b / s, c / s)
 
     @property

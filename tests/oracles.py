@@ -30,8 +30,8 @@ from snellfagnano.billiards import BilliardState, billiard_step, closure
 from snellfagnano.coordinates import TildeTriangle
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
                                        STATUS_NO_TILDE, SnellOrbitResult,
-                                       TildeDegenerate, Weights,
-                                       _degenerate_result, erect_similar)
+                                       Weights, _degenerate_result,
+                                       erect_similar)
 from snellfagnano.geometry import (GeometryError, InscribedTriangle, Point2,
                                    Triangle, dist, pedal_triangle)
 from snellfagnano.serialize import format_float
@@ -104,7 +104,7 @@ def cevian_ratio(t: Triangle, w: Weights, tt: TildeTriangle,
     telescopes to exactly 1.
     """
     if not tt.exists:
-        raise TildeDegenerate("scaled side triple fails the triangle inequality")
+        raise GeometryError("scaled side triple fails the triangle inequality")
     sA, sB, sC = (math.sin(v + vt)
                   for v, vt in zip(angles(t), side_angles(*tilde_sides(t, w))))
     closed = (w.lam_B * t.b ** 2 * sC / (w.lam_C * t.c ** 2 * sB),

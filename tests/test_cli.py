@@ -2471,6 +2471,11 @@ def test_public_names_resolve():
     assert missing == []
     assert set(snellfagnano.__all__) <= set(dir(snellfagnano))
     assert not hasattr(snellfagnano, "degenerate_minimizer")
+    # The tilde triangle's conditions are its own field, and erect_similar
+    # refuses a missing one with a plain GeometryError.
+    for name in ("interior_conditions", "TildeDegenerate"):
+        assert not hasattr(snellfagnano, name)
+        assert not hasattr(snellfagnano.construction, name)
     # A coordinate triple is a plain tuple: no record relabels it.
     for name in ("BarycentricCoords", "TrilinearCoords", "TripolarCoords"):
         assert not hasattr(snellfagnano, name)

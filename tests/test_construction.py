@@ -12,10 +12,8 @@ from snellfagnano import (Point2, Triangle, Weights, dist,
 from snellfagnano.apollonius import apollonian_common_points, tilde_triangle
 from snellfagnano.coordinates import plus_root
 from snellfagnano.construction import (STATUS_DEGENERATE, STATUS_INTERIOR,
-                                       STATUS_NO_TILDE, TildeDegenerate,
-                                       coeffs_from_weights, erect_similar,
-                                       interior_conditions,
-                                       snell_fagnano_point,
+                                       STATUS_NO_TILDE, coeffs_from_weights,
+                                       erect_similar, snell_fagnano_point,
                                        verify_snell_point)
 from snellfagnano.geometry import inscribed_from_params
 from snellfagnano.optimize import minimize_inscribed
@@ -106,10 +104,10 @@ def test_erect_distance_identities():
 def test_erect_requires_tilde():
     t = triangle_from_sides(1.0, 1.0, 1.0)
     tt = tilde_triangle(t, Weights(10, 1, 1))
-    with pytest.raises(TildeDegenerate):
+    assert not tt.exists
+    with pytest.raises(sf.GeometryError,
+                       match="scaled side triple fails the triangle inequality"):
         erect_similar(t, tt)
-    with pytest.raises(TildeDegenerate):
-        interior_conditions(tt)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +240,9 @@ def test_no_tilde_status():
 def test_conditions_unit_weights():
     rng = random.Random(68)
     t = sample_acute_triangle(rng)
-    assert interior_conditions(tilde_triangle(t, Weights(1, 1, 1))) == \
+    assert tilde_triangle(t, Weights(1, 1, 1)).conditions == \
         (True, True, True)
-    conds = interior_conditions(tilde_triangle(OBTUSE, Weights(1, 1, 1)))
+    conds = tilde_triangle(OBTUSE, Weights(1, 1, 1)).conditions
     # OBTUSE has its blunt angle at C (opposite the long side c)
     assert angles(OBTUSE)[2] > math.pi / 2
     assert conds[2] is False
@@ -381,8 +379,8 @@ def test_flat_tilde_over_a_sliver_gets_a_finite_point():
 
 
 def angle_sums_below_pi(t, w):
-    """interior_conditions by the angles: every angle plus its tilde angle
-    below pi."""
+    """The tilde triangle's conditions by the angles: every angle plus its
+    tilde angle below pi."""
     return all(v + vt < math.pi
                for v, vt in zip(angles(t), side_angles(*tilde_sides(t, w))))
 
@@ -664,7 +662,7 @@ def test_needles_and_tilde_boundary_get_a_verdict(data):
     res = snell_fagnano_point(t, w)
     assert res.status in (STATUS_INTERIOR, STATUS_DEGENERATE, STATUS_NO_TILDE)
     tt = tilde_triangle(t, w)
-    conds_hold = tt.exists and all(interior_conditions(tt))
+    conds_hold = tt.exists and all(tt.conditions)
     assert (res.status == STATUS_INTERIOR) == conds_hold
     if res.status == STATUS_INTERIOR:
         assert min(sf.to_barycentric(res.point, t)) > 0.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -98,7 +99,7 @@ def test_triangle_345_altitude_to_hypotenuse():
     (fa, ha), (fb, hb), (fc, hc) = altitudes(t)
     # side c = 5 is the hypotenuse; its altitude is 2*area/5 = 12/5
     assert hc == pytest.approx(12.0 / 5.0, rel=1e-12)
-    assert t.area == pytest.approx(6.0, rel=1e-12)
+    assert t.unit_area * t.scale ** 2 == pytest.approx(6.0, rel=1e-12)
 
 
 def test_equilateral_altitudes():
@@ -113,12 +114,13 @@ def test_altitude_area_identity():
         t = sample_triangle(rng)
         (fa, ha), (fb, hb), (fc, hc) = altitudes(t)
         for side, h in ((t.a, ha), (t.b, hb), (t.c, hc)):
-            assert side * h == pytest.approx(2.0 * t.area, rel=1e-12)
+            assert side * h == pytest.approx(
+                2.0 * t.unit_area * t.scale ** 2, rel=1e-12)
 
 
 def test_triangle_reorients_to_ccw():
     cw = Triangle(Point2(0, 0), Point2(0, 3), Point2(4, 0))
-    assert cw.area > 0
+    assert cw.unit_area > 0
     assert set(cw.vertices) == {Point2(0, 0), Point2(0, 3), Point2(4, 0)}
     assert cw.vA == Point2(0, 0)  # labeled vertex A stays put
 
@@ -130,7 +132,7 @@ def test_degenerate_triangle_rejected():
 
 def test_degeneracy_verdict_keeps_at_both_ends_of_the_range():
     """Shapes whose area / diameter^2 lies within 0.1 % of the 1e-12 rule
-    get the same verdict, area, unit area and heights (times the scale)
+    get the same verdict, unit area and heights (times the scale)
     at 2^-510 and 2^500: the area is taken of the unit vertices, where at
     2^-510 it would go subnormal."""
     rng = random.Random(3)
@@ -146,7 +148,6 @@ def test_degeneracy_verdict_keeps_at_both_ends_of_the_range():
             except DegenerateTriangle:
                 seen.add(None)
                 continue
-            assert t.area == t.unit_area * f * f
             seen.add((t.unit_area, tuple(x / f for x in t.heights)))
         assert len(seen) == 1, (shape, seen)
 
@@ -210,6 +211,26 @@ def test_triangle_from_sides_places_kahan_needles():
     for sides in ((1.0, 1.0, 2.0), (1.0, 1.0, 3.0)):
         with pytest.raises(TriangleInequalityViolated):
             triangle_from_sides(*sides)
+
+
+def test_needle_area_is_taken_at_its_short_sides():
+    """Triangle takes its cross product at the vertex opposite the
+    diameter, whose edges are the two short sides: about the apex of a
+    needle it would cancel.  Kahan's needle gets its exact area, within 2
+    ulps of oracles.side_area, in every side order and every vertex order,
+    and the needle the 1e-12 rule refuses prints its area to 6 digits."""
+    sides = (0.00029, 100000.0, 99999.99979)
+    exact = side_area(*sides)
+    for perm in itertools.permutations(sides):
+        t = triangle_from_sides(*perm)
+        assert abs(t.unit_area * t.scale ** 2 - exact) <= 2 * math.ulp(exact)
+        for vertices in itertools.permutations(t.vertices):
+            u = Triangle(*vertices)
+            assert abs(u.unit_area * u.scale ** 2 - exact) <= \
+                2 * math.ulp(exact)
+    with pytest.raises(DegenerateTriangle, match=r"\(area 1\.69139e-14\)"):
+        triangle_from_sides(2.6243860778497024e-13, 0.13128531558505827,
+                            0.1312853155851081)
 
 
 def _side_triples(rng):
