@@ -145,7 +145,7 @@ class RiverInstance(namedtuple("RiverInstance", "a_pt b_pt line lam1 lam2")):
             raise GeometryError("leg weights must be positive")
         if not all(map(math.isfinite, (*a_pt, *b_pt, *line[0], *line[1]))):
             raise GeometryError("points must be finite")
-        if exact.orient(*line, a_pt) * exact.orient(*line, b_pt) <= 0:
+        if exact.cross(*line, a_pt)[1] * exact.cross(*line, b_pt)[1] <= 0:
             raise GeometryError("both points must lie strictly on one "
                                 "side of the line")
         q1, e, ua, ha, ub, hb = _river_frame(a_pt, b_pt, line)

@@ -133,10 +133,10 @@ class TildeTriangle(namedtuple("TildeTriangle",
 
 def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     """The "tilde" triangle of a positive triple (X : Y : Z), from the
-    floats of t.unit_vertices and of the triple as unit_scaled scales it,
-    each taken exactly."""
+    exact ints of t.unit_exact and of the triple as unit_scaled scales
+    it."""
     triple = unit_scaled(triple)
-    n = exact.numerators(t.unit_vertices, triple)
+    n = exact.numerators(*t.unit_exact, triple)
     if n.H < 0:
         return TildeTriangle(False, None, None, triple, n)
     return TildeTriangle(n.H > 0,

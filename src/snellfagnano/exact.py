@@ -1,18 +1,19 @@
-"""Exact tilde numerators and side signs, taken on the input floats.
+"""Exact cross products, tilde numerators and side signs of input floats.
 
 A float is an integer over a power of two (float.as_integer_ratio), so
 floats written over their largest denominator are ints, in which every
-polynomial of them is exact.  For a triangle's vertices and a triple
-(lam_A : lam_B : lam_C), numerators takes x = lam_A^2 |BC|^2 and
-cyclically, K2 = (B - A) x (C - A), d_V the dot product of the two edges
-leaving V, H = 2(xy + yz + zx) - x^2 - y^2 - z^2 = S^2 (S four times the
-tilde area), X_A = y + z - x and G+-_A = X_A +- 2 lam_B lam_C d_A =
-2qr (cos A~ +- cos A).  So the tilde triangle exists exactly when H > 0,
-and G+_A has the sign of pi - (A + A~).  sines takes sin(A +- A~) by the
-half-angle identity 2 G sigma / (G^2 + sigma^2), sigma = 2 lam_B lam_C K2
-+ S = 2qr (sin A + sin A~), a sum of positive terms: one quotient of ints,
-rounded once.  heron takes H and S of any three squared sides.  orient
-is Shewchuk's orient2d, taken exactly.
+polynomial of them is exact.  cross takes three points' ints and K2 =
+(B - A) x (C - A), Shewchuk's orient2d taken exactly, which Triangle and
+the river read.  For a counterclockwise triangle's ints and K2 and a
+triple (lam_A : lam_B : lam_C), numerators takes x = lam_A^2 |BC|^2 and
+cyclically, d_V the dot product of the two edges leaving V, H = 2(xy +
+yz + zx) - x^2 - y^2 - z^2 = S^2 (S four times the tilde area), X_A = y
++ z - x and G+-_A = X_A +- 2 lam_B lam_C d_A = 2qr (cos A~ +- cos A).  So
+the tilde triangle exists exactly when H > 0, and G+_A has the sign of
+pi - (A + A~).  sines takes sin(A +- A~) by the half-angle identity 2 G
+sigma / (G^2 + sigma^2), sigma = 2 lam_B lam_C K2 + S = 2qr (sin A + sin
+A~), a sum of positive terms: one quotient of ints, rounded once.  heron
+takes H and S of any three squared sides.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ def _integers(values) -> list[int]:
     return [n << bits - d.bit_length() for n, d in ratios]
 
 
-def orient(p, q, r) -> int:
-    """The sign, -1, 0 or 1, of (q - p) x (r - p), exact."""
-    px, py, qx, qy, rx, ry = _integers((*p, *q, *r))
-    det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    return (det > 0) - (det < 0)
+def cross(p, q, r) -> tuple[list[int], int, int]:
+    """The six coordinates of p, q and r as ints over one power of two d,
+    their cross product (q - p) x (r - p), exact, and d."""
+    *ints, d = _integers((*p, *q, *r, 1.0))
+    px, py, qx, qy, rx, ry = ints
+    return ints, (qx - px) * (ry - py) - (qy - py) * (rx - px), d
 
 
 def heron(x: int, y: int, z: int) -> tuple[int, int | None]:
@@ -52,18 +54,16 @@ class Numerators(namedtuple("Numerators", "squares H X lift P root")):
     __slots__ = ()
 
 
-def numerators(vertices, triple) -> Numerators:
-    """The tilde numerators of the triple on the triangle with these
-    (counterclockwise) vertices."""
-    (ax, ay), (bx, by), (cx, cy) = vertices
-    ax, ay, bx, by, cx, cy = _integers((ax, ay, bx, by, cx, cy))
+def numerators(ints, k2: int, triple) -> Numerators:
+    """The tilde numerators of the triple on the counterclockwise triangle
+    of the ints and K2 > 0 of cross, as Triangle.unit_exact keeps them."""
+    ax, ay, bx, by, cx, cy = ints
     la, lb, lc = _integers(triple)
     ux, uy, vx, vy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay, cx - bx, cy - by
     x = la * la * (wx * wx + wy * wy)
     y = lb * lb * (vx * vx + vy * vy)
     z = lc * lc * (ux * ux + uy * uy)
     h, root = heron(x, y, z)
-    k2 = ux * vy - uy * vx
     u_a, u_b, u_c = 2 * lb * lc, 2 * lc * la, 2 * la * lb
     return Numerators(
         (x, y, z), h, (y + z - x, z + x - y, x + y - z),

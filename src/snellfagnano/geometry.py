@@ -4,9 +4,9 @@ Everything downstream (coordinate systems, circle constructions, the
 billiard map) is built on the handful of operations in this module, so the
 conventions fixed here are global: triangles are stored counterclockwise,
 side ``a`` runs from B to C, ``b`` from C to A, ``c`` from A to B, only
-Triangle picks a triangle's scale and judges its degeneracy, only
-point_on_side makes a point at a parameter along a side, and only
-pedal_triangle takes a perpendicular foot.
+Triangle picks a triangle's scale and, by exact.cross, its orientation and
+degeneracy, only point_on_side makes a point at a parameter along a side,
+and only pedal_triangle takes a perpendicular foot.
 """
 
 from __future__ import annotations
@@ -106,16 +106,17 @@ class Triangle:
     vertices and sides are kept divided by it (unit_vertices, as (x, y)
     pairs, and unit_sides), once and exactly, since it is a power of two:
     a unit-size computation reads them and divides only its own query
-    point.  So is the area, unit_area, a cross product taken at the vertex
-    opposite the diameter, whose two edges are the short ones, so that a
-    needle's does not cancel.  A vertex coordinate that is not finite, or
+    point.  One exact.cross of the unit vertices gives the orientation and
+    unit_area, |K2| / 2 over the ints' denominator squared, rounded once;
+    unit_exact keeps the ints (B and C swapped with the vertices) and |K2|
+    for the tilde numerators.  A vertex coordinate that is not finite, or
     a diameter squared that is not a normal float, is refused
     (GeometryError), and a unit area at most EPS_DEGENERATE times the unit
     diameter squared is degenerate.
     """
 
-    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "diameter",
-                 "scale", "unit_vertices", "unit_sides", "unit_area")
+    __slots__ = ("vA", "vB", "vC", "a", "b", "c", "diameter", "scale",
+                 "unit_vertices", "unit_sides", "unit_area", "unit_exact")
 
     def __init__(self, vA, vB, vC):
         vA, vB, vC = Point2(*vA), Point2(*vB), Point2(*vC)
@@ -126,17 +127,19 @@ class Triangle:
         _check_diameter(diam)
         s = unit_power(diam)
         u = ua, ub, uc = tuple((x / s, y / s) for x, y in (vA, vB, vC))
-        k = (a, b, c).index(diam)
-        area, d = signed_area(u[k], u[k - 2], u[k - 1]), diam / s
-        if abs(area) <= EPS_DEGENERATE * d * d:
+        ints, k2, den = exact.cross(*u)
+        area, d = abs(k2) / (2 * den * den), diam / s
+        if area <= EPS_DEGENERATE * d * d:
             raise DegenerateTriangle("vertices are collinear within "
                                      f"tolerance (area {area * s * s:g})")
-        if area < 0.0:
+        if k2 < 0:
             vB, vC, ub, uc, b, c = vC, vB, uc, ub, c, b
+            ints[2:] = ints[4:] + ints[2:4]
         self.vA, self.vB, self.vC = vA, vB, vC
         self.a, self.b, self.c = a, b, c
-        self.unit_area, self.diameter, self.scale = abs(area), diam, s
+        self.unit_area, self.diameter, self.scale = area, diam, s
         self.unit_vertices, self.unit_sides = (ua, ub, uc), (a / s, b / s, c / s)
+        self.unit_exact = ints, abs(k2)
 
     @property
     def vertices(self):

@@ -355,6 +355,12 @@ def side_apex(a: float, b: float, c: float):
                 / D(2 * a.numerator) * D(a.denominator))
 
 
+def vertex_area(p, q, r) -> Fraction:
+    """The exact area of the triangle of these floats' vertices."""
+    (px, py), (qx, qy), (rx, ry) = [map(Fraction, v) for v in (p, q, r)]
+    return abs((qx - px) * (ry - py) - (qy - py) * (rx - px)) / 2
+
+
 def side_area(a: float, b: float, c: float) -> float:
     """The area of the triangle with sides a, b, c, a times side_apex's
     height over 2, rounded once; 0 where they do not form a triangle."""

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +15,11 @@ from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
                           pedal_triangle, signed_area, snell_reflect,
                           triangle_from_sides, tripolar_to_points,
                           verify_snell_point)
-from snellfagnano.geometry import point_on_side
+from snellfagnano.geometry import EPS_DEGENERATE, point_on_side
 
 from conftest import angles, sample_triangle
 from oracles import (altitudes, intersect_lines, is_periodic, side_apex,
-                     side_area)
+                     side_area, vertex_area)
 
 
 def test_signed_area_right_triangle():
@@ -213,12 +214,10 @@ def test_triangle_from_sides_places_kahan_needles():
             triangle_from_sides(*sides)
 
 
-def test_needle_area_is_taken_at_its_short_sides():
-    """Triangle takes its cross product at the vertex opposite the
-    diameter, whose edges are the two short sides: about the apex of a
-    needle it would cancel.  Kahan's needle gets its exact area, within 2
-    ulps of oracles.side_area, in every side order and every vertex order,
-    and the needle the 1e-12 rule refuses prints its area to 6 digits."""
+def test_kahan_needle_gets_its_exact_area():
+    """Kahan's needle gets its exact area, within 2 ulps of
+    oracles.side_area, in every side order and every vertex order, and
+    the needle the 1e-12 rule refuses prints its area to 6 digits."""
     sides = (0.00029, 100000.0, 99999.99979)
     exact = side_area(*sides)
     for perm in itertools.permutations(sides):
@@ -231,6 +230,86 @@ def test_needle_area_is_taken_at_its_short_sides():
     with pytest.raises(DegenerateTriangle, match=r"\(area 1\.69139e-14\)"):
         triangle_from_sides(2.6243860778497024e-13, 0.13128531558505827,
                             0.1312853155851081)
+
+
+def test_degenerate_message_prints_the_unsigned_area():
+    for vertices in (((0, 0), (0.5, 1e-13), (1, 0)),
+                     ((0, 0), (1, 0), (0.5, 1e-13))):
+        with pytest.raises(DegenerateTriangle, match=r"\(area 5e-14\)"):
+            Triangle(*vertices)
+
+
+def _placed(rng, shape, size, shift):
+    """The vertices of shape (a list of (x, y)) times size, rotated by a
+    random angle and shifted by up to shift sizes, as floats."""
+    angle = rng.uniform(0, 2 * math.pi)
+    c, s = math.cos(angle), math.sin(angle)
+    dx, dy = (size * rng.uniform(-shift, shift) for _ in "xy")
+    return [(dx + size * (c * x - s * y), dy + size * (s * x + c * y))
+            for x, y in shape]
+
+
+def test_area_is_the_exact_area_of_the_given_floats():
+    """Needles (the apex within sqrt(h) L of B, so its short side is far
+    longer than its height h L) and slivers (the apex over the base) with
+    base L = 10^U(-3, 3) and h = 10^U(-11, -2), rotated and shifted by up
+    to 1000 L, in both vertex orders: the area is within an epsilon of the
+    exact area of the given floats, where a float cross product of their
+    rounded edges loses up to 5e9 epsilons."""
+    rng = random.Random(38)
+    for k in range(4000):
+        h = 10.0 ** rng.uniform(-11, -2)
+        x = 1.0 + math.sqrt(h) * rng.uniform(-1, 1) if k % 2 else \
+            rng.uniform(0, 1)
+        v = _placed(rng, [(0.0, 0.0), (1.0, 0.0), (x, h)],
+                    10.0 ** rng.uniform(-3, 3), 1000)
+        exact = vertex_area(*v)
+        for order in (v, v[::-1]):
+            t = Triangle(*order)
+            got = Fraction(t.unit_area) * Fraction(t.scale) ** 2
+            assert abs(got - exact) <= exact * math.ulp(1.0), (order, k)
+
+
+def test_degeneracy_verdict_is_the_exact_area_rule():
+    """Triangles whose area / diameter^2 is within 0.1 % of the 1e-12 rule,
+    rotated and shifted by up to 10 bases, where the float edges round:
+    each is refused exactly when the exact area of its floats is at most
+    the float EPS_DEGENERATE d d of its diameter d."""
+    rng = random.Random(21)
+    for _ in range(10000):
+        x = rng.uniform(-0.5, 1.5)
+        h = 2e-12 * (1.0 + rng.uniform(-1e-3, 1e-3)) * max(x, 1 - x, 1) ** 2
+        v = _placed(rng, [(0.0, 0.0), (1.0, 0.0), (x, h)],
+                    10.0 ** rng.uniform(-3, 3), 10)
+        d = max(math.dist(v[0], v[1]), math.dist(v[1], v[2]),
+                math.dist(v[2], v[0]))
+        try:
+            Triangle(*v)
+            kept = True
+        except DegenerateTriangle:
+            kept = False
+        assert kept == (vertex_area(*v) > EPS_DEGENERATE * d * d), v
+
+
+def test_unit_exact_holds_the_unit_vertices_and_their_cross():
+    """unit_exact's ints are the unit vertices over their one denominator d,
+    with B and C swapped as the vertices are, and its K2 is their cross
+    product, positive; unit_area is K2 / 2d^2 rounded once."""
+    rng = random.Random(39)
+    for _ in range(200):
+        v = _placed(rng, [(0.0, 0.0), (1.0, 0.0),
+                          (rng.uniform(-1, 2), rng.uniform(1e-6, 1))],
+                    10.0 ** rng.uniform(-3, 3), 1000)
+        for order in (v, v[::-1]):
+            t = Triangle(*order)
+            ints, k2 = t.unit_exact
+            floats = [c for p in t.unit_vertices for c in p]
+            d = max(Fraction(f).denominator for f in floats)
+            assert [Fraction(i, d) for i in ints] == \
+                [Fraction(f) for f in floats]
+            ax, ay, bx, by, cx, cy = ints
+            assert k2 == (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0
+            assert t.unit_area == k2 / (2 * d * d)
 
 
 def _side_triples(rng):
