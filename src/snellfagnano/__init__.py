@@ -29,7 +29,7 @@ _PUBLIC = (
     ("exact", ()),
     ("geometry", (
         "Point2", "Triangle", "InscribedTriangle", "triangle_from_sides",
-        "inscribed_from_params", "pedal_triangle", "dist", "signed_area",
+        "inscribed_from_params", "pedal_triangle", "dist",
         "GeometryError", "DegenerateTriangle", "DegenerateLine",
         "TriangleInequalityViolated", "IdealPoint", "NoSuchPoint")),
     ("coordinates", (

@@ -23,13 +23,12 @@ apollonius), the "+" one the isogonal conjugate of the orbit point; with
 
 from __future__ import annotations
 
-import math
 import sys
 from collections import namedtuple
 
 from . import exact
 from .geometry import (GeometryError, IdealPoint, NoSuchPoint, Point2,
-                       Triangle, dist, signed_area, unit_power)
+                       Triangle, dist, unit_power)
 
 # A homogeneous triple whose sum is within this fraction of its largest
 # magnitude names a point at infinity.
@@ -44,18 +43,14 @@ class OnSideLine(GeometryError):
 
 
 def to_barycentric(p: Point2, t: Triangle) -> tuple[float, float, float]:
-    """Normalized barycentric coordinates (ratios of signed subtriangle
-    areas) taken of t.unit_vertices and p divided by t.scale, so that no
-    area of the triangle over- or underflows; a point whose areas overflow
-    is refused."""
-    p = (p[0] / t.scale, p[1] / t.scale)
-    a, b, c = t.unit_vertices
-    full = t.unit_area
-    bc = (signed_area(p, b, c) / full, signed_area(p, c, a) / full,
-          signed_area(p, a, b) / full)
-    if not all(map(math.isfinite, bc)):
-        raise GeometryError("point is too far out: its areas overflow")
-    return bc
+    """Normalized barycentrics: the exact areas [PBC], [PCA] and [PAB] of
+    p and the vertices (exact.areas) over their sum, each rounded once; a
+    point not finite or with a barycentric that overflows is too far out."""
+    try:
+        areas = exact.areas(p, *t.vertices)
+        return tuple(k / sum(areas) for k in areas)
+    except (OverflowError, ValueError):
+        raise GeometryError("point is too far out: a barycentric overflows")
 
 
 def unit_scaled(triple) -> tuple[float, float, float]:

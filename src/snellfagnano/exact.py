@@ -2,9 +2,11 @@
 
 A float is an integer over a power of two (float.as_integer_ratio), so
 floats written over their largest denominator are ints, in which every
-polynomial of them is exact.  cross takes three points' ints and K2 =
-(B - A) x (C - A), Shewchuk's orient2d taken exactly, which Triangle and
-the river read.  For a counterclockwise triangle's ints and K2 and a
+polynomial of them is exact; every area of the package is taken here.
+cross takes three points' ints and K2 = (B - A) x (C - A), Shewchuk's
+orient2d taken exactly, which Triangle, the river and the minimizer's
+flatness read; areas takes a point's three, whose ratios are its
+barycentrics.  For a counterclockwise triangle's ints and K2 and a
 triple (lam_A : lam_B : lam_C), numerators takes x = lam_A^2 |BC|^2 and
 cyclically, d_V the dot product of the two edges leaving V, H = 2(xy +
 yz + zx) - x^2 - y^2 - z^2 = S^2 (S four times the tilde area), X_A = y
@@ -35,6 +37,13 @@ def cross(p, q, r) -> tuple[list[int], int, int]:
     *ints, d = _integers((*p, *q, *r, 1.0))
     px, py, qx, qy, rx, ry = ints
     return ints, (qx - px) * (ry - py) - (qy - py) * (rx - px), d
+
+
+def areas(p, a, b, c) -> tuple[int, int, int]:
+    """Twice [PBC], [PCA] and [PAB], exact, times one power of two squared."""
+    px, py, *v = _integers((*p, *a, *b, *c))
+    ax, ay, bx, by, cx, cy = (u - w for u, w in zip(v, (px, py) * 3))
+    return bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
 
 
 def heron(x: int, y: int, z: int) -> tuple[int, int | None]:

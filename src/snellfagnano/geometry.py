@@ -91,11 +91,6 @@ class Point2(namedtuple("Point2", "x y")):
 dist = math.dist
 
 
-def signed_area(p: Point2, q: Point2, r: Point2) -> float:
-    """Half the cross product; positive iff (p, q, r) is counterclockwise."""
-    return 0.5 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
-
-
 class Triangle:
     """Reference triangle with labeled vertices A, B, C.
 

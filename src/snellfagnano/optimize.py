@@ -25,8 +25,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import exact
 from .construction import Weights, weighted_perimeter
-from .geometry import Triangle, inscribed_from_params, signed_area
+from .geometry import Triangle, inscribed_from_params
 
 # Smoothing radii in units of the diameter, one Newton stage each.  The
 # last one bounds the smoothing's cost bias; much below 1e-15 the
@@ -52,9 +53,9 @@ class MinimizeReport(namedtuple("MinimizeReport",
     stopped on a vanishing step, one whose predicted decrease is below
     1e-15 of largest weight times diameter; stopping on the per-stage step
     cap, or on a step the line search cannot make lower the objective, does
-    not count.  flatness is the float |area(best)| / area(reference), both
-    taken at unit size (Triangle.unit_area); values below ~1e-3 indicate
-    the minimizer has collapsed onto a doubled segment.
+    not count.  flatness is area(best) / area(reference), the exact areas
+    of their points (exact.cross) divided and rounded once; values below
+    ~1e-3 indicate the minimizer has collapsed onto a doubled segment.
     """
 
     __slots__ = ()
@@ -217,6 +218,6 @@ def minimize_inscribed(t: Triangle, w: Weights) -> MinimizeReport:
     snapped_cost = weighted_perimeter(snapped, w)
     if snapped_cost < cost:
         best, cost = snapped, snapped_cost
-    area = abs(signed_area(*(p * (1.0 / t.scale) for p in best.points)))
-    return MinimizeReport(best=best, cost=cost, iterations=iterations,
-                          converged=converged, flatness=area / t.unit_area)
+    (_, k, d), (_, k0, d0) = (exact.cross(*v) for v in (best[:3], t.vertices))
+    return MinimizeReport(best, cost, iterations, converged,
+                          abs(k) * d0 * d0 / (abs(k0) * d * d))

@@ -10,11 +10,12 @@ are plane helpers that only the tests use.  river_reference solves the
 river crossing in 60-digit decimal arithmetic, ceva_reference computes
 the orbit point's Ceva triple and its isogonal conjugate the same way,
 first_wall_exact finds a billiard ray's next wall in rational arithmetic,
-exact_verdict decides the regime in rational arithmetic too, side_apex
-and side_area place a triangle given by its sides in 60-digit decimals, and
-reference_dumps is the serializer that emitted every report before the
-one-pass encoder.  is_periodic, circumcircle and altitudes are helpers
-that only the tests use.
+exact_verdict decides the regime in rational arithmetic too, and so do
+barycentric_reference a point's barycentrics and vertex_area an area.
+side_apex and side_area place a triangle given by its sides in 60-digit
+decimals, and reference_dumps is the serializer that emitted
+every report before the one-pass encoder.  is_periodic, circumcircle and
+altitudes are helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -359,6 +360,16 @@ def vertex_area(p, q, r) -> Fraction:
     """The exact area of the triangle of these floats' vertices."""
     (px, py), (qx, qy), (rx, ry) = [map(Fraction, v) for v in (p, q, r)]
     return abs((qx - px) * (ry - py) - (qy - py) * (rx - px)) / 2
+
+
+def barycentric_reference(p, t: Triangle) -> Tuple[float, float, float]:
+    """The barycentrics of the float point p: the exact signed areas [PBC],
+    [PCA] and [PAB] of p and t's vertices over their sum, each rounded
+    once."""
+    (px, py), *v = [tuple(map(Fraction, q)) for q in (p, *t.vertices)]
+    areas = [(qx - px) * (ry - py) - (qy - py) * (rx - px)
+             for (qx, qy), (rx, ry) in zip(v[1:] + v[:1], v[2:] + v[:2])]
+    return tuple(float(k / sum(areas)) for k in areas)
 
 
 def side_area(a: float, b: float, c: float) -> float:

@@ -2476,6 +2476,9 @@ def test_public_names_resolve():
     for name in ("interior_conditions", "TildeDegenerate"):
         assert not hasattr(snellfagnano, name)
         assert not hasattr(snellfagnano.construction, name)
+    # Every area is taken exactly in exact; the float signed_area is gone.
+    assert not hasattr(snellfagnano, "signed_area")
+    assert not hasattr(snellfagnano.geometry, "signed_area")
     # A coordinate triple is a plain tuple: no record relabels it.
     for name in ("BarycentricCoords", "TrilinearCoords", "TripolarCoords"):
         assert not hasattr(snellfagnano, name)

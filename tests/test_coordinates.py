@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 import snellfagnano as sf
 from snellfagnano import (NoSuchPoint, Point2, Triangle, dist,
                           triangle_from_sides)
+from snellfagnano.construction import STATUS_INTERIOR
 from snellfagnano.coordinates import IdealPoint, OnSideLine, unit_scaled
 
 from conftest import (circumcenter_oracle, orthocenter_oracle,
                       sample_acute_triangle, sample_random_setup,
                       sample_triangle)
-from oracles import biquadratic_residual, ratio_residual
+from oracles import (barycentric_reference, biquadratic_residual,
+                     ratio_residual)
 
 T0 = Triangle(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(1.0, 3.0))
 
@@ -40,6 +42,30 @@ def test_barycentric_of_named_points():
     assert sf.to_barycentric(mid_bc, T0) == pytest.approx((0, 0.5, 0.5), abs=1e-14)
 
 
+def test_barycentrics_are_the_exact_area_ratios_rounded_once():
+    """Bit for bit the fractions quotients of the exact areas, for points
+    from 1 to 1e150 diameters out of 400 random set-ups, where a float
+    area would lose digits from the start and all of them by 1e50."""
+    rng = random.Random(40)
+    for _ in range(400):
+        t, _ = sample_random_setup(rng)
+        for k in (0, 2, 5, 8, 12, 50, 100, 150):
+            r, phi = 10.0 ** k * t.diameter, rng.uniform(0, 2 * math.pi)
+            p = Point2(t.vA.x + r * math.cos(phi), t.vA.y + r * math.sin(phi))
+            assert sf.to_barycentric(p, t) == barycentric_reference(p, t), k
+
+
+def test_subnormal_interior_point_has_positive_barycentrics():
+    """The orbit point of this needle has subnormal coordinates; a float
+    area underflows there and read (1.0, 2.2e-311, 0.0)."""
+    t = Triangle((0, 0), (1e-05, 0), (2.22507384e-316, 1))
+    res = sf.snell_fagnano_point(t, sf.Weights(1.0, 1.0, 1.0))
+    assert res.status == STATUS_INTERIOR
+    bc = sf.to_barycentric(res.point, t)
+    assert min(bc) > 0.0
+    assert bc == barycentric_reference(res.point, t)
+
+
 def test_from_barycentric_examples():
     assert dist(sf.from_barycentric((1, 0, 0), T0), T0.vA) < 1e-14
     t = Triangle(Point2(0, 0), Point2(3, 0), Point2(0, 3))
@@ -62,20 +88,23 @@ def test_barycentric_roundtrip():
         assert dist(sf.from_barycentric(bc, t), p) <= 1e-12 * t.diameter
 
 
-def test_a_point_whose_areas_overflow_is_refused():
-    """Divided by the triangle's scale, a point about 1e154 diameters out
-    has areas that overflow: to_barycentric refuses it rather than return
-    NaN.  At 1e100 it still answers, finitely; its accuracy that far out is
-    another matter.  verify_snell_point reads no area: out to 1e300 its
-    residuals agree with those at 1e100, and it refuses a point only where
-    a sine overflows, as the point at 1e200 does on a triangle 1e-150 the
-    size, once divided by that triangle's scale."""
+def test_a_point_whose_barycentrics_overflow_is_refused():
+    """to_barycentric divides exact areas, so a point 1e300 diameters out
+    still gets the correctly rounded barycentrics; only a barycentric too
+    large for a float is refused, as at 1e300 on a triangle 1e-100 the
+    size.  verify_snell_point reads no area: out to 1e300 its residuals
+    agree with those at 1e100, and it refuses a point only where a sine
+    overflows, as the point at 1e200 does on a triangle 1e-150 the size,
+    once divided by that triangle's scale."""
     t = triangle_from_sides(4.0, 5.0, 6.0)
     k = sf.coeffs_from_weights(sf.Weights(1.0, 1.0, 1.0))
+    for x in (1e200, 1e300):
+        p = Point2(x, x)
+        assert sf.to_barycentric(p, t) == barycentric_reference(p, t)
+    tiny = triangle_from_sides(4e-100, 5e-100, 6e-100)
     with pytest.raises(sf.GeometryError, match="too far out"):
-        sf.to_barycentric(Point2(1e200, 1e200), t)
+        sf.to_barycentric(Point2(1e300, 1e300), tiny)
     out = Point2(1e100, 1e100)
-    assert all(map(math.isfinite, sf.to_barycentric(out, t)))
     near = sf.verify_snell_point(out, t, k)
     assert near == pytest.approx(
         (3.2268945096609984, 0.7357027152923155, 0.10487046023306157),

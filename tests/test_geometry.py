@@ -12,7 +12,7 @@ from snellfagnano import (BilliardState, DegenerateLine, DegenerateTriangle,
                           GeometryError, Point2, RiverInstance, Triangle,
                           TriangleInequalityViolated, Weights,
                           apollonian_circle, dist, inscribed_from_params,
-                          pedal_triangle, signed_area, snell_reflect,
+                          pedal_triangle, snell_reflect,
                           triangle_from_sides, tripolar_to_points,
                           verify_snell_point)
 from snellfagnano.geometry import EPS_DEGENERATE, point_on_side
@@ -20,11 +20,6 @@ from snellfagnano.geometry import EPS_DEGENERATE, point_on_side
 from conftest import angles, sample_triangle
 from oracles import (altitudes, intersect_lines, is_periodic, side_apex,
                      side_area, vertex_area)
-
-
-def test_signed_area_right_triangle():
-    assert signed_area(Point2(0, 0), Point2(4, 0), Point2(0, 3)) == pytest.approx(6.0)
-    assert signed_area(Point2(0, 0), Point2(0, 3), Point2(4, 0)) == pytest.approx(-6.0)
 
 
 def test_point_algebra():

@@ -14,7 +14,7 @@ from snellfagnano.optimize import minimize_inscribed, weighted_perimeter
 from conftest import (orthocenter_oracle, sample_acute_triangle,
                       sample_admissible, sample_degenerate,
                       sample_random_setup)
-from oracles import altitudes
+from oracles import altitudes, vertex_area
 
 
 def test_weighted_perimeter_medial_equilateral():
@@ -143,24 +143,39 @@ def _near_needle(rng):
         return t, Weights(*(math.exp(rng.uniform(-3, 3)) for _ in range(3)))
 
 
-DIGEST = "f88e6c5a206103be615df399d63bc1c4da8334c019f50d6414817d53ba158f6e"
+DIGEST = "0bb9040507c8119522a9da3bb3e4bcb171756a056e98e621f76e9616cd840bd1"
 
 
-def test_reports_keep_their_bits():
-    """Every bit of 900 reports, 300 from each of three families: the random
-    set-up, its triangles with weights e^U(-12, 12), and near-needles.  A
-    change to the minimizer's arithmetic that moves any bit of any of them
-    changes the digest; the golden corpus makes only a handful of calls."""
+def _pinned_reports():
+    """(triangle, report) of 900 minimizer calls, 300 from each of three
+    families: the random set-up, its triangles with weights e^U(-12, 12),
+    and near-needles."""
     rng = random.Random(11)
-    digest = hashlib.sha256()
     for _ in range(300):
         t, w = sample_random_setup(rng)
         t2, _ = sample_random_setup(rng)
         w2 = Weights(*(math.exp(rng.uniform(-12, 12)) for _ in range(3)))
         for case in ((t, w), (t2, w2), _near_needle(rng)):
-            digest.update(_report_bits(minimize_inscribed(*case)).encode())
-            digest.update(b"\n")
+            yield case[0], minimize_inscribed(*case)
+
+
+def test_reports_keep_their_bits():
+    """Every bit of the 900 pinned reports.  A change to the minimizer's
+    arithmetic that moves any bit of any of them changes the digest; the
+    golden corpus makes only a handful of calls."""
+    digest = hashlib.sha256()
+    for _, rep in _pinned_reports():
+        digest.update(_report_bits(rep).encode())
+        digest.update(b"\n")
     assert digest.hexdigest() == DIGEST
+
+
+def test_flatness_is_the_exact_area_ratio_rounded_once():
+    """On every pinned report, flatness is the fractions quotient of the
+    areas of the best and reference points, rounded once."""
+    for t, rep in _pinned_reports():
+        ratio = vertex_area(*rep.best.points) / vertex_area(*t.vertices)
+        assert rep.flatness == float(ratio)
 
 
 def _observe(monkeypatch, t, w):
@@ -210,7 +225,7 @@ BRANCH_CASES = {
         "0x1.999999999999ap-1 0x1.999999999999ap-2 0x1.999999999999ap-3 "
         "0x1.999999999999ap-2 0x1.0000000000000p-1 0x0.0p+0 "
         "0x1.999999999999ap-2 0x1.3333333333333p-1 0x1.0000000000000p-1 "
-        "0x1.999999999999ap+0 0x1.eb851eb851ebap-3 15 True"),
+        "0x1.999999999999ap+0 0x1.eb851eb851eb9p-3 15 True"),
     # obtuse with unit weights: the minimizer collapses onto the
     # shortest altitude, a corner pair the bounds hold
     "held": (
