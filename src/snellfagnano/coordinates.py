@@ -170,25 +170,22 @@ def tripolar_to_points(tp, t: Triangle) -> list[tuple[Point2, float, tuple]]:
         raise GeometryError("tripolar distances must be >= 0")
     if mx == 0.0:
         raise GeometryError("tripolar distances must not all be zero")
-    # A zero coordinate pins the point to a vertex; handle it directly so
-    # rounding in the tilde inequality cannot reject an exactly-realizable
-    # triple.
-    if min(X, Y, Z) <= 1e-12 * mx:
-        zeros = [X <= 1e-12 * mx, Y <= 1e-12 * mx, Z <= 1e-12 * mx]
+    # A zero coordinate pins the point to vertex i, taken directly: with
+    # the other two distances rounded, H is negative at an exact zero and
+    # positive near one, so the inversion would refuse or split the vertex.
+    zeros = [v <= 1e-12 * mx for v in tp]
+    if any(zeros):
         if sum(zeros) > 1:
             raise NoSuchPoint("two zero distances cannot be realized")
-        # The scales are taken for the unit-scaled triple, so that no
-        # quotient overflows, and scaled back: only the result may.
-        x, y, z = unit_scaled(tp)
-        if zeros[0]:
-            vertex, s1, s2, unit = t.vA, t.c / y, t.b / z, (1.0, 0.0, 0.0)
-        elif zeros[1]:
-            vertex, s1, s2, unit = t.vB, t.c / x, t.a / z, (0.0, 1.0, 0.0)
-        else:
-            vertex, s1, s2, unit = t.vC, t.b / x, t.a / y, (0.0, 0.0, 1.0)
+        # Coordinate j scales to the side from vertex i to vertex j, the one
+        # opposite the third vertex: taken for the unit-scaled triple, so no
+        # quotient overflows, and scaled back, so only the result may.
+        i, u, sides = zeros.index(True), unit_scaled(tp), (t.a, t.b, t.c)
+        s1, s2 = (sides[3 - i - j] / u[j] for j in range(3) if j != i)
         if abs(s1 - s2) > VERTEX_SCALE_TOL * max(s1, s2):
             raise NoSuchPoint("distance ratios are inconsistent with a vertex")
-        return [(vertex, 0.5 * (s1 + s2) / unit_power(mx), unit)]
+        return [(t.vertices[i], 0.5 * (s1 + s2) / unit_power(mx),
+                 tuple(float(j == i) for j in range(3)))]
 
     tt = tilde_triangle(t, tp)
     if tt.sines is None:

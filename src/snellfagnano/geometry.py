@@ -1,4 +1,4 @@
-"""Planar primitives: points, signed areas, triangles and points on sides.
+"""Planar primitives: points, triangles and points on sides.
 
 Everything downstream (coordinate systems, circle constructions, the
 billiard map) is built on the handful of operations in this module, so the
@@ -18,7 +18,7 @@ from collections import namedtuple
 from . import exact
 
 # Relative tolerance below which a triangle counts as degenerate
-# (|signed area| compared against the squared diameter).
+# (Triangle's exact unit_area compared against its unit diameter squared).
 EPS_DEGENERATE = 1e-12
 
 

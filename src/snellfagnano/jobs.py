@@ -126,13 +126,14 @@ def parse_weights(spec: dict[str, object],
     """The weights of spec on t, refused outside the problem's domain.  Each
     cost a report prices weighs a triangle with a vertex on each side line,
     pedal feet past a vertex included: at most max(w) perimeter, which must
-    be finite, and at least min(w) 2 area / diameter (a vertex on line BC is
-    d_b, d_c from CA, AB, b d_b + c d_c >= 2 area): half that must be normal."""
+    be finite, and at least min(w) 2 area / diameter, min(w) min(t.heights)
+    (a vertex on line BC is d_b, d_c from CA, AB, b d_b + c d_c >= 2 area):
+    half that must be normal."""
     w = construction.Weights(*triple(spec.get("weights"), "weights"))
     if not math.isfinite(max(w) * (t.a + t.b + t.c)):
         raise CliError(EXIT_INVALID,
                        "largest weight times the perimeter overflows")
-    low = min(w) * (t.unit_area / (t.diameter / t.scale)) * t.scale
+    low = min(w) * (min(t.heights) / 2)
     if low < sys.float_info.min:
         raise CliError(EXIT_INVALID, "smallest weight times area / diameter "
                        "is %.17g, below %.17g" % (low, sys.float_info.min))

@@ -367,6 +367,21 @@ def test_river_validation():
         RiverInstance(Point2(0, 1), Point2(1, 1), X_AXIS, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_river_refuses_a_point_that_is_not_finite(bad):
+    """An inf or NaN coordinate of A, B or either point of the line is
+    refused before any cross product is taken; the CLI refuses such input
+    while parsing it, so only a library caller reaches this check."""
+    points = [Point2(0.0, 1.0), Point2(1.0, 2.0), *X_AXIS]
+    for i in range(4):
+        for j in range(2):
+            p = list(points)
+            p[i] = Point2(*(bad if m == j else v for m, v in enumerate(p[i])))
+            with pytest.raises(GeometryError,
+                               match="^points must be finite$"):
+                RiverInstance(p[0], p[1], (p[2], p[3]), 1.0, 2.0)
+
+
 def _sfbench_river(rng, height=None, lams=None, same_foot=False):
     """A river instance drawn as sfbench's river job draws one: scale
     10^U(-3, 3), a rotated line through an offset up to 10 scales from the

@@ -1,4 +1,5 @@
 import ast
+import collections
 import gc
 import importlib.metadata
 import inspect
@@ -19,7 +20,8 @@ import pytest
 import snellfagnano
 from conftest import SUBPROCESS_TIMEOUT, checkout_env, sample_random_setup
 from oracles import exact_verdict
-from snellfagnano import cli, cmd_simulate, jobs, triangle_from_sides
+from snellfagnano import (cli, cmd_simulate, geometry, jobs,
+                          triangle_from_sides)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -835,32 +837,39 @@ def test_verdicts_keep_over_triangle_scales(capsys, tmp_path):
             assert len(verdicts) == 1, (command, vertices, spec, verdicts)
 
 
-# Report keys whose floats are lengths, and the one whose floats are
-# inverse lengths (a trilinear triple is a barycentric one over the sides);
-# a float under neither, nor under a key of either, is dimensionless.
-LENGTH_KEYS = {"xy", "vertices", "erected_apexes", "weighted_perimeter",
-               "cost", "brute_force_cost", "altitude_lengths",
-               "weighted_costs", "tripolar", "scale"}
-INVERSE_LENGTH_KEYS = {"trilinear"}
+# Report keys whose floats are points, other lengths and inverse lengths
+# (a trilinear triple is a barycentric one over the sides), and the one
+# whose floats are unit directions; a float under none of them, nor under
+# a key of one, is dimensionless.
+KEY_KINDS = {
+    **dict.fromkeys(("xy", "vertices", "erected_apexes", "x"), "point"),
+    **dict.fromkeys(("weighted_perimeter", "cost", "brute_force_cost",
+                     "altitude_lengths", "weighted_costs", "tripolar",
+                     "scale"), "length"),
+    "trilinear": "inverse", "direction": "direction"}
 
 
-def assert_scaled(unit, doc, f, factor=1.0, path="report"):
-    """doc is unit with each length times f, each inverse length over f
-    and every other leaf equal, bit for bit; messages, which print
-    lengths, are skipped."""
+def assert_scaled(unit, doc, f, turn=False, kind=None, path="report"):
+    """doc is unit with each point p mapped to f p, turned a quarter first
+    when turn is set, each direction turned likewise, each other length
+    times f, each inverse length over f and every other leaf equal, bit
+    for bit; messages, which print lengths, are skipped."""
     if isinstance(unit, dict):
         assert list(doc) == list(unit), path
         for key in unit:
             if key != "message":
-                assert_scaled(unit[key], doc[key], f,
-                              f if key in LENGTH_KEYS else 1.0 / f
-                              if key in INVERSE_LENGTH_KEYS else factor,
-                              path + "." + key)
+                assert_scaled(unit[key], doc[key], f, turn,
+                              KEY_KINDS.get(key, kind), path + "." + key)
+    elif (turn and kind in ("point", "direction")
+          and isinstance(unit[0], float)):
+        g = f if kind == "point" else 1.0
+        assert doc == [-unit[1] * g, unit[0] * g], (path, unit, doc)
     elif isinstance(unit, list):
         assert len(doc) == len(unit), path
         for i, (u, d) in enumerate(zip(unit, doc)):
-            assert_scaled(u, d, f, factor, "%s[%d]" % (path, i))
+            assert_scaled(u, d, f, turn, kind, "%s[%d]" % (path, i))
     elif isinstance(unit, float):
+        factor = {"point": f, "length": f, "inverse": 1.0 / f}.get(kind, 1.0)
         assert doc == unit * factor, (path, unit, doc, factor)
     else:
         assert doc == unit, (path, unit, doc)
@@ -940,6 +949,121 @@ def test_short_side_family_keeps_its_report_at_both_ends_of_the_range(
                 assert (scaled[0], scaled[2]) == (code, picture), (
                     command, form, vertices, weights, f, scaled[1])
                 assert_scaled(unit, scaled[1], f)
+
+
+def _similarity(k, turn):
+    """The map p -> 2^k J p, J the quarter turn, where turn is set, and p
+    -> 2^k p otherwise; a direction (length=False) is only turned."""
+    f = math.ldexp(1.0, k)
+
+    def apply(p, length=True):
+        g = f if length else 1.0
+        return [-p[1] * g, p[0] * g] if turn else [p[0] * g, p[1] * g]
+    return apply
+
+
+def _map_points(spec, m):
+    """spec with every input point mapped by m: the triangle's vertices,
+    the river's points and, as a direction, a simulate start's."""
+    if "triangle" in spec:
+        spec = dict(spec, triangle={
+            "vertices": [m(v) for v in spec["triangle"]["vertices"]]})
+    if "start" in spec:
+        spec = dict(spec, start=dict(
+            spec["start"], direction=m(spec["start"]["direction"], False)))
+    if "river" in spec:
+        r = spec["river"]
+        spec = dict(spec, river=dict(r, a=m(r["a"]), b=m(r["b"]),
+                                     line=[m(q) for q in r["line"]]))
+    return spec
+
+
+def _symmetry_jobs(rng, draws):
+    """(command, spec) pairs, draws of each kind that takes points: point,
+    minimize, simulate from the orbit and from an inward start, convert of
+    each kind (tripolar also with a zero coordinate, a vertex's distances)
+    and river.  Vertices are uniform in [-1, 1]^2, half of them clockwise;
+    on odd draws the weights are the sine ratios of a random interior
+    point, which makes it the orbit point."""
+    def square():
+        return [rng.uniform(-1, 1), rng.uniform(-1, 1)]
+
+    def inside(t):
+        g = [rng.expovariate(1.0) for _ in "ABC"]
+        return [sum(gi * v[j] for gi, v in zip(g, t.vertices)) / sum(g)
+                for j in (0, 1)]
+
+    for i in range(draws):
+        vertices = [square() for _ in "ABC"]
+        t = geometry.Triangle(*vertices)
+        A, B, C = t.vertices
+        weights = [math.exp(rng.uniform(-1, 1)) for _ in "abc"]
+        if i % 2:
+            F = inside(t)
+            kap_c = _sin_at(B, F, C) / _sin_at(A, F, C)
+            kap_a = _sin_at(C, F, A) / _sin_at(B, F, A)
+            weights = [1.0, 1.0 / kap_c, 1.0 / kap_c / kap_a]
+        side, param = rng.choice("abc"), rng.uniform(0.05, 0.95)
+        q1, q2 = t.side_segment(side)
+        start = {"side": side, "param": param,
+                 "direction": [v - (p + param * (q - p))
+                               for v, p, q in zip(inside(t), q1, q2)]}
+        kind = ("barycentric", "trilinear", "tripolar", "vertex")[i % 4]
+        values = [rng.uniform(-1, 1) for _ in "abc"]
+        if kind in ("tripolar", "vertex"):
+            j = rng.randrange(3)
+            p = t.vertices[j] if kind == "vertex" else square()
+            factor = math.exp(rng.uniform(-1, 1))
+            values = [factor * math.dist(p, v) for v in t.vertices]
+            if kind == "vertex":
+                values[j] = rng.choice((0.0, 1e-14, 1e-13)) * max(values)
+            kind = "tripolar"
+        a, b, q1, q2 = square(), square(), square(), square()
+
+        def side_of(p):
+            return ((q2[0] - q1[0]) * (p[1] - q1[1])
+                    - (q2[1] - q1[1]) * (p[0] - q1[0]) > 0)
+        while side_of(b) != side_of(a):
+            b = square()
+        lam = [math.exp(rng.uniform(-1, 1)) for _ in "12"]
+        job = {"triangle": {"vertices": vertices}, "weights": weights,
+               "steps": rng.randint(1, 6)}
+        yield from (
+            ("point", {"triangle": job["triangle"], "weights": weights}),
+            ("minimize", {"triangle": job["triangle"], "weights": weights}),
+            ("simulate", job),
+            ("simulate", dict(job, start=start)),
+            ("convert", {"triangle": job["triangle"],
+                         "coords": {"kind": kind, "values": values}}),
+            ("river", {"river": {"a": a, "b": b, "line": [q1, q2],
+                                 "lam1": lam[0], "lam2": lam[1]}}))
+
+
+def test_reports_map_bit_for_bit_under_quarter_turns_and_power_of_two_scales():
+    """Each job that takes points, rerun with every input point mapped by
+    (x, y) -> 2^k (-y, x) and by (x, y) -> 2^k (x, y), k = U{-300..300},
+    gets the same exit code and status, and the same report with each
+    point mapped alike, each direction turned, each length times 2^k and
+    each raw trilinear over 2^k, bit for bit: the triangle's scale is a
+    power of two, and its orientation, area and tilde numerators come from
+    an exact cross product, which a quarter turn keeps.  render is left
+    out: a quarter turn turns its picture, and
+    test_render_is_the_same_at_every_power_of_two_scale pins its 2^k."""
+    rng = random.Random(12)
+    answered = collections.Counter()
+    for command, spec in _symmetry_jobs(rng, 400):
+        doc, code = cli.run_spec(command, spec)
+        doc.pop("input")
+        answered[command] += code == 0
+        k = rng.randint(-300, 300)
+        for turn in (True, False):
+            mapped, mapped_code = cli.run_spec(
+                command, _map_points(spec, _similarity(k, turn)))
+            mapped.pop("input")
+            assert mapped_code == code, (command, k, turn, doc, mapped)
+            assert_scaled(doc, mapped, math.ldexp(1.0, k), turn)
+    # Most draws get a report, not a refusal, from every command.
+    assert min(answered.values()) > 200, answered
 
 
 def test_verdicts_keep_over_translations():
