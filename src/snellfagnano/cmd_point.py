@@ -3,8 +3,10 @@
 The point's barycentrics are the construction's Ceva triple, normalized, and
 its isogonal conjugate is (sin(A + A~) / lam_A : ...) from the same tilde
 sines: coordinates.plus_root, the "+" tripolar root of the weights.
-Where no closed orbit exists, the report adds the minimizer's constrained
-minimum as brute_force_cost; a failing tilde inequality is exit 3.
+Without a closed orbit, the reported orbit is still the constrained minimum:
+the construction's while every foot lies on its closed side, and the
+oracle's minimizer, with its steps and verdict, where one does not.  A
+failing tilde inequality is exit 3.
 """
 
 from __future__ import annotations
@@ -44,12 +46,18 @@ def _failing_tilde_inequality(t: geometry.Triangle, w: construction.Weights,
     return "%s >= %s + %s (%s)" % (long, a, b, shown)
 
 
-def _orbit_block(res: construction.SnellOrbitResult) -> dict[str, object]:
-    orbit = res.orbit
+def _orbit_block(t: geometry.Triangle, w: construction.Weights,
+                 res: construction.SnellOrbitResult) -> dict[str, object]:
+    orbit, cost, steps = res.orbit, res.weighted_perimeter, {}
+    if not all(0.0 <= p <= 1.0 for p in (orbit.tA, orbit.tB, orbit.tC)):
+        rep = optimize.minimize_inscribed(t, w)
+        orbit, cost = rep.best, rep.cost
+        steps = {"iterations": rep.iterations, "converged": rep.converged}
     block = {
         "params": [orbit.tA, orbit.tB, orbit.tC],
         "vertices": [xy(p) for p in orbit.points],
-        "weighted_perimeter": res.weighted_perimeter,
+        "weighted_perimeter": cost,
+        **steps,
     }
     if res.orbit_in_sides is not None:
         block["in_sides"] = res.orbit_in_sides
@@ -60,9 +68,6 @@ def run(spec) -> tuple[dict[str, object], int]:
     t = parse_triangle(spec)
     w = parse_weights(spec, t)
     res = construction.snell_fagnano_point(t, w)
-    # Where no closed orbit exists, the oracle gives the constrained minimum.
-    brute = (None if res.orbit_in_sides
-             else optimize.minimize_inscribed(t, w).cost)
     k = construction.coeffs_from_weights(w)
     doc = base_doc("point", spec)
     doc["status"] = res.status
@@ -76,7 +81,7 @@ def run(spec) -> tuple[dict[str, object], int]:
         doc["point"] = point_block(
             res.point, coordinates.normalized(res.barycentric), t)
     if res.orbit is not None:
-        doc["orbit"] = _orbit_block(res)
+        doc["orbit"] = _orbit_block(t, w, res)
     if res.status == construction.STATUS_INTERIOR:
         try:
             doc["snell_residuals"] = list(
@@ -91,11 +96,8 @@ def run(spec) -> tuple[dict[str, object], int]:
             "tripolar": list(ctp),
             "tripolar_normalized": coordinates.normalized(ctp),
         }
-        if brute is not None:
-            doc["brute_force_cost"] = brute
         return doc, EXIT_OK
     doc["degenerate_info"] = res.degenerate_info
-    doc["brute_force_cost"] = brute
     if res.status == construction.STATUS_NO_TILDE:
         doc["message"] = _failing_tilde_inequality(t, w, res.tilde)
         return doc, EXIT_MISSING

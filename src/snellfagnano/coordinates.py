@@ -131,7 +131,7 @@ def tilde_triangle(t: Triangle, triple) -> TildeTriangle:
     exact ints of t.unit_exact and of the triple as unit_scaled scales
     it."""
     triple = unit_scaled(triple)
-    n = exact.numerators(*t.unit_exact, triple)
+    n = exact.numerators(*t.unit_exact[:2], triple)
     if n.H < 0:
         return TildeTriangle(False, None, None, triple, n)
     return TildeTriangle(n.H > 0,

@@ -103,11 +103,11 @@ class Triangle:
     a unit-size computation reads them and divides only its own query
     point.  One exact.cross of the unit vertices gives the orientation and
     unit_area, |K2| / 2 over the ints' denominator squared, rounded once;
-    unit_exact keeps the ints (B and C swapped with the vertices) and |K2|
-    for the tilde numerators.  A vertex coordinate that is not finite, or
-    a diameter squared that is not a normal float, is refused
-    (GeometryError), and a unit area at most EPS_DEGENERATE times the unit
-    diameter squared is degenerate.
+    unit_exact keeps the ints (B and C swapped with the vertices), |K2| and
+    that denominator for the tilde numerators and the minimizer's flatness.
+    A vertex coordinate that is not finite, or a diameter squared that is
+    not a normal float, is refused (GeometryError), and a unit area at most
+    EPS_DEGENERATE times the unit diameter squared is degenerate.
     """
 
     __slots__ = ("vA", "vB", "vC", "a", "b", "c", "diameter", "scale",
@@ -134,7 +134,7 @@ class Triangle:
         self.a, self.b, self.c = a, b, c
         self.unit_area, self.diameter, self.scale = area, diam, s
         self.unit_vertices, self.unit_sides = (ua, ub, uc), (a / s, b / s, c / s)
-        self.unit_exact = ints, abs(k2)
+        self.unit_exact = ints, abs(k2), den
 
     @property
     def vertices(self):

@@ -53,9 +53,10 @@ class MinimizeReport(namedtuple("MinimizeReport",
     stopped on a vanishing step, one whose predicted decrease is below
     1e-15 of largest weight times diameter; stopping on the per-stage step
     cap, or on a step the line search cannot make lower the objective, does
-    not count.  flatness is area(best) / area(reference), the exact areas
-    of their points (exact.cross) divided and rounded once; values below
-    ~1e-3 indicate the minimizer has collapsed onto a doubled segment.
+    not count.  flatness is area(best) / area(reference), the exact area of
+    best's points (exact.cross) over the reference's (Triangle.unit_exact),
+    divided and rounded once; values below ~1e-3 indicate the minimizer has
+    collapsed onto a doubled segment.
     """
 
     __slots__ = ()
@@ -218,6 +219,8 @@ def minimize_inscribed(t: Triangle, w: Weights) -> MinimizeReport:
     snapped_cost = weighted_perimeter(snapped, w)
     if snapped_cost < cost:
         best, cost = snapped, snapped_cost
-    (_, k, d), (_, k0, d0) = (exact.cross(*v) for v in (best[:3], t.vertices))
+    # t's area is its unit |K2| / d0^2 times scale^2, scale = n / m.
+    (_, k, d), (_, k0, d0) = exact.cross(*best[:3]), t.unit_exact
+    n, m = t.scale.as_integer_ratio()
     return MinimizeReport(best, cost, iterations, converged,
-                          abs(k) * d0 * d0 / (abs(k0) * d * d))
+                          abs(k) * (d0 * m) ** 2 / (k0 * (d * n) ** 2))

@@ -131,6 +131,19 @@ def sample_boundary(rng: random.Random, needle: bool = False):
                         for x, s in zip(tilde, (t.a, t.b, t.c))))
 
 
+def sample_thin(rng: random.Random, lo: float, hi: float):
+    """(triangle, weights) of the thin-triangle family in the band (lo, hi):
+    base L = 10^U(-3, 3) from (0, 0) to (L, 0), apex (u L, h) with u =
+    U(-0.5, 1.5) and h = L 10^U(lo, hi), weights e^U(-1, 1).  The family
+    is drawn at seed 78, a fresh generator for each band.  Triangle refuses
+    a band much below 1e-12."""
+    base = 10.0 ** rng.uniform(-3, 3)
+    u = rng.uniform(-0.5, 1.5)
+    h = base * 10.0 ** rng.uniform(lo, hi)
+    t = Triangle(Point2(0.0, 0.0), Point2(base, 0.0), Point2(u * base, h))
+    return t, Weights(*(math.exp(rng.uniform(-1, 1)) for _ in range(3)))
+
+
 def _rigid_motion(rng: random.Random, t: Triangle) -> Triangle:
     ang = rng.uniform(0.0, 2.0 * math.pi)
     ca, sa = math.cos(ang), math.sin(ang)

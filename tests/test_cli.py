@@ -18,9 +18,10 @@ from fractions import Fraction
 import pytest
 
 import snellfagnano
-from conftest import SUBPROCESS_TIMEOUT, checkout_env, sample_random_setup
+from conftest import (SUBPROCESS_TIMEOUT, checkout_env, sample_boundary,
+                      sample_random_setup, sample_thin)
 from oracles import exact_verdict
-from snellfagnano import (cli, cmd_simulate, geometry, jobs,
+from snellfagnano import (cli, cmd_simulate, geometry, jobs, optimize,
                           triangle_from_sides)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -104,7 +105,14 @@ def test_point_degenerate(capsys):
     info = doc["degenerate_info"]
     assert info["weighted_argmin"] == info["shortest_altitude"]
     assert set(info["weighted_costs"]) == {"A", "B", "C"}
-    assert doc["brute_force_cost"] == pytest.approx(
+    # The doubled altitude's foot lies on its side, so the orbit is the
+    # construction's, which the oracle matches.
+    assert "brute_force_cost" not in doc and "iterations" not in doc["orbit"]
+    assert doc["orbit"]["weighted_perimeter"] == \
+        info["weighted_costs"][info["weighted_argmin"]]
+    minimized, _ = cli.run_spec("minimize",
+                                corpus_spec("point_degenerate.json"))
+    assert minimized["report"]["cost"] == pytest.approx(
         doc["orbit"]["weighted_perimeter"], rel=1e-3)
     assert doc["interior_conditions"].count(False) >= 1
 
@@ -115,6 +123,31 @@ def test_point_no_tilde(capsys):
     assert code == 3
     assert doc["status"] == "no_tilde_triangle"
     assert ">=" in doc["message"]
+    # The doubled altitude from A, whose foot is side a's midpoint.
+    assert doc["orbit"]["params"] == [0.5, 1, 0]
+    assert doc["orbit"]["weighted_perimeter"] == \
+        doc["degenerate_info"]["weighted_costs"]["A"]
+    assert "brute_force_cost" not in doc and "iterations" not in doc["orbit"]
+
+
+def test_point_on_a_thin_no_tilde_triangle_reports_the_doubled_altitude(
+        capsys, tmp_path):
+    """Every foot of the doubled altitude lies on its side, so `point`
+    reports its cost, 1.7e-12, and runs no oracle, which has stopped at the
+    corner (0, 1, 1) of the parameter cube with a cost of 0.0567."""
+    spec = {"triangle": {"vertices": [
+        [0, 0], [0.05087798727929526, 0],
+        [-0.0013261870348365895, 1.1731545622667445e-12]]},
+        "weights": [0.6548666745347462, 1.0318258525028317,
+                    0.4597087190637227]}
+    code, doc = run_doc(capsys, ["point", "--input",
+                                 write_spec(tmp_path, spec)])
+    assert (code, doc["status"]) == (3, "no_tilde_triangle")
+    assert doc["orbit"]["weighted_perimeter"] == 1.7053489150492149e-12
+    assert "brute_force_cost" not in doc and "iterations" not in doc["orbit"]
+    minimized, _ = cli.run_spec("minimize", spec)
+    assert doc["orbit"]["weighted_perimeter"] <= \
+        minimized["report"]["cost"] * (1 + 1e-9)
 
 
 def test_no_tilde_message_names_the_long_side_at_small_scales(capsys,
@@ -302,7 +335,8 @@ def test_point_tilde_angle_near_zero(capsys, tmp_path):
                                  write_spec(tmp_path, spec)])
     assert code == 0
     assert doc["status"] == "degenerate"
-    assert doc["brute_force_cost"] == pytest.approx(
+    minimized, _ = cli.run_spec("minimize", spec)
+    assert minimized["report"]["cost"] == pytest.approx(
         doc["orbit"]["weighted_perimeter"], rel=1e-9)
 
 
@@ -426,22 +460,98 @@ def test_needle_tilde_point_meets_its_sine_ratios():
     assert max(doc["snell_residuals"]) <= 4 * sys.float_info.epsilon
 
 
-def test_point_reports_brute_force_cost_without_orbit(capsys, tmp_path):
+def test_point_takes_the_oracle_orbit_only_where_a_foot_falls_outside(
+        capsys, tmp_path):
+    """The orbit is the construction's unless one of its feet lies off its
+    side, as for the pedal triangle of an interior point past a vertex and
+    for a doubled altitude whose foot is off its side; there it is the
+    oracle's minimizer, with its steps and verdict, on the closed sides.
+    in_sides still says whether a closed billiard orbit exists."""
     feet_outside = {"triangle": {"vertices": [
         [-2.215109438014208, 2.818969649065556],
         [-4.034728786434073, -1.4419054310523558],
         [3.8558641001898994, 3.442815546106077]]},
         "weights": [0.5250328650960183, 0.777545135717788, 1.9512765204699702]}
-    cases = ((corpus_spec("point_no_tilde.json"), "no_tilde_triangle", None),
-             (corpus_spec("point_degenerate.json"), "degenerate", None),
-             (feet_outside, "interior", False),
-             (T456, "interior", True))
-    for spec, status, in_sides in cases:
+    altitude_outside = {"triangle": {"vertices": [
+        [-0.766959022779762, -0.7835290958528278],
+        [-0.5764282375880505, -0.8936868516201333],
+        [-0.5695660020950997, -0.24173664544908702]]},
+        "weights": [1.2781015041261583, 2.048712262571575, 2.2442461302750414]}
+    cases = ((corpus_spec("point_no_tilde.json"), "no_tilde_triangle", None,
+              False),
+             (corpus_spec("point_degenerate.json"), "degenerate", None, False),
+             (feet_outside, "interior", False, True),
+             (altitude_outside, "degenerate", None, True),
+             (T456, "interior", True, False))
+    for spec, status, in_sides, oracle in cases:
         _, doc = run_doc(capsys, ["point", "--input",
                                   write_spec(tmp_path, spec)])
+        orbit = doc["orbit"]
         assert doc["status"] == status
-        assert doc["orbit"].get("in_sides") == in_sides
-        assert ("brute_force_cost" in doc) == (in_sides is not True)
+        assert orbit.get("in_sides") == in_sides
+        assert "brute_force_cost" not in doc
+        assert ("iterations" in orbit) == ("converged" in orbit) == oracle
+        if oracle:
+            minimized, _ = cli.run_spec("minimize", spec)
+            report = minimized["report"]
+            assert orbit["params"] == report["params"]
+            assert orbit["vertices"] == report["vertices"]
+            assert orbit["weighted_perimeter"] == report["cost"]
+            assert orbit["iterations"] == report["iterations"]
+            assert orbit["converged"] is report["converged"] is True
+            # The construction's pedal triangle undercuts it off the sides.
+            built = minimized["constructed"]["weighted_perimeter"]
+            assert built < report["cost"]
+            assert all(0.0 <= p <= 1.0 for p in orbit["params"])
+
+
+def _no_orbit_families():
+    """(two_sided, [(triangle, weights)]) of the random set-up and the
+    boundary family (two-sided: the oracle's cost is the minimum), then of
+    the needle-tilde family and the thin-triangle family's bands from
+    10^U(-11, -9) to 10^U(-5, -4), on which the oracle may stop above it."""
+    rng = random.Random(2)
+    yield True, [sample_random_setup(rng) for _ in range(1500)]
+    rng = random.Random(2)
+    yield True, [sample_boundary(rng) for _ in range(1500)]
+    rng = random.Random(2)
+    yield False, [sample_boundary(rng, needle=True) for _ in range(1500)]
+    for lo, hi in ((-11, -9), (-9, -6), (-7, -6), (-6, -5), (-5, -4)):
+        rng = random.Random(78)
+        yield False, [sample_thin(rng, lo, hi) for _ in range(300)]
+
+
+def test_point_orbit_is_the_constrained_minimum_without_a_closed_orbit(
+        monkeypatch):
+    """Beside every `point` job without a closed orbit the oracle runs
+    here: on the random set-up and the boundary family the report's orbit
+    lies on the closed sides and its cost is the oracle's within 1e-9
+    relative; on needle-tilde and thin triangles it never exceeds the
+    oracle's by more than that.  `point` itself calls the oracle exactly on
+    the jobs whose construction puts a foot off its side."""
+    oracle = optimize.minimize_inscribed
+    calls = []
+    monkeypatch.setattr(optimize, "minimize_inscribed",
+                        lambda t, w: calls.append(None) or oracle(t, w))
+    for two_sided, cases in _no_orbit_families():
+        for t, w in cases:
+            spec = {"triangle": {"vertices": [list(v) for v in t.vertices]},
+                    "weights": list(w)}
+            before = len(calls)
+            doc, _ = cli.run_spec("point", spec)
+            orbit = doc["orbit"]
+            if orbit.get("in_sides"):
+                assert len(calls) == before
+                continue
+            feet = snellfagnano.snell_fagnano_point(t, w).orbit[3:]
+            outside = not all(0.0 <= p <= 1.0 for p in feet)
+            assert len(calls) - before == outside, spec
+            cost = oracle(t, w).cost
+            gap = (orbit["weighted_perimeter"] - cost) / cost
+            assert gap <= 1e-9, spec
+            if two_sided:
+                assert all(0.0 <= p <= 1.0 for p in orbit["params"]), spec
+                assert gap >= -1e-9, spec
 
 
 def test_point_internal_error_gets_a_report(capsys, monkeypatch):
@@ -843,9 +953,8 @@ def test_verdicts_keep_over_triangle_scales(capsys, tmp_path):
 # a key of one, is dimensionless.
 KEY_KINDS = {
     **dict.fromkeys(("xy", "vertices", "erected_apexes", "x"), "point"),
-    **dict.fromkeys(("weighted_perimeter", "cost", "brute_force_cost",
-                     "altitude_lengths", "weighted_costs", "tripolar",
-                     "scale"), "length"),
+    **dict.fromkeys(("weighted_perimeter", "cost", "altitude_lengths",
+                     "weighted_costs", "tripolar", "scale"), "length"),
     "trilinear": "inverse", "direction": "direction"}
 
 
@@ -1465,6 +1574,22 @@ def test_render_apollonius_near_equal_weights(capsys, tmp_path):
                                  "--svg", str(out)])
     assert code == 0
     assert doc["svg_bytes"] == len(out.read_bytes())
+
+
+def test_render_apollonius_equal_weights_draws_bisectors(capsys, tmp_path):
+    """With equal weights each Apollonius locus is a side's perpendicular
+    bisector, drawn as a line across the figure."""
+    out = tmp_path / "bisectors.svg"
+    spec = dict(T456, layers={"apollonius": True})
+    code, doc = run_doc(capsys, ["render", "--input",
+                                 write_spec(tmp_path, spec),
+                                 "--svg", str(out)])
+    assert code == 0
+    data = out.read_bytes()
+    assert doc["svg_bytes"] == len(data)
+    layer = data.split(b'<g id="apollonius">')[1].split(b"</g>")[0]
+    assert layer.count(b"<line ") == 3
+    assert b"<circle" in layer  # the circumcenter, their common point
 
 
 def test_render_requires_path(capsys, tmp_path):

@@ -288,8 +288,8 @@ def test_degeneracy_verdict_is_the_exact_area_rule():
 
 def test_unit_exact_holds_the_unit_vertices_and_their_cross():
     """unit_exact's ints are the unit vertices over their one denominator d,
-    with B and C swapped as the vertices are, and its K2 is their cross
-    product, positive; unit_area is K2 / 2d^2 rounded once."""
+    which it keeps, with B and C swapped as the vertices are, and its K2 is
+    their cross product, positive; unit_area is K2 / 2d^2 rounded once."""
     rng = random.Random(39)
     for _ in range(200):
         v = _placed(rng, [(0.0, 0.0), (1.0, 0.0),
@@ -297,9 +297,9 @@ def test_unit_exact_holds_the_unit_vertices_and_their_cross():
                     10.0 ** rng.uniform(-3, 3), 1000)
         for order in (v, v[::-1]):
             t = Triangle(*order)
-            ints, k2 = t.unit_exact
+            ints, k2, d = t.unit_exact
             floats = [c for p in t.unit_vertices for c in p]
-            d = max(Fraction(f).denominator for f in floats)
+            assert d == max(Fraction(f).denominator for f in floats)
             assert [Fraction(i, d) for i in ints] == \
                 [Fraction(f) for f in floats]
             ax, ay, bx, by, cx, cy = ints
